@@ -39,19 +39,18 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from repro.correlation.tagging import BranchCorrelationData, CorrelationData
+from repro.correlation.tagging import CorrelationTable
 from repro.obs.metrics import METRICS
 from repro.trace.trace import Trace
 
 #: Bump when the on-disk layout or any cached result's semantics change.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Bump when the workload generator changes what an unchanged
 #: ``(name, length, run_seed)`` triple produces.
@@ -271,25 +270,25 @@ class ResultCache:
 
     def load_correlation(
         self, trace_digest: str, window: int
-    ) -> Optional[CorrelationData]:
-        """Cached tagged-correlation observations, or None on miss."""
+    ) -> Optional[CorrelationTable]:
+        """Cached tagged-correlation table, or None on miss."""
         path = self._path("corr", self.correlation_key(trace_digest, window))
         payload = self._load(path, "corr")
         if payload is None:
             return None
         try:
-            data = _correlation_from_arrays(payload)
+            data = CorrelationTable(**payload)
         except Exception:
             self._quarantine(path, "corr")
             return None
         self._record_hit("corr")
         return data
 
-    def store_correlation(self, trace_digest: str, data: CorrelationData) -> None:
+    def store_correlation(self, trace_digest: str, data: CorrelationTable) -> None:
         self._store(
             self._path("corr", self.correlation_key(trace_digest, data.window)),
             "corr",
-            **_correlation_to_arrays(data),
+            **data.columns(),
         )
 
     # -- generated benchmark traces ---------------------------------------
@@ -423,103 +422,3 @@ class ResultCache:
                 self.stats.errors += 1
         return removed
 
-
-# -- correlation (de)serialisation ----------------------------------------
-#
-# CorrelationData is a two-level dict of numpy arrays and array('q')
-# buffers.  It flattens into ten global arrays -- offsets delimit the
-# per-branch and per-tag slices -- so the whole structure round-trips
-# through one npz file with no pickling.
-
-
-def _correlation_to_arrays(data: CorrelationData) -> dict:
-    pcs = []
-    branch_offsets = [0]
-    inst_indices = []
-    inst_outcomes = []
-    tag_branch = []
-    tag_scheme = []
-    tag_pc = []
-    tag_instance = []
-    tag_offsets = [0]
-    tag_values = []
-    for branch_index, (pc, branch) in enumerate(sorted(data.branches.items())):
-        pcs.append(pc)
-        inst_indices.append(branch.trace_indices)
-        inst_outcomes.append(branch.outcomes)
-        branch_offsets.append(branch_offsets[-1] + len(branch.trace_indices))
-        for (scheme, tagged_pc, instance), entries in branch.tag_entries.items():
-            tag_branch.append(branch_index)
-            tag_scheme.append(scheme)
-            tag_pc.append(tagged_pc)
-            tag_instance.append(instance)
-            tag_offsets.append(tag_offsets[-1] + len(entries))
-            tag_values.append(np.frombuffer(entries, dtype=np.int64))
-    outcomes = (
-        np.concatenate(inst_outcomes)
-        if inst_outcomes
-        else np.zeros(0, dtype=bool)
-    )
-    return dict(
-        window=np.int64(data.window),
-        trace_length=np.int64(data.trace_length),
-        pcs=np.asarray(pcs, dtype=np.uint64),
-        branch_offsets=np.asarray(branch_offsets, dtype=np.int64),
-        inst_indices=(
-            np.concatenate(inst_indices)
-            if inst_indices
-            else np.zeros(0, dtype=np.int64)
-        ),
-        inst_outcomes=np.packbits(outcomes),
-        tag_branch=np.asarray(tag_branch, dtype=np.int64),
-        tag_scheme=np.asarray(tag_scheme, dtype=np.int64),
-        tag_pc=np.asarray(tag_pc, dtype=np.uint64),
-        tag_instance=np.asarray(tag_instance, dtype=np.int64),
-        tag_offsets=np.asarray(tag_offsets, dtype=np.int64),
-        tag_values=(
-            np.concatenate(tag_values)
-            if tag_values
-            else np.zeros(0, dtype=np.int64)
-        ),
-    )
-
-
-def _correlation_from_arrays(payload: dict) -> CorrelationData:
-    pcs = payload["pcs"]
-    branch_offsets = payload["branch_offsets"]
-    inst_indices = payload["inst_indices"]
-    total = int(branch_offsets[-1]) if len(branch_offsets) else 0
-    outcomes = np.unpackbits(payload["inst_outcomes"], count=total).astype(bool)
-    branches = {}
-    branch_list = []
-    for i in range(len(pcs)):
-        start, end = int(branch_offsets[i]), int(branch_offsets[i + 1])
-        branch = BranchCorrelationData(
-            pc=int(pcs[i]),
-            trace_indices=inst_indices[start:end].copy(),
-            outcomes=outcomes[start:end].copy(),
-            tag_entries={},
-        )
-        branches[branch.pc] = branch
-        branch_list.append(branch)
-    tag_offsets = payload["tag_offsets"]
-    tag_values = payload["tag_values"]
-    tag_branch = payload["tag_branch"]
-    tag_scheme = payload["tag_scheme"]
-    tag_pc = payload["tag_pc"]
-    tag_instance = payload["tag_instance"]
-    for t in range(len(tag_branch)):
-        entries = array("q")
-        entries.frombytes(
-            tag_values[int(tag_offsets[t]) : int(tag_offsets[t + 1])]
-            .astype(np.int64)
-            .tobytes()
-        )
-        branch_list[int(tag_branch[t])].tag_entries[
-            (int(tag_scheme[t]), int(tag_pc[t]), int(tag_instance[t]))
-        ] = entries
-    return CorrelationData(
-        window=int(payload["window"]),
-        trace_length=int(payload["trace_length"]),
-        branches=branches,
-    )

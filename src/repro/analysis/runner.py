@@ -20,8 +20,8 @@ import numpy as np
 
 from repro.analysis.cache import ResultCache, result_key
 from repro.analysis.config import DEFAULT_CONFIG, LabConfig
-from repro.correlation.selection import Selection, select_for_trace
-from repro.correlation.tagging import CorrelationData, collect_correlation_data
+from repro.correlation.selection import Selection, select_counts
+from repro.correlation.tagging import CorrelationTable, collect_correlation_data
 from repro.obs.metrics import METRICS
 from repro.obs.tracing import span
 from repro.predictors.base import BranchPredictor
@@ -52,8 +52,10 @@ class Lab:
         self.config = config
         self.cache = cache
         self._correct: Dict[str, np.ndarray] = {}
-        self._correlation_data: Optional[CorrelationData] = None
+        self._correlation_data: Optional[CorrelationTable] = None
         self._selections: Dict[Tuple[int, int], Dict[int, Selection]] = {}
+        # window -> {count: selections}: one oracle pass serves counts 1-3.
+        self._oracle_passes: Dict[int, Dict[int, Dict[int, Selection]]] = {}
         self._stats: Optional[TraceStatistics] = None
         self._factories: Dict[str, Callable[[], BranchPredictor]] = {
             "gshare": config.gshare,
@@ -118,7 +120,7 @@ class Lab:
             )
 
     def store_correlation(
-        self, data: CorrelationData, write_through: bool = True
+        self, data: CorrelationTable, write_through: bool = True
     ) -> None:
         """Fold externally-collected correlation data into the memo."""
         self._correlation_data = data
@@ -167,7 +169,7 @@ class Lab:
 
     # -- correlation results ---------------------------------------------------
 
-    def correlation_data(self) -> CorrelationData:
+    def correlation_data(self) -> CorrelationTable:
         """Tagged-correlation observations (collected once at window 32)."""
         if self._correlation_data is not None:
             METRICS.inc("sim.memo_hits")
@@ -194,21 +196,26 @@ class Lab:
         self, count: int, window: Optional[int] = None
     ) -> Dict[int, Selection]:
         """Oracle selections for a selective history of ``count`` branches."""
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
         if window is None:
             window = self.config.selective_window
         key = (count, window)
         cached = self._selections.get(key)
         if cached is None:
             METRICS.inc("sim.oracle_selections")
-            with span(
-                "select_oracle", count=count, window=window,
-                length=len(self.trace),
-            ), METRICS.timer("sim.seconds"):
-                cached = select_for_trace(
-                    self.correlation_data(),
-                    count,
-                    self.config.selection_config(window),
-                )
+            passes = self._oracle_passes.get(window)
+            if passes is None:
+                with span(
+                    "select_oracle", count=count, window=window,
+                    length=len(self.trace),
+                ), METRICS.timer("sim.seconds"):
+                    passes = select_counts(
+                        self.correlation_data(),
+                        self.config.selection_config(window),
+                    )
+                self._oracle_passes[window] = passes
+            cached = passes[min(count, 3)]
             self._selections[key] = cached
         else:
             METRICS.inc("sim.memo_hits")

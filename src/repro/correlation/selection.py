@@ -21,18 +21,15 @@ operates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.correlation.tagging import (
-    _DEPTH_MASK,
-    _DEPTH_SHIFT,
-    _INDEX_SHIFT,
-    BranchCorrelationData,
-    CorrelationData,
+    BranchView,
+    CorrelationTable,
     TagKey,
+    expand_ranges,
 )
 
 
@@ -82,34 +79,14 @@ class Selection:
     ideal_accuracy: float
 
 
-def single_tag_score(
-    branch: BranchCorrelationData, tag: TagKey, window: int
-) -> float:
+def single_tag_score(branch: BranchView, tag: TagKey, window: int) -> float:
     """Ideal-table accuracy of predicting ``branch`` from ``tag`` alone.
 
     Instances are bucketed by the tag's three-state outcome (taken /
     not-taken / not-in-path); within each bucket the majority direction is
     counted correct.
     """
-    outcomes = branch.outcomes
-    n = len(outcomes)
-    if n == 0:
-        return 0.0
-    indices, depths, tag_outcomes = branch.decode_tag(tag)
-    visible = depths <= window
-    present_idx = indices[visible]
-    present_out = tag_outcomes[visible]
-    branch_out = outcomes[present_idx]
-    # Bucket counts: key = tag_outcome * 2 + branch_outcome.
-    counts = np.bincount(present_out * 2 + branch_out, minlength=4)
-    taken_bucket_correct = max(counts[2], counts[3])
-    not_taken_bucket_correct = max(counts[0], counts[1])
-    total_taken = int(outcomes.sum())
-    present_taken = int(counts[1] + counts[3])
-    absent_total = n - len(present_idx)
-    absent_taken = total_taken - present_taken
-    absent_correct = max(absent_taken, absent_total - absent_taken)
-    return (taken_bucket_correct + not_taken_bucket_correct + absent_correct) / n
+    return joint_ideal_accuracy([branch.state_vector(tag, window)], branch.outcomes)
 
 
 def joint_ideal_accuracy(
@@ -133,169 +110,192 @@ def joint_ideal_accuracy(
     return float(pairs.max(axis=1).sum()) / n
 
 
-def _bias_accuracy(outcomes: np.ndarray) -> float:
-    if len(outcomes) == 0:
-        return 0.0
-    rate = float(outcomes.mean())
-    return max(rate, 1.0 - rate)
+#: Joint keys one oracle block may build: whole branches are grouped
+#: until their pair pass (``top_k``-choose-2 keys per instance) would
+#: exceed this, bounding the pass's memory on long traces.
+PASS_ELEMENT_BUDGET = 1 << 20
 
 
-def _joint_scores(
-    combined: np.ndarray, outcomes: np.ndarray, space: int
+def _joint_correct(
+    states: np.ndarray,
+    rows: Sequence[np.ndarray],
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    outcomes: np.ndarray,
+    space: int,
 ) -> np.ndarray:
-    """Ideal-table accuracy of many joint histories in one bincount.
+    """Ideal-table correct counts of many joint histories in one bincount.
 
-    Batched :func:`joint_ideal_accuracy`: ``combined`` holds one row of
-    joint 3**c patterns per candidate set, all rows are folded into one
-    ``row * space * 2 + pattern * 2 + outcome`` key column, and a single
-    ``np.bincount`` yields every row's per-pattern majority at once.
+    Candidate ``c``'s pattern at its instance ``x`` joins ``states[row[c]
+    + x]`` over ``rows``; its outcome is ``outcomes[starts[c] + x]``.
     """
-    rows, n = combined.shape
-    keys = (
-        np.arange(rows, dtype=np.int64)[:, None] * space + combined
-    ) * 2 + outcomes
-    counts = np.bincount(keys.ravel(), minlength=rows * space * 2)
-    pairs = counts.reshape(rows, space, 2)
-    return pairs.max(axis=2).sum(axis=1) / n
+    pattern = np.zeros(int(lengths.sum()), dtype=np.int64)
+    for row in rows:
+        pattern = pattern * 3 + states[expand_ranges(row, lengths)]
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    keys = (owner * space + pattern) * 2 + outcomes[expand_ranges(starts, lengths)]
+    counts = np.bincount(keys, minlength=len(lengths) * space * 2)
+    return counts.reshape(-1, space, 2).max(axis=2).sum(axis=1)
 
 
-def _qualified_candidates(
-    branch: BranchCorrelationData, config: SelectionConfig
-) -> List[Tuple[TagKey, float]]:
-    """Score all candidates that pass the support threshold.
+def _first_best(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """First maximum (what a strict-``>`` scan keeps) of each run of ``sizes``."""
+    if not len(sizes):
+        return np.zeros(0, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    best = np.repeat(np.maximum.reduceat(values, starts), sizes)
+    index = np.arange(len(values))
+    return np.minimum.reduceat(np.where(values == best, index, len(values)), starts)
 
-    Batched equivalent of calling :func:`single_tag_score` per tag: the
-    packed entries of every candidate are concatenated into one column,
-    and a single ``np.bincount`` over ``tag * 4 + tag_state * 2 +
-    branch_outcome`` keys yields every candidate's bucket counts at once
-    -- no per-tag ``decode_tag`` replay.  Scores are the same exact
-    integer-ratio float64 values the scalar scorer produces.
+
+def _oracle_block(
+    table: CorrelationTable, config: SelectionConfig, lo: int, hi: int
+) -> Tuple[List[Selection], List[Selection], List[Selection]]:
+    """Selections of 1, 2 and 3 tags for branch rows ``lo:hi``, in one pass.
+
+    Every ``(branch, tag)`` is scored with one bincount and ranked with
+    one lexsort by (branch, -score, tag); the pair search over each
+    branch's ``top_k`` and the greedy third run as segmented joint-key
+    bincounts over all the block's branches at once.  Scores compare as
+    integer correct counts, which order exactly like the
+    ``correct / instances`` floats they become.
     """
-    n = branch.num_instances()
-    support_floor = max(
-        config.min_support_absolute, int(config.min_support_fraction * n)
+    window, top_k = config.window, config.top_k
+    first = table.branch_offsets[lo:hi]
+    n = table.branch_offsets[lo + 1 : hi + 1] - first
+    starts = first - first[0]
+    outcomes = table.inst_outcome[first[0] : first[0] + n.sum()].astype(np.int64)
+    taken = np.add.reduceat(outcomes, starts)
+    t_lo, t_hi = table.tag_offsets[[lo, hi]]
+    e_lo, e_hi = table.entry_offsets[[t_lo, t_hi]]
+
+    # Every tag alone: bucket counts of (tag, tag state, branch outcome).
+    visible = table.entry_depth[e_lo:e_hi] <= window
+    tag = table.entry_tag[e_lo:e_hi][visible].astype(np.int64) - t_lo
+    instance = table.entry_instance[e_lo:e_hi][visible].astype(np.int64) - first[0]
+    present = table.entry_outcome[e_lo:e_hi][visible]
+    counts = np.bincount(
+        tag * 4 + present * 2 + outcomes[instance], minlength=4 * (t_hi - t_lo)
+    ).reshape(-1, 4)
+    owner = table.tag_branch[t_lo:t_hi].astype(np.int64) - lo
+    support = counts.sum(axis=1)
+    floor = np.maximum(
+        config.min_support_absolute, (config.min_support_fraction * n).astype(np.int64)
     )
-    tags = [
-        tag for tag in branch.tag_entries
-        if config.tag_kinds is None or tag[0] in config.tag_kinds
-    ]
-    if not tags or n == 0:
-        return []
-    buffers = [branch.tag_entries[tag] for tag in tags]
-    lengths = np.fromiter(
-        (len(buffer) for buffer in buffers), dtype=np.int64, count=len(tags)
+    qualified = support >= floor[owner]
+    if config.tag_kinds is not None:
+        qualified &= np.isin(table.tag_scheme[t_lo:t_hi], config.tag_kinds)
+    absent_taken = taken[owner] - counts[:, 1] - counts[:, 3]
+    absent = n[owner] - support
+    correct = (
+        np.maximum(counts[:, 2], counts[:, 3])
+        + np.maximum(counts[:, 0], counts[:, 1])
+        + np.maximum(absent_taken, absent - absent_taken)
     )
-    packed = np.concatenate(
-        [np.frombuffer(buffer, dtype=np.int64) for buffer in buffers]
+
+    # Rank; each branch's top_k qualified tags become its slots.
+    ranked = np.nonzero(qualified)[0]
+    ranked = ranked[np.lexsort((ranked, -correct[ranked], owner[ranked]))]
+    qualifying = np.bincount(owner[ranked], minlength=hi - lo)
+    rank = np.arange(len(ranked)) - np.repeat(np.cumsum(qualifying) - qualifying, qualifying)
+    slots = ranked[rank < top_k]
+    k = np.minimum(qualifying, top_k)
+    slot0 = np.cumsum(k) - k
+    single = np.zeros(hi - lo, dtype=np.int64)
+    single[k > 0] = correct[slots[slot0[k > 0]]]
+    states = table.fill_states(slots + t_lo, window)
+    row = np.cumsum(n[owner[slots]]) - n[owner[slots]]
+
+    # Every pair of each branch's slots, in combinations() order.
+    left, right = np.triu_indices(top_k, 1)
+    paired = np.nonzero(k >= 2)[0]
+    which, pair = np.nonzero(right[None, :] < k[paired, None])
+    pair_branch = paired[which]
+    base = slot0[pair_branch]
+    pair_correct = _joint_correct(
+        states, (row[base + left[pair]], row[base + right[pair]]),
+        starts[pair_branch], n[pair_branch], outcomes, 9,
     )
-    tag_ordinal = np.repeat(np.arange(len(tags), dtype=np.int64), lengths)
-    depths = (packed >> _DEPTH_SHIFT) & _DEPTH_MASK
-    visible = depths <= config.window
-    tag_ordinal = tag_ordinal[visible]
-    support = np.bincount(tag_ordinal, minlength=len(tags))
-    qualified = support >= support_floor
-    if not qualified.any():
-        return []
-    packed = packed[visible]
-    branch_out = branch.outcomes[packed >> _INDEX_SHIFT].astype(np.int64)
-    keys = tag_ordinal * 4 + (packed & 1) * 2 + branch_out
-    counts = np.bincount(keys, minlength=4 * len(tags)).reshape(-1, 4)
-    taken_bucket = np.maximum(counts[:, 2], counts[:, 3])
-    not_taken_bucket = np.maximum(counts[:, 0], counts[:, 1])
-    total_taken = int(branch.outcomes.sum())
-    present_taken = counts[:, 1] + counts[:, 3]
-    absent_total = n - support
-    absent_taken = total_taken - present_taken
-    absent_correct = np.maximum(absent_taken, absent_total - absent_taken)
-    scores = (taken_bucket + not_taken_bucket + absent_correct) / n
-    scored = [
-        (tags[i], scores[i]) for i in np.nonzero(qualified)[0].tolist()
-    ]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored
+    best_pair = _first_best(pair_correct, k[paired] * (k[paired] - 1) // 2)
+    improved = pair_correct[best_pair] > single[paired]
+    grown, best_pair = paired[improved], best_pair[improved]
+    pair_slots = (slot0[grown] + left[pair[best_pair]], slot0[grown] + right[pair[best_pair]])
 
-
-def select_for_branch(
-    branch: BranchCorrelationData,
-    count: int,
-    config: SelectionConfig = SelectionConfig(),
-) -> Selection:
-    """Choose the ``count`` most important correlated branches for one branch.
-
-    Args:
-        branch: Collected correlation observations for the branch.
-        count: Size of the selective history (1, 2 or 3 in the paper).
-        config: Oracle search parameters.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    scored = _qualified_candidates(branch, config)
-    if not scored:
-        return Selection(tags=(), ideal_accuracy=_bias_accuracy(branch.outcomes))
-
-    best_single = scored[0]
-    if count == 1 or len(scored) == 1:
-        return Selection(tags=(best_single[0],), ideal_accuracy=best_single[1])
-
-    top = [tag for tag, _score in scored[: config.top_k]]
-    vectors = np.stack(
-        [branch.state_vector(tag, config.window) for tag in top]
-    ).astype(np.int64)
-    outcomes = branch.outcomes.astype(np.int64)
-
-    # All top-K pairs scored as one (pairs x instances) joint-key matrix
-    # pass; np.argmax returns the *first* maximum, which is exactly the
-    # pair the sequential strict-> loop would have kept.
-    best_pair: Tuple[TagKey, ...] = (best_single[0],)
-    best_pair_score = best_single[1]
-    pair_index = list(combinations(range(len(top)), 2))
-    left = np.fromiter((i for i, _j in pair_index), dtype=np.int64)
-    right = np.fromiter((j for _i, j in pair_index), dtype=np.int64)
-    pair_scores = _joint_scores(
-        vectors[left] * 3 + vectors[right], outcomes, 9
+    # Greedy third: every other slot appended to an improving best pair.
+    extendable = np.nonzero(k[grown] >= 3)[0]
+    others = np.arange(top_k)[None, :]
+    which, third = np.nonzero(
+        (others < k[grown[extendable], None])
+        & (others + slot0[grown[extendable], None] != pair_slots[0][extendable, None])
+        & (others + slot0[grown[extendable], None] != pair_slots[1][extendable, None])
     )
-    best = int(np.argmax(pair_scores))
-    if pair_scores[best] > best_pair_score:
-        best_pair_score = pair_scores[best]
-        best_pair = (top[pair_index[best][0]], top[pair_index[best][1]])
-    if count == 2 or len(best_pair) < 2:
-        return Selection(tags=tuple(best_pair), ideal_accuracy=best_pair_score)
+    held = extendable[which]
+    triple_slots = (pair_slots[0][held], pair_slots[1][held], slot0[grown[held]] + third)
+    triple_correct = _joint_correct(
+        states, tuple(row[s] for s in triple_slots),
+        starts[grown[held]], n[grown[held]], outcomes, 27,
+    )
+    best_triple = _first_best(triple_correct, k[grown[extendable]] - 2)
+    better = best_triple[triple_correct[best_triple] > pair_correct[best_pair[extendable]]]
 
-    # Greedy third: every extension of the best pair in one matrix pass.
-    best_triple = best_pair
-    best_triple_score = best_pair_score
-    extensions = [
-        i for i, tag in enumerate(top) if tag not in best_pair
-    ]
-    if extensions:
-        i, j = pair_index[best]
-        pair_combined = vectors[i] * 3 + vectors[j]
-        triple_scores = _joint_scores(
-            pair_combined * 3 + vectors[np.asarray(extensions)], outcomes, 27
-        )
-        best = int(np.argmax(triple_scores))
-        if triple_scores[best] > best_triple_score:
-            best_triple_score = triple_scores[best]
-            best_triple = best_pair + (top[extensions[best]],)
-    return Selection(tags=tuple(best_triple), ideal_accuracy=best_triple_score)
+    # Each count keeps the smaller set it failed to beat.
+    def place(selections, branches, chosen_slots, chosen_correct):
+        keys = [table.tag_keys(slots[chosen] + t_lo) for chosen in chosen_slots]
+        scores = (chosen_correct / n[branches]).tolist()
+        for index, score, *tags in zip(branches.tolist(), scores, *keys):
+            selections[index] = Selection(tuple(tags), score)
+
+    rate = taken / n
+    ones = [Selection((), bias) for bias in np.maximum(rate, 1.0 - rate).tolist()]
+    has = np.nonzero(k)[0]
+    place(ones, has, (slot0[has],), single[has])
+    twos = list(ones)
+    place(twos, grown, pair_slots, pair_correct[best_pair])
+    threes = list(twos)
+    place(
+        threes, grown[held[better]], tuple(s[better] for s in triple_slots),
+        triple_correct[better],
+    )
+    return ones, twos, threes
 
 
-def select_for_trace(
-    data: CorrelationData,
-    count: int,
-    config: SelectionConfig = SelectionConfig(),
-) -> Dict[int, Selection]:
-    """Run the oracle for every static branch in the trace.
+def select_counts(
+    data: CorrelationTable, config: SelectionConfig = SelectionConfig()
+) -> Dict[int, Dict[int, Selection]]:
+    """``{count: {branch address: Selection}}`` for counts 1, 2 and 3, in one pass.
 
-    Returns:
-        Map from branch address to its :class:`Selection`.
+    Branches go in ascending address order, in blocks of whole branches
+    under :data:`PASS_ELEMENT_BUDGET`.
     """
     if config.window > data.window:
         raise ValueError(
             f"analysis window {config.window} exceeds collection window "
             f"{data.window}"
         )
-    return {
-        pc: select_for_branch(branch, count, config)
-        for pc, branch in data.branches.items()
-    }
+    selections: Dict[int, Dict[int, Selection]] = {1: {}, 2: {}, 3: {}}
+    n = np.diff(data.branch_offsets)
+    if not len(n):
+        return selections
+    cost = n * max(1, config.top_k * (config.top_k - 1) // 2)
+    block = (np.cumsum(cost) - cost) // PASS_ELEMENT_BUDGET
+    edges = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(n)]
+    pcs = data.pcs.tolist()
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for count, chosen in zip((1, 2, 3), _oracle_block(data, config, lo, hi)):
+            selections[count].update(zip(pcs[lo:hi], chosen))
+    return selections
+
+
+def select_for_trace(
+    data: CorrelationTable,
+    count: int,
+    config: SelectionConfig = SelectionConfig(),
+) -> Dict[int, Selection]:
+    """Run the oracle for every static branch (a count above 3 selects like 3).
+
+    Returns:
+        Map from branch address to its :class:`Selection`.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    return select_counts(data, config)[min(count, 3)]

@@ -101,8 +101,11 @@ _REGISTRY: Dict[str, Callable[[Dict[str, Lab]], ExperimentResult]] = {}
 #: Simulation tasks each experiment declares it reads, keyed by id.
 _REQUIRES: Dict[str, tuple] = {}
 
+#: Oracle history windows each experiment sweeps, keyed by id.
+_WINDOWS: Dict[str, tuple] = {}
 
-def register(experiment_id: str, requires: Optional[tuple] = None):
+
+def register(experiment_id: str, requires: Optional[tuple] = None, windows: tuple = ()):
     """Decorator registering an experiment runner under an id.
 
     Args:
@@ -113,6 +116,8 @@ def register(experiment_id: str, requires: Optional[tuple] = None):
             exactly the needed simulations; an experiment registered
             without a declaration falls back to the full default task
             set, which is always sufficient.
+        windows: History windows the runner selects at besides
+            ``selective_window``; the planner checks the collection.
     """
 
     def decorate(runner: Callable[[Dict[str, Lab]], ExperimentResult]):
@@ -121,6 +126,7 @@ def register(experiment_id: str, requires: Optional[tuple] = None):
         _REGISTRY[experiment_id] = runner
         if requires is not None:
             _REQUIRES[experiment_id] = tuple(requires)
+        _WINDOWS[experiment_id] = tuple(windows)
         return runner
 
     return decorate
@@ -146,6 +152,11 @@ def experiment_requires(experiment_id: str) -> tuple:
     from repro.analysis.parallel import DEFAULT_TASKS
 
     return tuple(DEFAULT_TASKS)
+
+
+def experiment_windows(experiment_id: str) -> tuple:
+    """The oracle history windows ``experiment_id`` declared it sweeps."""
+    return _WINDOWS.get(experiment_id, ())
 
 
 def build_labs(

@@ -53,7 +53,7 @@ class Fig5Result(ExperimentResult):
         )
 
 
-@register("fig5", requires=("correlation",))
+@register("fig5", requires=("correlation",), windows=HISTORY_LENGTHS)
 def run(labs: Dict[str, Lab]) -> Fig5Result:
     """Sweep the selective-history window per benchmark."""
     curves: Dict[str, Dict[int, float]] = {}

@@ -193,11 +193,12 @@ def build_plan(spec: RunSpec) -> Plan:
             experiment.
         PlanError: If a named experiment's ``requires=`` declaration
             contains a task outside :data:`DEFAULT_TASKS` (nothing
-            could ever prime it).
+            could ever prime it), or a point's ``collection_window`` is
+            shallower than a history window an experiment sweeps.
     """
     from repro.analysis.parallel import DEFAULT_TASKS
     from repro.analysis.streamed import CHUNKABLE_TASKS
-    from repro.experiments.base import experiment_requires
+    from repro.experiments.base import experiment_requires, experiment_windows
     from repro.trace.stream import chunk_spans, normalize_chunk_branches
     from repro.workloads.suite import scaled_length
 
@@ -242,10 +243,16 @@ def build_plan(spec: RunSpec) -> Plan:
         # scheduler's default set (unknown/selective names keep their
         # declaration order at the end).
         needed: List[str] = []
+        collection = point_spec.config.collection_window
         for experiment_id in point_spec.experiments:
             for name in experiment_requires(experiment_id):
                 if name not in needed:
                     needed.append(name)
+            if max(experiment_windows(experiment_id), default=0) > collection:
+                raise PlanError(
+                    f"config.collection_window: {collection} is shallower than "
+                    f"the windows {experiment_id!r} sweeps"
+                )
         needed.sort(
             key=lambda name: (
                 DEFAULT_TASKS.index(name)

@@ -16,7 +16,7 @@ property test enforces this):
   :meth:`~SelectiveHistoryPredictor.update` pair, which re-derives tag
   states by scanning a sliding window -- transparent but slow;
 * :meth:`SelectiveHistoryPredictor.simulate`, which replays the
-  precollected :class:`~repro.correlation.tagging.CorrelationData`
+  precollected :class:`~repro.correlation.tagging.CorrelationTable`
   per-branch -- the path every experiment uses.
 """
 
@@ -33,7 +33,7 @@ from repro.correlation.selection import (
     select_for_trace,
 )
 from repro.correlation.tagging import (
-    CorrelationData,
+    CorrelationTable,
     STATE_ABSENT,
     STATE_NOT_TAKEN,
     STATE_TAKEN,
@@ -75,7 +75,7 @@ class SelectiveHistoryPredictor(BranchPredictor):
         self._threshold = 1 << (counter_bits - 1)
         self._initial = self._threshold
         self._selections: Optional[Dict[int, Selection]] = None
-        self._data: Optional[CorrelationData] = None
+        self._data: Optional[CorrelationTable] = None
         # (pc, pattern) -> counter value
         self._counters: Dict[Tuple[int, int], int] = {}
         # Sliding window of (pc, taken, is_backward) for the online path.
@@ -93,7 +93,7 @@ class SelectiveHistoryPredictor(BranchPredictor):
     def fit(
         self,
         trace: Trace,
-        data: Optional[CorrelationData] = None,
+        data: Optional[CorrelationTable] = None,
         selections: Optional[Dict[int, Selection]] = None,
     ) -> "SelectiveHistoryPredictor":
         """Run the oracle selection over ``trace``.
@@ -195,45 +195,3 @@ class SelectiveHistoryPredictor(BranchPredictor):
                 f"{self._data.trace_length}, got {len(trace)}"
             )
         return simulate_selective(self, trace)
-
-    def _simulate_scalar(self, trace: Trace) -> np.ndarray:
-        """Scalar reference replay (the kernel's contract reference)."""
-        if self._selections is None:
-            self.fit(trace)
-        data = self._data
-        if data.trace_length != len(trace):
-            raise ValueError(
-                "simulate() must replay the fitted trace: fitted length "
-                f"{data.trace_length}, got {len(trace)}"
-            )
-        correct = np.zeros(len(trace), dtype=bool)
-        window = self._config.window
-        counter_max = self._counter_max
-        threshold = self._threshold
-        initial = self._initial
-        for pc, branch in data.branches.items():
-            selection = self._selections[pc]
-            outcomes = branch.outcomes
-            if selection.tags:
-                combined = np.zeros(branch.num_instances(), dtype=np.int64)
-                for tag in selection.tags:
-                    combined = combined * 3 + branch.state_vector(tag, window)
-                patterns = combined.tolist()
-            else:
-                patterns = [0] * branch.num_instances()
-            counters: Dict[int, int] = {}
-            branch_correct = np.zeros(branch.num_instances(), dtype=bool)
-            outcome_list = outcomes.tolist()
-            for i, pattern in enumerate(patterns):
-                value = counters.get(pattern, initial)
-                taken = outcome_list[i]
-                branch_correct[i] = (value >= threshold) == taken
-                if taken:
-                    if value < counter_max:
-                        counters[pattern] = value + 1
-                    else:
-                        counters[pattern] = value
-                else:
-                    counters[pattern] = value - 1 if value > 0 else value
-            correct[branch.trace_indices] = branch_correct
-        return correct

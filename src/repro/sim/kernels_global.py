@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.correlation.tagging import expand_ranges
 from repro.obs.metrics import METRICS
 from repro.sim.kernels import _wrong_prefix_fill
 from repro.trace.trace import Trace
@@ -328,34 +329,38 @@ def simulate_selective(predictor, trace: Trace) -> np.ndarray:
     """Counter-replay kernel for
     :class:`~repro.predictors.selective.SelectiveHistoryPredictor`.
 
-    The fitted correlation data already holds every instance's three-state
-    tag pattern, so the replay is index-precomputable too: pack
-    ``(branch, pattern)`` into one key stream over the whole trace and run
-    every per-pattern 2-bit counter as one grouped chain.  Counters start
-    fresh at the initial value per (branch, pattern), exactly like the
-    per-call dict of the scalar replay.
+    The fitted correlation table already holds every instance's
+    three-state tag pattern, so the replay is index-precomputable too: one
+    dense state fill of every selected tag, each weighted by its place in
+    the 3**c pattern, gives every instance its ``(branch, pattern)`` key,
+    and every per-pattern 2-bit counter runs as one grouped chain over the
+    whole trace.  Counters start fresh at the initial value per (branch,
+    pattern), exactly like the per-call dict of the scalar replay.
     """
     METRICS.inc("sim.kernel_fastpath")
     data = predictor._data
-    window = predictor._config.window
     n = data.trace_length
     if n == 0:
         return np.zeros(0, dtype=bool)
     space = 3 ** predictor._num_branches
-    keys = np.zeros(n, dtype=np.int64)
-    for ordinal, (pc, branch) in enumerate(data.branches.items()):
-        selection = predictor._selections[pc]
-        base = ordinal * space
-        if selection.tags:
-            combined = np.zeros(branch.num_instances(), dtype=np.int64)
-            for tag in selection.tags:
-                combined = combined * 3 + branch.state_vector(tag, window)
-            keys[branch.trace_indices] = base + combined
-        else:
-            keys[branch.trace_indices] = base
-    counters = np.full(
-        len(data.branches) * space, predictor._initial, dtype=np.int64
-    )
+    rows, tags, weights = [], [], []
+    for row, pc in enumerate(data.pcs.tolist()):
+        chosen = predictor._selections[pc].tags
+        rows += [row] * len(chosen)
+        tags += chosen
+        weights += [3 ** place for place in reversed(range(len(chosen)))]
+    rows = np.asarray(rows, dtype=np.int64)
+    states = data.fill_states(data.find_tags(rows, tags), predictor._config.window)
+    first = data.branch_offsets[rows]
+    lengths = data.branch_offsets[rows + 1] - first
+    pattern = np.bincount(
+        expand_ranges(first, lengths),
+        weights=states * np.repeat(np.asarray(weights, dtype=np.int64), lengths),
+        minlength=n,
+    ).astype(np.int64)
+    keys = np.empty(n, dtype=np.int64)
+    keys[data.inst_index] = data.inst_branch.astype(np.int64) * space + pattern
+    counters = np.full(len(data.pcs) * space, predictor._initial, dtype=np.int64)
     return _grouped_counter_correct(
         keys, trace.taken, counters, predictor._threshold,
         predictor._counter_max, len(counters),

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.config import DEFAULT_CONFIG, LabConfig
+from repro.correlation.tagging import MAX_WINDOW
 from repro.errors import SpecError
 
 #: Bump on any spec layout or semantics change.  v2 added the tagged
@@ -640,6 +641,19 @@ class SweepSpec:
         )
 
 
+def _check_windows(config: LabConfig) -> None:
+    """Reject, before any work, windows the collector or oracle cannot serve."""
+    collection, selective = config.collection_window, config.selective_window
+    if not 1 <= collection <= MAX_WINDOW:
+        raise SpecError(
+            f"config.collection_window: must be in [1, {MAX_WINDOW}], got {collection}"
+        )
+    if not 1 <= selective <= collection:
+        raise SpecError(
+            f"config.selective_window: must be in [1, collection_window], got {selective}"
+        )
+
+
 def _config_to_dict(config: LabConfig) -> Dict[str, Any]:
     return {name: getattr(config, name) for name in CONFIG_FIELDS}
 
@@ -673,6 +687,7 @@ class RunSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "experiments", tuple(self.experiments))
+        _check_windows(self.config)
 
     # -- serialisation -----------------------------------------------------
 

@@ -76,17 +76,53 @@ class TestCorrelationCache:
         loaded = cache.load_correlation(trace.digest(), 8)
         assert loaded.window == 8
         assert loaded.trace_length == len(trace)
-        assert set(loaded.branches) == set(data.branches)
+        collected, restored = data.columns(), loaded.columns()
+        assert list(collected) == list(restored)
+        for name, column in collected.items():
+            assert np.array_equal(column, restored[name]), name
+            assert np.asarray(column).dtype == np.asarray(restored[name]).dtype, name
+
+    def test_cold_and_warm_tables_share_one_order(self, cache, trace):
+        data = collect_correlation_data(trace, window=8)
+        cache.store_correlation(trace.digest(), data)
+        loaded = cache.load_correlation(trace.digest(), 8)
+        assert list(data.branches) == sorted(data.branches)
+        assert list(loaded.branches) == list(data.branches)
         for pc, branch in data.branches.items():
-            other = loaded.branches[pc]
-            assert np.array_equal(branch.trace_indices, other.trace_indices)
-            assert np.array_equal(branch.outcomes, other.outcomes)
-            assert branch.tag_entries == other.tag_entries
+            assert list(branch.tags) == sorted(branch.tags)
+            assert loaded.branches[pc].tags == branch.tags
 
     def test_window_is_part_of_the_key(self, cache, trace):
         data = collect_correlation_data(trace, window=8)
         cache.store_correlation(trace.digest(), data)
         assert cache.load_correlation(trace.digest(), 16) is None
+
+    def test_old_layout_entry_is_never_read(self, cache, trace, monkeypatch):
+        # A schema-1 entry held offset-delimited packed tag buffers at the
+        # schema-1 key; the schema bump must leave it unaddressed, not
+        # load it and quarantine it.
+        monkeypatch.setattr(cache_module, "SCHEMA_VERSION", 1)
+        old_path = cache.entry_path(
+            "corr", cache.correlation_key(trace.digest(), 8)
+        )
+        monkeypatch.undo()
+        old_path.parent.mkdir(parents=True)
+        np.savez_compressed(
+            old_path,
+            window=np.int64(8),
+            trace_length=np.int64(len(trace)),
+            pcs=np.zeros(1, dtype=np.uint64),
+            branch_offsets=np.array([0, 1]),
+            tag_offsets=np.array([0]),
+            tag_values=np.zeros(0, dtype=np.int64),
+        )
+        assert cache.entry_path(
+            "corr", cache.correlation_key(trace.digest(), 8)
+        ) != old_path
+        assert cache.load_correlation(trace.digest(), 8) is None
+        assert cache.stats.misses == 1
+        assert cache.stats.quarantined == 0
+        assert old_path.exists()
 
 
 class TestTraceCache:

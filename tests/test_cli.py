@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+
+import pytest
 
 from repro.cli import main
 
@@ -216,6 +219,31 @@ class TestSpecCommands:
         bad.write_text('{"kind": "repro.runspec", "colour": "red"}')
         assert main(["run", str(bad)]) == 2
         assert "unknown field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"collection_window": 40}, "config.collection_window"),
+            ({"selective_window": 20, "collection_window": 16},
+             "config.selective_window"),
+            ({"collection_window": 16}, "config.collection_window"),
+        ],
+    )
+    def test_run_rejects_bad_correlation_windows_before_simulating(
+        self, tmp_path, capsys, config, field
+    ):
+        spec_path = tmp_path / "fig5.json"
+        assert main(
+            ["fig5", "--max-length", "300", "--emit-spec", str(spec_path)]
+        ) == 0
+        document = json.loads(spec_path.read_text())
+        document["config"].update(config)
+        spec_path.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert main(["run", str(spec_path)]) == 2
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert "building workload traces" not in captured.out
 
     def test_plan_prints_the_graph_without_running(self, tmp_path, capsys):
         spec_path = self.emit(tmp_path, capsys)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.config import LabConfig
 from repro.plan import Plan, PlanError, PlanTask, build_plan, tasks_by_id_task
 from repro.spec import EngineOptions, RunSpec, SweepSpec, WorkloadSpec
 from repro.workloads.suite import BENCHMARK_NAMES
@@ -190,6 +191,24 @@ class TestRequiresValidation:
 
     def test_sound_declarations_still_plan(self):
         assert isinstance(build_plan(fig9_spec()), Plan)
+
+    def test_fig5_needs_a_collection_window_as_deep_as_its_sweep(self):
+        config = LabConfig(collection_window=16)
+        with pytest.raises(PlanError, match=r"config\.collection_window") as info:
+            build_plan(fig9_spec(experiments=("fig5",), config=config))
+        assert "fig5" in str(info.value)
+        assert info.value.exit_code == 2
+        assert isinstance(
+            build_plan(fig9_spec(experiments=("fig9",), config=config)), Plan
+        )
+
+    def test_shallow_collection_on_one_sweep_point_fails_the_plan(self):
+        spec = fig9_spec(
+            experiments=("fig5",),
+            sweep=SweepSpec(axes=(("collection_window", (32, 24)),)),
+        )
+        with pytest.raises(PlanError, match="collection_window: 24"):
+            build_plan(spec)
 
 
 class TestChunkedPlan:

@@ -2,10 +2,11 @@
 
 import pytest
 
+import repro.correlation.selection as selection_module
 from repro.correlation.selection import (
     SelectionConfig,
     joint_ideal_accuracy,
-    select_for_branch,
+    select_counts,
     select_for_trace,
     single_tag_score,
 )
@@ -15,6 +16,8 @@ from repro.correlation.tagging import (
 )
 
 import numpy as np
+
+from repro.workloads.suite import load_benchmark
 
 from conftest import trace_from_steps
 
@@ -91,17 +94,15 @@ class TestSelectForBranch:
     def test_selects_the_correlated_branch(self):
         trace = _fig1a_trace()
         data = collect_correlation_data(trace, window=8)
-        selection = select_for_branch(
-            data.branches[0x300], 1, SelectionConfig(window=8)
-        )
+        selection = select_for_trace(data, 1, SelectionConfig(window=8))[0x300]
         assert selection.tags[0][1] == 0x100  # Y's address
 
     def test_fig1c_needs_two_branches(self):
         trace = _fig1c_trace()
         data = collect_correlation_data(trace, window=8)
         config = SelectionConfig(window=8)
-        one = select_for_branch(data.branches[0x300], 1, config)
-        two = select_for_branch(data.branches[0x300], 2, config)
+        one = select_for_trace(data, 1, config)[0x300]
+        two = select_for_trace(data, 2, config)[0x300]
         assert two.ideal_accuracy > one.ideal_accuracy + 0.1
         assert {tag[1] for tag in two.tags} == {0x100, 0x500}
 
@@ -109,16 +110,14 @@ class TestSelectForBranch:
         trace = _fig1a_trace(50)
         data = collect_correlation_data(trace, window=8)
         with pytest.raises(ValueError):
-            select_for_branch(data.branches[0x300], 0)
+            select_for_trace(data, 0)
 
     def test_no_candidates_returns_bias(self):
         # A branch with a single instance: every tag falls below the
         # absolute support floor.
         trace = trace_from_steps([(1, 2, True), (3, 4, True)])
         data = collect_correlation_data(trace, window=8)
-        selection = select_for_branch(
-            data.branches[3], 1, SelectionConfig(window=8)
-        )
+        selection = select_for_trace(data, 1, SelectionConfig(window=8))[3]
         assert selection.tags == ()
         assert selection.ideal_accuracy == 1.0
 
@@ -126,9 +125,8 @@ class TestSelectForBranch:
         trace = _fig1c_trace()
         data = collect_correlation_data(trace, window=8)
         config = SelectionConfig(window=8)
-        branch = data.branches[0x300]
         scores = [
-            select_for_branch(branch, count, config).ideal_accuracy
+            select_for_trace(data, count, config)[0x300].ideal_accuracy
             for count in (1, 2, 3)
         ]
         assert scores == sorted(scores)
@@ -146,3 +144,32 @@ class TestSelectForTrace:
         data = collect_correlation_data(trace, window=8)
         with pytest.raises(ValueError):
             select_for_trace(data, 1, SelectionConfig(window=16))
+
+    def test_counts_come_from_one_pass(self):
+        trace = _fig1c_trace(100)
+        data = collect_correlation_data(trace, window=8)
+        config = SelectionConfig(window=8)
+        passes = select_counts(data, config)
+        for count in (1, 2, 3):
+            assert select_for_trace(data, count, config) == passes[count]
+        assert select_for_trace(data, 5, config) == passes[3]
+
+
+class TestBlockBudget:
+    def test_one_branch_blocks_select_identically(self, monkeypatch):
+        trace = load_benchmark("gcc", length=3000)
+        data = collect_correlation_data(trace, window=16)
+        config = SelectionConfig(window=16)
+        whole = select_counts(data, config)
+        blocks = []
+        oracle_block = selection_module._oracle_block
+
+        def recording(table, config, lo, hi):
+            blocks.append(hi - lo)
+            return oracle_block(table, config, lo, hi)
+
+        monkeypatch.setattr(selection_module, "PASS_ELEMENT_BUDGET", 1)
+        monkeypatch.setattr(selection_module, "_oracle_block", recording)
+        blocked = select_counts(data, config)
+        assert blocks == [1] * len(data.branches)
+        assert blocked == whole

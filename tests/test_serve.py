@@ -216,6 +216,16 @@ class TestWireFormat:
         with pytest.raises(SpecError):
             client._checked("POST", "/v1/runs", b'{"bogus": 1}')
 
+    def test_bad_collection_window_is_400_naming_the_field(self, server):
+        srv, thread = server
+        client = ServeClient(thread.url, client_id="bad")
+        status, payload = client._request(
+            "POST", "/v1/runs", b'{"config": {"collection_window": 40}}'
+        )
+        assert status == 400
+        assert payload["error"] == "spec.invalid"
+        assert "config.collection_window" in payload["message"]
+
     def test_unknown_run_is_404(self, server):
         srv, thread = server
         client = ServeClient(thread.url)

@@ -225,6 +225,30 @@ class TestGlobalKernelStateWriteback:
         assert np.array_equal(kernel._bht, scalar._bht)
 
 
+def _scalar_replay(predictor, trace: Trace) -> np.ndarray:
+    """Sequential per-branch counter replay of a fitted selective predictor."""
+    correct = np.zeros(len(trace), dtype=bool)
+    window = predictor._config.window
+    for pc, branch in predictor._data.branches.items():
+        selection = predictor.selections[pc]
+        combined = np.zeros(branch.num_instances(), dtype=np.int64)
+        for tag in selection.tags:
+            combined = combined * 3 + branch.state_vector(tag, window)
+        counters = {}
+        branch_correct = np.zeros(branch.num_instances(), dtype=bool)
+        for i, (pattern, taken) in enumerate(
+            zip(combined.tolist(), branch.outcomes.tolist())
+        ):
+            value = counters.get(pattern, predictor._initial)
+            branch_correct[i] = (value >= predictor._threshold) == taken
+            if taken:
+                counters[pattern] = min(value + 1, predictor._counter_max)
+            else:
+                counters[pattern] = max(value - 1, 0)
+        correct[branch.trace_indices] = branch_correct
+    return correct
+
+
 class TestSelectiveKernelEquivalence:
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_kernel_matches_scalar_replay_and_online(self, count):
@@ -233,7 +257,7 @@ class TestSelectiveKernelEquivalence:
         kernel = SelectiveHistoryPredictor(count, config).fit(trace)
         fast = kernel.simulate(trace)
         scalar = SelectiveHistoryPredictor(count, config).fit(trace)
-        assert np.array_equal(fast, scalar._simulate_scalar(trace))
+        assert np.array_equal(fast, _scalar_replay(scalar, trace))
         online = SelectiveHistoryPredictor(count, config).fit(trace)
         assert np.array_equal(fast, generic_simulate(online, trace))
 
@@ -247,11 +271,11 @@ def _reference_select_for_branch(
         config.min_support_absolute, int(config.min_support_fraction * n)
     )
     scored = []
-    for tag in branch.tag_entries:
+    for tag in branch.tags:
         if config.tag_kinds is not None and tag[0] not in config.tag_kinds:
             continue
-        _indices, depths, _outcomes = branch.decode_tag(tag)
-        if int((depths <= config.window).sum()) < support_floor:
+        support = np.count_nonzero(branch.state_vector(tag, config.window))
+        if support < support_floor:
             continue
         scored.append((tag, single_tag_score(branch, tag, config.window)))
     scored.sort(key=lambda item: (-item[1], item[0]))

@@ -105,6 +105,32 @@ class TestStrictParsing:
             RunSpec.from_dict({"workload": {"max_length": -3}})
 
 
+class TestCorrelationWindows:
+    @pytest.mark.parametrize("window", [0, 33, 40])
+    def test_collection_window_outside_collector_range(self, window):
+        with pytest.raises(SpecError, match=r"config\.collection_window") as info:
+            RunSpec.from_dict({"config": {"collection_window": window}})
+        assert info.value.exit_code == 2
+        assert info.value.http_status == 400
+
+    def test_selective_window_deeper_than_collection(self):
+        with pytest.raises(SpecError, match=r"config\.selective_window"):
+            RunSpec.from_dict(
+                {"config": {"selective_window": 20, "collection_window": 16}}
+            )
+
+    def test_bad_window_on_a_sweep_point(self):
+        spec = small_spec(sweep=SweepSpec(axes=(("collection_window", (16, 40)),)))
+        with pytest.raises(SpecError, match=r"config\.collection_window"):
+            spec.expand_points()
+
+    def test_windows_in_range_accepted(self):
+        spec = RunSpec.from_dict(
+            {"config": {"selective_window": 8, "collection_window": 8}}
+        )
+        assert spec.config.collection_window == 8
+
+
 class TestChunkBranches:
     def test_kwargs_surface_carries_it(self):
         spec = spec_from_kwargs(["fig9"], chunk_branches=4096)

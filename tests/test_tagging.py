@@ -15,6 +15,18 @@ from repro.correlation.tagging import (
 from conftest import trace_from_steps, trace_from_string
 
 
+def entries(data, pc, tag):
+    """``tag``'s (instance, depth, outcome) entry columns under branch ``pc``."""
+    row = data.branches[pc].row
+    tag_row = data.find_tags([row], [tag])[0]
+    lo, hi = data.entry_offsets[tag_row : tag_row + 2]
+    return (
+        data.entry_instance[lo:hi] - data.branch_offsets[row],
+        data.entry_depth[lo:hi],
+        data.entry_outcome[lo:hi],
+    )
+
+
 class TestCollection:
     def test_window_bounds(self):
         trace = trace_from_string("TNT")
@@ -45,14 +57,13 @@ class TestCollection:
         steps = [(10, 20, True), (10, 20, False), (10, 20, True), (99, 100, True)]
         trace = trace_from_steps(steps)
         data = collect_correlation_data(trace, window=8)
-        branch_b = data.branches[99]
         for occurrence, expected_depth, expected_outcome in [
             (0, 1, True),
             (1, 2, False),
             (2, 3, True),
         ]:
             tag = (TAG_OCCURRENCE, 10, occurrence)
-            indices, depths, outcomes = branch_b.decode_tag(tag)
+            indices, depths, outcomes = entries(data, 99, tag)
             assert list(depths) == [expected_depth]
             assert list(outcomes) == [int(expected_outcome)]
 
@@ -68,11 +79,11 @@ class TestCollection:
         data = collect_correlation_data(trace, window=8)
         branch_b = data.branches[0x600]
         # X2 has no backward branches between itself and B.
-        assert (TAG_BACKWARD, 0x400, 0) in branch_b.tag_entries
+        assert (TAG_BACKWARD, 0x400, 0) in branch_b.tags
         # L: nothing backward strictly between L and B except X2 (forward).
-        assert (TAG_BACKWARD, 0x300, 0) in branch_b.tag_entries
+        assert (TAG_BACKWARD, 0x300, 0) in branch_b.tags
         # X is separated from B by L (one backward branch).
-        assert (TAG_BACKWARD, 0x100, 1) in branch_b.tag_entries
+        assert (TAG_BACKWARD, 0x100, 1) in branch_b.tags
 
     def test_backward_tag_duplicates_keep_most_recent(self):
         # A executes twice between backward branches: both instances get
@@ -85,12 +96,12 @@ class TestCollection:
         trace = trace_from_steps(steps)
         data = collect_correlation_data(trace, window=8)
         branch = data.branches[99]
-        indices, depths, outcomes = branch.decode_tag((TAG_BACKWARD, 10, 0))
+        indices, depths, outcomes = entries(data, 99, (TAG_BACKWARD, 10, 0))
         assert list(depths) == [1]
         assert list(outcomes) == [0]
         # The occurrence scheme still distinguishes them.
-        assert (TAG_OCCURRENCE, 10, 0) in branch.tag_entries
-        assert (TAG_OCCURRENCE, 10, 1) in branch.tag_entries
+        assert (TAG_OCCURRENCE, 10, 0) in branch.tags
+        assert (TAG_OCCURRENCE, 10, 1) in branch.tags
 
 
 class TestStateVectors:
@@ -147,4 +158,4 @@ class TestStateVectors:
         branch = data.branches[99]
         # Branch 10 is 6 deep; with a collection window of 4 it is never
         # recorded.
-        assert (TAG_OCCURRENCE, 10, 0) not in branch.tag_entries
+        assert (TAG_OCCURRENCE, 10, 0) not in branch.tags

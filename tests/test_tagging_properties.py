@@ -1,7 +1,7 @@
 """Property tests: the collector vs a brute-force reference model.
 
 The correlation collector is the most intricate piece of the
-reproduction (packed entries, dual tagging, dedup, depth filtering).
+reproduction (columnar entries, dual tagging, dedup, depth filtering).
 These tests re-derive every tag state with a direct, obviously-correct
 window scan and require exact agreement on randomised traces.
 """
@@ -89,7 +89,7 @@ def test_property_collector_matches_reference(steps, window):
             assert branch.state_vector(tag, window)[instance] == state
         # ...and every collected tag absent from the reference must be
         # reported absent for this instance under this window.
-        for tag in branch.tag_entries:
+        for tag in branch.tags:
             if tag not in expected:
                 assert (
                     branch.state_vector(tag, window)[instance] == STATE_ABSENT
@@ -106,7 +106,7 @@ def test_property_single_tag_score_at_least_bias(steps):
     for branch in data.branches.values():
         outcomes = branch.outcomes
         bias = max(outcomes.mean(), 1 - outcomes.mean()) if len(outcomes) else 0
-        for tag in branch.tag_entries:
+        for tag in branch.tags:
             score = single_tag_score(branch, tag, window=16)
             assert score >= bias - 1e-12
 
@@ -118,7 +118,7 @@ def test_property_joint_score_at_least_best_single(steps):
     trace = trace_from_steps(steps)
     data = collect_correlation_data(trace, window=16)
     for branch in data.branches.values():
-        tags = list(branch.tag_entries)[:4]
+        tags = list(branch.tags)[:4]
         if len(tags) < 2:
             continue
         first = branch.state_vector(tags[0], 16)
@@ -141,4 +141,4 @@ def test_property_selection_never_crashes_and_bounds(steps, count):
         assert 0.0 <= selection.ideal_accuracy <= 1.0
         assert len(selection.tags) <= count
         for tag in selection.tags:
-            assert tag in data.branches[pc].tag_entries
+            assert tag in data.branches[pc].tags
