@@ -3,47 +3,53 @@
 A full report simulates seven predictors plus the best-of-32 fixed
 pattern sweep and the tagged-correlation collection over eight benchmark
 traces -- 72 independent ``(benchmark, task)`` jobs with no shared
-state.  This module fans them over a :class:`~concurrent.futures.\
-ProcessPoolExecutor` and folds the results back into each
-:class:`~repro.analysis.runner.Lab`'s memo dict, so downstream
-experiments see exactly the state a serial run would have produced.
+state.  This module runs them as *lanes* -- one lane per job, each an
+ordered list of windows -- over a :class:`~concurrent.futures.\
+ProcessPoolExecutor` (or in-process for ``jobs <= 1``) and folds the
+results back into each :class:`~repro.analysis.runner.Lab`'s memo dict,
+so downstream experiments see exactly the state a serial run would have
+produced.
+
+Lanes: a whole-trace job is a one-window lane.  With
+``chunk_branches`` set, the causal tasks
+(:data:`~repro.analysis.streamed.CHUNKABLE_TASKS`) become many-window
+lanes: window ``k`` resumes from the pickled predictor state window
+``k-1`` returned, so a lane is sequential, but lanes run side by side.
+Pool workers read chunk windows from the benchmark's columns, published
+once into :mod:`multiprocessing.shared_memory`, so nothing
+trace-length-proportional is pickled into a submission.  The folded
+bitmaps are bit-identical to the unchunked run (the PC011 contract
+check and the split-point property tests enforce it).
 
 Determinism: every job is a pure function of ``(benchmark name, length,
-run seed, config, task)``; workers regenerate the trace from those
-inputs (a per-process LRU plus the shared disk cache make this cheap)
-and the parent verifies the returned trace digest before folding, so
-completion order and worker scheduling cannot change any result.
+run seed, config, task)``; pool workers regenerate a whole-trace lane's
+trace from those inputs (a per-process LRU plus the shared disk cache
+make this cheap) and the parent verifies the returned trace digest
+before folding, so completion order and worker scheduling cannot change
+any result.  In-process lanes run on the lab's own trace.
 
-Streaming: with ``chunk_branches`` set, the causal tasks
-(:data:`~repro.analysis.streamed.CHUNKABLE_TASKS`) run as *chunk
-lanes* instead of whole-trace jobs -- each benchmark's columns are
-published once into :mod:`multiprocessing.shared_memory` and workers
-simulate fixed windows, resuming from the carried predictor state the
-previous chunk returned.  Nothing trace-length-proportional is ever
-pickled into a submission, and the folded bitmaps are bit-identical to
-the unchunked run (the PC011 contract check and the split-point
-property tests enforce it).
-
-Resilience: the parent runs a supervisor loop rather than a bare
-``as_completed``.  A failing attempt (worker exception, injected
-crash, lost worker, wall-clock timeout) is retried with deterministic
-capped backoff up to the :class:`~repro.resilience.RetryPolicy`'s
-attempt budget; a timed-out or broken pool is killed and rebuilt, with
-innocent in-flight jobs resubmitted at their *current* attempt number.
-A task that exhausts its budget becomes a structured
-:class:`~repro.resilience.TaskFailure` -- the run continues and the
-lab computes that task lazily in-process if an experiment needs it.
-``KeyboardInterrupt``/``SIGTERM`` tear the pool down cleanly (cancel
-pending futures, terminate workers) instead of leaking it.  The
-:class:`~repro.resilience.FaultInjector` hooks the same machinery so
-crashes, hangs and cache corruption are reproducible in tests: the
-same fault spec yields the same attempt sequence -- and identical
-folded results and resilience counters -- for ``--jobs 1`` and
-``--jobs 4``.
+Resilience: one loop owns submission, retries, deadlines and pool
+rebuilds for every lane, chunked or not, pooled or in-process.  A
+failing attempt (worker exception, injected crash, lost worker,
+wall-clock timeout) is retried with deterministic capped backoff up to
+the :class:`~repro.resilience.RetryPolicy`'s attempt budget, from the
+state carried into the failed window; a lane's attempt number counts
+its failures across all its windows.  A timed-out or broken pool is
+killed and rebuilt, with innocent in-flight lanes resubmitted at their
+*current* attempt number.  A lane that exhausts its budget becomes a
+structured :class:`~repro.resilience.TaskFailure` -- the run continues
+and the lab computes that task lazily in-process if an experiment needs
+it.  ``KeyboardInterrupt``/``SIGTERM`` tear the pool down cleanly
+(cancel pending futures, terminate workers) instead of leaking it.  The
+:class:`~repro.resilience.FaultInjector` is consulted once per lane
+attempt, on the window where the attempt starts, so crashes, hangs and
+cache corruption are reproducible: the same fault spec yields the same
+attempt sequence -- and identical folded results and resilience
+counters -- for ``--jobs 1`` and ``--jobs 4``, chunked or not.
 
 Observability crosses the process boundary the same way the results do:
 each worker resets its per-process :data:`repro.obs.METRICS` registry
-and :data:`repro.obs.TRACER` per job, and ships the metric delta plus
+and :data:`repro.obs.TRACER` per window, and ships the metric delta plus
 its span events back alongside the result; the parent folds both in the
 same deterministic (sorted-benchmark, task-order) sequence it folds
 bitmaps, so aggregated counters are independent of completion order and
@@ -52,9 +58,9 @@ counter.  (A crashed attempt's delta dies with it; only successful
 attempts are folded, identically in serial and parallel runs.)
 
 Worker count comes from ``--jobs``, the :data:`ENV_JOBS` environment
-variable, or ``os.cpu_count()``; ``jobs <= 1`` short-circuits to the
-plain in-process path with no executor, no pickling and no subprocesses
--- but the same retry/fault semantics.
+variable, or ``os.cpu_count()``; ``jobs <= 1`` runs the same loop with
+each window executed in-process at submission -- no executor, no
+pickling of results, no subprocesses.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ import os
 import pickle
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -72,7 +78,7 @@ import numpy as np
 from repro.analysis.cache import ResultCache, result_key
 from repro.analysis.config import LabConfig
 from repro.analysis.runner import Lab
-from repro.analysis.streamed import CHUNKABLE_TASKS, chunked_bitmap
+from repro.analysis.streamed import CHUNKABLE_TASKS, task_predictor
 from repro.correlation.tagging import collect_correlation_data
 from repro.obs.metrics import METRICS
 from repro.obs.tracing import TRACER, span
@@ -84,7 +90,7 @@ from repro.resilience.faults import (
     InjectedCrash,
 )
 from repro.resilience.retry import RetryPolicy, TaskFailure, TaskTimeout
-from repro.trace.stream import TraceStream, chunk_spans, normalize_chunk_branches
+from repro.trace.stream import chunk_spans, normalize_chunk_branches
 from repro.trace.trace import Trace
 
 #: Environment variable overriding the worker count.
@@ -93,7 +99,7 @@ ENV_JOBS = "REPRO_JOBS"
 #: Pseudo-task name for the tagged-correlation collection.
 CORRELATION_TASK = "correlation"
 
-#: Supervisor poll interval while futures are in flight (seconds).
+#: Scheduler poll interval while futures are in flight (seconds).
 _TICK = 0.05
 
 #: Tasks a full report needs, in deterministic fold order.
@@ -142,10 +148,9 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 def compute_task(trace: Trace, config: LabConfig, task: str):
     """Compute one task's result on a trace (the single source of truth).
 
-    Used by the serial priming path in-process and by
-    :func:`_run_task` inside workers, so both paths produce bit-identical
-    results and identical work-unit metrics (``sim.simulations`` /
-    ``sim.correlation_collections``).
+    Used for every whole-trace window, in-process and inside workers, so
+    both paths produce bit-identical results and identical work-unit
+    metrics (``sim.simulations`` / ``sim.correlation_collections``).
     """
     if task == CORRELATION_TASK:
         METRICS.inc("sim.correlation_collections")
@@ -163,6 +168,54 @@ def compute_task(trace: Trace, config: LabConfig, task: str):
             return best_fixed_length_correct(trace)
         factory = getattr(config, _FACTORY_ATTRS[task])
         return factory().simulate(trace)
+
+
+def _simulate_window(
+    trace: Trace,
+    config: LabConfig,
+    task: str,
+    window: Optional[Tuple[int, int]],
+    state: Optional[bytes],
+) -> tuple:
+    """One lane window on ``trace``: ``(result, carried state)``.
+
+    A whole-trace window (``None``) computes the task outright.  A chunk
+    window ``(start, stop)`` resumes the predictor from ``state`` (the
+    pickle the previous window returned; None for the first) and
+    returns the window's bitmap with the predictor's new pickled state.
+    ``state`` itself is never mutated, so a retried window restarts
+    from exactly the state carried into it.
+    """
+    if window is None:
+        return compute_task(trace, config, task), None
+    start, stop = window
+    predictor = (
+        pickle.loads(state)
+        if state is not None
+        else task_predictor(config, task)
+    )
+    with span("chunk", task=task, start=start, stop=stop):
+        METRICS.inc("sim.chunk_simulations")
+        bitmap = np.asarray(predictor.simulate(trace[start:stop]), dtype=bool)
+        state = pickle.dumps(predictor, protocol=pickle.HIGHEST_PROTOCOL)
+    return bitmap, state
+
+
+def _act_out_faults(
+    kinds: Sequence[str], name: str, task: str, in_process: bool
+) -> None:
+    """Stage an attempt's injected crash or hang before it runs.
+
+    A worker-side hang sleeps until the parent's deadline kills the
+    pool.  An in-process hang cannot be preempted, so it fails at once
+    as the timeout it would become.
+    """
+    if "crash" in kinds:
+        raise InjectedCrash(f"injected crash: {name}/{task}")
+    if "hang" in kinds:
+        if in_process:
+            raise TaskTimeout(f"injected hang: {name}/{task}")
+        time.sleep(HANG_SECONDS)
 
 
 def _corrupt_result_entry(
@@ -188,48 +241,60 @@ def _corrupt_result_entry(
         pass
 
 
-def _run_task(job: tuple):
-    """Execute one ``(benchmark, task)`` attempt in a worker process.
+def _run_window(job: tuple):
+    """Execute one window attempt of a lane in a worker process.
 
-    Module-level so it pickles; regenerates the trace from the job spec
-    (per-process LRU in ``load_benchmark`` plus the shared disk cache
-    keep this a one-time cost per worker per benchmark).  Returns the
-    job's metric delta and span events alongside the result so the
-    parent can fold telemetry deterministically.
+    Module-level so it pickles.  A whole-trace window regenerates the
+    trace from the lane's origin (per-process LRU in ``load_benchmark``
+    plus the shared disk cache keep this a one-time cost per worker per
+    benchmark) and writes its result through to the shared cache.  A
+    chunk window reads the parent's shared-memory segment -- no column
+    pickling, no regeneration.  Returns the window's metric delta and
+    span events alongside the result so the parent can fold telemetry
+    deterministically.
 
     ``fault_kinds`` is the pre-matched tuple of injected faults for
-    exactly this attempt (the parent does the matching and counting, so
+    exactly this window (the parent does the matching and counting, so
     an attempt that dies cannot lose the accounting).
     """
-    (
-        name, length, run_seed, config, task, cache_root, _window,
-        source, fault_kinds,
-    ) = job
-
-    if "crash" in fault_kinds:
-        raise InjectedCrash(f"injected crash: {name}/{task}")
-    if "hang" in fault_kinds:
-        time.sleep(HANG_SECONDS)
+    name, task, config, origin, window, state, fault_kinds = job
+    _act_out_faults(fault_kinds, name, task, in_process=False)
 
     METRICS.reset()
     TRACER.reset()
-    start = time.perf_counter()
-    with span("job", benchmark=name, task=task):
-        cache = ResultCache(cache_root) if cache_root is not None else None
-        trace = _worker_trace(name, length, run_seed, source, cache)
-        digest = trace.digest()
-        result = compute_task(trace, config, task)
-        if cache is not None:
-            if task == CORRELATION_TASK:
-                cache.store_correlation(digest, result)
-            else:
-                cache.store_bitmap(digest, result_key(task, config), result)
-            if "corrupt" in fault_kinds:
-                _corrupt_result_entry(cache, digest, task, config)
-    duration = time.perf_counter() - start
+    begin = time.perf_counter()
+    digest = None
+    if window is None:
+        length, run_seed, source, cache_root = origin
+        with span("job", benchmark=name, task=task):
+            cache = ResultCache(cache_root) if cache_root is not None else None
+            trace = _worker_trace(name, length, run_seed, source, cache)
+            digest = trace.digest()
+            result = compute_task(trace, config, task)
+            if cache is not None:
+                if task == CORRELATION_TASK:
+                    cache.store_correlation(digest, result)
+                else:
+                    cache.store_bitmap(digest, result_key(task, config), result)
+    else:
+        from repro.analysis.shm import attach_trace
+
+        segment, length = origin
+        columns, handle = attach_trace(segment, length)
+        try:
+            result, state = _simulate_window(
+                columns, config, task, window, state
+            )
+        finally:
+            del columns
+            try:
+                handle.close()
+            except BufferError:
+                pass
     return (
-        name, task, digest, result,
-        METRICS.snapshot(), TRACER.chrome_events(), duration,
+        result, state, digest,
+        METRICS.snapshot(), TRACER.chrome_events(),
+        time.perf_counter() - begin,
     )
 
 
@@ -271,47 +336,6 @@ def _worker_trace(
     return trace
 
 
-def _run_chunk(job: tuple):
-    """Execute one chunk attempt of a chunked lane in a worker process.
-
-    The trace window comes from the parent's shared-memory segment --
-    no column pickling, no regeneration -- and the predictor resumes
-    from the carried state the lane's previous chunk returned (None for
-    the first chunk).  Returns the window's correctness bitmap plus the
-    predictor's new pickled state, so the parent can chain the next
-    chunk on any worker.
-    """
-    (shm_name, length, start, stop, config, task, state_blob) = job
-    from repro.analysis.shm import attach_window
-    from repro.analysis.streamed import task_predictor
-
-    METRICS.reset()
-    TRACER.reset()
-    begin = time.perf_counter()
-    window, handle = attach_window(shm_name, length, start, stop)
-    try:
-        with span("chunk", task=task, start=start, stop=stop):
-            predictor = (
-                pickle.loads(state_blob)
-                if state_blob is not None
-                else task_predictor(config, task)
-            )
-            METRICS.inc("sim.chunk_simulations")
-            bitmap = np.asarray(predictor.simulate(window), dtype=bool)
-            state = pickle.dumps(predictor, protocol=pickle.HIGHEST_PROTOCOL)
-    finally:
-        del window
-        try:
-            handle.close()
-        except BufferError:
-            pass
-    return (
-        bitmap, state,
-        METRICS.snapshot(), TRACER.chrome_events(),
-        time.perf_counter() - begin,
-    )
-
-
 def _count_injected(kinds: Sequence[str]) -> None:
     """Parent-side accounting of faults scheduled for an attempt."""
     for kind in kinds:
@@ -350,7 +374,7 @@ class WorkerPool:
     request.
 
     The pool is lazy (no subprocesses until the first submit), rebuilds
-    itself when the supervisor kills a broken or hung executor, and
+    itself when the scheduler kills a broken or hung executor, and
     drains on demand: :meth:`drain` is what a SIGTERM-initiated
     graceful shutdown calls -- cancel everything queued, reap the
     workers, leave the journal/cache state to the owning session.
@@ -390,26 +414,61 @@ class WorkerPool:
         self.drain(kill=exc_info[0] is not None)
 
 
-class _Supervisor:
-    """Drives one parallel priming pass: submit, retry, kill, rebuild."""
+class _Lane:
+    """One ``(benchmark, task)`` folded over an ordered list of windows.
+
+    ``windows`` is ``[None]`` for a whole-trace lane, else the
+    ``(start, stop)`` chunk spans.  ``attempt`` counts failures across
+    every window; ``kinds`` holds the injected faults of the current
+    attempt (None until the attempt's first window is submitted) and
+    ``first`` the window that attempt started on.
+    """
+
+    def __init__(self, name: str, task: str, windows: list) -> None:
+        self.name = name
+        self.task = task
+        self.windows = windows
+        self.origin: Optional[tuple] = None  # worker-side trace source
+        self.next = 0
+        self.state: Optional[bytes] = None
+        self.attempt = 1
+        self.kinds: Optional[Tuple[str, ...]] = None
+        self.first = 0
+        self.parts: list = []
+        self.digest: Optional[str] = None
+        self.deltas: List[dict] = []
+        self.events: list = []
+        self.seconds = 0.0
+
+    @property
+    def done(self) -> bool:
+        return self.next == len(self.windows)
+
+
+class _Scheduler:
+    """The priming loop: submit, retry, expire, rebuild -- for every lane.
+
+    ``jobs <= 1`` runs each window in-process at submission and hands
+    the loop an already-completed future, so the serial path is this
+    same loop with one slot.
+    """
 
     def __init__(
         self,
+        lanes: Sequence[_Lane],
+        labs: Dict[str, Lab],
         jobs: int,
-        specs: Dict[Tuple[str, str], tuple],
-        order: Sequence[Tuple[str, str]],
         policy: RetryPolicy,
         injector: Optional[FaultInjector],
         pool: Optional[WorkerPool] = None,
     ) -> None:
+        self.labs = labs
         self.jobs = jobs
-        self.specs = specs
         self.policy = policy
         self.injector = injector
-        self.ready = deque((key, 1) for key in order)
-        self.waiting: List[Tuple[float, int, Tuple[str, str], int]] = []
-        self.active: Dict[object, Tuple[Tuple[str, str], int, Optional[float]]] = {}
-        self.results: Dict[Tuple[str, str], tuple] = {}
+        self.ready = deque(lanes)
+        self.waiting: List[Tuple[float, int, _Lane]] = []
+        self.active: Dict[Future, Tuple[_Lane, Optional[float]]] = {}
         self.failures: List[TaskFailure] = []
         self._seq = 0
         # A shared pool outlives this pass (the owning session drains
@@ -417,16 +476,11 @@ class _Supervisor:
         self._shared = pool is not None
         self._pool = pool if pool is not None else WorkerPool(jobs)
 
-    # -- pool lifecycle ----------------------------------------------------
-
-    def _pool_handle(self) -> ProcessPoolExecutor:
-        return self._pool.handle()
-
     def _rebuild_pool(self) -> None:
         self._pool.rebuild()
         METRICS.inc("parallel.pool_rebuilds")
 
-    def shutdown(self, kill: bool = False) -> None:
+    def _shutdown(self, kill: bool = False) -> None:
         # A clean end of pass leaves a shared pool warm for the next
         # run; an interrupt (kill=True) reaps it either way -- the pool
         # recreates its workers lazily if the session continues.
@@ -436,58 +490,77 @@ class _Supervisor:
 
     # -- scheduling --------------------------------------------------------
 
-    def _spec_with_faults(self, key: Tuple[str, str], attempt: int) -> tuple:
-        name, task = key
-        kinds: Tuple[str, ...] = ()
-        if self.injector is not None:
-            kinds = self.injector.kinds(name, task, attempt)
-            _count_injected(kinds)
-        return self.specs[key] + (kinds,)
-
-    def _submit(self, key: Tuple[str, str], attempt: int) -> None:
-        spec = self._spec_with_faults(key, attempt)
-        try:
-            future = self._pool_handle().submit(_run_task, spec)
-        except BrokenProcessPool:
-            # The pool broke between loops; rebuild once and resubmit.
-            self._rebuild_pool()
-            future = self._pool_handle().submit(_run_task, spec)
+    def _submit(self, lane: _Lane) -> None:
+        if lane.kinds is None:
+            # A new attempt starts on this window: consult the injector
+            # once, and count what it schedules before anything can die.
+            lane.kinds = (
+                self.injector.kinds(lane.name, lane.task, lane.attempt)
+                if self.injector is not None
+                else ()
+            )
+            _count_injected(lane.kinds)
+            lane.first = lane.next
+        kinds = lane.kinds if lane.next == lane.first else ()
+        window = lane.windows[lane.next]
+        if self.jobs <= 1:
+            future: Future = Future()
+            lab = self.labs[lane.name]
+            try:
+                _act_out_faults(kinds, lane.name, lane.task, in_process=True)
+                result, state = _simulate_window(
+                    lab.trace, lab.config, lane.task, window, lane.state
+                )
+            except Exception as error:
+                future.set_exception(error)
+            else:
+                future.set_result((result, state, None, None, None, 0.0))
+        else:
+            job = (
+                lane.name, lane.task, self.labs[lane.name].config,
+                lane.origin, window, lane.state, kinds,
+            )
+            try:
+                future = self._pool.handle().submit(_run_window, job)
+            except BrokenProcessPool:
+                # The pool broke between loops; rebuild once and resubmit.
+                self._rebuild_pool()
+                future = self._pool.handle().submit(_run_window, job)
         deadline = (
             time.monotonic() + self.policy.timeout
             if self.policy.timeout is not None
             else None
         )
-        self.active[future] = (key, attempt, deadline)
+        self.active[future] = (lane, deadline)
 
-    def _defer(self, key: Tuple[str, str], attempt: int) -> None:
-        """Queue the next attempt after its deterministic backoff."""
-        backoff = self.policy.backoff(attempt)
-        METRICS.inc("resilience.retries")
-        METRICS.add_time("resilience.backoff_seconds", backoff)
-        self._seq += 1
-        self.waiting.append(
-            (time.monotonic() + backoff, self._seq, key, attempt + 1)
-        )
-
-    def _on_attempt_failure(
-        self, key: Tuple[str, str], attempt: int, kind: str, message: str
-    ) -> None:
+    def _fail(self, lane: _Lane, kind: str, message: str) -> None:
+        """Charge the lane's current attempt; retry or record a failure."""
         if kind == "timeout":
             METRICS.inc("resilience.timeouts")
-        if attempt >= self.policy.max_attempts:
-            name, task = key
+        if lane.attempt >= self.policy.max_attempts:
             METRICS.inc("resilience.task_failures")
             self.failures.append(
                 TaskFailure(
-                    benchmark=name,
-                    task=task,
-                    attempts=attempt,
+                    benchmark=lane.name,
+                    task=lane.task,
+                    attempts=lane.attempt,
                     kind=kind,
                     message=message,
                 )
             )
-        else:
-            self._defer(key, attempt)
+            return
+        # Queue the next attempt after its deterministic backoff; it
+        # resumes at the failed window from the state carried into it.
+        backoff = self.policy.backoff(lane.attempt)
+        METRICS.inc("resilience.retries")
+        METRICS.add_time("resilience.backoff_seconds", backoff)
+        lane.attempt += 1
+        lane.kinds = None
+        self._seq += 1
+        self.waiting.append((time.monotonic() + backoff, self._seq, lane))
+
+    def _timeout_message(self) -> str:
+        return f"attempt exceeded {self.policy.timeout:.3f}s wall clock"
 
     # -- main loop ---------------------------------------------------------
 
@@ -496,8 +569,7 @@ class _Supervisor:
             while self.ready or self.waiting or self.active:
                 self._promote_waiting()
                 while self.ready and len(self.active) < self.jobs:
-                    key, attempt = self.ready.popleft()
-                    self._submit(key, attempt)
+                    self._submit(self.ready.popleft())
                 if not self.active:
                     # Everything left is backing off; sleep to the next
                     # ready time instead of spinning.
@@ -509,16 +581,15 @@ class _Supervisor:
                     list(self.active), timeout=_TICK,
                     return_when=FIRST_COMPLETED,
                 )
-                if not self._collect(done):
-                    continue  # pool broke; state already rescheduled
-                self._expire_deadlines()
+                if self._collect(done):
+                    self._expire_deadlines()
         except BaseException:
             # Interrupt/SIGTERM/unexpected error: reap workers, cancel
             # queued futures, and let the caller decide what to keep.
-            self.shutdown(kill=True)
+            self._shutdown(kill=True)
             raise
         else:
-            self.shutdown()
+            self._shutdown()
 
     def _promote_waiting(self) -> None:
         if not self.waiting:
@@ -526,322 +597,75 @@ class _Supervisor:
         now = time.monotonic()
         self.waiting.sort()
         while self.waiting and self.waiting[0][0] <= now:
-            _, _, key, attempt = self.waiting.pop(0)
-            self.ready.append((key, attempt))
+            self.ready.append(self.waiting.pop(0)[2])
 
     def _collect(self, done) -> bool:
         """Harvest finished futures; False if the pool broke mid-batch."""
         for future in done:
-            key, attempt, _ = self.active.pop(future)
+            lane, _ = self.active.pop(future)
             try:
                 payload = future.result()
             except BrokenProcessPool as error:
-                self._on_pool_broken(key, attempt, error)
+                self._on_pool_broken(lane, error)
                 return False
+            except TaskTimeout:
+                self._fail(lane, "timeout", self._timeout_message())
             except Exception as error:
-                self._on_attempt_failure(
-                    key, attempt, "error", f"{type(error).__name__}: {error}"
-                )
+                self._fail(lane, "error", f"{type(error).__name__}: {error}")
             else:
-                self.results[key] = payload
+                self._advance(lane, payload)
         return True
 
-    def _on_pool_broken(self, key, attempt, error) -> None:
-        """A worker died hard; every in-flight job went down with it.
+    def _advance(self, lane: _Lane, payload: tuple) -> None:
+        result, lane.state, lane.digest, delta, events, seconds = payload
+        lane.parts.append(result)
+        if delta is not None:
+            lane.deltas.append(delta)
+            lane.events.extend(events)
+            lane.seconds += seconds
+        lane.next += 1
+        if not lane.done:
+            # Keep the lane's chain moving before starting new lanes.
+            self.ready.appendleft(lane)
+
+    def _on_pool_broken(self, lane: _Lane, error: BaseException) -> None:
+        """A worker died hard; every in-flight window went down with it.
 
         The culprit is unknowable from the parent, so every in-flight
-        attempt (the reporting future included) is charged one attempt
-        -- each job still gets its full retry budget, and a persistent
-        hard-crasher cannot rebuild the pool forever.
+        lane (the reporting one included) is charged one attempt -- each
+        still gets its full retry budget, and a persistent hard-crasher
+        cannot rebuild the pool forever.
         """
-        victims = [(key, attempt)]
-        for future, (other_key, other_attempt, _) in self.active.items():
+        victims = [lane]
+        for future, (other, _) in self.active.items():
             future.cancel()
-            victims.append((other_key, other_attempt))
+            victims.append(other)
         self.active.clear()
         self._rebuild_pool()
-        for victim_key, victim_attempt in victims:
-            self._on_attempt_failure(
-                victim_key,
-                victim_attempt,
-                "worker-lost",
-                f"worker pool broke: {error}",
-            )
+        for victim in victims:
+            self._fail(victim, "worker-lost", f"worker pool broke: {error}")
 
     def _expire_deadlines(self) -> None:
         now = time.monotonic()
         expired = [
-            (future, entry)
-            for future, entry in self.active.items()
-            if entry[2] is not None and now >= entry[2]
+            lane
+            for lane, deadline in self.active.values()
+            if deadline is not None and now >= deadline
         ]
         if not expired:
             return
         # A hung worker can only be reclaimed by killing the pool, which
-        # takes every in-flight job with it: timed-out attempts are
+        # takes every in-flight window with it: timed-out attempts are
         # charged and retried, innocents resubmitted at the same attempt.
-        expired_futures = {future for future, _ in expired}
         innocents = [
-            (key, attempt)
-            for future, (key, attempt, _) in self.active.items()
-            if future not in expired_futures
+            lane for lane, _ in self.active.values() if lane not in expired
         ]
         self.active.clear()
         self._rebuild_pool()
-        for _, (key, attempt, _) in expired:
-            self._on_attempt_failure(
-                key, attempt, "timeout",
-                f"attempt exceeded {self.policy.timeout:.3f}s wall clock",
-            )
-        for key, attempt in reversed(innocents):
-            self.ready.appendleft((key, attempt))
-
-
-class _ChunkScheduler:
-    """Chunk lanes over the pool: sequential per lane, parallel across.
-
-    A *lane* is one ``(benchmark, task)`` pair whose trace is folded
-    window by window: chunk ``k`` resumes from the predictor state
-    chunk ``k-1`` returned, so a lane is inherently sequential, but the
-    48 lanes of a full chunked report keep the pool busy.  The carried
-    state lives in the parent between chunks, which is what makes a
-    chunk attempt retryable -- a crashed worker costs one window, not
-    the lane.  A lane that exhausts one chunk's attempt budget becomes
-    a :class:`TaskFailure` and the lab computes that task lazily.
-    """
-
-    def __init__(
-        self,
-        jobs: int,
-        lanes: Dict[Tuple[str, str], dict],
-        order: Sequence[Tuple[str, str]],
-        policy: RetryPolicy,
-        pool: Optional[WorkerPool] = None,
-    ) -> None:
-        self.jobs = jobs
-        self.lanes = lanes
-        self.policy = policy
-        self.progress = {
-            key: {
-                "next": 0, "state": None, "parts": [],
-                "deltas": [], "events": [], "seconds": 0.0,
-            }
-            for key in order
-        }
-        self.ready = deque((key, 1) for key in order)
-        self.waiting: List[Tuple[float, int, Tuple[str, str], int]] = []
-        self.active: Dict[object, Tuple[Tuple[str, str], int]] = {}
-        self.results: Dict[Tuple[str, str], tuple] = {}
-        self.failures: List[TaskFailure] = []
-        self._seq = 0
-        self._shared = pool is not None
-        self._pool = pool if pool is not None else WorkerPool(jobs)
-
-    def _rebuild_pool(self) -> None:
-        self._pool.rebuild()
-        METRICS.inc("parallel.pool_rebuilds")
-
-    def shutdown(self, kill: bool = False) -> None:
-        if self._shared and not kill:
-            return
-        self._pool.drain(kill=kill)
-
-    def _submit(self, key: Tuple[str, str], attempt: int) -> None:
-        lane = self.lanes[key]
-        prog = self.progress[key]
-        start, stop = lane["spans"][prog["next"]]
-        spec = (
-            lane["shm"], lane["length"], start, stop,
-            lane["config"], key[1], prog["state"],
-        )
-        try:
-            future = self._pool.handle().submit(_run_chunk, spec)
-        except BrokenProcessPool:
-            self._rebuild_pool()
-            future = self._pool.handle().submit(_run_chunk, spec)
-        self.active[future] = (key, attempt)
-
-    def _defer(self, key: Tuple[str, str], attempt: int) -> None:
-        backoff = self.policy.backoff(attempt)
-        METRICS.inc("resilience.retries")
-        METRICS.add_time("resilience.backoff_seconds", backoff)
-        self._seq += 1
-        self.waiting.append(
-            (time.monotonic() + backoff, self._seq, key, attempt + 1)
-        )
-
-    def _on_attempt_failure(
-        self, key: Tuple[str, str], attempt: int, kind: str, message: str
-    ) -> None:
-        if attempt >= self.policy.max_attempts:
-            name, task = key
-            METRICS.inc("resilience.task_failures")
-            self.failures.append(
-                TaskFailure(
-                    benchmark=name,
-                    task=task,
-                    attempts=attempt,
-                    kind=kind,
-                    message=message,
-                )
-            )
-        else:
-            self._defer(key, attempt)
-
-    def _advance(self, key: Tuple[str, str], payload: tuple) -> None:
-        bitmap, state, delta, events, seconds = payload
-        lane = self.lanes[key]
-        prog = self.progress[key]
-        prog["parts"].append(bitmap)
-        prog["deltas"].append(delta)
-        prog["events"].extend(events)
-        prog["seconds"] += seconds
-        prog["state"] = state
-        prog["next"] += 1
-        if prog["next"] == len(lane["spans"]):
-            self.results[key] = (
-                np.concatenate(prog["parts"]),
-                prog["deltas"], prog["events"], prog["seconds"],
-            )
-        else:
-            self.ready.append((key, 1))
-
-    def run(self) -> None:
-        try:
-            while self.ready or self.waiting or self.active:
-                self._promote_waiting()
-                while self.ready and len(self.active) < self.jobs:
-                    key, attempt = self.ready.popleft()
-                    self._submit(key, attempt)
-                if not self.active:
-                    if self.waiting:
-                        next_at = min(entry[0] for entry in self.waiting)
-                        time.sleep(max(0.0, next_at - time.monotonic()))
-                    continue
-                done, _ = wait(
-                    list(self.active), timeout=_TICK,
-                    return_when=FIRST_COMPLETED,
-                )
-                self._collect(done)
-        except BaseException:
-            self.shutdown(kill=True)
-            raise
-        else:
-            self.shutdown()
-
-    def _promote_waiting(self) -> None:
-        if not self.waiting:
-            return
-        now = time.monotonic()
-        self.waiting.sort()
-        while self.waiting and self.waiting[0][0] <= now:
-            _, _, key, attempt = self.waiting.pop(0)
-            self.ready.append((key, attempt))
-
-    def _collect(self, done) -> None:
-        for future in done:
-            key, attempt = self.active.pop(future)
-            try:
-                payload = future.result()
-            except BrokenProcessPool as error:
-                self._on_pool_broken(key, attempt, error)
-                return
-            except Exception as error:
-                self._on_attempt_failure(
-                    key, attempt, "error", f"{type(error).__name__}: {error}"
-                )
-            else:
-                self._advance(key, payload)
-
-    def _on_pool_broken(self, key, attempt, error) -> None:
-        # Every in-flight chunk died with the pool; each lane's carried
-        # state is parent-side, so each is charged one attempt at its
-        # *current* chunk and resubmitted from exactly there.
-        victims = [(key, attempt)]
-        for future, (other_key, other_attempt) in self.active.items():
-            future.cancel()
-            victims.append((other_key, other_attempt))
-        self.active.clear()
-        self._rebuild_pool()
-        for victim_key, victim_attempt in victims:
-            self._on_attempt_failure(
-                victim_key, victim_attempt, "worker-lost",
-                f"worker pool broke: {error}",
-            )
-
-
-def _prime_chunked(
-    labs: Dict[str, Lab],
-    chunked: Sequence[Tuple[str, str]],
-    chunk_size: int,
-    jobs: int,
-    policy: RetryPolicy,
-    pool: Optional[WorkerPool],
-) -> Tuple[int, List[TaskFailure]]:
-    """Fold the chunkable lanes; returns ``(executed, failures)``.
-
-    ``jobs <= 1`` folds in-process over zero-copy windows; otherwise
-    each benchmark's columns are published to shared memory once and
-    the lanes run over the pool.  Either way the folded bitmaps are
-    bit-identical to the unchunked path, and the parent writes them
-    through each lab (and its cache) in deterministic lane order.
-    """
-    task_failures: List[TaskFailure] = []
-    executed = 0
-    if jobs <= 1:
-        for name, task in chunked:
-            lab = labs[name]
-            stream = TraceStream.from_trace(lab.trace, chunk_size)
-            try:
-                bitmap = chunked_bitmap(stream, lab.config, task)
-            except Exception as error:
-                METRICS.inc("resilience.task_failures")
-                task_failures.append(
-                    TaskFailure(
-                        benchmark=name, task=task, attempts=1, kind="error",
-                        message=f"{type(error).__name__}: {error}",
-                    )
-                )
-                continue
-            lab.store_correct(task, bitmap)
-            executed += 1
-        return executed, task_failures
-
-    from repro.analysis.shm import SharedTrace
-
-    shared: Dict[str, SharedTrace] = {}
-    try:
-        for name in sorted({name for name, _ in chunked}):
-            shared[name] = SharedTrace.create(labs[name].trace)
-        lanes = {
-            (name, task): {
-                "shm": shared[name].name,
-                "length": len(labs[name].trace),
-                "spans": chunk_spans(len(labs[name].trace), chunk_size),
-                "config": labs[name].config,
-            }
-            for name, task in chunked
-        }
-        scheduler = _ChunkScheduler(jobs, lanes, chunked, policy, pool)
-        scheduler.run()
-    finally:
-        for segment in shared.values():
-            segment.unlink()
-
-    # Deterministic fold: lane order, chunk order within each lane.
-    for key in chunked:
-        if key not in scheduler.results:
-            continue
-        bitmap, deltas, events, seconds = scheduler.results[key]
-        METRICS.inc("sim.chunked_simulations")
-        for delta in deltas:
-            METRICS.merge(delta)
-        METRICS.add_time("parallel.job_seconds", seconds)
-        TRACER.add_events(events)
-        name, task = key
-        labs[name].store_correct(task, bitmap)
-        executed += 1
-    return executed, scheduler.failures
+        for lane in expired:
+            self._fail(lane, "timeout", self._timeout_message())
+        for lane in reversed(innocents):
+            self.ready.appendleft(lane)
 
 
 def prime_labs(
@@ -886,18 +710,16 @@ def prime_labs(
             (the owner drains it), and is shared with every other run
             of the same session.
         chunk_branches: If set, fold every chunkable task
-            (:data:`~repro.analysis.streamed.CHUNKABLE_TASKS`) over
-            fixed windows of this many branches -- in-process for
-            ``jobs <= 1``, else as shared-memory chunk lanes on the
-            pool -- instead of whole-trace jobs.  Results are
-            bit-identical either way.  Ignored for traces no longer
-            than one chunk, and (because injected faults target whole
-            task attempts) whenever ``injector`` is set.
+            (:data:`~repro.analysis.streamed.CHUNKABLE_TASKS`) as a
+            lane of fixed windows of this many branches instead of one
+            whole-trace window.  Results, retries and injected faults
+            are the same either way.  Ignored for traces no longer than
+            one chunk.
         sources: Per-benchmark trace-source descriptors workers use to
             rematerialise job traces (see :func:`_worker_trace`); None
-            (or an absent name) means the legacy suite trace.  The
-            chunked path ignores this -- its windows ship from the
-            parent's columns over shared memory.
+            (or an absent name) means the legacy suite trace.  Chunk
+            lanes ignore this -- their windows ship from the parent's
+            columns over shared memory.
 
     Returns:
         The number of jobs that executed successfully (0 means
@@ -916,106 +738,115 @@ def prime_labs(
             "pass --task-timeout (or REPRO_TASK_TIMEOUT)"
         )
     METRICS.gauge("parallel.workers", jobs)
-    pending = []
+    chunk_size = (
+        normalize_chunk_branches(chunk_branches)
+        if chunk_branches is not None
+        else 0
+    )
+    lanes: List[_Lane] = []
     for name in sorted(labs):
         lab = labs[name]
         if cache is not None and lab.cache is None:
             lab.cache = cache
+        length = len(lab.trace)
         for task in tasks:
             if lab.is_primed(task) or _fold_cached(lab, task):
                 continue
-            pending.append((name, task))
+            chunked = (
+                chunk_size and task in CHUNKABLE_TASKS and length > chunk_size
+            )
+            windows = chunk_spans(length, chunk_size) if chunked else [None]
+            lanes.append(_Lane(name, task, windows))
 
-    if not pending:
+    if not lanes:
         return 0
 
-    chunked: List[Tuple[str, str]] = []
-    chunk_size = 0
-    if chunk_branches is not None and injector is None:
-        # Injected faults target whole (benchmark, task) attempts; the
-        # chunked path would change that accounting, so an injector
-        # forces every task through the unchunked scheduler.
-        chunk_size = normalize_chunk_branches(chunk_branches)
-        chunked = [
-            (name, task)
-            for name, task in pending
-            if task in CHUNKABLE_TASKS and len(labs[name].trace) > chunk_size
-        ]
-        if chunked:
-            chunked_keys = set(chunked)
-            pending = [key for key in pending if key not in chunked_keys]
-
-    executed = 0
-    all_failures: List[TaskFailure] = []
-
-    if chunked:
-        with span(
-            "prime_chunked", jobs=jobs, lanes=len(chunked),
-            chunk_branches=chunk_size,
-        ):
-            chunk_executed, chunk_failures = _prime_chunked(
-                labs, chunked, chunk_size, jobs, policy, pool
-            )
-        executed += chunk_executed
-        all_failures.extend(chunk_failures)
-
-    if pending and jobs <= 1:
-        with span("prime_labs", jobs=1, pending=len(pending)):
-            serial_executed, task_failures = _prime_serial_all(
-                labs, pending, policy, injector
-            )
-        executed += serial_executed
-        all_failures.extend(task_failures)
-    elif pending:
-        cache_root = str(cache.root) if cache is not None else None
-        job_specs = {
-            (name, task): (
-                name,
-                len(labs[name].trace),
-                run_seed,
-                labs[name].config,
-                task,
-                cache_root,
-                labs[name].config.collection_window,
-                sources.get(name) if sources is not None else None,
-            )
-            for name, task in pending
-        }
-        supervisor = _Supervisor(
-            jobs, job_specs, pending, policy, injector, pool=pool
-        )
-        with span("prime_labs", jobs=jobs, pending=len(pending)):
-            supervisor.run()
-
-        # Fold in deterministic (sorted-name, task-order) order,
-        # verifying the worker simulated the same trace the lab holds.
-        # Metric deltas and span events fold in the same order, so
-        # aggregate telemetry is independent of worker scheduling.
-        for name, task in pending:
-            if (name, task) not in supervisor.results:
-                continue  # failed after retries; recorded below
-            _, _, digest, result, delta, events, duration = supervisor.results[
-                (name, task)
-            ]
-            METRICS.merge(delta)
-            METRICS.add_time("parallel.job_seconds", duration)
-            TRACER.add_events(events)
-            lab = labs[name]
-            if digest != lab.trace.digest():
-                # Worker regenerated a different trace (ad-hoc lab):
-                # discard and let the lab compute lazily.
-                continue
-            # Workers already wrote the shared cache; skip the second
-            # write.
-            write_through = cache is None
-            if task == CORRELATION_TASK:
-                lab.store_correlation(result, write_through=write_through)
-            else:
-                lab.store_correct(task, result, write_through=write_through)
-            executed += 1
-        all_failures.extend(supervisor.failures)
+    with span("prime_labs", jobs=jobs, pending=len(lanes)):
+        segments: dict = {}
+        try:
+            if jobs > 1:
+                _set_origins(lanes, labs, run_seed, cache, sources, segments)
+            scheduler = _Scheduler(lanes, labs, jobs, policy, injector, pool)
+            scheduler.run()
+        finally:
+            for segment in segments.values():
+                segment.unlink()
+        executed = _fold_lanes(lanes, labs, cache)
     METRICS.inc("parallel.jobs_executed", executed)
-    _report_failures(all_failures, failures)
+    _report_failures(scheduler.failures, failures)
+    return executed
+
+
+def _set_origins(
+    lanes: Sequence[_Lane],
+    labs: Dict[str, Lab],
+    run_seed: int,
+    cache: Optional[ResultCache],
+    sources: Optional[Dict[str, tuple]],
+    segments: dict,
+) -> None:
+    """Give each lane the picklable trace source its workers read.
+
+    A whole-trace lane ships what regenerates the trace; chunk lanes
+    share one shared-memory segment per benchmark, published here into
+    ``segments`` (the caller unlinks them).
+    """
+    from repro.analysis.shm import SharedTrace
+
+    cache_root = str(cache.root) if cache is not None else None
+    for lane in lanes:
+        trace = labs[lane.name].trace
+        if lane.windows[0] is None:
+            source = sources.get(lane.name) if sources is not None else None
+            lane.origin = (len(trace), run_seed, source, cache_root)
+            continue
+        if lane.name not in segments:
+            segments[lane.name] = SharedTrace.create(trace)
+        lane.origin = (segments[lane.name].name, len(trace))
+
+
+def _fold_lanes(
+    lanes: Sequence[_Lane], labs: Dict[str, Lab], cache: Optional[ResultCache]
+) -> int:
+    """Fold finished lanes into their labs; returns how many landed.
+
+    Lanes fold in deterministic (sorted-name, task-order) order, and
+    so do their workers' metric deltas and span events, so aggregate
+    telemetry is independent of worker scheduling.  A lane whose worker
+    regenerated a different trace than the lab holds (an ad-hoc lab) is
+    discarded; the lab computes it lazily.
+    """
+    executed = 0
+    for lane in lanes:
+        if not lane.done:
+            continue  # failed after retries; recorded by the scheduler
+        for delta in lane.deltas:
+            METRICS.merge(delta)
+        if lane.deltas:
+            METRICS.add_time("parallel.job_seconds", lane.seconds)
+        TRACER.add_events(lane.events)
+        lab = labs[lane.name]
+        if lane.digest is not None and lane.digest != lab.trace.digest():
+            continue
+        if len(lane.parts) == 1:
+            result = lane.parts[0]
+        else:
+            result = np.concatenate(lane.parts)
+        if lane.windows[0] is not None:
+            METRICS.inc("sim.chunked_simulations")
+        # A worker that regenerated the trace already wrote the shared
+        # cache; skip the second write.
+        write_through = lane.digest is None or cache is None
+        if lane.task == CORRELATION_TASK:
+            lab.store_correlation(result, write_through=write_through)
+        else:
+            lab.store_correct(lane.task, result, write_through=write_through)
+        # An injected 'corrupt' lands when the lane's final window does.
+        if "corrupt" in lane.kinds and lab.cache is not None:
+            _corrupt_result_entry(
+                lab.cache, lab.trace.digest(), lane.task, lab.config
+            )
+        executed += 1
     return executed
 
 
@@ -1027,72 +858,6 @@ def _report_failures(
         return
     for failure in sorted(task_failures, key=lambda f: (f.benchmark, f.task)):
         sink.append(failure.to_dict())
-
-
-def _prime_serial_all(
-    labs: Dict[str, Lab],
-    pending: Sequence[Tuple[str, str]],
-    policy: RetryPolicy,
-    injector: Optional[FaultInjector],
-) -> Tuple[int, List[TaskFailure]]:
-    """The in-process path: same retry/fault semantics, no executor.
-
-    Injected hangs cannot be preempted in-process, so they fail the
-    attempt as a timeout immediately -- keeping the attempt sequence
-    (and every resilience counter) identical to a parallel run under
-    the same fault spec.
-    """
-    executed = 0
-    task_failures: List[TaskFailure] = []
-    for name, task in pending:
-        lab = labs[name]
-        attempt = 1
-        while True:
-            kinds: Tuple[str, ...] = ()
-            if injector is not None:
-                kinds = injector.kinds(name, task, attempt)
-                _count_injected(kinds)
-            try:
-                if "crash" in kinds:
-                    raise InjectedCrash(f"injected crash: {name}/{task}")
-                if "hang" in kinds:
-                    raise TaskTimeout(
-                        f"injected hang: {name}/{task} (in-process)"
-                    )
-                result = compute_task(lab.trace, lab.config, task)
-            except Exception as error:
-                kind = "timeout" if isinstance(error, TaskTimeout) else "error"
-                if kind == "timeout":
-                    METRICS.inc("resilience.timeouts")
-                if attempt >= policy.max_attempts:
-                    METRICS.inc("resilience.task_failures")
-                    task_failures.append(
-                        TaskFailure(
-                            benchmark=name,
-                            task=task,
-                            attempts=attempt,
-                            kind=kind,
-                            message=f"{type(error).__name__}: {error}",
-                        )
-                    )
-                    break
-                backoff = policy.backoff(attempt)
-                METRICS.inc("resilience.retries")
-                METRICS.add_time("resilience.backoff_seconds", backoff)
-                time.sleep(backoff)
-                attempt += 1
-            else:
-                if task == CORRELATION_TASK:
-                    lab.store_correlation(result)
-                else:
-                    lab.store_correct(task, result)
-                if "corrupt" in kinds and lab.cache is not None:
-                    _corrupt_result_entry(
-                        lab.cache, lab.trace.digest(), task, lab.config
-                    )
-                executed += 1
-                break
-    return executed, task_failures
 
 
 def _fold_cached(lab: Lab, task: str) -> bool:

@@ -3,11 +3,11 @@
 Pickling a whole :class:`~repro.trace.trace.Trace` into every pool
 submission copies the columns once per job per worker; at paper scale
 (tens of millions of branches) that is the difference between flat and
-linear resident memory.  The chunked scheduler instead publishes each
-benchmark's columns once into a :class:`multiprocessing.shared_memory`
-segment and ships ``(segment name, window)`` tuples -- workers attach
-and build zero-copy :class:`Trace` windows over the same physical
-pages.
+linear resident memory.  Chunk lanes on the pool instead have each
+benchmark's columns published once into a
+:class:`multiprocessing.shared_memory` segment and ship ``(segment
+name, window)`` tuples -- workers attach and build zero-copy
+:class:`Trace` windows over the same physical pages.
 
 Layout of a segment for an ``n``-branch trace::
 
@@ -19,7 +19,7 @@ The parent owns the segment lifecycle: :meth:`SharedTrace.create` ...
 :meth:`SharedTrace.unlink` bracket a priming pass.  Workers must attach
 *untracked* -- CPython's resource tracker otherwise unlinks the segment
 when the first worker exits (bpo-39959) -- which is what
-:func:`attach_window` encapsulates.
+:func:`attach_trace` encapsulates.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.trace.trace import Trace
 
-__all__ = ["SharedTrace", "attach_window"]
+__all__ = ["SharedTrace", "attach_trace"]
 
 
 class SharedTrace:
@@ -104,17 +104,18 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
             resource_tracker.register = original
 
 
-def attach_window(
-    name: str, length: int, start: int, stop: int
+def attach_trace(
+    name: str, length: int
 ) -> Tuple[Trace, shared_memory.SharedMemory]:
-    """Worker-side view of ``[start, stop)`` of a published trace.
+    """Worker-side zero-copy view of a published trace.
 
-    The returned trace's columns alias the segment; the caller must
-    drop the trace before closing the returned handle.
+    The returned trace's columns alias the segment, and so do its
+    slices; the caller must drop them before closing the returned
+    handle.
     """
     shm = _attach_untracked(name)
     n = length
-    pc = np.ndarray(n, dtype="<u8", buffer=shm.buf, offset=0)[start:stop]
-    target = np.ndarray(n, dtype="<u8", buffer=shm.buf, offset=8 * n)[start:stop]
-    taken = np.ndarray(n, dtype=np.bool_, buffer=shm.buf, offset=16 * n)[start:stop]
+    pc = np.ndarray(n, dtype="<u8", buffer=shm.buf, offset=0)
+    target = np.ndarray(n, dtype="<u8", buffer=shm.buf, offset=8 * n)
+    taken = np.ndarray(n, dtype=np.bool_, buffer=shm.buf, offset=16 * n)
     return Trace(pc, target, taken), shm

@@ -6,9 +6,10 @@ Two consumers:
   with ``chunk_branches`` set) folds the *causal* simulation tasks --
   the ones whose kernels carry their predictor state across
   ``simulate()`` calls -- window by window, in-process or across the
-  worker pool.  :data:`CHUNKABLE_TASKS` names them;
-  :func:`chunked_bitmap` is the in-process fold and the reference the
-  contract/property tests compare against.
+  worker pool.  :data:`CHUNKABLE_TASKS` names them and
+  :func:`task_predictor` builds each lane's first predictor;
+  :func:`chunked_bitmap` is the one-call fold the contract/property
+  tests compare against.
 
 * :func:`stream_report` is the bounded-memory accuracy report behind
   ``benchmarks/check_rss.py`` and paper-scale runs: it never holds a

@@ -207,7 +207,7 @@ def _parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH[:FN1,FN2]",
         help="worker entry module (and optional entry function names) "
-             "for the workers pass (default: compute_task/_run_task in "
+             "for the workers pass (default: compute_task/_run_window in "
              "the installed repro.analysis.parallel)",
     )
     parser.add_argument(

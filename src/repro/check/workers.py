@@ -1,7 +1,8 @@
 """Worker-safety pass: hazards in code that crosses the process pool.
 
 The parallel scheduler's whole determinism argument rests on worker
-jobs being *pure*: :func:`repro.analysis.parallel._run_task` and
+jobs being *pure*: :func:`repro.analysis.parallel._run_window` (the one
+function the scheduler submits to the pool) and
 :func:`~repro.analysis.parallel.compute_task` must be functions of the
 job spec alone, and the parent's fold must consume their results in a
 schedule-independent order.  Three source-level hazards break that
@@ -26,7 +27,7 @@ WS004  a whole :class:`~repro.trace.trace.Trace` handed to pool
        ``.whole()``: every submit re-pickles the full column arrays
        into each worker.  Ship the spill file path or a
        ``multiprocessing.shared_memory`` segment name instead (the
-       chunk scheduler's protocol).
+       chunk lanes' protocol).
 ====== =================================================================
 
 Reachability is computed statically from the AST: starting at the entry
@@ -34,7 +35,7 @@ functions, the pass follows direct calls (``f(...)``, ``mod.f(...)``),
 ``self.method()`` calls inside classes, constructor calls plus
 local-variable method calls (``cache = ResultCache(...);
 cache.load_trace(...)``), and bare function references passed as
-call arguments (``pool.submit(_run_task, spec)``).  Imports resolve
+call arguments (``pool.submit(_run_window, job)``).  Imports resolve
 within the ``repro`` package only; calls on objects of unknown type
 (e.g. ``predictor.simulate(trace)``) are out of scope -- predictor
 purity is already enforced dynamically by the contracts pass.
@@ -62,8 +63,9 @@ from repro.check.diagnostics import ERROR, Diagnostic, sort_diagnostics
 #: deterministic order, so mutating them is the *protocol*, not a bug.
 WORKER_SAFE_GLOBALS = frozenset({"METRICS", "TRACER"})
 
-#: Worker entry points: (dotted module, function names).
-DEFAULT_ENTRY = ("repro.analysis.parallel", ("compute_task", "_run_task"))
+#: Worker entry points: (dotted module, function names).  Every function
+#: the scheduler passes to pool submission must be listed here.
+DEFAULT_ENTRY = ("repro.analysis.parallel", ("compute_task", "_run_window"))
 
 #: Kernel modules whose ``simulate_*`` functions are seeded as extra
 #: entry points in the default analysis: they run inside pool workers

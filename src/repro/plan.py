@@ -29,7 +29,7 @@ entry serve every point.
 
 The executor (:func:`repro.api.run_spec`) consumes the plan per point:
 ``sim_task_names(point)`` feeds ``prime_labs(tasks=...)`` so the
-existing supervisor -- scheduling, caching, retries, fault injection,
+priming loop -- scheduling, caching, retries, fault injection,
 journaling -- runs exactly the planned work.  ``repro plan spec.json``
 prints :meth:`Plan.describe` without executing anything.
 
@@ -39,8 +39,8 @@ longer than the window expands into per-chunk tasks
 (``p0/sim/gcc/gshare/c0`` .. ``c{K-1}``), each depending on its
 predecessor chunk -- the carried predictor state makes the fold
 sequential within a (benchmark, task) lane -- while distinct lanes stay
-independent, which is exactly the parallelism the chunk scheduler
-exploits.  Downstream experiment tasks depend on each lane's final
+independent, which is exactly the parallelism the priming loop's
+chunk lanes exploit.  Downstream experiment tasks depend on each lane's final
 chunk, the task whose completion materialises the whole-trace bitmap.
 Chunking is an execution knob, not identity: chunk task keys embed the
 window so cross-point dedup stays sound, but the artefact a full lane

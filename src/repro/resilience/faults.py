@@ -10,14 +10,16 @@ entries:
   accept ``fnmatch``-style globs (``if_*``, ``fig?``...).
 * **attempt** is the 1-based attempt number the fault fires on.  A
   fault on attempt 1 with retries enabled is transparent to the run's
-  outputs -- that is the whole point.
+  outputs -- that is the whole point.  A chunked task's attempt number
+  counts failures across all of its windows, and the fault fires on
+  the window where that attempt starts.
 * **kind** is one of:
 
   ======== ==============================================================
   crash    the attempt raises :class:`InjectedCrash` (a worker raising
            is indistinguishable from any other task exception).
   hang     the attempt never completes: in a worker it sleeps past any
-           plausible deadline so the supervisor's wall-clock timeout
+           plausible deadline so the scheduler's wall-clock timeout
            fires; in-process it raises
            :class:`repro.resilience.retry.TaskTimeout` directly, so
            serial and parallel runs see the same attempt sequence.
@@ -49,7 +51,7 @@ ENV_FAULT_SPEC = "REPRO_FAULT_SPEC"
 FAULT_KINDS = ("crash", "hang", "corrupt")
 
 #: How long a worker-side injected hang sleeps.  Long enough that any
-#: sane task timeout expires first; the supervisor kills the worker, so
+#: sane task timeout expires first; the scheduler kills the worker, so
 #: the sleep never actually runs to completion.
 HANG_SECONDS = 3600.0
 

@@ -1,11 +1,17 @@
 """Tests for the worker-safety pass (repro.check.workers)."""
 
+import ast
 from pathlib import Path
 
 import pytest
 
+import repro.analysis.parallel as parallel
 from repro.check.diagnostics import ERROR
-from repro.check.workers import WORKER_SAFE_GLOBALS, analyze_worker_safety
+from repro.check.workers import (
+    DEFAULT_ENTRY,
+    WORKER_SAFE_GLOBALS,
+    analyze_worker_safety,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures" / "check_defects"
 BAD_WORKER = FIXTURES / "bad_worker.py"
@@ -22,6 +28,23 @@ def by_code(diagnostics, code):
 class TestRealTreeIsClean:
     def test_shipped_scheduler_passes(self):
         assert analyze_worker_safety() == []
+
+    def test_every_submitted_function_is_an_entry(self):
+        # WS001-WS004 only scan what is reachable from DEFAULT_ENTRY, so
+        # a pool entry missing from it would never be checked.
+        tree = ast.parse(Path(parallel.__file__).read_text(encoding="utf-8"))
+        submitted = {
+            node.args[0].id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "submit"
+            and node.args
+            and isinstance(node.args[0], ast.Name)
+        }
+        module, functions = DEFAULT_ENTRY
+        assert module == parallel.__name__
+        assert submitted and submitted <= set(functions)
 
     def test_telemetry_singletons_are_allowlisted(self):
         # The delta-shipping protocol depends on these staying exempt.
