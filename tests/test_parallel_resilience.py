@@ -36,7 +36,7 @@ PATHS = [
     pytest.param(1, CHUNK, id="1-chunked"),
     pytest.param(2, CHUNK, id="2-chunked"),
 ]
-CELLS = [(1, None), (2, None), (1, CHUNK), (2, CHUNK)]
+CELLS = [tuple(path.values) for path in PATHS]
 
 
 def assert_lanes_chunked(delta: dict, labs, chunk_branches) -> None:
