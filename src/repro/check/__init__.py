@@ -10,9 +10,10 @@ on real experiment data:
 
 ``repro.check.contracts``
     Introspects every :class:`~repro.predictors.base.BranchPredictor`
-    subclass and the ``repro.tools`` registry, and dynamically enforces
-    the trace-driven regime (state-pure ``predict``, exactly one
-    ``update`` per branch, deterministic replay) through
+    subclass and the :data:`~repro.predictors.PREDICTOR_REGISTRY`, and
+    dynamically enforces the trace-driven regime (state-pure
+    ``predict``, exactly one ``update`` per branch, deterministic
+    replay) through
     :class:`~repro.check.contracts.ContractCheckedPredictor`.
 
 ``repro.check.lint``
@@ -32,7 +33,7 @@ on real experiment data:
     closures handed to pool submission, and unsorted set iteration in
     code reachable from the multiprocess ``compute_task`` entry points.
 
-Run all five with ``python -m repro check`` (or ``repro-tools check``).
+Run all five with ``python -m repro check``.
 """
 
 from repro.check.diagnostics import (

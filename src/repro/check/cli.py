@@ -1,4 +1,4 @@
-"""``python -m repro check`` / ``repro-tools check``: run all passes.
+"""``python -m repro check``: run all passes.
 
 Examples::
 
@@ -26,6 +26,7 @@ from repro.check.diagnostics import (
     Diagnostic,
     format_diagnostics,
 )
+from repro.predictors import PREDICTOR_REGISTRY
 
 #: Pass names in execution order.
 PASS_NAMES = ["ir", "contracts", "lint", "deps", "workers"]
@@ -56,7 +57,6 @@ def run_contracts_pass(trace_length: int) -> List[Diagnostic]:
         check_registry,
         run_contract_suite,
     )
-    from repro.tools import PREDICTOR_REGISTRY
     from repro.workloads.suite import load_benchmark
 
     diagnostics = check_predictor_classes()

@@ -10,9 +10,9 @@ every downstream table.  Two layers of enforcement:
   :func:`check_registry`): every concrete
   :class:`~repro.predictors.base.BranchPredictor` subclass declares its
   own unique class-level ``name`` (not the base placeholder), carries no
-  unimplemented abstract methods, and the ``repro.tools`` registry maps
-  each spec name to a default-constructible predictor with a unique
-  instance name.
+  unimplemented abstract methods, and
+  :data:`repro.predictors.PREDICTOR_REGISTRY` maps each spec name to a
+  default-constructible predictor with a unique instance name.
 
 * **Dynamic** (:class:`ContractCheckedPredictor`,
   :func:`check_determinism`, :func:`run_contract_suite`): a wrapper
@@ -46,6 +46,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Type
 import numpy as np
 
 from repro.check.diagnostics import ERROR, Diagnostic, sort_diagnostics
+from repro.predictors import PREDICTOR_REGISTRY
 from repro.predictors.base import BranchPredictor
 from repro.predictors.base import simulate as generic_simulate
 from repro.trace.trace import Trace
@@ -265,14 +266,12 @@ def check_predictor_classes(
 
 
 def check_registry() -> List[Diagnostic]:
-    """Audit the ``repro.tools`` predictor registry.
+    """Audit the :data:`repro.predictors.PREDICTOR_REGISTRY`.
 
     Every spec name must map to a default-constructible
     :class:`BranchPredictor` whose instance name is unique across the
     registry (experiment reports key rows by instance name).
     """
-    from repro.tools import PREDICTOR_REGISTRY  # lazy: avoid import cycle
-
     diagnostics: List[Diagnostic] = []
     instance_names: Dict[str, str] = {}
     for spec_name in sorted(PREDICTOR_REGISTRY):
@@ -314,13 +313,12 @@ def check_kernel_bindings() -> List[Diagnostic]:
     Audits :data:`repro.sim.KERNEL_BINDINGS` against the kernel modules
     and the predictor registry: every module-level ``simulate_*``
     function exported by :mod:`repro.sim` must map to an existing
-    ``repro.tools`` registry spec (whose contract-suite run dynamically
-    checks the kernel), and every binding must name a kernel that still
+    :data:`~repro.predictors.PREDICTOR_REGISTRY` spec (whose
+    contract-suite run dynamically checks the kernel), and every binding must name a kernel that still
     exists.  An unregistered or stale kernel fails ``repro check``.
     """
     import repro.sim as sim
     from repro.sim import KERNEL_BINDINGS
-    from repro.tools import PREDICTOR_REGISTRY  # lazy: avoid import cycle
 
     diagnostics: List[Diagnostic] = []
     exported = sorted(

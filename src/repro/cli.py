@@ -24,6 +24,8 @@ Examples::
     repro sweep --experiments fig9 --axis gshare_history_bits=8,16
     repro sweep spec.json --axis mix.noise=0,1,2   # workload-mix sweep
     repro ingest trace.txt --emit-spec spec.json   # foreign traces
+    repro trace generate gcc -o gcc.bpt  # trace toolkit: generate,
+    repro trace simulate gcc.bpt --predictor gshare   # stats, simulate
     repro serve --port 8023      # analysis-as-a-service daemon
     repro submit spec.json --server http://127.0.0.1:8023
     repro obs show run_manifest.json   # inspect/validate a manifest
@@ -95,7 +97,8 @@ def _parser() -> argparse.ArgumentParser:
             f"experiment ids ({', '.join(EXPERIMENT_IDS)}), extension ids "
             f"({', '.join(EXTENSION_IDS)}), 'all' (paper artefacts), "
             "'report' (alias for all), 'extensions', 'cache' "
-            "(stats|clear), 'obs' (show|validate|diff), or 'check' "
+            "(stats|clear), 'obs' (show|validate|diff), 'trace' "
+            "(generate|stats|simulate|interference), or 'check' "
             "(static verification)"
         ),
     )
@@ -540,11 +543,11 @@ def _ingest_main(argv: List[str]) -> int:
         prog="repro ingest",
         description=(
             "Validate foreign branch traces (CBP-style text, packed "
-            "binary pc+taken records, or native .bpt) and spill them "
-            "to the chunked BPT2 format the engine consumes, printing "
-            "each trace's canonical content digest.  --emit-spec "
-            "writes a ready-to-run RunSpec whose workload imports the "
-            "ingested traces ('repro run SPEC' executes it)."
+            "binary pc+taken records, legacy BPT1, or native .bpt) and "
+            "spill them to the chunked BPT2 format the engine consumes, "
+            "printing each trace's canonical content digest.  "
+            "--emit-spec writes a ready-to-run RunSpec whose workload "
+            "imports the ingested traces ('repro run SPEC' executes it)."
         ),
     )
     parser.add_argument(
@@ -695,6 +698,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.obs.cli import main as obs_main
 
         return obs_main(argv[1:])
+    if argv and argv[0] == "trace":
+        from repro.trace.cli import main as trace_main
+
+        return trace_main(argv[1:])
     args = _parser().parse_args(argv)
     requested: List[str] = []
     wants_manifest = False

@@ -1,4 +1,4 @@
-"""Shared engine options for every ``repro`` / ``repro-tools`` command.
+"""Shared engine options for every ``repro`` subcommand.
 
 The simulation engine grew one flag at a time (``--jobs`` on the report
 runner, ``--seed`` here, ``--cache-dir`` there), so the same knob was

@@ -22,8 +22,16 @@ Every predictor the paper uses or references is implemented here:
 * :mod:`~repro.predictors.profile_based` -- the section-2.2 related-work
   schemes: statically-determined PHTs (Sechrest/Young) and Chang's
   branch-classification hybrid.
+
+:data:`PREDICTOR_REGISTRY` names every default-constructible predictor;
+:func:`parse_predictor_spec` builds one from a ``name[:key=value,...]``
+spec (``repro trace simulate --predictor``, the ``repro check``
+contract passes and the kernel bindings all key off it).
 """
 
+from typing import Callable, Dict
+
+from repro.errors import SpecError
 from repro.predictors.base import BranchPredictor, simulate
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.counters import CounterTable, SaturatingCounter
@@ -44,6 +52,7 @@ from repro.predictors.profile_based import (
     StaticPhtGlobal,
     StaticPhtPAs,
 )
+from repro.predictors.selective import SelectiveHistoryPredictor
 from repro.predictors.skewed import SkewedPredictor
 from repro.predictors.static_ import (
     AlwaysNotTakenPredictor,
@@ -59,6 +68,79 @@ from repro.predictors.twolevel import (
     PAgPredictor,
     PAsPredictor,
 )
+
+
+def _fixed_pattern_factory(k: int = 8) -> FixedLengthPatternPredictor:
+    """Default-constructible wrapper (the class itself requires ``k``)."""
+    return FixedLengthPatternPredictor(k)
+
+
+#: Predictor factories by spec name.
+PREDICTOR_REGISTRY: Dict[str, Callable[..., BranchPredictor]] = {
+    "always-taken": AlwaysTakenPredictor,
+    "always-not-taken": AlwaysNotTakenPredictor,
+    "btfnt": BackwardTakenPredictor,
+    "ideal-static": IdealStaticPredictor,
+    "bimodal": BimodalPredictor,
+    "gag": GAgPredictor,
+    "gas": GAsPredictor,
+    "gshare": GsharePredictor,
+    "pag": PAgPredictor,
+    "pas": PAsPredictor,
+    "if-gshare": InterferenceFreeGshare,
+    "if-pas": InterferenceFreePAs,
+    "loop": LoopPredictor,
+    "block": BlockPatternPredictor,
+    "fixed": _fixed_pattern_factory,
+    "selective": SelectiveHistoryPredictor,
+    "path": PathBasedPredictor,
+    "egskew": SkewedPredictor,
+}
+
+
+def parse_predictor_spec(spec: str) -> BranchPredictor:
+    """Instantiate a predictor from ``name[:key=value,...]``.
+
+    Values are parsed as integers (every registry parameter is an int
+    width or size).
+
+    Raises:
+        SpecError: On an unknown predictor name, a malformed
+            ``key=value`` pair, or arguments the predictor's
+            constructor rejects -- always naming the offending spec.
+    """
+    name, _, argument_text = spec.partition(":")
+    try:
+        factory = PREDICTOR_REGISTRY[name]
+    except KeyError:
+        raise SpecError(
+            f"unknown predictor {name!r} in spec {spec!r}; choose "
+            f"from {', '.join(sorted(PREDICTOR_REGISTRY))}"
+        ) from None
+    kwargs = {}
+    if argument_text:
+        for item in argument_text.split(","):
+            key, _, value = item.partition("=")
+            if not value:
+                raise SpecError(
+                    f"malformed predictor argument {item!r} in spec "
+                    f"{spec!r}; expected key=value"
+                )
+            try:
+                kwargs[key.strip()] = int(value)
+            except ValueError:
+                raise SpecError(
+                    f"predictor argument {item!r} in spec {spec!r} "
+                    "is not an integer"
+                ) from None
+    try:
+        return factory(**kwargs)
+    except (TypeError, ValueError) as error:
+        raise SpecError(
+            f"bad arguments for predictor {name!r} in spec "
+            f"{spec!r}: {error}"
+        ) from None
+
 
 __all__ = [
     "AlwaysNotTakenPredictor",
@@ -81,12 +163,15 @@ __all__ = [
     "OracleCombiner",
     "PAgPredictor",
     "PAsPredictor",
+    "PREDICTOR_REGISTRY",
     "PathBasedPredictor",
     "ProfileStaticPredictor",
     "SaturatingCounter",
+    "SelectiveHistoryPredictor",
     "SkewedPredictor",
     "StaticPhtGlobal",
     "StaticPhtPAs",
     "best_fixed_length_correct",
+    "parse_predictor_spec",
     "simulate",
 ]

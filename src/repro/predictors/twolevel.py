@@ -91,40 +91,17 @@ class GsharePredictor(BranchPredictor):
         self._history = ((self._history << 1) | int(taken)) & self._history_mask
 
     def simulate(self, trace: Trace) -> np.ndarray:
-        """Vectorised fast path (see :mod:`repro.sim.kernels_global`)."""
+        """Vectorised fast path (see :mod:`repro.sim.kernels_global`).
+
+        Only gshare's history register can outgrow the kernel's packed
+        index (its PHT is ``2**pht_bits`` entries, so the table itself
+        stays small); such configurations run the reference loop.
+        """
         from repro.sim.kernels_global import MAX_INDEX_BITS, simulate_gshare
 
-        if max(self._history_bits, self._pht_mask.bit_length()) > MAX_INDEX_BITS:
-            return self._simulate_scalar(trace)
+        if self._history_bits > MAX_INDEX_BITS:
+            return super().simulate(trace)
         return simulate_gshare(self, trace)
-
-    def _simulate_scalar(self, trace: Trace) -> np.ndarray:
-        """Scalar reference loop (kernel fallback for extreme widths)."""
-        n = len(trace)
-        correct = np.zeros(n, dtype=bool)
-        pht = self._pht.tolist()
-        history = self._history
-        history_mask = self._history_mask
-        pht_mask = self._pht_mask
-        counter_max = self._counter_max
-        threshold = self._counter_threshold
-        pcs = (trace.pc >> 2).tolist()
-        takens = trace.taken.tolist()
-        for i in range(n):
-            pc = pcs[i]
-            taken = takens[i]
-            index = (history ^ pc) & pht_mask
-            value = pht[index]
-            correct[i] = (value >= threshold) == taken
-            if taken:
-                if value < counter_max:
-                    pht[index] = value + 1
-            elif value > 0:
-                pht[index] = value - 1
-            history = ((history << 1) | taken) & history_mask
-        self._pht = np.asarray(pht, dtype=self._pht.dtype)
-        self._history = history
-        return correct
 
 
 class GAsPredictor(BranchPredictor):
@@ -180,11 +157,8 @@ class GAsPredictor(BranchPredictor):
 
     def simulate(self, trace: Trace) -> np.ndarray:
         """Vectorised fast path (see :mod:`repro.sim.kernels_global`)."""
-        from repro.sim.kernels_global import MAX_INDEX_BITS, simulate_gas
+        from repro.sim.kernels_global import simulate_gas
 
-        select_bits = self._select_mask.bit_length()
-        if self._history_bits + select_bits > MAX_INDEX_BITS:
-            return super().simulate(trace)
         return simulate_gas(self, trace)
 
 
@@ -254,45 +228,9 @@ class PAsPredictor(BranchPredictor):
 
     def simulate(self, trace: Trace) -> np.ndarray:
         """Vectorised fast path (see :mod:`repro.sim.kernels_global`)."""
-        from repro.sim.kernels_global import MAX_INDEX_BITS, simulate_pas
+        from repro.sim.kernels_global import simulate_pas
 
-        select_bits = self._select_mask.bit_length()
-        if self._history_bits + select_bits > MAX_INDEX_BITS:
-            return self._simulate_scalar(trace)
         return simulate_pas(self, trace)
-
-    def _simulate_scalar(self, trace: Trace) -> np.ndarray:
-        """Scalar reference loop (kernel fallback for extreme widths)."""
-        n = len(trace)
-        correct = np.zeros(n, dtype=bool)
-        select_count = self._pht.shape[0]
-        pht = [row.tolist() for row in self._pht]
-        bht = self._bht.tolist()
-        history_mask = self._history_mask
-        bht_mask = self._bht_mask
-        select_mask = self._select_mask
-        counter_max = self._counter_max
-        threshold = self._counter_threshold
-        pcs = (trace.pc >> 2).tolist()
-        takens = trace.taken.tolist()
-        for i in range(n):
-            pc = pcs[i]
-            taken = takens[i]
-            history = bht[pc & bht_mask]
-            row = pht[pc & select_mask]
-            value = row[history]
-            correct[i] = (value >= threshold) == taken
-            if taken:
-                if value < counter_max:
-                    row[history] = value + 1
-            elif value > 0:
-                row[history] = value - 1
-            bht[pc & bht_mask] = ((history << 1) | taken) & history_mask
-        self._pht = np.asarray(pht, dtype=self._pht.dtype).reshape(
-            select_count, -1
-        )
-        self._bht = np.asarray(bht, dtype=np.int64)
-        return correct
 
 
 class GAgPredictor(GAsPredictor):

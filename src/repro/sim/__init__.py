@@ -17,7 +17,7 @@ loop (the ``repro check`` contract pass and the property tests in
   run-length chain.
 
 :data:`KERNEL_BINDINGS` maps every exported kernel to the
-``repro.tools`` registry spec whose predictor exercises it; the PC010
+``repro.predictors`` registry spec whose predictor exercises it; the PC010
 audit (:func:`repro.check.contracts.check_kernel_bindings`) fails
 ``python -m repro check`` when a kernel is missing from this map, so no
 fast path can ship without the PC009 dynamic equivalence check covering
@@ -39,7 +39,7 @@ from repro.sim.kernels_global import (
     simulate_selective,
 )
 
-#: Kernel name -> ``repro.tools.PREDICTOR_REGISTRY`` spec whose default
+#: Kernel name -> ``repro.predictors.PREDICTOR_REGISTRY`` spec whose default
 #: instance routes ``simulate()`` through that kernel.  The contract
 #: pass replays every registry entry (PC009), so a binding here is what
 #: puts a kernel under dynamic bit-identity enforcement; PC010 rejects

@@ -47,8 +47,11 @@ __all__ = [
     "simulate_selective",
 ]
 
-#: Widest packed int64 index the kernels accept; wider configurations
-#: fall back to the scalar reference loop in the predictor.
+#: Widest history register the packed int64 index streams accept.  Only
+#: gshare can exceed it (through ``history_bits``; its PHT stays
+#: ``2**pht_bits`` entries) and then runs the reference
+#: ``BranchPredictor.simulate`` loop.  GAs and PAs cannot: their
+#: ``2**(history + select)``-counter PHT fails to allocate first.
 MAX_INDEX_BITS = 62
 
 

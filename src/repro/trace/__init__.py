@@ -9,19 +9,16 @@ data model used throughout the reproduction:
   (numpy-backed) sequence of dynamic branches.
 * :class:`~repro.trace.trace.TraceBuilder` -- incremental construction.
 * :func:`~repro.trace.stream.write_trace` /
-  :func:`~repro.trace.stream.read_trace` -- compact binary ``.bpt`` files.
+  :func:`~repro.trace.stream.read_trace` -- compact binary ``.bpt``
+  (``BPT2``) files; every other layout comes in through
+  :func:`~repro.trace.ingest.load_imported_trace`.
 * :class:`~repro.trace.stats.TraceStatistics` -- summary statistics
   (drives Table 1).
 """
 
 from repro.trace.record import BranchRecord
 from repro.trace.stats import TraceStatistics, compute_statistics
-from repro.trace.stream import (
-    read_text_trace,
-    read_trace,
-    write_text_trace,
-    write_trace,
-)
+from repro.trace.stream import read_trace, write_text_trace, write_trace
 from repro.trace.trace import Trace, TraceBuilder
 
 __all__ = [
@@ -30,7 +27,6 @@ __all__ = [
     "TraceBuilder",
     "TraceStatistics",
     "compute_statistics",
-    "read_text_trace",
     "read_trace",
     "write_text_trace",
     "write_trace",

@@ -1,6 +1,7 @@
 """Foreign-trace ingestion: validate, normalise, spill to ``BPT2``.
 
-The importer boundary of the source-agnostic trace substrate.  Three
+The importer boundary of the source-agnostic trace substrate, and the
+one place that knows trace layouts other than the engine's own.  Three
 foreign formats flow in; one canonical artefact flows out:
 
 ``text``
@@ -13,9 +14,13 @@ foreign formats flow in; one canonical artefact flows out:
     Headerless packed records, 9 bytes each, little-endian: ``uint64``
     pc then one outcome byte (0 or 1).  The file size must be an exact
     multiple of the record size.
-``bpt``
-    Already-native ``BPT1``/``BPT2`` files; validated and digested in
-    place.
+``bpt1``
+    The legacy whole-column ``.bpt`` layout: magic ``b"BPT1"``,
+    ``uint64`` n, n ``uint64`` pcs, n ``uint64`` targets, then
+    ``ceil(n/8)`` bytes of outcomes bit-packed LSB-first.
+
+``bpt`` (``BPT2``, :mod:`repro.trace.stream`) is already native: it is
+validated and digested in place.
 
 Everything is streamed: parsers yield bounded column batches which are
 re-windowed into exact ``chunk_branches`` chunks and appended straight
@@ -41,18 +46,22 @@ import numpy as np
 
 from repro.errors import IngestError
 from repro.trace.stream import (
-    MAGIC,
     MAGIC2,
     BPT2Writer,
     PathLike,
     TraceStream,
     normalize_chunk_branches,
-    read_trace,
 )
 from repro.trace.trace import Trace
 
-#: Declared/detected foreign formats.
-INGEST_FORMATS = ("text", "binary", "bpt")
+#: Declared/detected formats (``bpt`` is the native BPT2 layout).
+INGEST_FORMATS = ("text", "binary", "bpt1", "bpt")
+
+#: Magic bytes of the legacy ``bpt1`` layout.
+MAGIC1 = b"BPT1"
+
+#: ``bpt1`` header size: magic + ``uint64`` branch count.
+BPT1_HEADER_SIZE = 12
 
 #: ``binary`` record layout: uint64 pc + one outcome byte.
 BINARY_RECORD = np.dtype([("pc", "<u8"), ("taken", "u1")])
@@ -61,7 +70,8 @@ BINARY_RECORD_SIZE = BINARY_RECORD.itemsize
 #: Synthetic taken-target stride for formats that omit targets.
 _SYNTHETIC_TARGET_STRIDE = 4
 
-#: Column batch size parsers aim for (records per yielded batch).
+#: Column batch size parsers aim for (records per yielded batch); a
+#: multiple of 8, so ``bpt1`` batches start on packed-outcome bytes.
 _BATCH_RECORDS = 8192
 
 _TAKEN_WORDS = {
@@ -117,9 +127,13 @@ def detect_format(path: PathLike) -> str:
             head = fh.read(4)
     except OSError as error:
         raise IngestError(f"{path}: cannot read trace file ({error})") from None
-    if head in (MAGIC, MAGIC2):
+    if head == MAGIC2:
         return "bpt"
+    if head == MAGIC1:
+        return "bpt1"
     extension = os.path.splitext(str(path))[1].lower()
+    if extension == ".bpt":
+        return "bpt"
     if extension in (".bin", ".pct"):
         return "binary"
     return "text"
@@ -227,6 +241,48 @@ def _parse_binary(path: PathLike) -> Iterator[Batch]:
             offset += len(block)
 
 
+def _parse_bpt1(path: PathLike) -> Iterator[Batch]:
+    """Stream the legacy ``bpt1`` layout, validating header and sizes."""
+    try:
+        fh = open(path, "rb")
+    except OSError as error:
+        raise IngestError(f"{path}: cannot read trace file ({error})") from None
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(BPT1_HEADER_SIZE)
+        if header[:4] != MAGIC1:
+            raise IngestError(
+                f"{path}: bad magic {header[:4]!r}, expected {MAGIC1!r}"
+            )
+        if len(header) < BPT1_HEADER_SIZE:
+            raise IngestError(f"{path}: truncated header")
+        n = int.from_bytes(header[4:], "little")
+        outcomes = BPT1_HEADER_SIZE + 16 * n
+        if size < outcomes:
+            raise IngestError(f"{path}: truncated address columns")
+        if size < outcomes + (n + 7) // 8:
+            raise IngestError(f"{path}: truncated outcome column")
+
+        def column(offset: int, nbytes: int) -> bytes:
+            fh.seek(offset)
+            return fh.read(nbytes)
+
+        for start in range(0, n, _BATCH_RECORDS):
+            count = min(_BATCH_RECORDS, n - start)
+            pc = column(BPT1_HEADER_SIZE + 8 * start, 8 * count)
+            target = column(BPT1_HEADER_SIZE + 8 * (n + start), 8 * count)
+            packed = column(outcomes + start // 8, (count + 7) // 8)
+            yield (
+                np.frombuffer(pc, dtype="<u8"),
+                np.frombuffer(target, dtype="<u8"),
+                np.unpackbits(
+                    np.frombuffer(packed, dtype=np.uint8),
+                    bitorder="little",
+                    count=count,
+                ).astype(bool),
+            )
+
+
 def _rechunk(batches: Iterator[Batch], chunk_branches: int) -> Iterator[Batch]:
     """Re-window arbitrary-size batches into exact writer chunks.
 
@@ -260,6 +316,8 @@ def _batches(path: PathLike, fmt: str) -> Iterator[Batch]:
         return _parse_text(path)
     if fmt == "binary":
         return _parse_binary(path)
+    if fmt == "bpt1":
+        return _parse_bpt1(path)
     raise IngestError(
         f"{path}: unknown trace format {fmt!r}; choose from "
         f"{', '.join(INGEST_FORMATS)}"
@@ -359,20 +417,21 @@ def load_imported_trace(
 ) -> Trace:
     """Load a foreign or native trace whole, verifying its identity.
 
-    The executor's entry point for :class:`~repro.spec.ImportedSource`
-    entries: whatever the on-disk format, the returned columns hash to
-    the canonical trace digest, and a mismatch against
+    The one loader for trace files: the executor's entry point for
+    :class:`~repro.spec.ImportedSource` entries and the reader behind
+    ``repro trace``.  Whatever the on-disk format, the returned columns
+    hash to the canonical trace digest, and a mismatch against
     ``expected_digest`` -- stale file, wrong path, silent edit -- is an
     :class:`IngestError`, not a silently wrong simulation.
     """
     path = os.fspath(path)
-    fmt = format if format not in (None, "bpt2", "bpt1") else None
-    fmt = fmt or detect_format(path)
+    if format in (None, "bpt", "bpt1", "bpt2"):
+        # A .bpt path may hold either binary layout; the magic decides.
+        fmt = detect_format(path)
+    else:
+        fmt = format
     if fmt == "bpt":
-        try:
-            trace = read_trace(path)
-        except (OSError, ValueError) as error:
-            raise IngestError(f"{path}: {error}") from None
+        trace = _open_stream(path).whole()
     else:
         parts = list(_batches(path, fmt))
         if not parts:

@@ -1,23 +1,10 @@
 """Binary trace files (``.bpt`` -- *branch prediction trace*).
 
-Two on-disk layouts share the extension (little-endian throughout):
-
-``BPT1`` -- whole-trace columns, the original format:
-
-========  =====================================================
-offset    contents
-========  =====================================================
-0         magic ``b"BPT1"``
-4         ``uint64`` n -- number of dynamic branches
-12        n * ``uint64`` branch addresses
-12+8n     n * ``uint64`` taken-target addresses
-12+16n    ``ceil(n/8)`` bytes -- outcomes, bit-packed LSB-first
-========  =====================================================
-
-``BPT2`` -- chunk-indexed columns for streaming.  The trace is split
-into fixed windows of ``chunk_branches`` branches (the final chunk may
-be short); each chunk stores its own column triplet so a reader can
-mmap the file and view any window without touching the rest:
+The engine reads and writes one on-disk layout, ``BPT2``
+(little-endian throughout).  The trace is split into fixed windows of
+``chunk_branches`` branches (the final chunk may be short); each chunk
+stores its own column triplet so a reader can mmap the file and view
+any window without touching the rest:
 
 ========  =====================================================
 offset    contents
@@ -38,11 +25,15 @@ the bit-packed outcomes (LSB-first, ``ceil(c/8)`` bytes), padded to an
 ``chunk_branches`` is forced to a multiple of 8 so per-chunk bit
 packing concatenates byte-identically with whole-trace packing -- that
 is what makes :meth:`TraceStream.digest` equal :meth:`Trace.digest`.
+A one-chunk file is simply a whole trace.
 
-Reading either format goes through ``mmap``: the address columns are
-zero-copy views into the page cache, so replaying a multi-gigabyte
-trace costs resident memory proportional to the window being simulated,
-not the file.
+Reading goes through ``mmap``: the address columns are zero-copy views
+into the page cache, so replaying a multi-gigabyte trace costs resident
+memory proportional to the window being simulated, not the file.
+
+Every other layout -- the legacy ``BPT1`` whole-column format, text,
+packed binary records -- is foreign: :mod:`repro.trace.ingest` parses
+it and spills it to ``BPT2``.
 """
 
 from __future__ import annotations
@@ -56,7 +47,6 @@ import numpy as np
 from repro.errors import IngestError
 from repro.trace.trace import Trace
 
-MAGIC = b"BPT1"
 MAGIC2 = b"BPT2"
 
 #: BPT2 fixed header size (magic + pad + four u64 fields).
@@ -110,17 +100,6 @@ def chunk_spans(num_branches: int, chunk_branches: int) -> List[Tuple[int, int]]
     ]
 
 
-def write_trace(trace: Trace, path: PathLike) -> None:
-    """Serialise ``trace`` to ``path`` in ``BPT1`` format."""
-    n = len(trace)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(np.uint64(n).tobytes())
-        fh.write(np.ascontiguousarray(trace.pc, dtype="<u8").tobytes())
-        fh.write(np.ascontiguousarray(trace.target, dtype="<u8").tobytes())
-        fh.write(np.packbits(trace.taken, bitorder="little").tobytes())
-
-
 def _map_file(path: PathLike):
     """mmap ``path`` read-only; tiny/empty files fall back to bytes.
 
@@ -133,47 +112,6 @@ def _map_file(path: PathLike):
         if size == 0:
             return b""
         return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-
-
-def read_trace(path: PathLike) -> Trace:
-    """Deserialise a ``.bpt`` file (either layout) as one whole trace.
-
-    The file is mapped, not read: the returned trace's address columns
-    are views into the page cache, so loading a large BPT1 file does
-    not copy the whole file through Python memory (only the outcome
-    bits are unpacked into a fresh bool column).  BPT2 files are
-    materialised by concatenating their chunks; use
-    :meth:`TraceStream.open` to iterate them in bounded memory instead.
-    """
-    data = _map_file(path)
-    if bytes(data[:4]) == MAGIC2:
-        return TraceStream.open(path).whole()
-    return _parse(data, source=str(path))
-
-
-def _parse(data, source: str) -> Trace:
-    # Parse columns directly out of the file buffer with np.frombuffer
-    # offsets: zero copies until the Trace constructor, instead of one
-    # bytes copy per column through io.BytesIO.read.
-    magic = bytes(data[:4])
-    if magic != MAGIC:
-        raise TraceFormatError(f"{source}: bad magic {magic!r}, expected {MAGIC!r}")
-    if len(data) < 12:
-        raise TraceFormatError(f"{source}: truncated header")
-    n = int(np.frombuffer(data, dtype="<u8", count=1, offset=4)[0])
-    taken_nbytes = (n + 7) // 8
-    if len(data) < 12 + 16 * n:
-        raise TraceFormatError(f"{source}: truncated address columns")
-    if len(data) < 12 + 16 * n + taken_nbytes:
-        raise TraceFormatError(f"{source}: truncated outcome column")
-    pc = np.frombuffer(data, dtype="<u8", count=n, offset=12)
-    target = np.frombuffer(data, dtype="<u8", count=n, offset=12 + 8 * n)
-    taken = np.unpackbits(
-        np.frombuffer(data, dtype=np.uint8, count=taken_nbytes, offset=12 + 16 * n),
-        bitorder="little",
-        count=n,
-    ).astype(bool)
-    return Trace(pc, target, taken)
 
 
 def _aligned(size: int) -> int:
@@ -289,7 +227,7 @@ class BPT2Writer:
             self._fh.close()
 
 
-def write_trace_chunked(
+def write_trace(
     trace: Trace, path: PathLike, chunk_branches: Optional[int] = None
 ) -> None:
     """Serialise ``trace`` to ``path`` in ``BPT2`` format."""
@@ -300,6 +238,15 @@ def write_trace_chunked(
                 trace.target[start:stop],
                 trace.taken[start:stop],
             )
+
+
+def read_trace(path: PathLike) -> Trace:
+    """Load a ``BPT2`` file as one whole trace (copies every chunk).
+
+    Use :meth:`TraceStream.open` to iterate it in bounded memory, and
+    :func:`repro.trace.ingest.load_imported_trace` for any other layout.
+    """
+    return TraceStream.open(path).whole()
 
 
 class TraceStream:
@@ -334,78 +281,16 @@ class TraceStream:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def open(
-        cls, path: PathLike, chunk_branches: Optional[int] = None
-    ) -> "TraceStream":
-        """Open a ``.bpt`` file (either layout) as a stream.
-
-        For ``BPT2`` files the on-disk chunking wins and
-        ``chunk_branches`` is ignored; for ``BPT1`` files the stream
-        synthesises windows of ``chunk_branches`` (default
-        :data:`DEFAULT_CHUNK_BRANCHES`) over the whole-file columns.
-        """
+    def open(cls, path: PathLike) -> "TraceStream":
+        """Open a ``BPT2`` file as a stream over its on-disk chunks."""
         data = _map_file(path)
         magic = bytes(data[:4])
-        if magic == MAGIC2:
-            return cls._open_bpt2(data, str(path))
-        if magic == MAGIC:
-            return cls._open_bpt1(data, str(path), chunk_branches)
-        raise TraceFormatError(
-            f"{path}: bad magic {magic!r}, expected {MAGIC!r} or {MAGIC2!r}"
-        )
-
-    @classmethod
-    def _open_bpt1(
-        cls, data, source: str, chunk_branches: Optional[int]
-    ) -> "TraceStream":
-        # Validate the layout once (cheap -- header arithmetic only),
-        # then serve windows as slices of the whole-file column views.
-        if len(data) < 12:
-            raise TraceFormatError(f"{source}: truncated header")
-        n = int(np.frombuffer(data, dtype="<u8", count=1, offset=4)[0])
-        taken_nbytes = (n + 7) // 8
-        if len(data) < 12 + 16 * n:
-            raise TraceFormatError(f"{source}: truncated address columns")
-        if len(data) < 12 + 16 * n + taken_nbytes:
-            raise TraceFormatError(f"{source}: truncated outcome column")
-        pc = np.frombuffer(data, dtype="<u8", count=n, offset=12)
-        target = np.frombuffer(data, dtype="<u8", count=n, offset=12 + 8 * n)
-        packed = np.frombuffer(
-            data, dtype=np.uint8, count=taken_nbytes, offset=12 + 16 * n
-        )
-        size = normalize_chunk_branches(chunk_branches)
-
-        def getter(index: int) -> Trace:
-            start = index * size
-            stop = min(start + size, n)
-            # Chunk starts are multiples of 8, so the window's packed
-            # outcome bits begin on a byte boundary.
-            taken = np.unpackbits(
-                packed[start // 8 : (stop + 7) // 8],
-                bitorder="little",
-                count=stop - start,
-            ).astype(bool)
-            return Trace(pc[start:stop], target[start:stop], taken)
-
-        def releaser(index: int) -> None:
-            start = index * size
-            stop = min(start + size, n)
-            _drop_pages(data, [
-                (12 + 8 * start, 12 + 8 * stop),
-                (12 + 8 * n + 8 * start, 12 + 8 * n + 8 * stop),
-                (12 + 16 * n + start // 8, 12 + 16 * n + (stop + 7) // 8),
-            ])
-
-        return cls(
-            num_branches=n,
-            chunk_branches=size,
-            getter=getter,
-            source=source,
-            releaser=releaser if isinstance(data, mmap.mmap) else None,
-        )
-
-    @classmethod
-    def _open_bpt2(cls, data, source: str) -> "TraceStream":
+        if magic != MAGIC2:
+            raise TraceFormatError(
+                f"{path}: bad magic {magic!r}, expected {MAGIC2!r}; "
+                "convert other trace layouts with 'repro ingest'"
+            )
+        source = str(path)
         if len(data) < HEADER2_SIZE:
             raise TraceFormatError(f"{source}: truncated header")
         n, size, num_chunks, index_offset = (
@@ -594,42 +479,3 @@ def write_text_trace(trace: Trace, path: PathLike) -> None:
                     for i in range(start, end)
                 )
             )
-
-
-def read_text_trace(path: PathLike) -> Trace:
-    """Parse the text format written by :func:`write_text_trace`.
-
-    Accepts decimal or hex addresses and ``T/N``, ``1/0``,
-    ``taken/not-taken`` outcome spellings; blank and ``#`` lines are
-    skipped.
-    """
-    from repro.trace.trace import TraceBuilder
-
-    taken_words = {"t": True, "1": True, "taken": True,
-                   "n": False, "0": False, "not-taken": False}
-    builder = TraceBuilder()
-    with open(path) as fh:
-        for line_number, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 3:
-                raise TraceFormatError(
-                    f"{path}:{line_number}: expected 'pc target taken', "
-                    f"got {text!r}"
-                )
-            try:
-                pc = int(parts[0], 0)
-                target = int(parts[1], 0)
-            except ValueError:
-                raise TraceFormatError(
-                    f"{path}:{line_number}: bad address in {text!r}"
-                ) from None
-            outcome = taken_words.get(parts[2].lower())
-            if outcome is None:
-                raise TraceFormatError(
-                    f"{path}:{line_number}: bad outcome {parts[2]!r}"
-                )
-            builder.append(pc, target, outcome)
-    return builder.build()

@@ -42,6 +42,18 @@ def trace_from_steps(
     return builder.build()
 
 
+def bpt1_bytes(trace: Trace) -> bytes:
+    """The legacy ``BPT1`` encoding of ``trace``: magic, ``uint64`` n,
+    the pc and target columns, then LSB-first bit-packed outcomes."""
+    return b"".join([
+        b"BPT1",
+        np.uint64(len(trace)).tobytes(),
+        np.ascontiguousarray(trace.pc, dtype="<u8").tobytes(),
+        np.ascontiguousarray(trace.target, dtype="<u8").tobytes(),
+        np.packbits(trace.taken, bitorder="little").tobytes(),
+    ])
+
+
 def interleave(sequences: Dict[int, List[bool]], target_offset: int = 0x1000) -> Trace:
     """Round-robin interleave several branches' outcome sequences.
 

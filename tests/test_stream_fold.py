@@ -25,8 +25,8 @@ from repro.analysis.streamed import (
 )
 from repro.check.contracts import _prepare
 from repro.sim.fold import fold_correct_count, fold_simulate
-from repro.tools import PREDICTOR_REGISTRY
-from repro.trace.stream import TraceStream, write_trace_chunked
+from repro.predictors import PREDICTOR_REGISTRY
+from repro.trace.stream import TraceStream, write_trace
 
 from conftest import trace_from_steps
 
@@ -60,7 +60,7 @@ class TestEveryRegisteredKernel:
             _prepare(factory(), fold_trace).simulate(fold_trace), dtype=bool
         )
         path = tmp_path / "fold.bpt"
-        write_trace_chunked(fold_trace, path, chunk_branches=504)
+        write_trace(fold_trace, path, chunk_branches=504)
         stream = TraceStream.open(path)
         folded = fold_simulate(
             _prepare(factory(), fold_trace), stream.chunks()

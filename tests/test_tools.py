@@ -1,9 +1,16 @@
-"""Tests for the trace toolkit CLI."""
+"""Tests for the trace toolkit: ``repro trace`` and the predictor registry."""
 
 import pytest
 
-from repro.tools import PREDICTOR_REGISTRY, main, parse_predictor_spec
+from repro.cli import main as repro_main
+from repro.errors import SpecError
+from repro.predictors import PREDICTOR_REGISTRY, parse_predictor_spec
 from repro.trace.stream import read_trace
+
+
+def main(argv):
+    """Run ``repro trace ARGV`` through the one ``repro`` entry point."""
+    return repro_main(["trace", *argv])
 
 
 class TestParsePredictorSpec:
@@ -16,22 +23,22 @@ class TestParsePredictorSpec:
         assert predictor.name == "gshare-10h-12p"
 
     def test_unknown_name(self):
-        with pytest.raises(SystemExit, match="unknown predictor 'tage' in spec 'tage'"):
+        with pytest.raises(SpecError, match="unknown predictor 'tage' in spec 'tage'"):
             parse_predictor_spec("tage")
 
     def test_malformed_argument(self):
         with pytest.raises(
-            SystemExit, match="malformed predictor argument 'history_bits'"
+            SpecError, match="malformed predictor argument 'history_bits'"
         ):
             parse_predictor_spec("gshare:history_bits")
 
     def test_non_integer_argument(self):
-        with pytest.raises(SystemExit, match="is not an integer"):
+        with pytest.raises(SpecError, match="is not an integer"):
             parse_predictor_spec("gshare:history_bits=ten")
 
     def test_unknown_keyword_argument(self):
         with pytest.raises(
-            SystemExit, match="bad arguments for predictor 'gshare'"
+            SpecError, match="bad arguments for predictor 'gshare'"
         ):
             parse_predictor_spec("gshare:nonsense=3")
 
@@ -49,6 +56,7 @@ class TestCommands:
         return path
 
     def test_generate_writes_readable_trace(self, trace_file):
+        assert trace_file.read_bytes()[:4] == b"BPT2"
         trace = read_trace(trace_file)
         assert len(trace) == 3000
 
@@ -80,9 +88,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "loop" in out and "bimodal-8b" in out
 
-    def test_simulate_bad_predictor_raises_system_exit(self, trace_file):
-        with pytest.raises(SystemExit, match="unknown predictor 'nope'"):
-            main(["simulate", str(trace_file), "--predictor", "nope"])
+    def test_simulate_bad_predictor_exits_2(self, trace_file, capsys):
+        assert main(["simulate", str(trace_file), "--predictor", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown predictor 'nope'" in captured.err
+        assert captured.out == ""
 
     def test_interference(self, trace_file, capsys):
         assert (
@@ -105,10 +115,18 @@ class TestCommands:
         assert main(["stats", "/nonexistent/file.bpt"]) == 2
 
 
-class TestVersion:
-    def test_version_flag(self, capsys):
-        import re
+class TestBadTraceInputs:
+    """Bad trace files end in a located error and exit 2, not a traceback."""
 
-        assert main(["--version"]) == 0
-        out = capsys.readouterr().out.strip()
-        assert re.fullmatch(r"repro-tools \d+[\w.]*", out)
+    def test_directory(self, tmp_path, capsys):
+        assert main(["stats", str(tmp_path)]) == 2
+        assert "cannot read trace file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("address", ["0x1ffffffffffffffff", "-4"])
+    def test_out_of_range_address_names_the_line(
+        self, tmp_path, capsys, address
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{address} 0x20 T\n")
+        assert main(["stats", str(path)]) == 2
+        assert f"{path}:1:" in capsys.readouterr().err

@@ -13,6 +13,8 @@ from repro.trace.ingest import (
 from repro.trace.stream import TraceStream, write_trace
 from repro.trace.trace import Trace
 
+from conftest import bpt1_bytes
+
 
 def make_trace(n=1000, seed=3):
     rng = np.random.default_rng(seed)
@@ -86,6 +88,23 @@ class TestRoundTrips:
         assert result.path == str(path)
         assert result.format == "bpt"
         assert result.digest == trace.digest()
+
+    def test_bpt1_spills_to_bpt2_with_the_same_digest(self, tmp_path):
+        trace = make_trace(n=20000)  # spans several parser batches
+        source = tmp_path / "legacy.bpt"
+        source.write_bytes(bpt1_bytes(trace))
+        assert detect_format(source) == "bpt1"
+        result = ingest_file(source, tmp_path / "spill.bpt", chunk_branches=256)
+        assert result.format == "bpt1"
+        assert (tmp_path / "spill.bpt").read_bytes()[:4] == b"BPT2"
+        assert result.digest == trace.digest()
+        assert TraceStream.open(result.path).digest() == trace.digest()
+        # Specs that pin the BPT1 path itself keep loading it.
+        for declared in (None, "bpt"):
+            loaded = load_imported_trace(
+                source, format=declared, expected_digest=trace.digest()
+            )
+            assert loaded == trace
 
     def test_chunked_spill_matches_whole_trace_digest(self, tmp_path):
         trace = make_trace(n=5000)

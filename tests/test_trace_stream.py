@@ -1,24 +1,26 @@
-"""Tests for the .bpt binary trace formats (BPT1 and chunked BPT2)."""
+"""Tests for the .bpt binary trace format (chunked BPT2) and the text
+interop format."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import IngestError
+from repro.trace.ingest import load_imported_trace
 from repro.trace.stream import (
     BPT2Writer,
     HEADER2_SIZE,
-    MAGIC,
     MAGIC2,
     TraceFormatError,
     TraceStream,
     normalize_chunk_branches,
     read_trace,
+    write_text_trace,
     write_trace,
-    write_trace_chunked,
 )
 from repro.trace.trace import Trace
 
-from conftest import trace_from_steps, trace_from_string
+from conftest import bpt1_bytes, trace_from_steps, trace_from_string
 
 
 class TestRoundTrip:
@@ -56,6 +58,8 @@ class TestRoundTrip:
 
 
 class TestMalformedFiles:
+    """BPT2 rejects foreign magic; BPT1 is validated by the importer."""
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bpt"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
@@ -64,24 +68,22 @@ class TestMalformedFiles:
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.bpt"
-        path.write_bytes(MAGIC + b"\x01")
-        with pytest.raises(TraceFormatError, match="truncated header"):
-            read_trace(path)
+        path.write_bytes(b"BPT1\x01")
+        with pytest.raises(IngestError, match="truncated header"):
+            load_imported_trace(path)
 
     def test_truncated_columns(self, tmp_path):
         path = tmp_path / "cols.bpt"
-        path.write_bytes(MAGIC + np.uint64(10).tobytes() + b"\x00" * 8)
-        with pytest.raises(TraceFormatError, match="truncated address"):
-            read_trace(path)
+        path.write_bytes(b"BPT1" + np.uint64(10).tobytes() + b"\x00" * 8)
+        with pytest.raises(IngestError, match="truncated address"):
+            load_imported_trace(path)
 
     def test_truncated_outcomes(self, tmp_path):
         trace = trace_from_string("TNTN")
         path = tmp_path / "out.bpt"
-        write_trace(trace, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-1])
-        with pytest.raises(TraceFormatError, match="truncated outcome"):
-            read_trace(path)
+        path.write_bytes(bpt1_bytes(trace)[:-1])
+        with pytest.raises(IngestError, match="truncated outcome"):
+            load_imported_trace(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "nil.bpt"
@@ -137,13 +139,13 @@ class TestBPT2RoundTrip:
 
     def test_round_trip_multi_chunk(self, tmp_path, trace):
         path = tmp_path / "t2.bpt"
-        write_trace_chunked(trace, path, chunk_branches=104)
+        write_trace(trace, path, chunk_branches=104)
         assert path.read_bytes()[:4] == MAGIC2
         assert read_trace(path) == trace
 
     def test_stream_chunks_tile_the_trace(self, tmp_path, trace):
         path = tmp_path / "t2.bpt"
-        write_trace_chunked(trace, path, chunk_branches=104)
+        write_trace(trace, path, chunk_branches=104)
         stream = TraceStream.open(path)
         assert len(stream) == len(trace)
         assert stream.chunk_branches == 104
@@ -155,7 +157,7 @@ class TestBPT2RoundTrip:
 
     def test_chunk_random_access(self, tmp_path, trace):
         path = tmp_path / "t2.bpt"
-        write_trace_chunked(trace, path, chunk_branches=104)
+        write_trace(trace, path, chunk_branches=104)
         stream = TraceStream.open(path)
         assert stream.chunk(3) == trace[312:416]
         with pytest.raises(IndexError, match="out of range"):
@@ -165,28 +167,27 @@ class TestBPT2RoundTrip:
         self, tmp_path, trace
     ):
         path = tmp_path / "t2.bpt"
-        write_trace_chunked(trace, path, chunk_branches=104)
+        write_trace(trace, path, chunk_branches=104)
         assert TraceStream.open(path).digest() == trace.digest()
         assert TraceStream.from_trace(trace, 104).digest() == trace.digest()
 
-    def test_bpt1_stream_digest_matches_too(self, tmp_path, trace):
+    def test_bpt1_is_not_opened_at_run_time(self, tmp_path, trace):
         path = tmp_path / "t1.bpt"
-        write_trace(trace, path)
-        stream = TraceStream.open(path, chunk_branches=104)
-        assert stream.digest() == trace.digest()
-        assert stream.whole() == trace
+        path.write_bytes(bpt1_bytes(trace))
+        with pytest.raises(TraceFormatError, match="repro ingest"):
+            TraceStream.open(path)
 
     def test_single_short_chunk(self, tmp_path):
         trace = trace_from_string("TNTNT")
         path = tmp_path / "short.bpt"
-        write_trace_chunked(trace, path, chunk_branches=64)
+        write_trace(trace, path, chunk_branches=64)
         stream = TraceStream.open(path)
         assert stream.num_chunks == 1
         assert stream.whole() == trace
 
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty2.bpt"
-        write_trace_chunked(Trace.empty(), path)
+        write_trace(Trace.empty(), path)
         stream = TraceStream.open(path)
         assert stream.num_chunks == 0
         assert len(stream.whole()) == 0
@@ -228,7 +229,7 @@ class TestMalformedBPT2:
     def _valid_file(self, tmp_path):
         trace = trace_from_string("TN" * 10)  # 20 branches, 3 chunks of 8
         path = tmp_path / "m2.bpt"
-        write_trace_chunked(trace, path, chunk_branches=8)
+        write_trace(trace, path, chunk_branches=8)
         return path
 
     def _patch(self, path, offset, value):
@@ -278,67 +279,55 @@ class TestMalformedBPT2:
 
 class TestTextFormat:
     def test_round_trip(self, tmp_path):
-        from repro.trace.stream import read_text_trace, write_text_trace
-
         trace = trace_from_steps([(0x100, 0x80, True), (0x104, 0x200, False)])
         path = tmp_path / "t.txt"
         write_text_trace(trace, path)
-        assert read_text_trace(path) == trace
+        assert load_imported_trace(path) == trace
 
     def test_comments_and_blanks_skipped(self, tmp_path):
-        from repro.trace.stream import read_text_trace
-
         path = tmp_path / "c.txt"
         path.write_text("# header\n\n0x10 0x20 T\n  \n0x14 0x8 N\n")
-        trace = read_text_trace(path)
+        trace = load_imported_trace(path)
         assert len(trace) == 2
         assert trace[1].is_backward
 
     def test_outcome_spellings(self, tmp_path):
-        from repro.trace.stream import read_text_trace
-
         path = tmp_path / "s.txt"
         path.write_text("16 32 taken\n16 32 0\n16 32 N\n16 32 1\n")
-        trace = read_text_trace(path)
+        trace = load_imported_trace(path)
         assert list(trace.taken) == [True, False, False, True]
 
     def test_decimal_addresses(self, tmp_path):
-        from repro.trace.stream import read_text_trace
-
         path = tmp_path / "d.txt"
         path.write_text("256 512 T\n")
-        assert read_text_trace(path)[0].pc == 256
+        assert load_imported_trace(path)[0].pc == 256
 
     def test_malformed_line_rejected(self, tmp_path):
-        from repro.trace.stream import read_text_trace
-
         path = tmp_path / "m.txt"
-        path.write_text("0x10 T\n")
-        with pytest.raises(TraceFormatError, match="expected"):
-            read_text_trace(path)
+        path.write_text("0x10 0x20 T extra\n")
+        with pytest.raises(IngestError, match="expected"):
+            load_imported_trace(path)
 
     def test_bad_address_rejected(self, tmp_path):
-        from repro.trace.stream import read_text_trace
-
         path = tmp_path / "a.txt"
         path.write_text("zork 0x20 T\n")
-        with pytest.raises(TraceFormatError, match="bad address"):
-            read_text_trace(path)
+        with pytest.raises(IngestError, match="bad address"):
+            load_imported_trace(path)
 
     def test_bad_outcome_rejected(self, tmp_path):
-        from repro.trace.stream import read_text_trace
-
         path = tmp_path / "o.txt"
         path.write_text("0x10 0x20 maybe\n")
-        with pytest.raises(TraceFormatError, match="bad outcome"):
-            read_text_trace(path)
+        with pytest.raises(IngestError, match="bad outcome"):
+            load_imported_trace(path)
 
     def test_tools_accept_text_traces(self, tmp_path, capsys):
-        from repro.tools import main
+        from repro.cli import main
 
         path = tmp_path / "g.txt"
-        assert main(["generate", "compress", "-o", str(path), "--length", "500"]) == 0
-        assert main(["stats", str(path)]) == 0
+        assert main(
+            ["trace", "generate", "compress", "-o", str(path), "--length", "500"]
+        ) == 0
+        assert main(["trace", "stats", str(path)]) == 0
         assert "dynamic branches:        500" in capsys.readouterr().out
 
 
@@ -357,11 +346,9 @@ class TestLargeRoundTrips:
         return Trace(pcs, targets, rng.random(n) < 0.6)
 
     def test_text_round_trip_100k(self, tmp_path, big_trace):
-        from repro.trace.stream import read_text_trace, write_text_trace
-
         path = tmp_path / "big.txt"
         write_text_trace(big_trace, path)
-        assert read_text_trace(path) == big_trace
+        assert load_imported_trace(path) == big_trace
 
     def test_binary_round_trip_100k(self, tmp_path, big_trace):
         path = tmp_path / "big.bpt"
@@ -370,10 +357,8 @@ class TestLargeRoundTrips:
 
     def test_text_chunk_boundary_lengths(self, tmp_path):
         # Exercise the join-chunk edges (chunk size 8192 lines).
-        from repro.trace.stream import read_text_trace, write_text_trace
-
         for n in (8191, 8192, 8193):
             trace = trace_from_string("TN" * (n // 2) + "T" * (n % 2))
             path = tmp_path / f"c{n}.txt"
             write_text_trace(trace, path)
-            assert read_text_trace(path) == trace
+            assert load_imported_trace(path) == trace

@@ -37,6 +37,15 @@ class TestGshare:
         slow = simulate(GsharePredictor(8, 10), trace)
         assert np.array_equal(fast, slow)
 
+    def test_history_wider_than_the_kernel_runs_the_reference_loop(
+        self, small_benchmark_trace
+    ):
+        # Only the low pht_bits of history reach the index, so a 64-bit
+        # register predicts exactly like a 12-bit one.
+        wide = GsharePredictor(64, 12).simulate(small_benchmark_trace)
+        narrow = GsharePredictor(12, 12).simulate(small_benchmark_trace)
+        assert np.array_equal(wide, narrow)
+
     def test_invalid_history(self):
         with pytest.raises(ValueError):
             GsharePredictor(history_bits=-1)
