@@ -8,11 +8,11 @@ do that bookkeeping.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
-from repro.trace.trace import Trace
+from repro.trace.trace import PC_DTYPE, Trace
 
 
 def accuracy_by_branch(trace: Trace, correct: np.ndarray) -> Dict[int, float]:
@@ -30,10 +30,8 @@ def accuracy_by_branch(trace: Trace, correct: np.ndarray) -> Dict[int, float]:
         raise ValueError(
             f"bitmap length {len(correct)} != trace length {len(trace)}"
         )
-    return {
-        pc: float(correct[indices].mean())
-        for pc, indices in trace.indices_by_pc().items()
-    }
+    pcs, _ids, counts = trace.branch_index()
+    return dict(zip(pcs.tolist(), (trace.branch_sums(correct) / counts).tolist()))
 
 
 def correct_counts_by_branch(trace: Trace, correct: np.ndarray) -> Dict[int, int]:
@@ -42,10 +40,7 @@ def correct_counts_by_branch(trace: Trace, correct: np.ndarray) -> Dict[int, int
         raise ValueError(
             f"bitmap length {len(correct)} != trace length {len(trace)}"
         )
-    return {
-        pc: int(correct[indices].sum())
-        for pc, indices in trace.indices_by_pc().items()
-    }
+    return dict(zip(trace.static_pcs().tolist(), trace.branch_sums(correct).tolist()))
 
 
 def dynamic_weighted_fraction(trace: Trace, branches: Iterable[int]) -> float:
@@ -56,9 +51,42 @@ def dynamic_weighted_fraction(trace: Trace, branches: Iterable[int]) -> float:
     """
     if not len(trace):
         return 0.0
-    counts = trace.dynamic_counts()
-    member = sum(counts.get(pc, 0) for pc in branches)
+    pcs, _ids, counts = trace.branch_index()
+    wanted = np.array(list(branches), dtype=PC_DTYPE)
+    slots = np.searchsorted(pcs, wanted).clip(max=len(pcs) - 1)
+    member = int(counts[slots][pcs[slots] == wanted].sum())
     return member / len(trace)
+
+
+def first_best(scores: Sequence[np.ndarray]) -> np.ndarray:
+    """Per static branch, the position of the first best score array.
+
+    A strictly-greater step per later position, in order: earlier
+    positions keep ties.
+    """
+    best = scores[0]
+    winner = np.zeros(len(best), dtype=np.intp)
+    for position, score in enumerate(scores[1:], start=1):
+        better = score > best
+        winner = np.where(better, position, winner)
+        best = np.where(better, score, best)
+    return winner
+
+
+def label_fractions(
+    trace: Trace, winner: np.ndarray, labels: Sequence[str]
+) -> Dict[str, float]:
+    """Dynamic-weighted fraction of branches given each label.
+
+    ``winner`` holds, per static branch (aligned with
+    ``trace.branch_index()[0]``), the position of its label in ``labels``.
+    """
+    counts = trace.branch_index()[2]
+    total = max(len(trace), 1)
+    return {
+        label: int(counts[winner == position].sum()) / total
+        for position, label in enumerate(labels)
+    }
 
 
 def misprediction_reduction(

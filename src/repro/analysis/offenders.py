@@ -58,29 +58,24 @@ def top_offenders(
         )
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    total_mispredictions = int((~correct).sum())
-    offenders = []
-    for pc, indices in trace.indices_by_pc().items():
-        branch_correct = correct[indices]
-        mispredictions = int((~branch_correct).sum())
-        if mispredictions == 0:
-            continue
-        offenders.append(
-            BranchOffender(
-                pc=pc,
-                executions=len(indices),
-                mispredictions=mispredictions,
-                accuracy=float(branch_correct.mean()),
-                taken_rate=float(trace.taken[indices].mean()),
-                misprediction_share=(
-                    mispredictions / total_mispredictions
-                    if total_mispredictions
-                    else 0.0
-                ),
-            )
+    pcs, _ids, counts = trace.branch_index()
+    hits = trace.branch_sums(correct)
+    misses = counts - hits
+    total_mispredictions = int(misses.sum())
+    offending = np.flatnonzero(misses)
+    ranked = offending[np.lexsort((pcs[offending], -misses[offending]))][:count]
+    taken = trace.branch_sums(trace.taken)
+    return [
+        BranchOffender(
+            pc=int(pcs[b]),
+            executions=int(counts[b]),
+            mispredictions=int(misses[b]),
+            accuracy=float(hits[b] / counts[b]),
+            taken_rate=float(taken[b] / counts[b]),
+            misprediction_share=int(misses[b]) / total_mispredictions,
         )
-    offenders.sort(key=lambda o: (-o.mispredictions, o.pc))
-    return offenders[:count]
+        for b in ranked.tolist()
+    ]
 
 
 def render_offenders(offenders: List[BranchOffender]) -> str:

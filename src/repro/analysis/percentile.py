@@ -68,11 +68,10 @@ def percentile_difference_curve(
     """
     if len(correct_a) != len(trace) or len(correct_b) != len(trace):
         raise ValueError("bitmaps must align with the trace")
-    per_dynamic = np.zeros(len(trace), dtype=np.float64)
-    for _pc, indices in trace.indices_by_pc().items():
-        diff = (correct_a[indices].mean() - correct_b[indices].mean()) * 100.0
-        per_dynamic[indices] = diff
-    ordered = np.sort(per_dynamic)
+    _pcs, ids, counts = trace.branch_index()
+    rate_a = trace.branch_sums(correct_a) / counts
+    rate_b = trace.branch_sums(correct_b) / counts
+    ordered = np.sort(((rate_a - rate_b) * 100.0)[ids])
     positions = np.asarray(list(percentiles), dtype=np.float64)
     if len(ordered):
         samples = np.percentile(ordered, positions)

@@ -81,9 +81,10 @@ def warmup_curve(
 
     # Per-dynamic-branch age: how many prior executions its static
     # branch had.
-    ages = np.zeros(len(trace), dtype=np.int64)
-    for indices in trace.indices_by_pc().values():
-        ages[indices] = np.arange(len(indices))
+    _pcs, ids, counts = trace.branch_index()
+    order = np.argsort(ids, kind="stable")
+    ages = np.empty(len(trace), dtype=np.int64)
+    ages[order] = np.arange(len(trace)) - np.repeat(np.cumsum(counts) - counts, counts)
 
     accuracies = []
     counts = []

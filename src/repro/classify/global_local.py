@@ -15,8 +15,8 @@ from typing import Dict, Sequence, Set
 
 import numpy as np
 
-from repro.analysis.accuracy import dynamic_weighted_fraction
-from repro.trace.stats import per_branch_bias
+from repro.analysis.accuracy import first_best, label_fractions
+from repro.trace.stats import static_best_biased_fraction
 from repro.trace.trace import Trace
 
 #: Label used for the ideal-static reference group.
@@ -72,42 +72,22 @@ def best_predictor_distribution(
     if len(static_correct) != len(trace):
         raise ValueError("static bitmap misaligned with trace")
 
-    best_of: Dict[int, str] = {}
-    for pc, indices in trace.indices_by_pc().items():
-        static_count = int(static_correct[indices].sum())
-        best_label = STATIC_LABEL
-        best_count = static_count
-        for label, bitmaps in groups.items():
-            group_count = max(int(bitmap[indices].sum()) for bitmap in bitmaps)
-            # Strictly-greater: static keeps ties, earlier groups keep
-            # ties against later ones.
-            if group_count > best_count:
-                best_count = group_count
-                best_label = label
-        best_of[pc] = best_label
-
     labels = [STATIC_LABEL] + list(groups)
-    fractions = {
-        label: dynamic_weighted_fraction(
-            trace, [pc for pc, winner in best_of.items() if winner == label]
-        )
-        for label in labels
-    }
-
-    biases = per_branch_bias(trace)
-    counts = trace.dynamic_counts()
-    static_members = [pc for pc, w in best_of.items() if w == STATIC_LABEL]
-    static_dynamic = sum(counts[pc] for pc in static_members)
-    if static_dynamic:
-        biased_dynamic = sum(
-            counts[pc] for pc in static_members if biases[pc] > 0.99
-        )
-        biased_fraction = biased_dynamic / static_dynamic
-    else:
-        biased_fraction = 0.0
+    # Scores in label order: static keeps ties, earlier groups keep ties
+    # against later ones.
+    winner = first_best(
+        [trace.branch_sums(static_correct)]
+        + [
+            np.max([trace.branch_sums(b) for b in bitmaps], axis=0)
+            for bitmaps in groups.values()
+        ]
+    )
+    best_of = dict(
+        zip(trace.static_pcs().tolist(), [labels[w] for w in winner.tolist()])
+    )
 
     return BestPredictorDistribution(
         best_of=best_of,
-        dynamic_fractions=fractions,
-        static_best_biased_fraction=biased_fraction,
+        dynamic_fractions=label_fractions(trace, winner, labels),
+        static_best_biased_fraction=static_best_biased_fraction(trace, winner == 0),
     )

@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Set
 
-from repro.analysis.accuracy import (
-    correct_counts_by_branch,
-    dynamic_weighted_fraction,
-)
+import numpy as np
+
+from repro.analysis.accuracy import first_best, label_fractions
 from repro.analysis.runner import Lab
-from repro.trace.stats import per_branch_bias
+from repro.trace.stats import static_best_biased_fraction
 
 #: Class labels in the paper's figure-6 legend order.
 PER_ADDRESS_CLASSES = ("ideal_static", "loop", "repeating", "non_repeating")
@@ -60,49 +59,29 @@ def classify_per_address(lab: Lab) -> PerAddressClassification:
     non-repeating).
     """
     trace = lab.trace
-    loop_counts = correct_counts_by_branch(trace, lab.correct("loop"))
-    fixed_counts = correct_counts_by_branch(trace, lab.correct("fixed_best"))
-    block_counts = correct_counts_by_branch(trace, lab.correct("block"))
-    pas_counts = correct_counts_by_branch(trace, lab.correct("if_pas"))
-    static_counts = correct_counts_by_branch(trace, lab.correct("ideal_static"))
-
-    class_of: Dict[int, str] = {}
-    for pc in static_counts:
-        repeating = max(fixed_counts[pc], block_counts[pc])
-        candidates = (
-            ("loop", loop_counts[pc]),
-            ("repeating", repeating),
-            ("non_repeating", pas_counts[pc]),
-        )
-        best_label, best_count = max(candidates, key=lambda item: item[1])
-        # First candidate in declaration order wins ties via max() --
-        # loop before repeating before non-repeating, as documented.
-        if static_counts[pc] >= best_count:
-            class_of[pc] = "ideal_static"
-        else:
-            class_of[pc] = best_label
-
-    fractions = {
-        label: dynamic_weighted_fraction(
-            trace, [pc for pc, cls in class_of.items() if cls == label]
-        )
-        for label in PER_ADDRESS_CLASSES
+    sums = {
+        name: trace.branch_sums(lab.correct(name))
+        for name in ("loop", "fixed_best", "block", "if_pas", "ideal_static")
     }
-
-    biases = per_branch_bias(trace)
-    counts = trace.dynamic_counts()
-    static_members = [pc for pc, cls in class_of.items() if cls == "ideal_static"]
-    static_dynamic = sum(counts[pc] for pc in static_members)
-    if static_dynamic:
-        biased_dynamic = sum(
-            counts[pc] for pc in static_members if biases[pc] > 0.99
+    # Scores in PER_ADDRESS_CLASSES order: the ideal static predictor
+    # keeps ties, then loop, then repeating.
+    winner = first_best(
+        (
+            sums["ideal_static"],
+            sums["loop"],
+            np.maximum(sums["fixed_best"], sums["block"]),
+            sums["if_pas"],
         )
-        biased_fraction = biased_dynamic / static_dynamic
-    else:
-        biased_fraction = 0.0
+    )
+    class_of = dict(
+        zip(
+            trace.static_pcs().tolist(),
+            [PER_ADDRESS_CLASSES[w] for w in winner.tolist()],
+        )
+    )
 
     return PerAddressClassification(
         class_of=class_of,
-        dynamic_fractions=fractions,
-        static_best_biased_fraction=biased_fraction,
+        dynamic_fractions=label_fractions(trace, winner, PER_ADDRESS_CLASSES),
+        static_best_biased_fraction=static_best_biased_fraction(trace, winner == 0),
     )

@@ -94,13 +94,11 @@ class OracleCombiner:
         Returns:
             The combined correctness bitmap.
         """
-        if len(primary_correct) != len(trace) or len(alternative_correct) != len(trace):
-            raise ValueError("bitmaps must align with the trace")
-        combined = primary_correct.copy()
-        for _pc, indices in trace.indices_by_pc().items():
-            if alternative_correct[indices].sum() > primary_correct[indices].sum():
-                combined[indices] = alternative_correct[indices]
-        return combined
+        _check_aligned(trace, primary_correct, alternative_correct)
+        better = trace.branch_sums(alternative_correct) > trace.branch_sums(
+            primary_correct
+        )
+        return _take(trace, better, primary_correct, alternative_correct)
 
     @staticmethod
     def combine_with_mask(
@@ -116,8 +114,29 @@ class OracleCombiner:
         where the loop predictor happens to win, so the caller supplies
         the membership set.
         """
-        combined = primary_correct.copy()
-        for pc, indices in trace.indices_by_pc().items():
-            if pc in use_alternative:
-                combined[indices] = alternative_correct[indices]
-        return combined
+        _check_aligned(trace, primary_correct, alternative_correct)
+        chosen = np.array(
+            [pc in use_alternative for pc in trace.static_pcs().tolist()], dtype=bool
+        )
+        return _take(trace, chosen, primary_correct, alternative_correct)
+
+
+def _check_aligned(
+    trace: Trace, primary_correct: np.ndarray, alternative_correct: np.ndarray
+) -> None:
+    if len(primary_correct) != len(trace) or len(alternative_correct) != len(trace):
+        raise ValueError("bitmaps must align with the trace")
+
+
+def _take(
+    trace: Trace,
+    chosen: np.ndarray,
+    primary_correct: np.ndarray,
+    alternative_correct: np.ndarray,
+) -> np.ndarray:
+    """``primary_correct`` with the entries of the static branches flagged
+    in ``chosen`` taken from ``alternative_correct``."""
+    use = chosen[trace.branch_index()[1]]
+    combined = primary_correct.copy()
+    combined[use] = alternative_correct[use]
+    return combined

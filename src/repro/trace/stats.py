@@ -41,13 +41,16 @@ class TraceStatistics:
     per_branch_bias: Dict[int, float] = field(repr=False)
 
 
+def branch_bias(trace: Trace) -> np.ndarray:
+    """Per-static-branch bias, aligned with ``trace.branch_index()[0]``."""
+    _pcs, _ids, counts = trace.branch_index()
+    rate = trace.branch_sums(trace.taken) / counts
+    return np.maximum(rate, 1.0 - rate)
+
+
 def per_branch_bias(trace: Trace) -> Dict[int, float]:
     """Per-static-branch bias: majority-direction frequency in [0.5, 1]."""
-    biases: Dict[int, float] = {}
-    for pc, outcomes in trace.outcomes_by_pc().items():
-        rate = float(outcomes.mean())
-        biases[pc] = max(rate, 1.0 - rate)
-    return biases
+    return dict(zip(trace.static_pcs().tolist(), branch_bias(trace).tolist()))
 
 
 def ideal_static_correct(trace: Trace) -> np.ndarray:
@@ -57,22 +60,31 @@ def ideal_static_correct(trace: Trace) -> np.ndarray:
     direction that branch takes most often *during this run* (section 4.1).
     Ties are resolved toward taken; only the count, not the choice, matters.
     """
-    correct = np.zeros(len(trace), dtype=bool)
-    for pc, indices in trace.indices_by_pc().items():
-        outcomes = trace.taken[indices]
-        majority_taken = outcomes.mean() >= 0.5
-        correct[indices] = outcomes == majority_taken
-    return correct
+    _pcs, ids, counts = trace.branch_index()
+    majority_taken = trace.branch_sums(trace.taken) / counts >= 0.5
+    return trace.taken == majority_taken[ids]
 
 
 def biased_fraction(trace: Trace, threshold: float = 0.99) -> float:
     """Fraction of dynamic branches whose static branch exceeds ``threshold`` bias."""
     if not len(trace):
         return 0.0
-    biases = per_branch_bias(trace)
-    counts = trace.dynamic_counts()
-    biased = sum(counts[pc] for pc, b in biases.items() if b > threshold)
-    return biased / len(trace)
+    counts = trace.branch_index()[2]
+    return int(counts[branch_bias(trace) > threshold].sum()) / len(trace)
+
+
+def static_best_biased_fraction(trace: Trace, static_best: np.ndarray) -> float:
+    """Among the branches flagged in ``static_best``, the dynamic-weighted
+    fraction that is more than 99% biased (0.0 when none are flagged).
+
+    ``static_best`` is a bool mask aligned with ``trace.branch_index()[0]``.
+    """
+    counts = trace.branch_index()[2]
+    static_dynamic = int(counts[static_best].sum())
+    if not static_dynamic:
+        return 0.0
+    biased = static_best & (branch_bias(trace) > 0.99)
+    return int(counts[biased].sum()) / static_dynamic
 
 
 def compute_statistics(trace: Trace) -> TraceStatistics:

@@ -10,7 +10,7 @@ mitigation for pure-Python simulation speed.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -18,6 +18,9 @@ from repro.trace.record import BranchRecord
 
 PC_DTYPE = np.uint64
 TAKEN_DTYPE = np.bool_
+
+#: ``(pcs, ids, counts)``: see :meth:`Trace.branch_index`.
+BranchIndex = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class Trace:
@@ -27,7 +30,14 @@ class Trace:
     :class:`TraceBuilder` / :meth:`Trace.from_records`.
     """
 
-    __slots__ = ("_pc", "_target", "_taken", "_pc_index_cache", "_digest_cache")
+    __slots__ = (
+        "_pc",
+        "_target",
+        "_taken",
+        "_branch_index_cache",
+        "_pc_index_cache",
+        "_digest_cache",
+    )
 
     def __init__(
         self,
@@ -46,6 +56,7 @@ class Trace:
         self._pc = pc_arr
         self._target = target_arr
         self._taken = taken_arr
+        self._branch_index_cache: Union[BranchIndex, None] = None
         self._pc_index_cache: Union[Dict[int, np.ndarray], None] = None
         self._digest_cache: Union[str, None] = None
         for col in (self._pc, self._target, self._taken):
@@ -144,38 +155,61 @@ class Trace:
 
     # -- derived views ------------------------------------------------------
 
+    def branch_index(self) -> BranchIndex:
+        """The memoised per-static-branch index ``(pcs, ids, counts)``.
+
+        ``pcs`` holds the distinct branch addresses, sorted; ``ids[i]``
+        is dynamic branch ``i``'s position in ``pcs``; ``counts[j]`` is
+        how often ``pcs[j]`` executes.  Built with one ``np.unique``,
+        ``ids`` in the narrowest unsigned dtype that holds every id.
+        All three arrays are read-only.  Per-static-branch reductions
+        are ``np.bincount`` passes over ``ids`` (see
+        :meth:`branch_sums`).
+        """
+        if self._branch_index_cache is None:
+            pcs, inverse, counts = np.unique(
+                self._pc, return_inverse=True, return_counts=True
+            )
+            ids = inverse.astype(np.min_scalar_type(len(pcs)))
+            for column in (pcs, ids, counts):
+                column.setflags(write=False)
+            self._branch_index_cache = (pcs, ids, counts)
+        return self._branch_index_cache
+
+    def branch_sums(self, bitmap: np.ndarray) -> np.ndarray:
+        """Per-static-branch count of set entries in a bool ``bitmap``.
+
+        Aligned with ``branch_index()[0]``; dtype int64.
+        """
+        pcs, ids, _counts = self.branch_index()
+        return np.bincount(ids, weights=bitmap, minlength=len(pcs)).astype(
+            np.int64
+        )
+
     def num_static_branches(self) -> int:
         """Number of distinct branch addresses in the trace."""
-        return len(np.unique(self._pc)) if len(self) else 0
+        return len(self.branch_index()[0])
 
     def taken_rate(self) -> float:
         """Fraction of dynamic branches that were taken."""
         return float(self._taken.mean()) if len(self) else 0.0
 
     def static_pcs(self) -> np.ndarray:
-        """Sorted array of distinct static branch addresses."""
-        return np.unique(self._pc)
+        """Sorted array of distinct static branch addresses (read-only)."""
+        return self.branch_index()[0]
 
     def indices_by_pc(self) -> Dict[int, np.ndarray]:
         """Map each static branch address to its dynamic-instance indices.
 
-        The result is cached: several analyses (per-address predictors,
-        classification, percentile curves) group the same trace repeatedly.
+        Keys are in ``static_pcs()`` order.  The result is cached for the
+        stateful per-branch kernels; stateless per-branch reductions use
+        :meth:`branch_index` instead.
         """
         if self._pc_index_cache is None:
-            if not len(self):
-                self._pc_index_cache = {}
-                return self._pc_index_cache
-            order = np.argsort(self._pc, kind="stable")
-            sorted_pc = self._pc[order]
-            boundaries = np.nonzero(np.diff(sorted_pc))[0] + 1
-            groups = np.split(order, boundaries)
-            self._pc_index_cache = {
-                int(sorted_pc[start]): group
-                for start, group in zip(
-                    np.concatenate(([0], boundaries)), groups
-                )
-            }
+            pcs, ids, counts = self.branch_index()
+            order = np.argsort(ids, kind="stable")
+            groups = np.split(order, np.cumsum(counts)[:-1])
+            self._pc_index_cache = dict(zip(pcs.tolist(), groups))
         return self._pc_index_cache
 
     def outcomes_by_pc(self) -> Dict[int, np.ndarray]:
@@ -186,7 +220,8 @@ class Trace:
 
     def dynamic_counts(self) -> Dict[int, int]:
         """Map each static branch address to its dynamic execution count."""
-        return {pc: len(idx) for pc, idx in self.indices_by_pc().items()}
+        pcs, _ids, counts = self.branch_index()
+        return dict(zip(pcs.tolist(), counts.tolist()))
 
     def concat(self, other: "Trace") -> "Trace":
         """Return a new trace holding ``self`` followed by ``other``."""

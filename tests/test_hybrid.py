@@ -90,3 +90,11 @@ class TestOracleCombiner:
         # Branch 1 is forced onto the (worse) alternative; branch 2 stays.
         assert not combined[idx1].any()
         assert combined[idx2].all()
+
+    @pytest.mark.parametrize("length", [2, 6])
+    def test_combine_with_mask_rejects_misaligned_bitmaps(self, length):
+        trace = interleave({1: [True] * 2, 2: [False] * 2})
+        with pytest.raises(ValueError, match="bitmaps must align with the trace"):
+            OracleCombiner.combine_with_mask(
+                trace, np.ones(4, bool), np.ones(length, bool), use_alternative={1}
+            )
