@@ -26,6 +26,22 @@ that follows overwrites a clean entry at the original path.  Quarantine
 events are counted (``cache.quarantined``) and surfaced by ``repro
 cache stats``; ``repro cache clear`` reclaims the quarantine too.
 
+Within one :class:`ResultCache` -- which an
+:class:`~repro.api.EngineSession` owns for its whole lifetime, so the
+server's requests and a sweep's points share it -- each entry is read
+from disk at most once: a successful decode is kept in a byte-bounded
+LRU *session memo* keyed by ``(kind, key)``, bounded by
+:data:`MEMO_BYTES` of decoded arrays.  Keys are content digests, so a
+memoised entry can never go stale (``repro cache clear`` from another
+process leaves a running server's memo valid).  Only a successful disk
+read fills the memo, never a store: a freshly written entry is still
+read, and if need be quarantined, on its first load.  A memo hit counts
+as a ``cache.<kind>.hits`` like a disk hit, and also as
+``cache.memo_hits``.  Memoised values are shared, so they are
+read-only: bitmaps are returned with ``writeable=False``, and
+:class:`~repro.trace.trace.Trace` and
+:class:`~repro.correlation.tagging.CorrelationTable` columns always are.
+
 Invalidation is purely structural: bump :data:`SCHEMA_VERSION` when the
 serialised layout or any simulation semantics change, and
 :data:`WORKLOAD_SCHEMA` when the workload generator's output changes for
@@ -39,9 +55,10 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -64,6 +81,10 @@ DEFAULT_CACHE_DIRNAME = ".repro-cache"
 
 #: Subdirectory of the cache root holding quarantined corrupt entries.
 QUARANTINE_DIRNAME = "quarantine"
+
+#: Decoded bytes one cache's session memo holds at most; a larger entry
+#: is never held.
+MEMO_BYTES = 64 << 20
 
 
 def result_key(task: str, config: object) -> str:
@@ -128,6 +149,10 @@ class ResultCache:
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.stats = CacheStats()
+        # (kind, key) -> (decoded value, decoded bytes), oldest first.
+        # Unlocked, like the stats: a session runs one spec at a time.
+        self._memo: "OrderedDict[Tuple[str, str], tuple]" = OrderedDict()
+        self._memo_bytes = 0
 
     # -- keying ------------------------------------------------------------
 
@@ -201,6 +226,39 @@ class ResultCache:
             self._quarantine(path, kind)
             return None
 
+    def _fetch(
+        self, kind: str, key: str, decode: Callable[[dict], tuple]
+    ) -> Optional[object]:
+        """An entry from the session memo, else decoded from disk.
+
+        ``decode`` turns the npz payload into ``(value, decoded
+        bytes)``; a payload it rejects is quarantined like an
+        unreadable file.  Only a successful decode enters the memo.
+        """
+        held = self._memo.get((kind, key))
+        if held is not None:
+            self._memo.move_to_end((kind, key))
+            METRICS.inc("cache.memo_hits")
+            self._record_hit(kind)
+            return held[0]
+        path = self._path(kind, key)
+        payload = self._load(path, kind)
+        if payload is None:
+            return None
+        try:
+            value, nbytes = decode(payload)
+        except Exception:
+            self._quarantine(path, kind)
+            return None
+        self._record_hit(kind)
+        if nbytes <= MEMO_BYTES:
+            self._memo[(kind, key)] = (value, nbytes)
+            self._memo_bytes += nbytes
+            while self._memo_bytes > MEMO_BYTES:
+                _, (_, evicted) = self._memo.popitem(last=False)
+                self._memo_bytes -= evicted
+        return value
+
     def _store(self, path: Path, kind: str, **arrays: np.ndarray) -> None:
         """Atomically write an npz entry (temp file + rename)."""
         try:
@@ -237,19 +295,10 @@ class ResultCache:
     def load_bitmap(
         self, trace_digest: str, result_key: str
     ) -> Optional[np.ndarray]:
-        """A cached correctness bitmap, or None on miss."""
-        path = self._path("bitmap", self.bitmap_key(trace_digest, result_key))
-        payload = self._load(path, "bitmap")
-        if payload is None:
-            return None
-        try:
-            length = int(payload["length"])
-            bitmap = np.unpackbits(payload["packed"], count=length).astype(bool)
-        except Exception:
-            self._quarantine(path, "bitmap")
-            return None
-        self._record_hit("bitmap")
-        return bitmap
+        """A cached (read-only) correctness bitmap, or None on miss."""
+        return self._fetch(
+            "bitmap", self.bitmap_key(trace_digest, result_key), _decode_bitmap
+        )
 
     def store_bitmap(
         self, trace_digest: str, result_key: str, bitmap: np.ndarray
@@ -272,17 +321,10 @@ class ResultCache:
         self, trace_digest: str, window: int
     ) -> Optional[CorrelationTable]:
         """Cached tagged-correlation table, or None on miss."""
-        path = self._path("corr", self.correlation_key(trace_digest, window))
-        payload = self._load(path, "corr")
-        if payload is None:
-            return None
-        try:
-            data = CorrelationTable(**payload)
-        except Exception:
-            self._quarantine(path, "corr")
-            return None
-        self._record_hit("corr")
-        return data
+        return self._fetch(
+            "corr", self.correlation_key(trace_digest, window),
+            _decode_correlation,
+        )
 
     def store_correlation(self, trace_digest: str, data: CorrelationTable) -> None:
         self._store(
@@ -326,24 +368,10 @@ class ResultCache:
         variant: str = "",
     ) -> Optional[Trace]:
         """A cached generated benchmark trace, or None on miss."""
-        path = self._path(
-            "trace", self.trace_key(name, length, run_seed, variant)
+        return self._fetch(
+            "trace", self.trace_key(name, length, run_seed, variant),
+            _decode_trace,
         )
-        payload = self._load(path, "trace")
-        if payload is None:
-            return None
-        try:
-            count = int(payload["length"])
-            trace = Trace(
-                payload["pc"],
-                payload["target"],
-                np.unpackbits(payload["taken"], count=count).astype(bool),
-            )
-        except Exception:
-            self._quarantine(path, "trace")
-            return None
-        self._record_hit("trace")
-        return trace
 
     def store_trace(
         self,
@@ -422,3 +450,27 @@ class ResultCache:
                 self.stats.errors += 1
         return removed
 
+
+# -- payload decoders: npz payload -> (value, decoded bytes) ---------------
+
+
+def _decode_bitmap(payload: dict) -> tuple:
+    length = int(payload["length"])
+    bitmap = np.unpackbits(payload["packed"], count=length).astype(bool)
+    bitmap.flags.writeable = False
+    return bitmap, bitmap.nbytes
+
+
+def _decode_correlation(payload: dict) -> tuple:
+    data = CorrelationTable(**payload)
+    return data, sum(column.nbytes for column in payload.values())
+
+
+def _decode_trace(payload: dict) -> tuple:
+    count = int(payload["length"])
+    trace = Trace(
+        payload["pc"],
+        payload["target"],
+        np.unpackbits(payload["taken"], count=count).astype(bool),
+    )
+    return trace, trace.pc.nbytes + trace.target.nbytes + trace.taken.nbytes

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -361,6 +362,20 @@ def _shutdown_pool(pool: ProcessPoolExecutor, kill: bool = False) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
+def _init_worker() -> None:
+    """Pool-worker start-up: drop the parent's signal handlers.
+
+    A forked worker would otherwise inherit the parent's
+    SIGTERM-to-``KeyboardInterrupt`` handler and die mid-task with a
+    traceback.  SIGTERM gets its default action back, so the parent's
+    ``terminate()`` simply ends the worker; SIGINT (a terminal Ctrl-C
+    reaches the whole process group) is ignored, so only the parent
+    reacts to it and reaps its workers.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 class WorkerPool:
     """A reusable worker pool with an explicit lifecycle.
 
@@ -387,7 +402,9 @@ class WorkerPool:
     def handle(self) -> ProcessPoolExecutor:
         """The live executor, created on first use."""
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs, initializer=_init_worker
+            )
         return self._pool
 
     def rebuild(self) -> None:

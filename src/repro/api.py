@@ -319,7 +319,11 @@ class EngineSession:
     a throwaway session per call when none is passed; a long-lived
     caller (a sweep, the :mod:`repro.serve` daemon) resolves one
     session up front and passes it to every run so they all share the
-    same warm cache, journal, and worker processes.
+    same warm cache, journal, and worker processes.  The shared cache
+    includes its byte-bounded memo of decoded entries (see
+    :mod:`repro.analysis.cache`), so each cache entry is read from disk
+    at most once per session while it stays within the memo's bound;
+    a throwaway session's memo lasts one run.
 
     Sessions are context managers; :meth:`close` is idempotent and
     drains the pool and closes the journal.

@@ -70,6 +70,19 @@ def interleave(sequences: Dict[int, List[bool]], target_offset: int = 0x1000) ->
     return builder.build()
 
 
+def count_disk_reads(cache, monkeypatch) -> List:
+    """Record the path of every disk read ``cache`` makes from now on."""
+    reads: List = []
+    real_load = cache._load
+
+    def counting_load(path, kind):
+        reads.append(path)
+        return real_load(path, kind)
+
+    monkeypatch.setattr(cache, "_load", counting_load)
+    return reads
+
+
 @pytest.fixture(scope="session")
 def small_benchmark_trace() -> Trace:
     """A small but structurally-rich suite benchmark trace."""

@@ -5,13 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.cache import QUARANTINE_DIRNAME, ResultCache
+from repro.analysis.cache import QUARANTINE_DIRNAME, ResultCache, result_key
 from repro.analysis.config import LabConfig
 from repro.analysis.parallel import prime_labs
 from repro.analysis.runner import Lab
+from repro.api import EngineSession, run_spec
 from repro.resilience.faults import FaultInjector
 from repro.resilience.retry import RetryPolicy
+from repro.spec import EngineOptions, spec_from_kwargs
 from repro.workloads.suite import load_benchmark
+
+from conftest import count_disk_reads
 
 SMALL = 2000
 
@@ -116,3 +120,69 @@ class TestCorruptFaultRoundTrip:
         assert cache3.stats.quarantined == 0
         assert cache3.stats.misses == 0
         assert np.array_equal(labs3["gcc"].correct("loop"), reference)
+
+
+class TestQuarantineInLongLivedSession:
+    """The session memo never masks a poisoned entry on disk."""
+
+    @staticmethod
+    def run(session):
+        run = run_spec(
+            spec_from_kwargs(["fig9"], max_length=SMALL), engine=session
+        )
+        digests = {
+            entry["id"]: entry["result_digest"]
+            for entry in run.manifest["experiments"]
+        }
+        return run, digests
+
+    @staticmethod
+    def gshare_entry(run, cache):
+        lab = run.labs["gcc"]
+        key = cache.bitmap_key(
+            lab.trace.digest(), result_key("gshare", lab.config)
+        )
+        return cache.entry_path("bitmap", key)
+
+    def test_poisoned_before_first_read(self, tmp_path, monkeypatch):
+        options = EngineOptions(jobs=1, cache_dir=str(tmp_path / "c"))
+        with EngineSession.resolve(options) as session:
+            cache = session.cache
+            cold, reference = self.run(session)
+            path = self.gshare_entry(cold, cache)
+            with open(path, "r+b") as fh:
+                fh.truncate(8)
+
+            reads = count_disk_reads(cache, monkeypatch)
+            _, digests = self.run(session)
+            assert cache.stats.quarantined == 1
+            assert digests == reference
+            assert ("bitmap", path.stem) not in cache._memo
+
+            # The clean rewrite is read from disk by the next run, and
+            # only then held.
+            del reads[:]
+            _, digests = self.run(session)
+            assert path in reads
+            assert cache.stats.quarantined == 1
+            assert digests == reference
+            del reads[:]
+            self.run(session)
+            assert path not in reads
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_corrupt_fault_on_shared_session(self, tmp_path, jobs):
+        options = EngineOptions(
+            jobs=jobs,
+            cache_dir=str(tmp_path / "c"),
+            retries=1,
+            fault_spec="gcc/gshare:1:corrupt",
+        )
+        with EngineSession.resolve(options) as session:
+            _, reference = self.run(session)
+            assert session.cache.stats.quarantined == 0
+            # The fault tore the entry its run wrote; the session's next
+            # run must still find that on disk, not in memory.
+            _, digests = self.run(session)
+            assert session.cache.stats.quarantined == 1
+            assert digests == reference

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import signal
+
 import numpy as np
 import pytest
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.parallel import (
     DEFAULT_TASKS,
+    WorkerPool,
     default_jobs,
     prime_labs,
     resolve_jobs,
@@ -63,6 +66,27 @@ class TestJobResolution:
         assert resolve_jobs(2) == 2
         assert resolve_jobs(0) == 1
         assert resolve_jobs(-4) == 1
+
+
+def _signal_handlers():
+    return signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGINT)
+
+
+def _raise_interrupt(signum, frame):
+    raise KeyboardInterrupt(f"signal {signum}")
+
+
+class TestWorkerSignals:
+    def test_workers_drop_the_parents_handlers(self):
+        # A run converts SIGTERM into KeyboardInterrupt in the parent;
+        # pool workers must not inherit that.
+        previous = signal.signal(signal.SIGTERM, _raise_interrupt)
+        try:
+            with WorkerPool(2) as pool:
+                handlers = pool.handle().submit(_signal_handlers).result(timeout=60)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert handlers == (signal.SIG_DFL, signal.SIG_IGN)
 
 
 class TestPrimeLabs:
