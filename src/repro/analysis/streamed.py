@@ -106,53 +106,46 @@ def fixed_best_count(
 
     Matches :func:`repro.predictors.pattern.best_fixed_length_correct`:
     each static branch uses its individually best pattern length (ties
-    toward the shortest ``k``).  The fold keeps each static branch's
-    outcome sequence as packed bits -- n/8 bytes total, the only
-    trace-length-proportional state any streamed task needs.
+    toward the shortest ``k``).  Each window's outcomes are kept grouped
+    by branch and bit-packed -- n/8 bytes total, the only
+    trace-length-proportional state any streamed task needs -- then laid
+    out branch after branch for one
+    :func:`~repro.predictors.pattern.best_fixed_length_counts` reduction.
     """
-    from repro.predictors.pattern import MAX_PATTERN_LENGTH
+    from repro.predictors.pattern import (
+        MAX_PATTERN_LENGTH,
+        best_fixed_length_counts,
+    )
 
     if max_k is None:
         max_k = MAX_PATTERN_LENGTH
-    # Per-static-branch accumulator: a list of bit-packed segments plus
-    # an under-8-bit tail awaiting its byte.  Packing incrementally (not
-    # per-chunk-if-aligned) keeps the aux state at n/8 bytes total --
-    # storing raw bool copies would put the whole outcome column back in
-    # memory and defeat the streaming budget.
-    sequences: Dict[int, List[np.ndarray]] = {}
-    tails: Dict[int, np.ndarray] = {}
-    lengths: Dict[int, int] = {}
-    empty = np.zeros(0, dtype=bool)
+    windows: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     total = 0
     for chunk in chunks:
         total += len(chunk)
-        for pc, outcomes in chunk.outcomes_by_pc().items():
-            pending = np.concatenate([tails.get(pc, empty), outcomes])
-            packable = len(pending) - len(pending) % 8
-            if packable:
-                sequences.setdefault(pc, []).append(
-                    np.packbits(pending[:packable], bitorder="little")
-                )
-            tails[pc] = pending[packable:].copy()
-            lengths[pc] = lengths.get(pc, 0) + len(outcomes)
-    correct = 0
-    for pc, n in lengths.items():
-        outcomes = np.concatenate(
-            [
-                np.unpackbits(part, bitorder="little").astype(bool)
-                for part in sequences.get(pc, [])
-            ]
-            + [tails[pc]]
-        )[:n]
-        best_count = -1
-        for k in range(1, max_k + 1):
-            count = int(np.count_nonzero(outcomes[:k]))
-            if n > k:
-                count += int(np.count_nonzero(outcomes[k:] == outcomes[:-k]))
-            if count > best_count:
-                best_count = count
-        correct += best_count
-    return correct, total
+        pcs, ids, counts = chunk.branch_index()
+        grouped = chunk.taken[np.argsort(ids, kind="stable")]
+        windows.append((pcs, counts, np.packbits(grouped, bitorder="little")))
+    if not total:
+        return 0, 0
+    pcs = np.unique(np.concatenate([window[0] for window in windows]))
+    counts = np.zeros(len(pcs), dtype=np.int64)
+    for window_pcs, window_counts, _packed in windows:
+        counts[np.searchsorted(pcs, window_pcs)] += window_counts
+    # Each window's branch groups land after what earlier windows wrote
+    # for the same branch.
+    fill = np.cumsum(counts) - counts
+    outcomes = np.empty(total, dtype=bool)
+    for window_pcs, window_counts, packed in windows:
+        rows = np.searchsorted(pcs, window_pcs)
+        length = int(window_counts.sum())
+        offset = fill[rows] - (np.cumsum(window_counts) - window_counts)
+        outcomes[np.repeat(offset, window_counts) + np.arange(length)] = (
+            np.unpackbits(packed, count=length, bitorder="little").view(bool)
+        )
+        fill[rows] += window_counts
+    _best_k, best = best_fixed_length_counts(outcomes, counts, max_k)
+    return int(best.sum()), total
 
 
 #: Tasks :func:`stream_report` can fold in bounded memory, in report

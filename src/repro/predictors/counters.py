@@ -8,7 +8,7 @@ most-significant bit is set.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -139,8 +139,66 @@ class CounterTable:
         self._table[:] = value
 
 
-class SparseCounterBank:
-    """An unbounded dict-backed bank of counters keyed by arbitrary keys.
+class SortedCells:
+    """An unbounded map of keys to integers, as two sorted arrays.
+
+    Vector reads and writes take a sorted array of distinct keys
+    (``cells[keys]``, ``cells[keys] = values``), which is how the sim
+    kernels merge a whole window of cells at once; :meth:`get` and
+    :meth:`put` do one key.  Absent keys read as ``default``.  A key the
+    key dtype cannot hold (past int64, or not an integer) turns the key
+    column into Python objects.
+    """
+
+    __slots__ = ("keys", "values", "default")
+
+    def __init__(self, key_dtype, value_dtype, default: int) -> None:
+        self.keys = np.zeros(0, dtype=key_dtype)
+        self.values = np.zeros(0, dtype=value_dtype)
+        self.default = default
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def _find(self, keys: np.ndarray):
+        if keys.dtype == object:
+            self.keys = self.keys.astype(object)
+        positions = np.searchsorted(self.keys, keys)
+        found = positions < len(self.keys)
+        found[found] = self.keys[positions[found]] == keys[found]
+        return positions, found
+
+    def __getitem__(self, keys: np.ndarray) -> np.ndarray:
+        positions, found = self._find(keys)
+        values = np.full(len(keys), self.default, dtype=self.values.dtype)
+        values[found] = self.values[positions[found]]
+        return values
+
+    def __setitem__(self, keys: np.ndarray, values: np.ndarray) -> None:
+        positions, found = self._find(keys)
+        self.values[positions[found]] = values[found]
+        missing = ~found
+        if missing.any():
+            self.keys = np.insert(self.keys, positions[missing], keys[missing])
+            self.values = np.insert(
+                self.values, positions[missing], values[missing]
+            )
+
+    def get(self, key) -> int:
+        return int(self[self._one(key)][0])
+
+    def put(self, key, value: int) -> None:
+        self[self._one(key)] = np.asarray([value])
+
+    def _one(self, key) -> np.ndarray:
+        try:
+            return np.asarray([key], dtype=self.keys.dtype)
+        except (OverflowError, ValueError):
+            return np.asarray([key], dtype=object)
+
+
+class SparseCounterBank(SortedCells):
+    """An unbounded bank of counters, stored only once touched.
 
     Interference-free predictors give every static branch its own PHT; a
     dense array per branch (2^16 counters for a 16-bit history) would be
@@ -148,7 +206,7 @@ class SparseCounterBank:
     Missing keys behave as freshly-initialised counters.
     """
 
-    __slots__ = ("_bits", "_max", "_threshold", "_initial", "_counters")
+    __slots__ = ("_bits", "_max", "_threshold")
 
     def __init__(self, bits: int = 2, initial: Optional[int] = None) -> None:
         if bits < 1:
@@ -156,26 +214,29 @@ class SparseCounterBank:
         self._bits = bits
         self._max = (1 << bits) - 1
         self._threshold = 1 << (bits - 1)
-        self._initial = self._threshold if initial is None else initial
-        if not 0 <= self._initial <= self._max:
-            raise ValueError(f"initial value {self._initial} out of range")
-        self._counters: Dict[object, int] = {}
+        initial = self._threshold if initial is None else initial
+        if not 0 <= initial <= self._max:
+            raise ValueError(f"initial value {initial} out of range")
+        super().__init__(np.int64, np.int8 if bits <= 7 else np.int16, initial)
 
-    def __len__(self) -> int:
-        return len(self._counters)
+    @property
+    def max_value(self) -> int:
+        return self._max
 
-    def predict(self, key: object) -> bool:
-        return self._counters.get(key, self._initial) >= self._threshold
+    @property
+    def threshold(self) -> int:
+        """Counter values at or above this predict taken (MSB set)."""
+        return self._threshold
 
-    def update(self, key: object, taken: bool) -> None:
-        value = self._counters.get(key, self._initial)
+    def predict(self, key) -> bool:
+        return self.get(key) >= self._threshold
+
+    def update(self, key, taken: bool) -> None:
+        value = self.get(key)
         if taken:
-            if value < self._max:
-                self._counters[key] = value + 1
-            else:
-                self._counters[key] = value
+            self.put(key, min(value + 1, self._max))
         else:
-            self._counters[key] = value - 1 if value > 0 else value
+            self.put(key, max(value - 1, 0))
 
-    def value(self, key: object) -> int:
-        return self._counters.get(key, self._initial)
+    def value(self, key) -> int:
+        return self.get(key)

@@ -5,20 +5,72 @@ An interference-free predictor has one PHT per static branch; it is
 history mechanism from the destructive aliasing effects studied by Talcott
 et al. and Young et al.  The paper uses interference-free gshare and PAs
 throughout sections 3-5 as analysis instruments; we implement them with
-unbounded dict-of-dict storage, which is exactly the idealised structure.
+unbounded storage (a perfect BTB and only the touched PHT cells), which
+is exactly the idealised structure.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.predictors.base import BranchPredictor
+from repro.predictors.counters import SortedCells, SparseCounterBank
 from repro.trace.trace import Trace
 
 
-class InterferenceFreeGshare(BranchPredictor):
+class _PerBranchPHTs:
+    """The state both interference-free predictors share (a mixin).
+
+    ``_rows`` maps pc -> row, numbered in order of first appearance;
+    ``_cells`` holds the touched counters, keyed ``(row << h) |
+    pattern``.  The scalar methods and the sim kernels read and write
+    the same sorted arrays, so chained ``simulate()`` calls, scalar steps
+    and pickles between windows all see one state.
+    """
+
+    def __init__(self, history_bits: int, counter_bits: int) -> None:
+        if history_bits < 0:
+            raise ValueError(f"history_bits must be >= 0, got {history_bits}")
+        self._history_bits = history_bits
+        self._history_mask = (1 << history_bits) - 1
+        self._rows = SortedCells(np.uint64, np.int64, -1)
+        self._cells = SparseCounterBank(bits=counter_bits)
+
+    @property
+    def history_bits(self) -> int:
+        return self._history_bits
+
+    def _row(self, pc: int) -> int:
+        """``pc``'s row, given the next free one on first sight."""
+        row = self._rows.get(pc)
+        if row < 0:
+            row = len(self._rows)
+            self._rows.put(pc, row)
+        return row
+
+    def _key(self, row: int, pattern: int) -> int:
+        # Row -1 (an unseen branch) gives a negative key: never stored,
+        # so it reads as a fresh counter.
+        return (row << self._history_bits) | pattern
+
+    def _kernel_fits(self, trace: Trace) -> bool:
+        """Whether every cell key of a run over ``trace`` packs in 62 bits."""
+        from repro.sim.scan import MAX_INDEX_BITS
+
+        rows = len(self._rows) + int(
+            np.count_nonzero(self._rows[trace.static_pcs()] < 0)
+        )
+        return rows << self._history_bits <= 1 << MAX_INDEX_BITS
+
+    def simulate(self, trace: Trace) -> np.ndarray:
+        """The grouped-counter kernel; the reference loop when a cell key
+        would not pack (as gshare does for an over-long history)."""
+        if not self._kernel_fits(trace):
+            return BranchPredictor.simulate(self, trace)
+        return self._kernel(trace)
+
+
+class InterferenceFreeGshare(_PerBranchPHTs, BranchPredictor):
     """Global-history two-level predictor with a private PHT per branch.
 
     Because every static branch owns its PHT, XORing the address into the
@@ -35,78 +87,24 @@ class InterferenceFreeGshare(BranchPredictor):
     name = "if-gshare"
 
     def __init__(self, history_bits: int = 16, counter_bits: int = 2) -> None:
-        if history_bits < 0:
-            raise ValueError(f"history_bits must be >= 0, got {history_bits}")
-        self._history_bits = history_bits
-        self._history_mask = (1 << history_bits) - 1
-        self._counter_max = (1 << counter_bits) - 1
-        self._threshold = 1 << (counter_bits - 1)
-        self._initial = self._threshold
+        super().__init__(history_bits, counter_bits)
         self._history = 0
-        # pc -> {history pattern -> counter value}
-        self._phts: Dict[int, Dict[int, int]] = {}
         self.name = f"if-gshare-{history_bits}h"
 
-    @property
-    def history_bits(self) -> int:
-        return self._history_bits
-
-    def _pht_for(self, pc: int) -> Dict[int, int]:
-        pht = self._phts.get(pc)
-        if pht is None:
-            pht = {}
-            self._phts[pc] = pht
-        return pht
-
     def predict(self, pc: int, target: int) -> bool:
-        counter = self._phts.get(pc, {}).get(self._history, self._initial)
-        return counter >= self._threshold
+        return self._cells.predict(self._key(self._rows.get(pc), self._history))
 
     def update(self, pc: int, target: int, taken: bool) -> None:
-        pht = self._pht_for(pc)
-        value = pht.get(self._history, self._initial)
-        if taken:
-            if value < self._counter_max:
-                pht[self._history] = value + 1
-            else:
-                pht[self._history] = value
-        else:
-            pht[self._history] = value - 1 if value > 0 else value
+        self._cells.update(self._key(self._row(pc), self._history), taken)
         self._history = ((self._history << 1) | int(taken)) & self._history_mask
 
-    def simulate(self, trace: Trace) -> np.ndarray:
-        n = len(trace)
-        correct = np.zeros(n, dtype=bool)
-        history = self._history
-        history_mask = self._history_mask
-        counter_max = self._counter_max
-        threshold = self._threshold
-        initial = self._initial
-        phts = self._phts
-        pcs = trace.pc.tolist()
-        takens = trace.taken.tolist()
-        for i in range(n):
-            pc = pcs[i]
-            taken = takens[i]
-            pht = phts.get(pc)
-            if pht is None:
-                pht = {}
-                phts[pc] = pht
-            value = pht.get(history, initial)
-            correct[i] = (value >= threshold) == taken
-            if taken:
-                if value < counter_max:
-                    pht[history] = value + 1
-            elif value > 0:
-                pht[history] = value - 1
-            elif history not in pht:
-                pht[history] = value
-            history = ((history << 1) | taken) & history_mask
-        self._history = history
-        return correct
+    def _kernel(self, trace: Trace) -> np.ndarray:
+        from repro.sim.kernels_global import simulate_if_gshare
+
+        return simulate_if_gshare(self, trace)
 
 
-class InterferenceFreePAs(BranchPredictor):
+class InterferenceFreePAs(_PerBranchPHTs, BranchPredictor):
     """Per-address two-level predictor with unbounded ("very large") BTB.
 
     Every static branch has its own history register and its own PHT, so
@@ -122,45 +120,23 @@ class InterferenceFreePAs(BranchPredictor):
     name = "if-pas"
 
     def __init__(self, history_bits: int = 12, counter_bits: int = 2) -> None:
-        if history_bits < 0:
-            raise ValueError(f"history_bits must be >= 0, got {history_bits}")
-        self._history_bits = history_bits
-        self._history_mask = (1 << history_bits) - 1
-        self._counter_max = (1 << counter_bits) - 1
-        self._threshold = 1 << (counter_bits - 1)
-        self._initial = self._threshold
-        # pc -> history register; pc -> {pattern -> counter}
-        self._histories: Dict[int, int] = {}
-        self._phts: Dict[int, Dict[int, int]] = {}
+        super().__init__(history_bits, counter_bits)
+        # pc -> history register (Python ints once they outgrow int64)
+        self._registers = SortedCells(
+            np.uint64, np.int64 if history_bits < 64 else object, 0
+        )
         self.name = f"if-pas-{history_bits}h"
 
-    @property
-    def history_bits(self) -> int:
-        return self._history_bits
-
     def predict(self, pc: int, target: int) -> bool:
-        history = self._histories.get(pc, 0)
-        counter = self._phts.get(pc, {}).get(history, self._initial)
-        return counter >= self._threshold
+        history = self._registers.get(pc)
+        return self._cells.predict(self._key(self._rows.get(pc), history))
 
     def update(self, pc: int, target: int, taken: bool) -> None:
-        history = self._histories.get(pc, 0)
-        pht = self._phts.get(pc)
-        if pht is None:
-            pht = {}
-            self._phts[pc] = pht
-        value = pht.get(history, self._initial)
-        if taken:
-            if value < self._counter_max:
-                pht[history] = value + 1
-            else:
-                pht[history] = value
-        else:
-            pht[history] = value - 1 if value > 0 else value
-        self._histories[pc] = ((history << 1) | int(taken)) & self._history_mask
+        history = self._registers.get(pc)
+        self._cells.update(self._key(self._row(pc), history), taken)
+        self._registers.put(pc, ((history << 1) | int(taken)) & self._history_mask)
 
-    def simulate(self, trace: Trace) -> np.ndarray:
-        """Vectorised fast path (see :mod:`repro.sim.kernels`)."""
+    def _kernel(self, trace: Trace) -> np.ndarray:
         from repro.sim.kernels import simulate_if_pas
 
         return simulate_if_pas(self, trace)

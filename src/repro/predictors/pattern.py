@@ -82,22 +82,68 @@ class FixedLengthPatternPredictor(BranchPredictor):
         return simulate_fixed_pattern(self, trace)
 
 
-def fixed_length_correct(trace: Trace, k: int) -> np.ndarray:
-    """Vectorised correctness bitmap of the fixed-length-``k`` predictor.
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word (at most 64, so uint8)."""
+    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
+        return np.bitwise_count(words)
+    bits = np.unpackbits(words.view(np.uint8)).reshape(-1, 64)
+    return bits.sum(axis=1, dtype=np.uint8)
 
-    For each static branch, prediction i (i >= k) is outcome i-k; the
-    first k predictions fall back to taken.  Equivalent to simulating
-    :class:`FixedLengthPatternPredictor` but runs as numpy comparisons.
+
+def best_fixed_length_counts(
+    outcomes: np.ndarray, counts: np.ndarray, max_k: int = MAX_PATTERN_LENGTH
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Best fixed pattern length of every static branch, and its score.
+
+    ``outcomes`` holds each branch's outcomes in order, branch after
+    branch (the ``Trace.branch_index()`` order), ``counts`` their
+    lengths.  Returns per branch the shortest ``k <= max_k`` with the
+    most correct fixed-length-``k`` predictions, and that count.
+
+    One segment reduction per ``k``: the first ``k`` predictions are the
+    taken fallback, read off one cumulative sum of each branch's head;
+    the rest compare the outcomes packed 64 to a word with themselves
+    shifted ``k`` bits, and a cumulative popcount gives each branch's
+    mismatches over ``[start + k, end)``.  Beside ``outcomes`` itself no
+    temporary exceeds n/8 bytes.
     """
-    correct = np.zeros(len(trace), dtype=bool)
-    for indices in trace.indices_by_pc().values():
-        outcomes = trace.taken[indices]
-        branch_correct = np.empty(len(outcomes), dtype=bool)
-        branch_correct[:k] = outcomes[:k]  # fallback: predict taken
-        if len(outcomes) > k:
-            branch_correct[k:] = outcomes[k:] == outcomes[:-k]
-        correct[indices] = branch_correct
-    return correct
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    ends = starts + counts
+    lanes = np.arange(max_k)
+    in_branch = lanes < counts[:, None]
+    head = np.zeros((len(counts), max_k), dtype=np.uint8)
+    head[in_branch] = outcomes[(starts[:, None] + lanes)[in_branch]]
+    taken_prefix = np.cumsum(head, axis=1, dtype=np.int64)
+    # Bit p of the word stream is outcome p; one spare zero word lets
+    # every shift read the word after its own.
+    packed = np.packbits(outcomes, bitorder="little")
+    words = np.zeros(len(outcomes) // 64 + 2, dtype="<u8")
+    words.view(np.uint8)[:len(packed)] = packed
+    best = np.full(len(counts), -1, dtype=np.int64)
+    best_k = np.zeros(len(counts), dtype=np.int64)
+    for k in range(1, max_k + 1):
+        correct = taken_prefix[:, k - 1].copy()
+        longer = np.nonzero(counts > k)[0]
+        if len(longer):
+            # Bit p of `differs`: outcome p + k differs from outcome p.
+            differs = words[:-1] ^ (
+                (words[:-1] >> np.uint64(k)) | (words[1:] << np.uint64(64 - k))
+            )
+            bits = _popcount(differs)
+            before = np.cumsum(bits, dtype=np.int64) - bits
+            # Mismatches in [0, edge) for every branch's first and last
+            # compared position: whole words before, then the low bits.
+            edges = np.concatenate((starts[longer], ends[longer] - k))
+            word = edges >> 6
+            low = (np.uint64(1) << (edges & 63).astype(np.uint64)) - np.uint64(1)
+            mismatches = before[word] + _popcount(differs[word] & low)
+            first, last = np.split(mismatches, 2)
+            correct[longer] += counts[longer] - k - (last - first)
+        better = correct > best
+        best[better] = correct[better]
+        best_k[better] = k
+    return best_k, best
 
 
 def best_fixed_length_correct(
@@ -106,25 +152,24 @@ def best_fixed_length_correct(
     """Best-of-k fixed-length correctness, per static branch.
 
     The paper runs all 32 fixed-length predictors and uses, for each
-    branch, the accuracy of the best one.  Returns the correctness bitmap
-    where each branch's instances use its individually best ``k``.
+    branch, the accuracy of the best one (ties toward the shortest
+    ``k``).  Returns the correctness bitmap where each branch's instances
+    use its individually best ``k``.
     """
-    correct = np.zeros(len(trace), dtype=bool)
-    for pc, indices in trace.indices_by_pc().items():
-        outcomes = trace.taken[indices]
-        n = len(outcomes)
-        best_bitmap = None
-        best_count = -1
-        for k in range(1, max_k + 1):
-            bitmap = np.empty(n, dtype=bool)
-            bitmap[:k] = outcomes[:k]
-            if n > k:
-                bitmap[k:] = outcomes[k:] == outcomes[:-k]
-            count = int(bitmap.sum())
-            if count > best_count:
-                best_count = count
-                best_bitmap = bitmap
-        correct[indices] = best_bitmap
+    _pcs, ids, counts = trace.branch_index()
+    order = np.argsort(ids, kind="stable")
+    outcomes = trace.taken[order]
+    best_k, _best = best_fixed_length_counts(outcomes, counts, max_k)
+    # Instance p of a branch predicts instance p - k's outcome, or taken
+    # while fewer than k outcomes have been seen.
+    k = np.repeat(best_k, counts)
+    position = np.arange(len(outcomes))
+    rank = position - np.repeat(np.cumsum(counts) - counts, counts)
+    predicted = np.where(
+        rank < k, True, outcomes[np.maximum(position - k, 0)]
+    )
+    correct = np.empty(len(outcomes), dtype=bool)
+    correct[order] = predicted == outcomes
     return correct
 
 

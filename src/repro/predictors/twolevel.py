@@ -97,7 +97,8 @@ class GsharePredictor(BranchPredictor):
         index (its PHT is ``2**pht_bits`` entries, so the table itself
         stays small); such configurations run the reference loop.
         """
-        from repro.sim.kernels_global import MAX_INDEX_BITS, simulate_gshare
+        from repro.sim.kernels_global import simulate_gshare
+        from repro.sim.scan import MAX_INDEX_BITS
 
         if self._history_bits > MAX_INDEX_BITS:
             return super().simulate(trace)

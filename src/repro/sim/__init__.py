@@ -4,17 +4,16 @@ Two kernel families, both bit-identical to the scalar predict/update
 loop (the ``repro check`` contract pass and the property tests in
 ``tests/test_sim_kernels*.py`` enforce it):
 
-* :mod:`repro.sim.kernels` -- per-address predictors (interference-free
-  PAs, the loop and pattern predictors, address-indexed counters) carry
-  no cross-branch state, so the trace is grouped by address once and
-  each static branch's outcome sub-sequence is simulated with numpy
-  run-length and shift tricks.
+* :mod:`repro.sim.kernels` -- per-address predictors carry no
+  cross-branch state: bimodal and interference-free PAs are one
+  grouped-counter pass, and the loop and pattern predictors simulate
+  each static branch's outcome column with run-length and shift tricks.
 * :mod:`repro.sim.kernels_global` -- the two-level global-history family
-  (gshare, GAs, PAs, GAg, PAg) and the selective-history replay share
-  state across branches, but their state evolution depends only on trace
-  outcomes, so every PHT index is precomputable: pack the history
-  streams, group by index, and run each counter cell as an independent
-  run-length chain.
+  (gshare, GAs, PAs, GAg, PAg), interference-free gshare and the
+  selective-history replay share state across branches, but their state
+  evolution depends only on trace outcomes, so every PHT index is
+  precomputable: pack the history streams, then run every counter cell
+  in one grouped-counter pass (:mod:`repro.sim.scan`).
 
 :data:`KERNEL_BINDINGS` maps every exported kernel to the
 ``repro.predictors`` registry spec whose predictor exercises it; the PC010
@@ -35,6 +34,7 @@ from repro.sim.kernels import (
 from repro.sim.kernels_global import (
     simulate_gas,
     simulate_gshare,
+    simulate_if_gshare,
     simulate_pas,
     simulate_selective,
 )
@@ -52,6 +52,7 @@ KERNEL_BINDINGS = {
     "simulate_fixed_pattern": "fixed",
     "simulate_gas": "gas",
     "simulate_gshare": "gshare",
+    "simulate_if_gshare": "if-gshare",
     "simulate_if_pas": "if-pas",
     "simulate_loop": "loop",
     "simulate_pas": "pas",
@@ -67,6 +68,7 @@ __all__ = [
     "simulate_fixed_pattern",
     "simulate_gas",
     "simulate_gshare",
+    "simulate_if_gshare",
     "simulate_if_pas",
     "simulate_loop",
     "simulate_pas",

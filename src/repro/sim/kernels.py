@@ -3,17 +3,18 @@
 The scalar predict/update loop costs a few microseconds of Python per
 dynamic branch.  For predictors whose state is partitioned by address --
 interference-free PAs, the loop and block-pattern predictors,
-fixed-length patterns, address-indexed counter tables -- the trace can
-instead be grouped by static branch once (one stable ``np.argsort``) and
-each group simulated with run-length and shift arithmetic:
+fixed-length patterns, address-indexed counter tables -- the whole trace
+runs as array passes instead:
 
-* A **saturating counter** driven by one branch's outcome runs is wrong
-  for a computable *prefix* of every run (``threshold - counter`` steps
-  of a taken run, symmetrically for not-taken), so a whole run collapses
-  to one closed-form update.
+* **Saturating counters** (bimodal, interference-free PAs) are one
+  grouped-counter pass (:func:`repro.sim.scan._grouped_counter_correct`)
+  over each instance's counter cell: the table index for bimodal,
+  ``(branch row << h) | own history`` for interference-free PAs, whose
+  per-branch history registers come from one grouped shift of the trace
+  sorted by branch.
 * The **loop** and **block-pattern** predictors are defined in terms of
   outcome runs, so run-length encoding *is* their natural time base:
-  each run is O(1) state-machine work regardless of its length.
+  each branch's runs are O(1) state-machine work regardless of length.
 * A **fixed-length-k pattern** prediction is a k-shifted comparison of
   the branch's own outcome column.
 
@@ -37,6 +38,11 @@ from typing import Tuple
 import numpy as np
 
 from repro.obs.metrics import METRICS
+from repro.sim.scan import (
+    _branch_rows,
+    _grouped_counter_correct,
+    _grouped_history_stream,
+)
 from repro.trace.trace import Trace
 
 __all__ = [
@@ -64,62 +70,6 @@ def _runs(outcomes: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return outcomes[starts], lengths, starts
 
 
-def _counter_chain(
-    directions: np.ndarray,
-    lengths: np.ndarray,
-    counter: int,
-    threshold: int,
-    counter_max: int,
-) -> Tuple[np.ndarray, int]:
-    """Drive one saturating counter through a chain of outcome runs.
-
-    For each run, the counter mispredicts a prefix of the run and is
-    correct for the remainder: a taken run starting at counter ``c`` is
-    wrong for ``threshold - c`` steps (the counter climbs one per step),
-    a not-taken run for ``c - threshold + 1`` steps.  Returns the
-    per-run wrong-prefix lengths (>= 0, uncapped) and the final counter.
-    """
-    wrongs = np.empty(len(lengths), dtype=np.int64)
-    position = 0
-    for direction, length in zip(directions.tolist(), lengths.tolist()):
-        if direction:
-            wrong = threshold - counter
-            counter += length
-            if counter > counter_max:
-                counter = counter_max
-        else:
-            wrong = counter - threshold + 1
-            counter -= length
-            if counter < 0:
-                counter = 0
-        wrongs[position] = wrong if wrong > 0 else 0
-        position += 1
-    return wrongs, counter
-
-
-def _wrong_prefix_fill(
-    starts: np.ndarray, lengths: np.ndarray, wrongs: np.ndarray, total: int
-) -> np.ndarray:
-    """Correctness bitmap where run ``r`` is wrong for its first
-    ``wrongs[r]`` positions and correct afterwards."""
-    position_in_run = np.arange(total, dtype=np.int64) - np.repeat(
-        starts, lengths
-    )
-    return position_in_run >= np.repeat(np.minimum(wrongs, lengths), lengths)
-
-
-def _group_slices(
-    keys: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stable-sort ``keys``; return (order, sorted_keys, starts, ends)."""
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    boundaries = np.nonzero(np.diff(sorted_keys))[0] + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(keys)]))
-    return order, sorted_keys, starts, ends
-
-
 # -- address-indexed counter table (bimodal) ------------------------------
 
 
@@ -127,36 +77,17 @@ def simulate_bimodal(predictor, trace: Trace) -> np.ndarray:
     """Kernel for :class:`~repro.predictors.bimodal.BimodalPredictor`.
 
     Branches aliasing to the same table index share a counter, so the
-    trace is grouped by *index* (not raw pc): each group is one
-    independent counter chain.
+    table index is the counter cell of one grouped-counter pass.
     """
     METRICS.inc("sim.kernel_fastpath")
-    n = len(trace)
-    correct = np.zeros(n, dtype=bool)
-    if n == 0:
-        return correct
     table = predictor._table
-    raw = table.raw
-    threshold = table.threshold
-    counter_max = table.max_value
     indices = np.bitwise_and(
         trace.pc >> np.uint64(2), np.uint64(predictor._mask)
     ).astype(np.int64)
-    order, sorted_indices, starts, ends = _group_slices(indices)
-    sorted_taken = trace.taken[order]
-    correct_sorted = np.empty(n, dtype=bool)
-    for gs, ge in zip(starts.tolist(), ends.tolist()):
-        key = int(sorted_indices[gs])
-        directions, lengths, run_starts = _runs(sorted_taken[gs:ge])
-        wrongs, end = _counter_chain(
-            directions, lengths, int(raw[key]), threshold, counter_max
-        )
-        correct_sorted[gs:ge] = _wrong_prefix_fill(
-            run_starts, lengths, wrongs, ge - gs
-        )
-        raw[key] = end
-    correct[order] = correct_sorted
-    return correct
+    return _grouped_counter_correct(
+        indices, trace.taken, table.raw, table.threshold, table.max_value,
+        len(table),
+    )
 
 
 # -- interference-free PAs ------------------------------------------------
@@ -166,73 +97,28 @@ def simulate_if_pas(predictor, trace: Trace) -> np.ndarray:
     """Kernel for
     :class:`~repro.predictors.interference_free.InterferenceFreePAs`.
 
-    Per branch: the history register before instance ``i`` is just the
-    branch's own previous ``h`` outcomes bit-packed (computed with ``h``
-    shifted ORs), so instances group by pattern, and each (branch,
-    pattern) group is one independent saturating-counter chain.
+    Each branch's own history register before every step is one grouped
+    shift of the trace sorted by branch; the cell key ``(row << h) |
+    history`` then runs every (branch, pattern) counter in one pass.
     """
     METRICS.inc("sim.kernel_fastpath")
     n = len(trace)
-    correct = np.zeros(n, dtype=bool)
+    if n == 0:
+        return np.zeros(0, dtype=bool)
     history_bits = predictor._history_bits
-    history_mask = predictor._history_mask
-    counter_max = predictor._counter_max
-    threshold = predictor._threshold
-    initial = predictor._initial
-    histories = predictor._histories
-    phts = predictor._phts
-    taken = trace.taken
-    for pc, indices in trace.indices_by_pc().items():
-        outcomes = taken[indices]
-        m = len(outcomes)
-        bits = outcomes.astype(np.int64)
-        initial_history = histories.get(pc, 0)
-        # history before instance i: the branch's previous history_bits
-        # outcomes, newest in bit 0; carried register bits shift out.
-        patterns = np.zeros(m, dtype=np.int64)
-        for j in range(1, min(history_bits, m) + 1):
-            patterns[j:] |= bits[:-j] << (j - 1)
-        if initial_history:
-            for i in range(min(history_bits, m)):
-                patterns[i] |= (initial_history << i) & history_mask
-        pht = phts.get(pc)
-        if pht is None:
-            pht = {}
-            phts[pc] = pht
-        order, sorted_patterns, starts, ends = _group_slices(patterns)
-        branch_correct = np.empty(m, dtype=bool)
-        outcome_list = outcomes.tolist()
-        for gs, ge in zip(starts.tolist(), ends.tolist()):
-            pattern = int(sorted_patterns[gs])
-            member_positions = order[gs:ge]
-            if ge - gs <= 32:
-                # Tiny pattern group: a direct counter loop beats the
-                # fixed per-group cost of the numpy machinery.
-                value = pht.get(pattern, initial)
-                for position in member_positions.tolist():
-                    outcome = outcome_list[position]
-                    branch_correct[position] = (value >= threshold) == outcome
-                    if outcome:
-                        if value < counter_max:
-                            value += 1
-                    elif value > 0:
-                        value -= 1
-                pht[pattern] = value
-                continue
-            directions, lengths, run_starts = _runs(outcomes[member_positions])
-            wrongs, end = _counter_chain(
-                directions, lengths, pht.get(pattern, initial),
-                threshold, counter_max,
-            )
-            branch_correct[member_positions] = _wrong_prefix_fill(
-                run_starts, lengths, wrongs, ge - gs
-            )
-            pht[pattern] = end
-        correct[indices] = branch_correct
-        histories[pc] = (
-            (int(patterns[m - 1]) << 1) | int(bits[m - 1])
-        ) & history_mask
-    return correct
+    pcs, ids, _counts = trace.branch_index()
+    rows = _branch_rows(predictor._rows, trace)
+    registers = predictor._registers[pcs]
+    history = _grouped_history_stream(
+        ids, len(pcs), trace.taken.astype(np.int64), history_bits,
+        predictor._history_mask, registers,
+    )
+    predictor._registers[pcs] = registers
+    keys = (rows[ids] << history_bits) | history
+    return _grouped_counter_correct(
+        keys, trace.taken, predictor._cells, predictor._cells.threshold,
+        predictor._cells.max_value, len(predictor._rows) << history_bits,
+    )
 
 
 # -- loop predictor -------------------------------------------------------

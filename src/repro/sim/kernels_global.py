@@ -2,25 +2,26 @@
 
 The per-address kernels in :mod:`repro.sim.kernels` rely on state being
 partitioned by static branch.  The Yeh/Patt two-level predictors (gshare,
-GAs, PAs, GAg, PAg) and the selective-history predictor share state
-across branches -- a global history register, an aliased branch history
-table, a shared PHT -- so they cannot be grouped by pc.  They still
-vectorise exactly, because of a stronger property: **two-level state
-evolution depends only on trace outcomes, never on predictions.**  The
-history register (global or per-BHT-entry) is a pure function of the
-outcome stream, so the PHT index of every dynamic branch is precomputable
-before any counter is consulted:
+GAs, PAs, GAg, PAg), interference-free gshare and the selective-history
+predictor share state across branches -- a global history register, an
+aliased branch history table, a shared PHT -- so they cannot be grouped
+by pc.  They still vectorise exactly, because of a stronger property:
+**two-level state evolution depends only on trace outcomes, never on
+predictions.**  The history register (global or per-BHT-entry) is a pure
+function of the outcome stream, so the PHT index of every dynamic branch
+is precomputable before any counter is consulted:
 
 1. derive the history register value before every step with bit-packed
    shifted ORs over ``trace.taken`` (per BHT entry for PAs/PAg, honouring
    address aliasing);
 2. compute the full index stream as arrays -- ``(history ^ pc) & mask``
    for gshare, ``select * 2**history_bits + history`` for the
-   PHT-per-address-set variants;
-3. group the trace by index (one stable argsort) -- each PHT counter cell
-   is now an independent saturating-counter chain, collapsed with the
-   per-run wrong-prefix closed form of :mod:`repro.sim.kernels`, driven
-   by a single flat loop over *runs* (not branches) across all cells.
+   PHT-per-address-set variants, ``row * 2**history_bits + history`` for
+   interference-free gshare's per-branch PHTs;
+3. run every PHT cell's saturating-counter chain at once with
+   :func:`repro.sim.scan._grouped_counter_correct`: one stable argsort
+   groups the trace by cell, and a segmented prefix scan over the runs
+   of equal outcomes gives every run's starting counter.
 
 Every kernel is exact: it consumes the predictor's current state, returns
 the bit-identical correctness bitmap of the scalar predict/update loop,
@@ -37,149 +38,21 @@ import numpy as np
 
 from repro.correlation.tagging import expand_ranges
 from repro.obs.metrics import METRICS
-from repro.sim.kernels import _wrong_prefix_fill
+from repro.sim.scan import (
+    _branch_rows,
+    _grouped_counter_correct,
+    _grouped_history_stream,
+    _history_stream,
+)
 from repro.trace.trace import Trace
 
 __all__ = [
     "simulate_gas",
     "simulate_gshare",
+    "simulate_if_gshare",
     "simulate_pas",
     "simulate_selective",
 ]
-
-#: Widest history register the packed int64 index streams accept.  Only
-#: gshare can exceed it (through ``history_bits``; its PHT stays
-#: ``2**pht_bits`` entries) and then runs the reference
-#: ``BranchPredictor.simulate`` loop.  GAs and PAs cannot: their
-#: ``2**(history + select)``-counter PHT fails to allocate first.
-MAX_INDEX_BITS = 62
-
-
-# -- shared machinery ------------------------------------------------------
-
-
-def _history_stream(
-    bits: np.ndarray, history_bits: int, history_mask: int, carried: int
-) -> np.ndarray:
-    """History register value *before* each step of one outcome stream.
-
-    ``bits`` is the int64 0/1 outcome column; the register shifts left and
-    takes the newest outcome in bit 0 (outcome ``j`` steps back sits at
-    bit ``j - 1``), so the value before step ``i`` is the previous
-    ``history_bits`` outcomes bit-packed, with the ``carried`` register's
-    bits still visible (left-shifted) for the first few steps.
-    """
-    n = len(bits)
-    patterns = np.zeros(n, dtype=np.int64)
-    depth = min(history_bits, n)
-    for j in range(1, depth + 1):
-        patterns[j:] |= bits[:-j] << (j - 1)
-    if carried:
-        for i in range(depth):
-            patterns[i] |= (carried << i) & history_mask
-    return patterns
-
-
-def _narrow_for_sort(keys: np.ndarray, bound: int) -> np.ndarray:
-    """Cast ``keys`` (all ``< bound``) to the narrowest sortable dtype.
-
-    numpy's stable argsort is a radix sort for <= 16-bit integers and a
-    comparison sort otherwise; predictor index spaces are usually small,
-    so narrowing before the sort is the difference between O(n) and
-    O(n log n) on the kernel's dominant step.
-    """
-    if bound <= 1 << 16:
-        return keys.astype(np.uint16)
-    if bound <= 1 << 31:
-        return keys.astype(np.int32)
-    return keys
-
-
-def _grouped_counter_correct(
-    keys: np.ndarray,
-    taken: np.ndarray,
-    counters: np.ndarray,
-    threshold: int,
-    counter_max: int,
-    key_bound: int,
-) -> np.ndarray:
-    """Correctness bitmap for independent per-key saturating-counter chains.
-
-    ``keys`` assigns every instance to a counter cell in ``counters`` (a
-    dense 1-D integer array indexed by key).  One stable argsort groups
-    instances by cell in chronological order; within a cell, runs of
-    equal outcomes collapse to the wrong-prefix closed form, leaving one
-    saturating-counter transition per run.  Each transition is a
-    clamp-affine map ``c -> min(max(c + a, b), h)`` and those maps are
-    closed under composition::
-
-        g(f(c)) = min(max(c + a_f + a_g,
-                          max(b_f + a_g, b_g)),
-                      min(max(h_f + a_g, b_g), h_g))
-
-    so the per-cell chain is an (associative) segmented prefix scan over
-    run maps: a Hillis-Steele doubling pass per power-of-two offset
-    yields every run's starting counter with no per-run Python loop --
-    ``O(runs * log(longest cell))`` vector work in total.  Cell switches
-    read the carried counter from ``counters`` and the final values are
-    written back in place.
-    """
-    n = len(keys)
-    correct = np.empty(n, dtype=bool)
-    if n == 0:
-        return correct
-    keys = _narrow_for_sort(keys, key_bound)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    sorted_taken = taken[order]
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_group[1:])
-    new_run = new_group.copy()
-    new_run[1:] |= sorted_taken[1:] != sorted_taken[:-1]
-    run_starts = np.nonzero(new_run)[0]
-    run_lengths = np.diff(np.concatenate((run_starts, [n])))
-    run_opens_group = new_group[run_starts]
-    m = len(run_starts)
-    seg_first = np.nonzero(run_opens_group)[0]
-    seg_id = np.cumsum(run_opens_group) - 1
-    rank = np.arange(m, dtype=np.int64) - seg_first[seg_id]
-    group_keys = sorted_keys[run_starts[run_opens_group]]
-    run_taken = sorted_taken[run_starts]
-    # Per-run transition map f(c) = min(max(c + A, B), H): a taken run
-    # of length L adds L then saturates above, a not-taken run subtracts
-    # L then saturates below -- both are one clamp-affine map.
-    A = np.where(run_taken, run_lengths, -run_lengths)
-    B = np.zeros(m, dtype=np.int64)
-    H = np.full(m, counter_max, dtype=np.int64)
-    # Inclusive segmented scan: after the pass at `offset`, (A, B, H)[k]
-    # composes runs (k - 2*offset, k] of k's cell (earlier map first).
-    offset = 1
-    max_rank = int(rank.max())
-    while offset <= max_rank:
-        idx = np.nonzero(rank >= offset)[0]
-        j = idx - offset
-        a = A[idx]
-        b = B[idx]
-        h = H[idx]
-        A[idx] = A[j] + a
-        B[idx] = np.maximum(B[j] + a, b)
-        H[idx] = np.minimum(np.maximum(H[j] + a, b), h)
-        offset <<= 1
-    c0 = counters[group_keys].astype(np.int64)
-    c_after = np.minimum(np.maximum(c0[seg_id] + A, B), H)
-    c_start = np.empty(m, dtype=np.int64)
-    c_start[seg_first] = c0
-    rest = np.nonzero(~run_opens_group)[0]
-    c_start[rest] = c_after[rest - 1]
-    wrongs = np.where(run_taken, threshold - c_start, c_start - threshold + 1)
-    np.maximum(wrongs, 0, out=wrongs)
-    seg_last = np.concatenate((seg_first[1:] - 1, [m - 1]))
-    counters[group_keys] = c_after[seg_last]
-    correct_sorted = _wrong_prefix_fill(run_starts, run_lengths, wrongs, n)
-    correct[order] = correct_sorted
-    return correct
-
 
 def _flat_pht(predictor) -> np.ndarray:
     """The 2-D PHT as a writable flat view (row-major: select, history)."""
@@ -187,6 +60,22 @@ def _flat_pht(predictor) -> np.ndarray:
     if not np.shares_memory(flat, predictor._pht):
         raise AssertionError("PHT must be contiguous for the flat view")
     return flat
+
+
+def _global_history(predictor, trace: Trace) -> np.ndarray:
+    """The predictor's global history before every step of ``trace``.
+
+    Writes the register's value after the last step back.
+    """
+    bits = trace.taken.astype(np.int64)
+    history = _history_stream(
+        bits, predictor._history_bits, predictor._history_mask,
+        predictor._history,
+    )
+    predictor._history = (
+        (int(history[-1]) << 1) | int(bits[-1])
+    ) & predictor._history_mask
+    return history
 
 
 # -- gshare ----------------------------------------------------------------
@@ -203,22 +92,39 @@ def simulate_gshare(predictor, trace: Trace) -> np.ndarray:
     n = len(trace)
     if n == 0:
         return np.zeros(0, dtype=bool)
-    bits = trace.taken.astype(np.int64)
-    history = _history_stream(
-        bits, predictor._history_bits, predictor._history_mask,
-        predictor._history,
-    )
+    history = _global_history(predictor, trace)
     pcs = (trace.pc >> np.uint64(2)).astype(np.int64)
     keys = (history ^ pcs) & predictor._pht_mask
-    correct = _grouped_counter_correct(
+    return _grouped_counter_correct(
         keys, trace.taken, predictor._pht,
         predictor._counter_threshold, predictor._counter_max,
         predictor._pht_mask + 1,
     )
-    predictor._history = (
-        (int(history[-1]) << 1) | int(bits[-1])
-    ) & predictor._history_mask
-    return correct
+
+
+# -- interference-free gshare ----------------------------------------------
+
+
+def simulate_if_gshare(predictor, trace: Trace) -> np.ndarray:
+    """Kernel for
+    :class:`~repro.predictors.interference_free.InterferenceFreeGshare`.
+
+    Same global history stream as gshare; every branch owns its PHT, so
+    the cell key packs the branch's perfect-BTB row above the history.
+    """
+    METRICS.inc("sim.kernel_fastpath")
+    n = len(trace)
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    history_bits = predictor._history_bits
+    history = _global_history(predictor, trace)
+    _pcs, ids, _counts = trace.branch_index()
+    rows = _branch_rows(predictor._rows, trace)
+    keys = (rows[ids] << history_bits) | history
+    return _grouped_counter_correct(
+        keys, trace.taken, predictor._cells, predictor._cells.threshold,
+        predictor._cells.max_value, len(predictor._rows) << history_bits,
+    )
 
 
 # -- GAs / GAg -------------------------------------------------------------
@@ -235,22 +141,15 @@ def simulate_gas(predictor, trace: Trace) -> np.ndarray:
     n = len(trace)
     if n == 0:
         return np.zeros(0, dtype=bool)
-    bits = trace.taken.astype(np.int64)
     history_bits = predictor._history_bits
-    history = _history_stream(
-        bits, history_bits, predictor._history_mask, predictor._history
-    )
+    history = _global_history(predictor, trace)
     pcs = (trace.pc >> np.uint64(2)).astype(np.int64)
     keys = ((pcs & predictor._select_mask) << history_bits) | history
-    correct = _grouped_counter_correct(
+    return _grouped_counter_correct(
         keys, trace.taken, _flat_pht(predictor),
         predictor._counter_threshold, predictor._counter_max,
         (predictor._select_mask + 1) << history_bits,
     )
-    predictor._history = (
-        (int(history[-1]) << 1) | int(bits[-1])
-    ) & predictor._history_mask
-    return correct
 
 
 # -- PAs / PAg -------------------------------------------------------------
@@ -270,56 +169,16 @@ def simulate_pas(predictor, trace: Trace) -> np.ndarray:
     n = len(trace)
     if n == 0:
         return np.zeros(0, dtype=bool)
-    taken = trace.taken
-    bits_all = taken.astype(np.int64)
     pcs = (trace.pc >> np.uint64(2)).astype(np.int64)
     history_bits = predictor._history_bits
-    history_mask = predictor._history_mask
-    bht = predictor._bht
-    bht_keys = _narrow_for_sort(
-        pcs & predictor._bht_mask, predictor._bht_mask + 1
+    history = _grouped_history_stream(
+        pcs & predictor._bht_mask, predictor._bht_mask + 1,
+        trace.taken.astype(np.int64), history_bits,
+        predictor._history_mask, predictor._bht,
     )
-    order = np.argsort(bht_keys, kind="stable")
-    sorted_keys = bht_keys[order]
-    bits_sorted = bits_all[order]
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_group[1:])
-    group_starts = np.nonzero(new_group)[0]
-    group_lengths = np.diff(np.concatenate((group_starts, [n])))
-    rank = np.arange(n, dtype=np.int64) - np.repeat(group_starts, group_lengths)
-    depth = min(history_bits, n)
-    # The packed history before each instance, per BHT entry: outcome j
-    # steps back *within the entry's own interleaved stream* sits at bit
-    # j - 1, and groups are contiguous after the sort, so the j-th
-    # predecessor of a rank >= j element is just j slots to the left.
-    # Shift the whole sorted column (contiguous slices, no index masks);
-    # elements within `depth` of their group start pick up bits from the
-    # previous group, fixed below.
-    patterns = np.zeros(n, dtype=np.int64)
-    for j in range(1, depth + 1):
-        patterns[j:] |= bits_sorted[:-j] << (j - 1)
-    group_keys = sorted_keys[group_starts]
-    carried = bht[group_keys]
-    # Boundary fix-up: an element at rank r < depth has exactly r fresh
-    # outcomes from its own group (bits 0..r-1); everything above is
-    # previous-group spill to discard, and the entry's carried register
-    # stays visible there (left-shifted by r) until displaced.
-    sel = np.nonzero(rank < depth)[0]
-    r = rank[sel]
-    seg_id = np.cumsum(new_group) - 1
-    patterns[sel] = (patterns[sel] & ((np.int64(1) << r) - 1)) | (
-        (carried[seg_id[sel]] << r) & history_mask
-    )
-    group_last = group_starts + group_lengths - 1
-    bht[group_keys] = (
-        (patterns[group_last] << 1) | bits_sorted[group_last]
-    ) & history_mask
-    history = np.empty(n, dtype=np.int64)
-    history[order] = patterns
     keys = ((pcs & predictor._select_mask) << history_bits) | history
     return _grouped_counter_correct(
-        keys, taken, _flat_pht(predictor),
+        keys, trace.taken, _flat_pht(predictor),
         predictor._counter_threshold, predictor._counter_max,
         (predictor._select_mask + 1) << history_bits,
     )

@@ -12,7 +12,6 @@ from repro.predictors.pattern import (
     FixedLengthPatternPredictor,
     MAX_PATTERN_LENGTH,
     best_fixed_length_correct,
-    fixed_length_correct,
 )
 
 from conftest import interleave, trace_from_outcomes
@@ -64,7 +63,7 @@ class TestFixedLengthPredictor:
     )
     def test_property_vectorised_matches_predictor(self, outcomes, k):
         trace = trace_from_outcomes(outcomes)
-        vectorised = fixed_length_correct(trace, k)
+        vectorised = FixedLengthPatternPredictor(k).simulate(trace)
         looped = simulate(FixedLengthPatternPredictor(k), trace)
         assert np.array_equal(vectorised, looped)
 
@@ -83,7 +82,7 @@ class TestBestFixedLength:
         trace = trace_from_outcomes(outcomes)
         best = best_fixed_length_correct(trace).mean()
         for k in (1, 2, 3, 7, 16, 32):
-            assert best >= fixed_length_correct(trace, k).mean()
+            assert best >= FixedLengthPatternPredictor(k).simulate(trace).mean()
 
     @settings(max_examples=15)
     @given(st.lists(st.booleans(), min_size=1, max_size=80))
@@ -91,7 +90,7 @@ class TestBestFixedLength:
         trace = trace_from_outcomes(outcomes)
         assert (
             best_fixed_length_correct(trace, max_k=8).sum()
-            >= fixed_length_correct(trace, 1).sum()
+            >= FixedLengthPatternPredictor(1).simulate(trace).sum()
         )
 
 

@@ -8,13 +8,18 @@ predict-then-update loop -- from a fresh state, from a carried
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.predictors.base import simulate as generic_simulate
 from repro.predictors.bimodal import BimodalPredictor
-from repro.predictors.interference_free import InterferenceFreePAs
+from repro.predictors.interference_free import (
+    InterferenceFreeGshare,
+    InterferenceFreePAs,
+)
 from repro.predictors.loop import LoopPredictor
 from repro.predictors.pattern import (
     BlockPatternPredictor,
@@ -30,6 +35,10 @@ KERNEL_FACTORIES = [
     ("bimodal-4b", lambda: BimodalPredictor(table_bits=4)),
     ("bimodal-12b", lambda: BimodalPredictor(table_bits=12)),
     ("bimodal-1bit", lambda: BimodalPredictor(table_bits=6, counter_bits=1)),
+    ("if-gshare-0h", lambda: InterferenceFreeGshare(history_bits=0)),
+    ("if-gshare-2h", lambda: InterferenceFreeGshare(history_bits=2)),
+    ("if-gshare-8h", lambda: InterferenceFreeGshare(history_bits=8)),
+    ("if-gshare-16h", lambda: InterferenceFreeGshare(history_bits=16)),
     ("if-pas-0h", lambda: InterferenceFreePAs(history_bits=0)),
     ("if-pas-2h", lambda: InterferenceFreePAs(history_bits=2)),
     ("if-pas-6h", lambda: InterferenceFreePAs(history_bits=6)),
@@ -115,6 +124,33 @@ class TestKernelEquivalence:
         assert np.array_equal(fast, reference)
 
 
+#: The interference-free predictors, whose per-branch PHTs live in sorted
+#: key/value arrays shared by the kernel and the scalar path.
+INTERFERENCE_FREE = [
+    ("if-gshare-8h", lambda: InterferenceFreeGshare(history_bits=8)),
+    ("if-gshare-16h", lambda: InterferenceFreeGshare(history_bits=16)),
+    ("if-pas-2h", lambda: InterferenceFreePAs(history_bits=2)),
+    ("if-pas-6h", lambda: InterferenceFreePAs(history_bits=6)),
+]
+IF_IDS = [label for label, _ in INTERFERENCE_FREE]
+IF_FACTORIES = [factory for _, factory in INTERFERENCE_FREE]
+
+
+def assert_same_state(kernel, scalar):
+    """Every state array of two interference-free predictors agrees."""
+    for name in ("_rows", "_cells", "_registers"):
+        if hasattr(scalar, name):
+            left, right = getattr(kernel, name), getattr(scalar, name)
+            assert np.array_equal(left.keys, right.keys), name
+            assert np.array_equal(left.values, right.values), name
+    assert getattr(kernel, "_history", 0) == getattr(scalar, "_history", 0)
+
+
+@pytest.fixture(scope="module")
+def gcc_trace():
+    return load_benchmark("gcc", length=1800)
+
+
 class TestKernelStateWriteback:
     def test_loop_entries_match_scalar(self):
         trace = trace_from_string("TTTN" * 8 + "TTN" * 5)
@@ -148,3 +184,63 @@ class TestKernelStateWriteback:
         scalar = FixedLengthPatternPredictor(4)
         generic_simulate(scalar, trace)
         assert kernel._state == scalar._state
+
+    @pytest.mark.parametrize("factory", IF_FACTORIES, ids=IF_IDS)
+    def test_interference_free_state_matches_scalar(self, factory, gcc_trace):
+        kernel = factory()
+        kernel.simulate(gcc_trace)
+        scalar = factory()
+        generic_simulate(scalar, gcc_trace)
+        assert_same_state(kernel, scalar)
+
+    @pytest.mark.parametrize("factory", IF_FACTORIES, ids=IF_IDS)
+    def test_kernel_then_scalar_steps(self, factory, gcc_trace):
+        predictor = factory()
+        bitmap = np.concatenate([
+            predictor.simulate(gcc_trace[:1100]),
+            generic_simulate(predictor, gcc_trace[1100:]),
+        ])
+        assert np.array_equal(bitmap, generic_simulate(factory(), gcc_trace))
+
+    @pytest.mark.parametrize("factory", IF_FACTORIES, ids=IF_IDS)
+    def test_scalar_steps_then_kernel(self, factory, gcc_trace):
+        predictor = factory()
+        bitmap = np.concatenate([
+            generic_simulate(predictor, gcc_trace[:700]),
+            predictor.simulate(gcc_trace[700:]),
+        ])
+        assert np.array_equal(bitmap, generic_simulate(factory(), gcc_trace))
+
+    @pytest.mark.parametrize("factory", IF_FACTORIES, ids=IF_IDS)
+    def test_pickle_round_trip_between_windows(self, factory, gcc_trace):
+        predictor = factory()
+        first = predictor.simulate(gcc_trace[:900])
+        restored = pickle.loads(pickle.dumps(predictor))
+        bitmap = np.concatenate([first, restored.simulate(gcc_trace[900:])])
+        assert np.array_equal(bitmap, generic_simulate(factory(), gcc_trace))
+
+    @pytest.mark.parametrize(
+        "make", [InterferenceFreeGshare, InterferenceFreePAs],
+        ids=["if-gshare", "if-pas"],
+    )
+    def test_overflowing_keys_fall_back_to_the_scalar_loop(self, make):
+        """Cell keys past 62 bits run the reference loop, same results.
+
+        On a trace shorter than every history register no outcome is ever
+        masked off, so the patterns -- and every prediction -- are those
+        of any longer register.  The 40-bit kernel run is the reference
+        for the 61-bit fallback (five rows push the keys past 62 bits)
+        and the 70-bit one (the history itself outgrows int64), whole and
+        chained across windows.
+        """
+        trace = random_trace(3, n=36, num_branches=5, bias=0.6)
+        reference = make(40).simulate(trace)
+        assert make(60)._kernel_fits(trace[:1])
+        for bits in (61, 70):
+            assert not make(bits)._kernel_fits(trace)
+            assert np.array_equal(make(bits).simulate(trace), reference)
+            chained = make(bits)
+            bitmap = np.concatenate(
+                [chained.simulate(trace[:10]), chained.simulate(trace[10:])]
+            )
+            assert np.array_equal(bitmap, reference)

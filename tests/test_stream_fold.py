@@ -121,6 +121,39 @@ class TestStreamedTaskFolds:
                 np.asarray(folded, dtype=bool), reference
             )
 
+    @pytest.mark.parametrize("task", CHUNKABLE_TASKS)
+    def test_uneven_windows_match_compute_task(self, fold_trace, task):
+        """Windows of 1, 7 and 64 branches, then the rest."""
+        from repro.analysis.parallel import compute_task
+
+        reference = compute_task(fold_trace, DEFAULT_CONFIG, task)
+        bounds = (0, 1, 8, 72, len(fold_trace))
+        windows = [fold_trace[a:b] for a, b in zip(bounds, bounds[1:])]
+        folded = fold_simulate(task_predictor(DEFAULT_CONFIG, task), windows)
+        np.testing.assert_array_equal(
+            np.asarray(folded, dtype=bool), np.asarray(reference, dtype=bool)
+        )
+
+    @pytest.mark.parametrize("name", ["if-gshare", "if-pas"])
+    def test_uneven_windows_across_the_fallback_width(self, fold_trace, name):
+        """Windows switch from the kernel to the reference loop mid-fold.
+
+        With 59 history bits, cell keys fit the kernel's 62 bits while
+        the perfect BTB holds at most 8 rows: the first window runs the
+        kernel, later ones (more rows) the scalar loop, both on one
+        state, and the fold must equal a whole-trace scalar replay.
+        """
+        from repro.predictors.base import simulate as generic_simulate
+
+        trace = fold_trace[:600]
+        factory = PREDICTOR_REGISTRY[name]
+        assert factory(history_bits=59)._kernel_fits(trace[:1])
+        assert not factory(history_bits=59)._kernel_fits(trace)
+        reference = generic_simulate(factory(history_bits=59), trace)
+        windows = [trace[:1], trace[1:8], trace[8:72], trace[72:]]
+        folded = fold_simulate(factory(history_bits=59), windows)
+        np.testing.assert_array_equal(folded, reference)
+
     def test_fold_correct_count_matches_bitmap_sum(self, fold_trace):
         stream = TraceStream.from_trace(fold_trace, chunk_branches=256)
         for task in CHUNKABLE_TASKS:
