@@ -61,8 +61,8 @@ from repro.api import (  # noqa: E402
     SpecError,
     SweepRun,
     SweepSpec,
+    SyntheticSource,
     UnknownExperimentError,
-    WorkloadSpec,
     build_labs,
     build_plan,
     generate_suite,
@@ -88,10 +88,10 @@ __all__ = [
     "SpecError",
     "SweepRun",
     "SweepSpec",
+    "SyntheticSource",
     "Trace",
     "TraceBuilder",
     "UnknownExperimentError",
-    "WorkloadSpec",
     "__version__",
     "build_labs",
     "build_plan",

@@ -15,18 +15,25 @@ Lanes: a whole-trace job is a one-window lane.  With
 (:data:`~repro.analysis.streamed.CHUNKABLE_TASKS`) become many-window
 lanes: window ``k`` resumes from the pickled predictor state window
 ``k-1`` returned, so a lane is sequential, but lanes run side by side.
-Pool workers read chunk windows from the benchmark's columns, published
+:func:`prime_labs` is the one place windows are decided, from each
+loaded trace's length; the plan never expands chunks.  Pool workers
+read chunk windows from the benchmark's columns, published
 once into :mod:`multiprocessing.shared_memory`, so nothing
 trace-length-proportional is pickled into a submission.  The folded
 bitmaps are bit-identical to the unchunked run (the PC011 contract
 check and the split-point property tests enforce it).
 
-Determinism: every job is a pure function of ``(benchmark name, length,
-run seed, config, task)``; pool workers regenerate a whole-trace lane's
-trace from those inputs (a per-process LRU plus the shared disk cache
-make this cheap) and the parent verifies the returned trace digest
-before folding, so completion order and worker scheduling cannot change
-any result.  In-process lanes run on the lab's own trace.
+Determinism: every job is a pure function of ``(benchmark name, trace
+source, config, task)``, computed by the task table's
+:func:`~repro.analysis.runner.compute_task`.  A whole-trace lane ships
+the run's frozen :data:`~repro.spec.TraceSource`, and its worker loads
+the trace through :func:`~repro.workloads.suite.load_source_trace`, the
+loader every path uses (a per-process LRU plus the shared disk cache
+make this cheap).  The parent verifies the returned trace digest before
+folding, so completion order and worker scheduling cannot change any
+result.  In-process lanes run on the lab's own trace.  Cache hits fold
+through :meth:`~repro.analysis.runner.Lab.fold_cached`, the method a
+lab's lazy lookup uses too.
 
 Resilience: one loop owns submission, retries, deadlines and pool
 rebuilds for every lane, chunked or not, pooled or in-process.  A
@@ -40,7 +47,11 @@ killed and rebuilt, with innocent in-flight lanes resubmitted at their
 structured :class:`~repro.resilience.TaskFailure` -- the run continues
 and the lab computes that task lazily in-process if an experiment needs
 it.  ``KeyboardInterrupt``/``SIGTERM`` tear the pool down cleanly
-(cancel pending futures, terminate workers) instead of leaking it.  The
+(cancel pending futures, terminate workers) instead of leaking it.  Both
+signals are held pending while a window is submitted (which may fork
+the workers) and registered, and while the loop waits on and harvests
+futures, so an interrupt cannot leave a worker unregistered or an
+executor lock held.  The
 :class:`~repro.resilience.FaultInjector` is consulted once per lane
 attempt, on the window where the attempt starts, so crashes, hangs and
 cache corruption are reproducible: the same fault spec yields the same
@@ -65,6 +76,7 @@ pickling of results, no subprocesses.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import signal
@@ -78,12 +90,10 @@ import numpy as np
 
 from repro.analysis.cache import ResultCache, result_key
 from repro.analysis.config import LabConfig
-from repro.analysis.runner import Lab
+from repro.analysis.runner import CORRELATION_TASK, DEFAULT_TASKS, Lab, compute_task
 from repro.analysis.streamed import CHUNKABLE_TASKS, task_predictor
-from repro.correlation.tagging import collect_correlation_data
 from repro.obs.metrics import METRICS
 from repro.obs.tracing import TRACER, span
-from repro.predictors.pattern import best_fixed_length_correct
 from repro.resilience.faults import (
     HANG_SECONDS,
     FaultInjector,
@@ -93,39 +103,16 @@ from repro.resilience.faults import (
 from repro.resilience.retry import RetryPolicy, TaskFailure, TaskTimeout
 from repro.trace.stream import chunk_spans, normalize_chunk_branches
 from repro.trace.trace import Trace
+from repro.workloads.suite import load_source_trace
 
 #: Environment variable overriding the worker count.
 ENV_JOBS = "REPRO_JOBS"
 
-#: Pseudo-task name for the tagged-correlation collection.
-CORRELATION_TASK = "correlation"
-
 #: Scheduler poll interval while futures are in flight (seconds).
 _TICK = 0.05
 
-#: Tasks a full report needs, in deterministic fold order.
-DEFAULT_TASKS: Tuple[str, ...] = (
-    "gshare",
-    "if_gshare",
-    "pas",
-    "if_pas",
-    "loop",
-    "block",
-    "ideal_static",
-    "fixed_best",
-    CORRELATION_TASK,
-)
-
-#: Map task name -> LabConfig factory attribute (mirrors Lab._factories).
-_FACTORY_ATTRS: Dict[str, str] = {
-    "gshare": "gshare",
-    "if_gshare": "if_gshare",
-    "pas": "pas",
-    "if_pas": "if_pas",
-    "loop": "loop",
-    "block": "block_pattern",
-    "ideal_static": "ideal_static",
-}
+#: Signals the scheduler holds pending around executor calls.
+_DEFERRED_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
 def default_jobs() -> int:
@@ -144,31 +131,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs is None:
         return default_jobs()
     return max(1, int(jobs))
-
-
-def compute_task(trace: Trace, config: LabConfig, task: str):
-    """Compute one task's result on a trace (the single source of truth).
-
-    Used for every whole-trace window, in-process and inside workers, so
-    both paths produce bit-identical results and identical work-unit
-    metrics (``sim.simulations`` / ``sim.correlation_collections``).
-    """
-    if task == CORRELATION_TASK:
-        METRICS.inc("sim.correlation_collections")
-        with span(
-            "collect_correlation", length=len(trace)
-        ), METRICS.timer("sim.seconds"):
-            return collect_correlation_data(
-                trace, window=config.collection_window
-            )
-    METRICS.inc("sim.simulations")
-    with span(
-        "simulate", predictor=task, length=len(trace)
-    ), METRICS.timer("sim.seconds"):
-        if task == "fixed_best":
-            return best_fixed_length_correct(trace)
-        factory = getattr(config, _FACTORY_ATTRS[task])
-        return factory().simulate(trace)
 
 
 def _simulate_window(
@@ -245,10 +207,12 @@ def _corrupt_result_entry(
 def _run_window(job: tuple):
     """Execute one window attempt of a lane in a worker process.
 
-    Module-level so it pickles.  A whole-trace window regenerates the
-    trace from the lane's origin (per-process LRU in ``load_benchmark``
-    plus the shared disk cache keep this a one-time cost per worker per
-    benchmark) and writes its result through to the shared cache.  A
+    Module-level so it pickles.  A whole-trace window loads the trace
+    from the lane's :data:`~repro.spec.TraceSource` through
+    :func:`~repro.workloads.suite.load_source_trace` (per-process LRU in
+    ``load_benchmark`` plus the shared disk cache keep this a one-time
+    cost per worker per benchmark) and writes its result through to the
+    shared cache.  A
     chunk window reads the parent's shared-memory segment -- no column
     pickling, no regeneration.  Returns the window's metric delta and
     span events alongside the result so the parent can fold telemetry
@@ -266,17 +230,14 @@ def _run_window(job: tuple):
     begin = time.perf_counter()
     digest = None
     if window is None:
-        length, run_seed, source, cache_root = origin
+        source, length, cache_root = origin
         with span("job", benchmark=name, task=task):
             cache = ResultCache(cache_root) if cache_root is not None else None
-            trace = _worker_trace(name, length, run_seed, source, cache)
+            trace = load_source_trace(name, source, cache, length=length)
             digest = trace.digest()
             result = compute_task(trace, config, task)
-            if cache is not None:
-                if task == CORRELATION_TASK:
-                    cache.store_correlation(digest, result)
-                else:
-                    cache.store_bitmap(digest, result_key(task, config), result)
+            lab = Lab(trace, config, cache)
+            lab.store(task, result)
     else:
         from repro.analysis.shm import attach_trace
 
@@ -299,44 +260,6 @@ def _run_window(job: tuple):
     )
 
 
-def _worker_trace(
-    name: str,
-    length: int,
-    run_seed: int,
-    source: Optional[tuple],
-    cache: Optional[ResultCache],
-) -> Trace:
-    """Materialise one job's trace from its source descriptor.
-
-    ``source`` is the picklable per-benchmark descriptor
-    :func:`prime_labs` ships: ``None`` (the legacy suite trace),
-    ``("synthetic", mix_items)`` (a mix-scaled suite trace, cached under
-    its mix-signature variant key), or ``("imported", path, format,
-    digest)`` (a foreign file, digest-verified on load).
-    """
-    if source is not None and source[0] == "imported":
-        from repro.trace.ingest import load_imported_trace
-
-        _, path, fmt, expected = source
-        return load_imported_trace(
-            path, format=fmt, expected_digest=expected
-        )
-    from repro.workloads.suite import load_benchmark, mix_items_signature
-
-    mix_items = source[1] if source is not None else ()
-    variant = mix_items_signature(mix_items)
-    trace = (
-        cache.load_trace(name, length, run_seed, variant=variant)
-        if cache
-        else None
-    )
-    if trace is None:
-        trace = load_benchmark(name, length, run_seed, mix=dict(mix_items))
-        if cache is not None:
-            cache.store_trace(name, length, run_seed, trace, variant=variant)
-    return trace
-
-
 def _count_injected(kinds: Sequence[str]) -> None:
     """Parent-side accounting of faults scheduled for an attempt."""
     for kind in kinds:
@@ -349,9 +272,11 @@ def _shutdown_pool(pool: ProcessPoolExecutor, kill: bool = False) -> None:
 
     ``kill`` additionally terminates the worker processes -- the only
     way to reclaim a hung worker.  Reaches into the executor's process
-    table (CPython 3.9-3.13 keep it at ``_processes``); absent that
-    attribute the shutdown still cancels everything queued.
+    table and result queue (CPython 3.9-3.13 keep them at ``_processes``
+    and ``_result_queue``); absent those attributes the shutdown still
+    cancels everything queued.
     """
+    results = getattr(pool, "_result_queue", None)
     if kill:
         processes = getattr(pool, "_processes", None) or {}
         for process in list(processes.values()):
@@ -360,6 +285,29 @@ def _shutdown_pool(pool: ProcessPoolExecutor, kill: bool = False) -> None:
             except Exception:
                 pass
     pool.shutdown(wait=False, cancel_futures=True)
+    if kill and results is not None:
+        # A worker killed mid-write leaves part of a result in the pipe,
+        # and the parent's copy of the write end keeps the pipe open, so
+        # the executor's thread -- and the interpreter's exit, which
+        # joins it -- would wait for the rest forever.  Closing that
+        # copy turns the partial read into EOF: a broken pool, which the
+        # thread handles and exits on.
+        results._writer.close()
+
+
+@contextlib.contextmanager
+def _interrupts_deferred():
+    """Hold SIGTERM and SIGINT pending for the block's duration.
+
+    A signal that arrives inside the block is delivered when the old
+    mask returns, so its ``KeyboardInterrupt`` surfaces at the block's
+    end, never between a lock's acquire and release inside it.
+    """
+    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, _DEFERRED_SIGNALS)
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
 
 
 def _init_worker() -> None:
@@ -370,10 +318,13 @@ def _init_worker() -> None:
     traceback.  SIGTERM gets its default action back, so the parent's
     ``terminate()`` simply ends the worker; SIGINT (a terminal Ctrl-C
     reaches the whole process group) is ignored, so only the parent
-    reacts to it and reaps its workers.
+    reacts to it and reaps its workers.  A worker forked inside the
+    parent's deferred submit starts with both signals blocked; they are
+    unblocked only once the dispositions are reset.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _DEFERRED_SIGNALS)
 
 
 class WorkerPool:
@@ -407,18 +358,14 @@ class WorkerPool:
             )
         return self._pool
 
-    def rebuild(self) -> None:
-        """Kill the current executor; the next :meth:`handle` starts fresh."""
-        if self._pool is not None:
-            _shutdown_pool(self._pool, kill=True)
-            self._pool = None
-
     def drain(self, kill: bool = False) -> None:
-        """Shut the pool down (idempotent).
+        """Shut the pool down (idempotent); the next :meth:`handle`
+        starts a fresh executor.
 
         ``kill=False`` is the graceful path: nothing new is accepted
         and queued futures are cancelled, but running workers finish
-        their current attempt.  ``kill=True`` terminates them.
+        their current attempt.  ``kill=True`` terminates them, which is
+        how the scheduler rebuilds a broken or hung pool.
         """
         if self._pool is not None:
             _shutdown_pool(self._pool, kill=kill)
@@ -445,7 +392,7 @@ class _Lane:
         self.name = name
         self.task = task
         self.windows = windows
-        self.origin: Optional[tuple] = None  # worker-side trace source
+        self.origin: Optional[tuple] = None  # what the worker reads the trace from
         self.next = 0
         self.state: Optional[bytes] = None
         self.attempt = 1
@@ -494,7 +441,7 @@ class _Scheduler:
         self._pool = pool if pool is not None else WorkerPool(jobs)
 
     def _rebuild_pool(self) -> None:
-        self._pool.rebuild()
+        self._pool.drain(kill=True)
         METRICS.inc("parallel.pool_rebuilds")
 
     def _shutdown(self, kill: bool = False) -> None:
@@ -532,17 +479,26 @@ class _Scheduler:
                 future.set_exception(error)
             else:
                 future.set_result((result, state, None, None, None, 0.0))
-        else:
-            job = (
-                lane.name, lane.task, self.labs[lane.name].config,
-                lane.origin, window, lane.state, kinds,
-            )
+            self._register(lane, future)
+            return
+        job = (
+            lane.name, lane.task, self.labs[lane.name].config,
+            lane.origin, window, lane.state, kinds,
+        )
+        # An interrupt inside submit -- which may fork the workers -- could
+        # leave a worker unregistered or a lock held.  Hold it pending
+        # until the future is registered; it then surfaces here as
+        # KeyboardInterrupt, and run()'s cleanup reaps the pool.
+        with _interrupts_deferred():
             try:
                 future = self._pool.handle().submit(_run_window, job)
             except BrokenProcessPool:
                 # The pool broke between loops; rebuild once and resubmit.
                 self._rebuild_pool()
                 future = self._pool.handle().submit(_run_window, job)
+            self._register(lane, future)
+
+    def _register(self, lane: _Lane, future: Future) -> None:
         deadline = (
             time.monotonic() + self.policy.timeout
             if self.policy.timeout is not None
@@ -594,12 +550,17 @@ class _Scheduler:
                         next_at = min(entry[0] for entry in self.waiting)
                         time.sleep(max(0.0, next_at - time.monotonic()))
                     continue
-                done, _ = wait(
-                    list(self.active), timeout=_TICK,
-                    return_when=FIRST_COMPLETED,
-                )
-                if self._collect(done):
-                    self._expire_deadlines()
+                # wait() and the harvest take futures' locks, which the
+                # executor's thread needs too; an interrupt inside them
+                # could leave one held and hang the exit.  At most one
+                # tick later it surfaces here instead.
+                with _interrupts_deferred():
+                    done, _ = wait(
+                        list(self.active), timeout=_TICK,
+                        return_when=FIRST_COMPLETED,
+                    )
+                    if self._collect(done):
+                        self._expire_deadlines()
         except BaseException:
             # Interrupt/SIGTERM/unexpected error: reap workers, cancel
             # queued futures, and let the caller decide what to keep.
@@ -697,7 +658,7 @@ def prime_labs(
     failures: Optional[list] = None,
     pool: Optional[WorkerPool] = None,
     chunk_branches: Optional[int] = None,
-    sources: Optional[Dict[str, tuple]] = None,
+    source=None,
 ) -> int:
     """Populate every lab's memos for ``tasks``, in parallel.
 
@@ -707,9 +668,10 @@ def prime_labs(
 
     Args:
         labs: Benchmark name -> Lab, as built by ``build_labs``.  The
-            benchmark name must regenerate the lab's trace (standard
-            suite labs; ad-hoc labs should skip priming).
-        run_seed: The seed the labs' traces were generated with.
+            benchmark name must load the lab's trace from ``source``
+            (ad-hoc labs should skip priming).
+        run_seed: The seed the labs' traces were generated with (used
+            only when ``source`` is None).
         jobs: Worker processes (None -> :func:`default_jobs`).
         cache: Shared result cache; workers write through to it.
         tasks: Task names to prime (subset of :data:`DEFAULT_TASKS`).
@@ -732,11 +694,11 @@ def prime_labs(
             whole-trace window.  Results, retries and injected faults
             are the same either way.  Ignored for traces no longer than
             one chunk.
-        sources: Per-benchmark trace-source descriptors workers use to
-            rematerialise job traces (see :func:`_worker_trace`); None
-            (or an absent name) means the legacy suite trace.  Chunk
-            lanes ignore this -- their windows ship from the parent's
-            columns over shared memory.
+        source: The frozen :data:`~repro.spec.TraceSource` the labs
+            were loaded from; pool workers load whole-trace lanes' traces
+            from it.  None means the unmixed suite at ``run_seed``.
+            Chunk lanes ignore it -- their windows ship from the
+            parent's columns over shared memory.
 
     Returns:
         The number of jobs that executed successfully (0 means
@@ -767,7 +729,7 @@ def prime_labs(
             lab.cache = cache
         length = len(lab.trace)
         for task in tasks:
-            if lab.is_primed(task) or _fold_cached(lab, task):
+            if lab.is_primed(task) or lab.fold_cached(task):
                 continue
             chunked = (
                 chunk_size and task in CHUNKABLE_TASKS and length > chunk_size
@@ -782,7 +744,11 @@ def prime_labs(
         segments: dict = {}
         try:
             if jobs > 1:
-                _set_origins(lanes, labs, run_seed, cache, sources, segments)
+                if source is None:
+                    from repro.spec import SyntheticSource
+
+                    source = SyntheticSource(seed=run_seed)
+                _set_origins(lanes, labs, source, cache, segments)
             scheduler = _Scheduler(lanes, labs, jobs, policy, injector, pool)
             scheduler.run()
         finally:
@@ -797,16 +763,16 @@ def prime_labs(
 def _set_origins(
     lanes: Sequence[_Lane],
     labs: Dict[str, Lab],
-    run_seed: int,
+    source,
     cache: Optional[ResultCache],
-    sources: Optional[Dict[str, tuple]],
     segments: dict,
 ) -> None:
-    """Give each lane the picklable trace source its workers read.
+    """Give each lane the picklable trace origin its workers read.
 
-    A whole-trace lane ships what regenerates the trace; chunk lanes
-    share one shared-memory segment per benchmark, published here into
-    ``segments`` (the caller unlinks them).
+    A whole-trace lane ships the frozen source, the trace's length and
+    the cache root; chunk lanes share one shared-memory segment per
+    benchmark, published here into ``segments`` (the caller unlinks
+    them).
     """
     from repro.analysis.shm import SharedTrace
 
@@ -814,8 +780,7 @@ def _set_origins(
     for lane in lanes:
         trace = labs[lane.name].trace
         if lane.windows[0] is None:
-            source = sources.get(lane.name) if sources is not None else None
-            lane.origin = (len(trace), run_seed, source, cache_root)
+            lane.origin = (source, len(trace), cache_root)
             continue
         if lane.name not in segments:
             segments[lane.name] = SharedTrace.create(trace)
@@ -854,10 +819,7 @@ def _fold_lanes(
         # A worker that regenerated the trace already wrote the shared
         # cache; skip the second write.
         write_through = lane.digest is None or cache is None
-        if lane.task == CORRELATION_TASK:
-            lab.store_correlation(result, write_through=write_through)
-        else:
-            lab.store_correct(lane.task, result, write_through=write_through)
+        lab.store(lane.task, result, write_through=write_through)
         # An injected 'corrupt' lands when the lane's final window does.
         if "corrupt" in lane.kinds and lab.cache is not None:
             _corrupt_result_entry(
@@ -876,23 +838,3 @@ def _report_failures(
     for failure in sorted(task_failures, key=lambda f: (f.benchmark, f.task)):
         sink.append(failure.to_dict())
 
-
-def _fold_cached(lab: Lab, task: str) -> bool:
-    """Fold a disk-cached result into the lab's memo; True on a hit."""
-    if lab.cache is None:
-        return False
-    if task == CORRELATION_TASK:
-        data = lab.cache.load_correlation(
-            lab.trace.digest(), lab.config.collection_window
-        )
-        if data is None:
-            return False
-        lab.store_correlation(data, write_through=False)
-        return True
-    bitmap = lab.cache.load_bitmap(
-        lab.trace.digest(), result_key(task, lab.config)
-    )
-    if bitmap is None:
-        return False
-    lab.store_correct(task, bitmap, write_through=False)
-    return True

@@ -10,11 +10,17 @@ simulates each predictor exactly once.
 When an on-disk :class:`~repro.analysis.cache.ResultCache` is attached,
 each lookup goes memo -> disk cache -> compute (storing back to both),
 so a repeated run over unchanged traces performs no simulation at all.
+
+This module also holds the task table -- :data:`DEFAULT_TASKS`, the
+task -> ``LabConfig`` factory map and :func:`compute_task` -- so a lab's
+lazy lookup, the scheduler's lanes and pool workers compute every task
+the same way, and the scheduler folds cache hits through the lab's own
+:meth:`Lab.fold_cached`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -24,11 +30,64 @@ from repro.correlation.selection import Selection, select_counts
 from repro.correlation.tagging import CorrelationTable, collect_correlation_data
 from repro.obs.metrics import METRICS
 from repro.obs.tracing import span
-from repro.predictors.base import BranchPredictor
 from repro.predictors.pattern import best_fixed_length_correct
 from repro.predictors.selective import SelectiveHistoryPredictor
 from repro.trace.stats import TraceStatistics, compute_statistics
 from repro.trace.trace import Trace
+
+#: Pseudo-task name for the tagged-correlation collection.
+CORRELATION_TASK = "correlation"
+
+#: Tasks a full report needs, in deterministic fold order.
+DEFAULT_TASKS: Tuple[str, ...] = (
+    "gshare",
+    "if_gshare",
+    "pas",
+    "if_pas",
+    "loop",
+    "block",
+    "ideal_static",
+    "fixed_best",
+    CORRELATION_TASK,
+)
+
+#: Map task name -> LabConfig factory attribute.
+_FACTORY_ATTRS: Dict[str, str] = {
+    "gshare": "gshare",
+    "if_gshare": "if_gshare",
+    "pas": "pas",
+    "if_pas": "if_pas",
+    "loop": "loop",
+    "block": "block_pattern",
+    "ideal_static": "ideal_static",
+}
+
+
+def compute_task(trace: Trace, config: LabConfig, task: str):
+    """Compute one task's result on a trace (the single source of truth).
+
+    Every computation of a :data:`DEFAULT_TASKS` member goes through
+    here -- a lab's lazy lookup, an in-process lane window, a pool
+    worker -- so all paths produce bit-identical results and identical
+    work-unit metrics (``sim.simulations`` /
+    ``sim.correlation_collections``).
+    """
+    if task == CORRELATION_TASK:
+        METRICS.inc("sim.correlation_collections")
+        with span(
+            "collect_correlation", length=len(trace)
+        ), METRICS.timer("sim.seconds"):
+            return collect_correlation_data(
+                trace, window=config.collection_window
+            )
+    METRICS.inc("sim.simulations")
+    with span(
+        "simulate", predictor=task, length=len(trace)
+    ), METRICS.timer("sim.seconds"):
+        if task == "fixed_best":
+            return best_fixed_length_correct(trace)
+        factory = getattr(config, _FACTORY_ATTRS[task])
+        return factory().simulate(trace)
 
 
 class Lab:
@@ -51,21 +110,13 @@ class Lab:
         self.trace = trace
         self.config = config
         self.cache = cache
-        self._correct: Dict[str, np.ndarray] = {}
-        self._correlation_data: Optional[CorrelationTable] = None
+        # Task name -> result: correctness bitmaps, and the correlation
+        # table under CORRELATION_TASK.
+        self._results: Dict[str, object] = {}
         self._selections: Dict[Tuple[int, int], Dict[int, Selection]] = {}
         # window -> {count: selections}: one oracle pass serves counts 1-3.
         self._oracle_passes: Dict[int, Dict[int, Dict[int, Selection]]] = {}
         self._stats: Optional[TraceStatistics] = None
-        self._factories: Dict[str, Callable[[], BranchPredictor]] = {
-            "gshare": config.gshare,
-            "if_gshare": config.if_gshare,
-            "pas": config.pas,
-            "if_pas": config.if_pas,
-            "loop": config.loop,
-            "block": config.block_pattern,
-            "ideal_static": config.ideal_static,
-        }
 
     # -- basic results ------------------------------------------------------
 
@@ -78,13 +129,11 @@ class Lab:
 
     def available_predictors(self) -> Tuple[str, ...]:
         """Names accepted by :meth:`correct` / :meth:`accuracy`."""
-        return tuple(self._factories) + ("fixed_best",)
+        return tuple(_FACTORY_ATTRS) + ("fixed_best",)
 
     def is_primed(self, task: str) -> bool:
         """Whether a task's result is already memoised in this lab."""
-        if task == "correlation":
-            return self._correlation_data is not None
-        return task in self._correct
+        return task in self._results
 
     def invalidate(self, task: str) -> bool:
         """Drop a task's memoised result; True if one was held.
@@ -93,73 +142,62 @@ class Lab:
         entry (quarantine handles corrupt ones).  Used when a folded
         result is discovered to be untrustworthy and must recompute.
         """
-        if task == "correlation":
-            had = self._correlation_data is not None
-            self._correlation_data = None
-            return had
-        return self._correct.pop(task, None) is not None
+        return self._results.pop(task, None) is not None
 
-    def store_correct(
-        self, name: str, bitmap: np.ndarray, write_through: bool = True
-    ) -> None:
-        """Fold an externally-computed correctness bitmap into the memo.
+    def store(self, task: str, result, write_through: bool = True) -> None:
+        """Fold a task's result into the memo.
 
-        Used by the parallel scheduler; with ``write_through`` (the
-        default) the bitmap also lands in the disk cache so the next
-        cold process skips the simulation too.  Workers that already
-        wrote the shared cache pass ``write_through=False``.
+        With ``write_through`` (the default) the result also lands in
+        the disk cache, so the next cold process skips the work too.
+        Results read from the cache, and results of workers that already
+        wrote the shared cache, pass ``write_through=False``.
         """
-        if len(bitmap) != len(self.trace):
+        if task != CORRELATION_TASK and len(result) != len(self.trace):
             raise ValueError(
-                f"bitmap length {len(bitmap)} != trace length {len(self.trace)}"
+                f"bitmap length {len(result)} != trace length {len(self.trace)}"
             )
-        self._correct[name] = bitmap
-        if write_through and self.cache is not None:
+        self._results[task] = result
+        if not write_through or self.cache is None:
+            return
+        if task == CORRELATION_TASK:
+            self.cache.store_correlation(self.trace.digest(), result)
+        else:
             self.cache.store_bitmap(
-                self.trace.digest(), result_key(name, self.config), bitmap
+                self.trace.digest(), result_key(task, self.config), result
             )
 
-    def store_correlation(
-        self, data: CorrelationTable, write_through: bool = True
-    ) -> None:
-        """Fold externally-collected correlation data into the memo."""
-        self._correlation_data = data
-        if write_through and self.cache is not None:
-            self.cache.store_correlation(self.trace.digest(), data)
-
-    def _cached_bitmap(self, name: str) -> Optional[np.ndarray]:
+    def fold_cached(self, task: str) -> bool:
+        """Fold the disk-cached result of ``task`` into the memo; True on a hit."""
         if self.cache is None:
-            return None
-        return self.cache.load_bitmap(
-            self.trace.digest(), result_key(name, self.config)
-        )
+            return False
+        digest = self.trace.digest()
+        if task == CORRELATION_TASK:
+            result = self.cache.load_correlation(
+                digest, self.config.collection_window
+            )
+        else:
+            result = self.cache.load_bitmap(digest, result_key(task, self.config))
+        if result is None:
+            return False
+        self.store(task, result, write_through=False)
+        return True
+
+    def _result(self, task: str):
+        """Memo -> disk cache -> :func:`compute_task`, stored back to both."""
+        if self.is_primed(task):
+            METRICS.inc("sim.memo_hits")
+        elif not self.fold_cached(task):
+            self.store(task, compute_task(self.trace, self.config, task))
+        return self._results[task]
 
     def correct(self, name: str) -> np.ndarray:
         """Correctness bitmap of a named predictor (simulated once)."""
-        cached = self._correct.get(name)
-        if cached is not None:
-            METRICS.inc("sim.memo_hits")
-            return cached
-        if name != "fixed_best" and name not in self._factories:
+        if name not in self.available_predictors():
             raise KeyError(
                 f"unknown predictor {name!r}; choose from "
                 f"{self.available_predictors()}"
             )
-        bitmap = self._cached_bitmap(name)
-        if bitmap is None:
-            METRICS.inc("sim.simulations")
-            with span("simulate", predictor=name, length=len(self.trace)), \
-                    METRICS.timer("sim.seconds"):
-                if name == "fixed_best":
-                    bitmap = best_fixed_length_correct(self.trace)
-                else:
-                    bitmap = self._factories[name]().simulate(self.trace)
-            if self.cache is not None:
-                self.cache.store_bitmap(
-                    self.trace.digest(), result_key(name, self.config), bitmap
-                )
-        self._correct[name] = bitmap
-        return bitmap
+        return self._result(name)
 
     def accuracy(self, name: str) -> float:
         """Overall accuracy of a named predictor."""
@@ -171,26 +209,7 @@ class Lab:
 
     def correlation_data(self) -> CorrelationTable:
         """Tagged-correlation observations (collected once at window 32)."""
-        if self._correlation_data is not None:
-            METRICS.inc("sim.memo_hits")
-        if self._correlation_data is None:
-            data = None
-            if self.cache is not None:
-                data = self.cache.load_correlation(
-                    self.trace.digest(), self.config.collection_window
-                )
-            if data is None:
-                METRICS.inc("sim.correlation_collections")
-                with span(
-                    "collect_correlation", length=len(self.trace)
-                ), METRICS.timer("sim.seconds"):
-                    data = collect_correlation_data(
-                        self.trace, window=self.config.collection_window
-                    )
-                if self.cache is not None:
-                    self.cache.store_correlation(self.trace.digest(), data)
-            self._correlation_data = data
-        return self._correlation_data
+        return self._result(CORRELATION_TASK)
 
     def selections(
         self, count: int, window: Optional[int] = None
@@ -228,10 +247,7 @@ class Lab:
         if window is None:
             window = self.config.selective_window
         name = f"selective_{count}_{window}"
-        cached = self._correct.get(name)
-        if cached is None:
-            cached = self._cached_bitmap(name)
-        if cached is None:
+        if not self.is_primed(name) and not self.fold_cached(name):
             METRICS.inc("sim.simulations")
             with span(
                 "simulate", predictor=name, length=len(self.trace)
@@ -244,13 +260,9 @@ class Lab:
                     data=self.correlation_data(),
                     selections=self.selections(count, window),
                 )
-                cached = predictor.simulate(self.trace)
-            if self.cache is not None:
-                self.cache.store_bitmap(
-                    self.trace.digest(), result_key(name, self.config), cached
-                )
-        self._correct[name] = cached
-        return cached
+                bitmap = predictor.simulate(self.trace)
+            self.store(name, bitmap)
+        return self._results[name]
 
     def selective_accuracy(self, count: int, window: Optional[int] = None) -> float:
         if not len(self.trace):

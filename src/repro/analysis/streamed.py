@@ -28,6 +28,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.config import LabConfig
+from repro.analysis.runner import _FACTORY_ATTRS
 from repro.obs.metrics import METRICS
 from repro.sim.fold import fold_correct_count, fold_simulate
 from repro.trace.stream import TraceStream
@@ -50,8 +51,6 @@ CHUNKABLE_TASKS: Tuple[str, ...] = (
 
 def task_predictor(config: LabConfig, task: str):
     """A fresh predictor instance for one chunkable task."""
-    from repro.analysis.parallel import _FACTORY_ATTRS
-
     if task not in CHUNKABLE_TASKS:
         raise ValueError(
             f"task {task!r} is not chunkable; choose from {CHUNKABLE_TASKS}"

@@ -25,8 +25,11 @@ it scopes the global metrics registry, traces every stage, primes
 exactly the simulations the planned experiments declared, assembles
 the schema-versioned run manifest, and hosts the resilience layer
 (per-task retries, journal checkpointing, ``resume``, structured
-failures).  :func:`run_sweep` runs a swept spec point by point over
-one shared cache and journal, writing a manifest per grid point.
+failures).  There is one run path: a plain spec is a one-point plan,
+and :func:`run_spec` runs every point of a plan through the same loop
+(:func:`_run_point` per point) inside one session, tracer and SIGTERM
+scope.  :func:`run_sweep` is that path for a swept spec: points share
+one cache and journal, and each writes its own manifest.
 
 Execution state has an explicit owner: an :class:`EngineSession` holds
 the resolved cache, retry policy, fault injector, journal and warm
@@ -47,6 +50,7 @@ execute it with :func:`run_spec`.)
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
@@ -56,8 +60,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.analysis.cache import ResultCache
-from repro.analysis.config import DEFAULT_CONFIG, LabConfig
-from repro.analysis.parallel import WorkerPool, prime_labs, resolve_jobs
+from repro.analysis.config import LabConfig
+from repro.analysis.parallel import WorkerPool, prime_labs
 from repro.analysis.runner import Lab
 from repro.errors import (
     AdmissionError,
@@ -89,7 +93,6 @@ from repro.spec import (
     SweepSpec,
     SyntheticSource,
     TraceEntry,
-    WorkloadSpec,
     spec_from_kwargs,
 )
 from repro.trace.trace import Trace
@@ -121,7 +124,6 @@ __all__ = [
     "SyntheticSource",
     "TraceEntry",
     "UnknownExperimentError",
-    "WorkloadSpec",
     "build_labs",
     "build_plan",
     "generate_suite",
@@ -272,9 +274,7 @@ def write_result(
     the server stores and serves, so artefacts written here diff clean
     against ``GET /v1/runs/{id}`` responses.
     """
-    with open(path, "w") as fh:
-        json.dump(run.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(run.to_dict(), path)
 
 
 def _install_sigterm_handler():
@@ -296,16 +296,6 @@ def _install_sigterm_handler():
         return signal.signal(signal.SIGTERM, _handler)
     except (ValueError, OSError):
         return None
-
-
-def _validate_experiments(spec: RunSpec) -> None:
-    known = set(EXPERIMENT_IDS) | set(EXTENSION_IDS)
-    for experiment_id in spec.experiments:
-        if experiment_id not in known:
-            raise UnknownExperimentError(
-                f"unknown experiment {experiment_id!r}; choose from "
-                f"{sorted(known)}"
-            )
 
 
 @dataclass
@@ -372,9 +362,11 @@ class EngineSession:
             served_by=served_by,
         )
 
-    def close(self) -> None:
+    def close(self, kill: bool = False) -> None:
+        """Drain the pool (terminating its workers if ``kill``) and
+        close the journal."""
         if self.pool is not None:
-            self.pool.drain()
+            self.pool.drain(kill=kill)
         if self.journal is not None:
             self.journal.close()
 
@@ -382,10 +374,7 @@ class EngineSession:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self.pool is not None:
-            self.pool.drain(kill=exc_type is not None)
-        if self.journal is not None:
-            self.journal.close()
+        self.close(kill=exc_type is not None)
 
 
 def _run_point(
@@ -418,16 +407,13 @@ def _run_point(
         say("building workload traces...")
         build_start = time.perf_counter()
         labs = build_labs(
-            workload.max_length,
-            point_spec.config,
-            workload.seed,
+            config=point_spec.config,
             jobs=engine.jobs,
             cache=engine.cache,
             policy=engine.policy,
             injector=engine.injector,
             failures=failures,
             tasks=sims,
-            benchmarks=getattr(workload, "benchmarks", None),
             pool=engine.pool,
             chunk_branches=engine.options.chunk_branches,
             source=workload,
@@ -549,9 +535,10 @@ def run_spec(
 
     The spec is the single source of truth: what to simulate comes from
     its workload/config/experiments, how to execute from its engine
-    options.  A swept spec is delegated to :func:`run_sweep` (the
-    ``manifest_dir``/``summary_out`` arguments apply there; ``json_out``
-    and ``manifest_out`` apply to plain runs).
+    options.  A plain spec is a one-point plan; a swept spec runs as
+    :func:`run_sweep` does (the ``manifest_dir``/``summary_out``
+    arguments apply there; ``json_out`` and ``manifest_out`` apply to
+    plain runs).
 
     Args:
         spec: The run description (see :mod:`repro.spec`).
@@ -581,36 +568,58 @@ def run_spec(
         SpecError: On a malformed fault spec, or hang faults without a
             task timeout.
     """
-    if spec.sweep is not None:
-        return run_sweep(
-            spec,
-            manifest_dir=manifest_dir,
-            summary_out=summary_out,
-            result_out=result_out,
-            metrics_out=metrics_out,
-            trace_out=trace_out,
-            command=command,
-            echo=echo,
-            engine=engine,
-        )
     say = echo if echo is not None else (lambda message: None)
-    _validate_experiments(spec)
+    # Planning validates the experiments before any engine state opens.
+    plan = build_plan(spec)
+    swept = spec.sweep is not None
     owned = engine is None
     if owned:
         engine = EngineSession.resolve(spec.engine)
-    plan = build_plan(spec)
+    if swept:
+        stats = plan.stats()
+        say(
+            f"sweep: {len(plan.points)} points, {stats['total']} planned "
+            f"tasks ({stats['deduped']} deduped across points)\n"
+        )
 
     TRACER.reset()
+    baseline = METRICS.snapshot()
     previous_sigterm = _install_sigterm_handler() if owned else None
+    points: List[PointRun] = []
     try:
-        run = _run_point(
-            spec,
-            {},
-            sims=plan.sim_task_names(0),
-            engine=engine,
-            command=command,
-            say=say,
-        )
+        with TRACER.span("sweep", points=str(len(plan.points))) if swept \
+                else contextlib.nullcontext():
+            for index, (coords, point_spec) in enumerate(plan.points):
+                if swept:
+                    say(
+                        f"=== point {index + 1}/{len(plan.points)}: "
+                        f"{_where(coords)} ==="
+                    )
+                run = _run_point(
+                    point_spec,
+                    coords,
+                    sims=plan.sim_task_names(index),
+                    engine=engine,
+                    command=command,
+                    say=say,
+                    span_name="point" if swept else "report",
+                )
+                manifest_path = None
+                if swept and manifest_dir:
+                    os.makedirs(manifest_dir, exist_ok=True)
+                    manifest_path = os.path.join(
+                        manifest_dir, _point_manifest_name(index, coords)
+                    )
+                    write_manifest(run.manifest, manifest_path)
+                    say(f"point manifest written to {manifest_path}\n")
+                points.append(
+                    PointRun(
+                        coords=dict(coords),
+                        spec=point_spec,
+                        report=run,
+                        manifest_path=manifest_path,
+                    )
+                )
     finally:
         # The journal appends durably as each experiment completes, so
         # an interrupt here loses nothing already finished.
@@ -619,88 +628,52 @@ def run_spec(
         if previous_sigterm is not None:
             signal.signal(signal.SIGTERM, previous_sigterm)
 
-    if json_out:
-        from repro.experiments.export import export_results
+    if swept:
+        summary = _sweep_summary_table(spec, points)
+        say(summary + "\n")
+        summary_path = summary_out
+        if summary_path is None and manifest_dir:
+            summary_path = os.path.join(manifest_dir, "sweep_summary.json")
+        if summary_path:
+            _write_json(_sweep_summary(spec, points), summary_path)
+            say(f"sweep summary written to {summary_path}")
+        result: Union[ReportRun, SweepRun] = SweepRun(
+            spec=spec,
+            points=points,
+            summary=summary,
+            summary_path=summary_path,
+            metrics=METRICS.delta_since(baseline),
+        )
+    else:
+        result = points[0].report
+        if json_out:
+            from repro.experiments.export import export_results
 
-        export_results(run.results, json_out)
-        say(f"JSON results written to {json_out}")
-    if manifest_out:
-        write_manifest(run.manifest, manifest_out)
-        say(f"run manifest written to {manifest_out}")
-    if result_out:
-        write_result(run, result_out)
-        say(f"result envelope written to {result_out}")
+            export_results(result.results, json_out)
+            say(f"JSON results written to {json_out}")
+        if manifest_out:
+            write_manifest(result.manifest, manifest_out)
+            say(f"run manifest written to {manifest_out}")
+        if result_out:
+            write_result(result, result_out)
+            say(f"result envelope written to {result_out}")
     if metrics_out:
-        _write_json(run.metrics, metrics_out)
+        _write_json(result.metrics, metrics_out)
         say(f"metrics written to {metrics_out}")
     if trace_out:
         TRACER.write(trace_out)
         say(f"span trace written to {trace_out}")
     if engine.cache is not None:
         say(f"cache: {engine.cache.stats.summary()}")
-    if run.failures:
+    if swept and result_out:
+        write_result(result, result_out)
+        say(f"result envelope written to {result_out}")
+    if not swept and result.failures:
         say(
-            f"run finished with {len(run.failures)} failure(s); see the "
+            f"run finished with {len(result.failures)} failure(s); see the "
             "manifest's resilience section"
         )
-    return run
-
-
-def _point_manifest_name(index: int, coords: Dict[str, int]) -> str:
-    slug = "".join(
-        f"_{name}-{value}" for name, value in sorted(coords.items())
-    )
-    return f"manifest_p{index}{slug}.json"
-
-
-def _sweep_summary(spec: RunSpec, points: List[PointRun]) -> dict:
-    return {
-        "schema_version": 1,
-        "kind": "repro.sweep_summary",
-        "spec_digest": spec.digest(),
-        "axes": (
-            {} if spec.sweep is None
-            else {name: list(values) for name, values in spec.sweep.axes}
-        ),
-        "points": [
-            {
-                "coords": dict(point.coords),
-                "spec_digest": point.spec.digest(),
-                "manifest": point.manifest_path,
-                "experiments": sorted(point.report.results),
-                "replayed": list(point.report.replayed),
-                "failures": len(point.report.failures),
-            }
-            for point in points
-        ],
-    }
-
-
-def _sweep_summary_table(spec: RunSpec, points: List[PointRun]) -> str:
-    header = f"{'point':<7}{'coordinates':<40}{'spec digest':<34}{'ok':<4}"
-    lines = [
-        f"sweep of {len(points)} point(s), spec {spec.digest()}",
-        header,
-        "-" * len(header),
-    ]
-    for index, point in enumerate(points):
-        where = (
-            ", ".join(f"{k}={v}" for k, v in sorted(point.coords.items()))
-            or "base config"
-        )
-        ok = "yes" if point.report.ok else f"{len(point.report.failures)}!"
-        lines.append(
-            f"{index:<7}{where:<40}{point.spec.digest():<34}{ok:<4}"
-        )
-    return "\n".join(lines)
-
-
-def _write_json(payload: Any, path: str) -> None:
-    import json as _json
-
-    with open(path, "w") as fh:
-        _json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return result
 
 
 def run_sweep(
@@ -746,88 +719,70 @@ def run_sweep(
     """
     if spec.sweep is None:
         raise SpecError("run_sweep requires a spec with a sweep section")
-    say = echo if echo is not None else (lambda message: None)
-    _validate_experiments(spec)
-    owned = engine is None
-    if owned:
-        engine = EngineSession.resolve(spec.engine)
-    plan = build_plan(spec)
-    stats = plan.stats()
-    say(
-        f"sweep: {len(plan.points)} points, {stats['total']} planned tasks "
-        f"({stats['deduped']} deduped across points)\n"
+    return run_spec(
+        spec,
+        manifest_dir=manifest_dir,
+        summary_out=summary_out,
+        result_out=result_out,
+        metrics_out=metrics_out,
+        trace_out=trace_out,
+        command=command,
+        echo=echo,
+        engine=engine,
     )
 
-    TRACER.reset()
-    baseline = METRICS.snapshot()
-    previous_sigterm = _install_sigterm_handler() if owned else None
-    points: List[PointRun] = []
-    try:
-        with TRACER.span("sweep", points=str(len(plan.points))):
-            for index, (coords, point_spec) in enumerate(plan.points):
-                where = (
-                    ", ".join(f"{k}={v}" for k, v in sorted(coords.items()))
-                    or "base config"
-                )
-                say(f"=== point {index + 1}/{len(plan.points)}: {where} ===")
-                run = _run_point(
-                    point_spec,
-                    coords,
-                    sims=plan.sim_task_names(index),
-                    engine=engine,
-                    command=command,
-                    say=say,
-                    span_name="point",
-                )
-                manifest_path = None
-                if manifest_dir:
-                    os.makedirs(manifest_dir, exist_ok=True)
-                    manifest_path = os.path.join(
-                        manifest_dir, _point_manifest_name(index, coords)
-                    )
-                    write_manifest(run.manifest, manifest_path)
-                    say(f"point manifest written to {manifest_path}\n")
-                points.append(
-                    PointRun(
-                        coords=dict(coords),
-                        spec=point_spec,
-                        report=run,
-                        manifest_path=manifest_path,
-                    )
-                )
-    finally:
-        if owned:
-            engine.close()
-        if previous_sigterm is not None:
-            signal.signal(signal.SIGTERM, previous_sigterm)
 
-    summary = _sweep_summary_table(spec, points)
-    say(summary + "\n")
-    summary_path = summary_out
-    if summary_path is None and manifest_dir:
-        summary_path = os.path.join(manifest_dir, "sweep_summary.json")
-    if summary_path:
-        _write_json(_sweep_summary(spec, points), summary_path)
-        say(f"sweep summary written to {summary_path}")
-
-    metrics_delta = METRICS.delta_since(baseline)
-    if metrics_out:
-        _write_json(metrics_delta, metrics_out)
-        say(f"metrics written to {metrics_out}")
-    if trace_out:
-        TRACER.write(trace_out)
-        say(f"span trace written to {trace_out}")
-    if engine.cache is not None:
-        say(f"cache: {engine.cache.stats.summary()}")
-    run = SweepRun(
-        spec=spec,
-        points=points,
-        summary=summary,
-        summary_path=summary_path,
-        metrics=metrics_delta,
+def _where(coords: Dict[str, int]) -> str:
+    return (
+        ", ".join(f"{k}={v}" for k, v in sorted(coords.items()))
+        or "base config"
     )
-    if result_out:
-        write_result(run, result_out)
-        say(f"result envelope written to {result_out}")
-    return run
 
+
+def _point_manifest_name(index: int, coords: Dict[str, int]) -> str:
+    slug = "".join(
+        f"_{name}-{value}" for name, value in sorted(coords.items())
+    )
+    return f"manifest_p{index}{slug}.json"
+
+
+def _sweep_summary(spec: RunSpec, points: List[PointRun]) -> dict:
+    return {
+        "schema_version": 1,
+        "kind": "repro.sweep_summary",
+        "spec_digest": spec.digest(),
+        "axes": {name: list(values) for name, values in spec.sweep.axes},
+        "points": [
+            {
+                "coords": dict(point.coords),
+                "spec_digest": point.spec.digest(),
+                "manifest": point.manifest_path,
+                "experiments": sorted(point.report.results),
+                "replayed": list(point.report.replayed),
+                "failures": len(point.report.failures),
+            }
+            for point in points
+        ],
+    }
+
+
+def _sweep_summary_table(spec: RunSpec, points: List[PointRun]) -> str:
+    header = f"{'point':<7}{'coordinates':<40}{'spec digest':<34}{'ok':<4}"
+    lines = [
+        f"sweep of {len(points)} point(s), spec {spec.digest()}",
+        header,
+        "-" * len(header),
+    ]
+    for index, point in enumerate(points):
+        ok = "yes" if point.report.ok else f"{len(point.report.failures)}!"
+        lines.append(
+            f"{index:<7}{_where(point.coords):<40}"
+            f"{point.spec.digest():<34}{ok:<4}"
+        )
+    return "\n".join(lines)
+
+
+def _write_json(payload: Any, path: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -199,16 +199,17 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--deps-parallel",
         default=None,
-        help="scheduler module providing DEFAULT_TASKS / compute_task "
-             "(default: the installed repro.analysis.parallel)",
+        help="task-table module providing DEFAULT_TASKS / _FACTORY_ATTRS "
+             "/ compute_task (default: the installed repro.analysis.runner)",
     )
     parser.add_argument(
         "--workers-entry",
         default=None,
         metavar="PATH[:FN1,FN2]",
         help="worker entry module (and optional entry function names) "
-             "for the workers pass (default: compute_task/_run_window in "
-             "the installed repro.analysis.parallel)",
+             "for the workers pass (default: _run_window in the installed "
+             "repro.analysis.parallel, plus compute_task in the task-table "
+             "module repro.analysis.runner)",
     )
     parser.add_argument(
         "--format",

@@ -47,7 +47,7 @@ For every task, derive the :class:`~repro.analysis.config.LabConfig`
 fields its result is actually a function of -- the ``self.<field>``
 reads of its factory method in ``analysis/config.py`` (transitively
 through other ``LabConfig`` methods), plus the ``config.<field>`` reads
-of :func:`repro.analysis.parallel.compute_task` itself -- and check the
+of :func:`repro.analysis.runner.compute_task` itself -- and check the
 ``TASK_CONFIG_FIELDS`` projection against it.  Predictor ``__init__``
 signatures (AST over ``predictors/*.py``) name the constructor
 parameter each field feeds, so the diagnostic can say *where* the
@@ -105,6 +105,10 @@ _CORRELATION = "correlation"
 
 #: Recursion ceiling for helper resolution (cycle guard is separate).
 _MAX_HELPER_DEPTH = 8
+
+#: The task-table module (``DEFAULT_TASKS``, ``_FACTORY_ATTRS``,
+#: ``compute_task``), relative to the package root.
+TASK_TABLE = Path("repro", "analysis", "runner.py")
 
 
 def _default_package_root() -> Path:
@@ -459,31 +463,59 @@ def _runner_labs_param(func: ast.FunctionDef) -> Optional[str]:
     return None
 
 
-def _known_sim_tasks(parallel_module: _Module) -> Tuple[str, ...]:
-    """The plannable task set: ``DEFAULT_TASKS`` parsed from the AST."""
-    for node in parallel_module.tree.body:
-        targets = []
+def _missing_table(path: Path, name: str) -> Diagnostic:
+    """DS000 for a task-table module that lacks one of its definitions."""
+    return Diagnostic(
+        code="DS000", severity=ERROR,
+        message=f"{name} not found in task-table module {path}; "
+                "declarations cannot be checked against it",
+        location=f"{path}:0",
+    )
+
+
+def _module_binding(tree: ast.Module, name: str, kinds) -> Optional[ast.stmt]:
+    """The module-level (annotated) assignment binding ``name`` to a
+    node of one of ``kinds``, or None."""
+    for node in tree.body:
         if isinstance(node, ast.Assign):
             targets = node.targets
-            value = node.value
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
             targets = [node.target]
-            value = node.value
         else:
             continue
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == "DEFAULT_TASKS":
-                if isinstance(value, (ast.Tuple, ast.List)):
-                    names = []
-                    for element in value.elts:
-                        if isinstance(element, ast.Constant) \
-                                and isinstance(element.value, str):
-                            names.append(element.value)
-                        elif isinstance(element, ast.Name) \
-                                and element.id == "CORRELATION_TASK":
-                            names.append(_CORRELATION)
-                    return tuple(names)
-    return ()
+        if isinstance(node.value, kinds) and any(
+            isinstance(target, ast.Name) and target.id == name
+            for target in targets
+        ):
+            return node
+    return None
+
+
+def _str_elements(node: ast.expr) -> Optional[Tuple[str, ...]]:
+    """A tuple/list literal's string constants; None if any is not one."""
+    if not all(
+        isinstance(element, ast.Constant) and isinstance(element.value, str)
+        for element in node.elts
+    ):
+        return None
+    return tuple(element.value for element in node.elts)
+
+
+def _known_sim_tasks(table_module: _Module) -> Optional[Tuple[str, ...]]:
+    """The plannable task set: ``DEFAULT_TASKS`` parsed from the AST.
+
+    None when the module defines no ``DEFAULT_TASKS`` sequence.
+    """
+    node = _module_binding(table_module.tree, "DEFAULT_TASKS", (ast.Tuple, ast.List))
+    if node is None:
+        return None
+    names = []
+    for element in node.value.elts:
+        if isinstance(element, ast.Constant) and isinstance(element.value, str):
+            names.append(element.value)
+        elif isinstance(element, ast.Name) and element.id == "CORRELATION_TASK":
+            names.append(_CORRELATION)
+    return tuple(names)
 
 
 def analyze_requires(
@@ -496,8 +528,8 @@ def analyze_requires(
     Args:
         experiments_root: Directory of experiment modules (default: the
             installed ``repro/experiments``).
-        parallel_path: The scheduler module defining ``DEFAULT_TASKS``
-            (default: the installed ``repro/analysis/parallel.py``).
+        parallel_path: The task-table module defining ``DEFAULT_TASKS``
+            (default: the installed ``repro/analysis/runner.py``).
         package_root: ``src``-style root used to resolve ``repro.*``
             helper imports (default: the installed package's parent).
     """
@@ -508,18 +540,14 @@ def analyze_requires(
         if experiments_root
         else root / "repro" / "experiments"
     )
-    parallel_file = (
-        Path(parallel_path)
-        if parallel_path
-        else root / "repro" / "analysis" / "parallel.py"
-    )
-    parallel_module = index.load(parallel_file)
-    known_tasks = (
-        _known_sim_tasks(parallel_module) if parallel_module else ()
-    )
+    table_file = Path(parallel_path) if parallel_path else root / TASK_TABLE
+    table_module = index.load(table_file)
+    known_tasks = _known_sim_tasks(table_module) if table_module else None
     analyzer = _RequiresAnalyzer(index)
 
     diagnostics: List[Diagnostic] = []
+    if known_tasks is None:
+        diagnostics.append(_missing_table(table_file, "DEFAULT_TASKS"))
     for path in sorted(experiments_dir.glob("*.py")):
         module = index.load(path)
         if module is None:
@@ -537,7 +565,7 @@ def analyze_requires(
             if requires is None:
                 continue  # falls back to the full default set: always sound
             for name in requires:
-                if known_tasks and name not in known_tasks:
+                if known_tasks is not None and name not in known_tasks:
                     diagnostics.append(Diagnostic(
                         code="DS003", severity=ERROR,
                         message=(
@@ -653,64 +681,46 @@ def _find_class(tree: ast.Module, name: str) -> Optional[ast.ClassDef]:
 
 def _literal_str_dict(tree: ast.Module, name: str) -> Optional[Dict[str, tuple]]:
     """A module-level ``{str: (str, ...)}`` literal, with its line."""
-    for node in tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name) and target.id == name \
-                    and isinstance(node.value, ast.Dict):
-                parsed: Dict[str, tuple] = {}
-                lines: Dict[str, int] = {}
-                for key, value in zip(node.value.keys, node.value.values):
-                    if not (isinstance(key, ast.Constant)
-                            and isinstance(key.value, str)):
-                        return None
-                    if not isinstance(value, (ast.Tuple, ast.List)):
-                        return None
-                    elements = []
-                    for element in value.elts:
-                        if not (isinstance(element, ast.Constant)
-                                and isinstance(element.value, str)):
-                            return None
-                        elements.append(element.value)
-                    parsed[key.value] = tuple(elements)
-                    lines[key.value] = key.lineno
-                parsed["__lines__"] = lines  # type: ignore[assignment]
-                return parsed
-    return None
+    node = _module_binding(tree, name, ast.Dict)
+    if node is None:
+        return None
+    parsed: Dict[str, tuple] = {}
+    lines: Dict[str, int] = {}
+    for key, value in zip(node.value.keys, node.value.values):
+        if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
+            return None
+        if not isinstance(value, (ast.Tuple, ast.List)):
+            return None
+        elements = _str_elements(value)
+        if elements is None:
+            return None
+        parsed[key.value] = elements
+        lines[key.value] = key.lineno
+    parsed["__lines__"] = lines  # type: ignore[assignment]
+    return parsed
 
 
 def _literal_str_tuple(
     tree: ast.Module, name: str
 ) -> Optional[Tuple[Tuple[str, ...], int]]:
-    for node in tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name) and target.id == name \
-                    and isinstance(node.value, (ast.Tuple, ast.List)):
-                elements = []
-                for element in node.value.elts:
-                    if not (isinstance(element, ast.Constant)
-                            and isinstance(element.value, str)):
-                        return None
-                    elements.append(element.value)
-                return tuple(elements), node.lineno
-    return None
+    node = _module_binding(tree, name, (ast.Tuple, ast.List))
+    elements = None if node is None else _str_elements(node.value)
+    return None if elements is None else (elements, node.lineno)
 
 
 def _compute_task_reads(
-    parallel_module: _Module, fields: Sequence[str]
-) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    table_module: _Module, fields: Sequence[str]
+) -> Optional[Tuple[FrozenSet[str], FrozenSet[str]]]:
     """``(correlation reads, general reads)`` of ``compute_task``.
 
     Reads on the ``config`` parameter inside the ``task ==
     CORRELATION_TASK`` branch (which returns) belong to the correlation
-    task alone; reads outside it apply to every other task.
+    task alone; reads outside it apply to every other task.  None when
+    the module defines no ``compute_task``.
     """
-    func = parallel_module.functions.get("compute_task")
+    func = table_module.functions.get("compute_task")
     if func is None:
-        return frozenset(), frozenset()
+        return None
     params = [arg.arg for arg in func.args.args]
     config_param = "config" if "config" in params else (
         params[1] if len(params) > 1 else None
@@ -785,8 +795,9 @@ def analyze_projections(
         config_path: The config module defining ``LabConfig`` and
             ``TASK_CONFIG_FIELDS`` (default: the installed
             ``repro/analysis/config.py``).
-        parallel_path: The scheduler module defining ``_FACTORY_ATTRS``
-            and ``compute_task`` (default: installed).
+        parallel_path: The task-table module defining ``_FACTORY_ATTRS``
+            and ``compute_task`` (default: the installed
+            ``repro/analysis/runner.py``).
         predictors_root: Directory of predictor modules used to name
             constructor parameters in messages (default: installed).
     """
@@ -795,22 +806,19 @@ def analyze_projections(
         Path(config_path) if config_path
         else root / "repro" / "analysis" / "config.py"
     )
-    parallel_file = (
-        Path(parallel_path) if parallel_path
-        else root / "repro" / "analysis" / "parallel.py"
-    )
+    table_file = Path(parallel_path) if parallel_path else root / TASK_TABLE
     predictors_dir = (
         Path(predictors_root) if predictors_root
         else root / "repro" / "predictors"
     )
     index = _ModuleIndex(root)
     config_module = index.load(config_file)
-    parallel_module = index.load(parallel_file)
+    table_module = index.load(table_file)
     diagnostics: List[Diagnostic] = []
-    if config_module is None or parallel_module is None:
+    if config_module is None or table_module is None:
         return [Diagnostic(
             code="DS000", severity=ERROR,
-            message="config/parallel module failed to parse; projection "
+            message="config/task-table module failed to parse; projection "
                     "soundness not analysable",
             location=f"{config_file}:0",
         )]
@@ -826,10 +834,17 @@ def analyze_projections(
         )]
     lines: Dict[str, int] = projection.pop("__lines__")  # type: ignore
     info = _ConfigClassInfo(class_def)
-    factory_attrs = _literal_flat_dict(parallel_module.tree, "_FACTORY_ATTRS")
-    correlation_reads, general_reads = _compute_task_reads(
-        parallel_module, info.fields
-    )
+    factory_attrs = _literal_flat_dict(table_module.tree, "_FACTORY_ATTRS")
+    reads = _compute_task_reads(table_module, info.fields)
+    if factory_attrs is None or reads is None:
+        return [
+            _missing_table(table_file, name)
+            for name, found in (
+                ("_FACTORY_ATTRS", factory_attrs), ("compute_task", reads)
+            )
+            if found is None
+        ]
+    correlation_reads, general_reads = reads
     signatures = _predictor_init_params(predictors_dir)
 
     def constructor_note(attr: str) -> str:
@@ -941,28 +956,18 @@ def analyze_projections(
     return sort_diagnostics(diagnostics)
 
 
-def _literal_flat_dict(tree: ast.Module, name: str) -> Dict[str, str]:
-    """A module-level ``{str: str}`` literal (best effort)."""
-    for node in tree.body:
-        targets = []
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        else:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == name \
-                    and isinstance(value, ast.Dict):
-                parsed = {}
-                for key, element in zip(value.keys, value.values):
-                    if isinstance(key, ast.Constant) \
-                            and isinstance(key.value, str) \
-                            and isinstance(element, ast.Constant) \
-                            and isinstance(element.value, str):
-                        parsed[key.value] = element.value
-                return parsed
-    return {}
+def _literal_flat_dict(tree: ast.Module, name: str) -> Optional[Dict[str, str]]:
+    """A module-level ``{str: str}`` literal (best effort; None if absent)."""
+    node = _module_binding(tree, name, ast.Dict)
+    if node is None:
+        return None
+    parsed = {}
+    for key, element in zip(node.value.keys, node.value.values):
+        if isinstance(key, ast.Constant) and isinstance(key.value, str) \
+                and isinstance(element, ast.Constant) \
+                and isinstance(element.value, str):
+            parsed[key.value] = element.value
+    return parsed
 
 
 def run_deps_pass(

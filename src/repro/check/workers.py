@@ -2,8 +2,8 @@
 
 The parallel scheduler's whole determinism argument rests on worker
 jobs being *pure*: :func:`repro.analysis.parallel._run_window` (the one
-function the scheduler submits to the pool) and
-:func:`~repro.analysis.parallel.compute_task` must be functions of the
+function the scheduler submits to the pool) and the task table's
+:func:`~repro.analysis.runner.compute_task` must be functions of the
 job spec alone, and the parent's fold must consume their results in a
 schedule-independent order.  Three source-level hazards break that
 silently, and none of them fails loudly in tests (a single-process run
@@ -65,7 +65,11 @@ WORKER_SAFE_GLOBALS = frozenset({"METRICS", "TRACER"})
 
 #: Worker entry points: (dotted module, function names).  Every function
 #: the scheduler passes to pool submission must be listed here.
-DEFAULT_ENTRY = ("repro.analysis.parallel", ("compute_task", "_run_window"))
+DEFAULT_ENTRY = ("repro.analysis.parallel", ("_run_window",))
+
+#: The task table's compute function, which every whole-trace window
+#: runs in a worker; the default analysis seeds it as an entry point too.
+TASK_ENTRY = ("repro.analysis.runner", ("compute_task",))
 
 #: Kernel modules whose ``simulate_*`` functions are seeded as extra
 #: entry points in the default analysis: they run inside pool workers
@@ -416,7 +420,8 @@ def analyze_worker_safety(
 
     Args:
         entry_path: Module file holding the worker entry points
-            (default: the installed ``repro/analysis/parallel.py``).
+            (default: the installed ``repro/analysis/parallel.py``, with
+            :data:`TASK_ENTRY` and the kernel modules seeded too).
         entry_functions: Names of the entry functions within it.
         package_root: ``src``-style root used to resolve ``repro.*``
             imports (default: the installed package's parent).
@@ -437,21 +442,27 @@ def analyze_worker_safety(
             location=f"{entry_file}:0",
         )]
 
+    entries = [(entry_file, entry_module, entry_functions)]
+    if entry_path is None:
+        table_file = root / Path(*TASK_ENTRY[0].split(".")).with_suffix(".py")
+        entries.append((table_file, index.load(table_file), TASK_ENTRY[1]))
+
     diagnostics: List[Diagnostic] = []
     queue: deque = deque()
-    for name in entry_functions:
-        if _lookup(entry_module, name) is None:
-            diagnostics.append(Diagnostic(
-                code="WS000", severity=ERROR,
-                message=f"worker entry point {name!r} not found",
-                location=f"{entry_file}:0",
-            ))
-        else:
-            queue.append((entry_module.path.resolve(), name))
+    for path, module, names in entries:
+        for name in names:
+            if module is None or _lookup(module, name) is None:
+                diagnostics.append(Diagnostic(
+                    code="WS000", severity=ERROR,
+                    message=f"worker entry point {name!r} not found",
+                    location=f"{path}:0",
+                ))
+            else:
+                queue.append((module.path.resolve(), name))
 
-    # Only the default analysis seeds the kernel modules: an explicit
-    # --workers-entry (the CI negative gate, fixture scans) asks for
-    # exactly that entry's reachability, nothing more.
+    # Only the default analysis seeds the task table and the kernel
+    # modules: an explicit --workers-entry (the CI negative gate, fixture
+    # scans) asks for exactly that entry's reachability, nothing more.
     if entry_path is None:
         for dotted in KERNEL_ENTRY_MODULES:
             kernel_file = root / Path(*dotted.split(".")).with_suffix(".py")

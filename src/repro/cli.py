@@ -471,7 +471,7 @@ def _sweep_main(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.spec import RunSpec, SpecError, SweepSpec, WorkloadSpec
+    from repro.spec import RunSpec, SpecError, SweepSpec, SyntheticSource
 
     if args.spec is not None:
         spec, error_code = _load_spec(args.spec)
@@ -487,7 +487,7 @@ def _sweep_main(argv: List[str]) -> int:
         )
         spec = RunSpec(
             experiments=experiments,
-            workload=WorkloadSpec(
+            workload=SyntheticSource(
                 max_length=args.max_length, seed=args.seed
             ),
         )

@@ -9,10 +9,11 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.config import DEFAULT_CONFIG, LabConfig
-from repro.analysis.runner import Lab
+from repro.analysis.runner import DEFAULT_TASKS, Lab
 from repro.obs.metrics import METRICS
 from repro.obs.tracing import span
-from repro.workloads.suite import BENCHMARK_NAMES, load_benchmark, scaled_length
+from repro.spec import SyntheticSource
+from repro.workloads.suite import load_source_trace
 
 #: Version of the serialised :meth:`ExperimentResult.to_dict` layout.
 #: Version 1 was the implicit pre-contract layout (flat fields, no
@@ -147,11 +148,7 @@ def experiment_requires(experiment_id: str) -> tuple:
             f"unknown experiment {experiment_id!r}; choose from "
             f"{sorted(_REGISTRY)}"
         )
-    if experiment_id in _REQUIRES:
-        return _REQUIRES[experiment_id]
-    from repro.analysis.parallel import DEFAULT_TASKS
-
-    return tuple(DEFAULT_TASKS)
+    return _REQUIRES.get(experiment_id, DEFAULT_TASKS)
 
 
 def experiment_windows(experiment_id: str) -> tuple:
@@ -170,7 +167,6 @@ def build_labs(
     injector: Optional[Any] = None,
     failures: Optional[list] = None,
     tasks: Optional[tuple] = None,
-    benchmarks: Optional[tuple] = None,
     pool: Optional[Any] = None,
     chunk_branches: Optional[int] = None,
     source: Optional[Any] = None,
@@ -180,9 +176,10 @@ def build_labs(
     Args:
         max_length: Scale anchor for the longest benchmark (defaults to
             ``REPRO_TRACE_LENGTH`` / 200k); the others keep the paper's
-            proportions.
+            proportions.  Ignored when ``source`` is given.
         config: Predictor sizing.
-        run_seed: Workload execution seed.
+        run_seed: Workload execution seed.  Ignored when ``source`` is
+            given.
         jobs: If set, eagerly prime every lab's standard simulations via
             the parallel scheduler with this many workers (1 = serial
             priming).  Default None leaves labs lazy, as before.
@@ -196,64 +193,28 @@ def build_labs(
         tasks: Simulation-task subset to prime (None = the scheduler's
             full default set).  Plan-driven runs pass exactly the tasks
             their experiments declared.
-        benchmarks: Benchmark subset to build (None = the full suite,
-            :data:`~repro.workloads.suite.BENCHMARK_NAMES`).
         pool: Session-owned :class:`repro.analysis.parallel.WorkerPool`
             the priming pass schedules onto (None = a per-pass pool).
         chunk_branches: Streaming window for the chunkable simulation
             tasks (see :func:`repro.analysis.parallel.prime_labs`);
             None keeps the whole-trace path.
-        source: Optional :data:`~repro.spec.TraceSource` the labs load
-            from.  None keeps the legacy behaviour (the unmixed suite);
-            a :class:`~repro.spec.SyntheticSource` applies its mix
-            weights, and an :class:`~repro.spec.ImportedSource` loads
-            its digest-verified foreign traces instead of generating.
+        source: The :data:`~repro.spec.TraceSource` the labs load from,
+            benchmark subset included.  None means the unmixed suite at
+            ``max_length`` and ``run_seed``.
     """
-    labs = {}
-    sources: Dict[str, tuple] = {}
-    with span("build_labs", run_seed=run_seed):
-        if source is not None and getattr(source, "kind", "") == "imported":
-            from repro.trace.ingest import load_imported_trace
-
-            wanted = source.trace_names() if benchmarks is None else benchmarks
-            for name in wanted:
-                entry = source.entry(name)
-                trace = load_imported_trace(
-                    entry.path,
-                    format=entry.format,
-                    expected_digest=entry.digest,
-                )
-                labs[name] = Lab(trace, config, cache=cache)
-                sources[name] = (
-                    "imported", entry.path, entry.format, entry.digest,
-                )
-        else:
-            from repro.workloads.suite import effective_mix, mix_signature
-
-            mix = source.mix_map() if source is not None else None
-            for name in (BENCHMARK_NAMES if benchmarks is None else benchmarks):
-                length = scaled_length(name, max_length)
-                variant = mix_signature(name, mix) if mix else ""
-                trace = (
-                    cache.load_trace(name, length, run_seed, variant=variant)
-                    if cache
-                    else None
-                )
-                if trace is None:
-                    trace = load_benchmark(name, length, run_seed, mix=mix)
-                    if cache is not None:
-                        cache.store_trace(
-                            name, length, run_seed, trace, variant=variant
-                        )
-                labs[name] = Lab(trace, config, cache=cache)
-                if variant:
-                    sources[name] = ("synthetic", effective_mix(name, mix))
+    if source is None:
+        source = SyntheticSource(max_length=max_length, seed=run_seed)
+    with span("build_labs", run_seed=source.seed):
+        labs = {
+            name: Lab(load_source_trace(name, source, cache), config, cache=cache)
+            for name in source.trace_names()
+        }
         if jobs is not None:
-            from repro.analysis.parallel import DEFAULT_TASKS, prime_labs
+            from repro.analysis.parallel import prime_labs
 
             prime_labs(
                 labs,
-                run_seed,
+                source.seed,
                 jobs=jobs,
                 cache=cache,
                 tasks=DEFAULT_TASKS if tasks is None else tuple(tasks),
@@ -262,7 +223,7 @@ def build_labs(
                 failures=failures,
                 pool=pool,
                 chunk_branches=chunk_branches,
-                sources=sources or None,
+                source=source,
             )
     return labs
 

@@ -33,18 +33,13 @@ priming loop -- scheduling, caching, retries, fault injection,
 journaling -- runs exactly the planned work.  ``repro plan spec.json``
 prints :meth:`Plan.describe` without executing anything.
 
-When the spec's engine options set ``chunk_branches``, each *chunkable*
-sim task (:data:`repro.analysis.streamed.CHUNKABLE_TASKS`) over a trace
-longer than the window expands into per-chunk tasks
-(``p0/sim/gcc/gshare/c0`` .. ``c{K-1}``), each depending on its
-predecessor chunk -- the carried predictor state makes the fold
-sequential within a (benchmark, task) lane -- while distinct lanes stay
-independent, which is exactly the parallelism the priming loop's
-chunk lanes exploit.  Downstream experiment tasks depend on each lane's final
-chunk, the task whose completion materialises the whole-trace bitmap.
-Chunking is an execution knob, not identity: chunk task keys embed the
-window so cross-point dedup stays sound, but the artefact a full lane
-produces is bit-identical (PC011) to the unchunked task's.
+Chunking is not planned.  ``chunk_branches`` is an execution setting,
+excluded from spec identity like ``jobs``: a chunked spec plans exactly
+the tasks of the unchunked spec, and
+:func:`~repro.analysis.parallel.prime_labs` -- the one place that
+splits a lane into windows -- decides them from each loaded trace's
+length, which the plan cannot know for an imported trace.  The folded
+result is bit-identical (PC011) either way.
 """
 
 from __future__ import annotations
@@ -85,10 +80,6 @@ class PlanTask:
         experiment_id: Experiment id (experiment tasks).
         deduped_from: Id of the earlier task this one shares its
             artefact with, or None if it is the first of its key.
-        chunk: Chunk index within a streamed sim lane (None for a
-            whole-trace sim task).
-        num_chunks: Total chunks in this task's lane (None when
-            unchunked).
     """
 
     id: str
@@ -100,8 +91,6 @@ class PlanTask:
     task: Optional[str] = None
     experiment_id: Optional[str] = None
     deduped_from: Optional[str] = None
-    chunk: Optional[int] = None
-    num_chunks: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -132,12 +121,11 @@ class Plan:
         Includes deduped tasks: the point still *needs* the artefact,
         it just expects to find it in the shared cache.
         """
-        seen = []
-        for task in self.tasks:
-            if task.kind == "sim" and task.point == point:
-                if task.task not in seen:
-                    seen.append(task.task)
-        return tuple(seen)
+        return tuple(dict.fromkeys(
+            task.task
+            for task in self.tasks
+            if task.kind == "sim" and task.point == point
+        ))
 
     def stats(self) -> Dict[str, int]:
         """Task counts per kind, plus how many were deduped away."""
@@ -196,11 +184,8 @@ def build_plan(spec: RunSpec) -> Plan:
             could ever prime it), or a point's ``collection_window`` is
             shallower than a history window an experiment sweeps.
     """
-    from repro.analysis.parallel import DEFAULT_TASKS
-    from repro.analysis.streamed import CHUNKABLE_TASKS
+    from repro.analysis.runner import DEFAULT_TASKS
     from repro.experiments.base import experiment_requires, experiment_windows
-    from repro.trace.stream import chunk_spans, normalize_chunk_branches
-    from repro.workloads.suite import scaled_length
 
     for experiment_id in spec.experiments:
         try:
@@ -219,11 +204,6 @@ def build_plan(spec: RunSpec) -> Plan:
 
     points = tuple(spec.expand_points())
     benchmarks = spec.workload.trace_names()
-    chunk_branches = (
-        None
-        if spec.engine.chunk_branches is None
-        else normalize_chunk_branches(spec.engine.chunk_branches)
-    )
     tasks: List[PlanTask] = []
     first_by_key: Dict[str, str] = {}
 
@@ -285,78 +265,31 @@ def build_plan(spec: RunSpec) -> Plan:
             )
             trace_ids[name] = task.id
 
-        sim_ids: List[str] = []
+        sims: List[PlanTask] = []
         for task_name in needed:
             for name in benchmarks:
-                sim_key = (
-                    f"sim|{source_key(name)}"
-                    f"|{task_config_key(task_name, point_spec.config)}"
-                )
-                if workload.kind == "imported":
-                    # Chunk-span planning needs a branch count before the
-                    # file is opened; undeclared lengths plan unchunked
-                    # (the executor still streams bounded windows).
-                    length = workload.entry(name).branches
-                else:
-                    length = scaled_length(name, workload.max_length)
-                spans = (
-                    chunk_spans(length, chunk_branches)
-                    if chunk_branches is not None
-                    and task_name in CHUNKABLE_TASKS
-                    and length is not None
-                    and length > chunk_branches
-                    else []
-                )
-                if len(spans) > 1:
-                    # One task per window, chained: chunk k resumes from
-                    # the carried state chunk k-1 wrote back.  The lane's
-                    # final chunk is the artefact downstream tasks need.
-                    previous = trace_ids[name]
-                    for chunk_index in range(len(spans)):
-                        task = add(
-                            PlanTask(
-                                id=(
-                                    f"{prefix}/sim/{name}/{task_name}"
-                                    f"/c{chunk_index}"
-                                ),
-                                kind="sim",
-                                point=index,
-                                key=(
-                                    f"{sim_key}|chunk={chunk_index}"
-                                    f"/{len(spans)}@{chunk_branches}"
-                                ),
-                                deps=(trace_ids[name], previous)
-                                if chunk_index
-                                else (trace_ids[name],),
-                                benchmark=name,
-                                task=task_name,
-                                chunk=chunk_index,
-                                num_chunks=len(spans),
-                            )
-                        )
-                        previous = task.id
-                    sim_ids.append(previous)
-                else:
-                    task = add(
+                sims.append(
+                    add(
                         PlanTask(
                             id=f"{prefix}/sim/{name}/{task_name}",
                             kind="sim",
                             point=index,
-                            key=sim_key,
+                            key=(
+                                f"sim|{source_key(name)}|"
+                                f"{task_config_key(task_name, point_spec.config)}"
+                            ),
                             deps=(trace_ids[name],),
                             benchmark=name,
                             task=task_name,
                         )
                     )
-                    sim_ids.append(task.id)
+                )
 
         experiment_ids = []
         for experiment_id in point_spec.experiments:
             required = experiment_requires(experiment_id)
             deps = tuple(
-                task_id
-                for task_id in sim_ids
-                if tasks_by_id_task(task_id) in required
+                sim.id for sim in sims if sim.task in required
             ) or tuple(trace_ids.values())
             task = add(
                 PlanTask(
@@ -384,15 +317,3 @@ def build_plan(spec: RunSpec) -> Plan:
 
     return Plan(spec=spec, points=points, tasks=tuple(tasks))
 
-
-def tasks_by_id_task(task_id: str) -> str:
-    """The simulation task name embedded in a sim task id.
-
-    Chunk tasks (``.../gshare/c3``) report their lane's task name, not
-    the chunk segment.
-    """
-    parts = task_id.rsplit("/", 2)
-    last = parts[-1]
-    if len(parts) > 1 and len(last) > 1 and last[0] == "c" and last[1:].isdigit():
-        return parts[-2]
-    return last

@@ -6,7 +6,8 @@ them as flags, so there was no single object that *is* the run.  This
 module introduces it:
 
 * :class:`RunSpec` -- a frozen, schema-versioned dataclass capturing the
-  workload suite (:class:`WorkloadSpec`), the predictor sizing
+  trace source (:class:`SyntheticSource` or :class:`ImportedSource`),
+  the predictor sizing
   (:class:`~repro.analysis.config.LabConfig`), the experiment ids, the
   engine options (:class:`EngineOptions`: jobs, cache, retries,
   timeouts, fault spec, journal/resume), and an optional
@@ -29,7 +30,7 @@ swept fields.
 :func:`spec_from_kwargs` is the keyword-flavoured builder: it folds the
 CLI's loose flags into the identical spec, so
 ``spec_from_kwargs(max_length=20_000)`` and an explicit
-``RunSpec(workload=WorkloadSpec(max_length=20_000))`` share one digest.
+``RunSpec(workload=SyntheticSource(max_length=20_000))`` share one digest.
 (The old ``api.run_report(**kwargs)`` shim that used to sit on top of
 it is gone; execute specs with :func:`repro.api.run_spec`.)
 """
@@ -141,8 +142,8 @@ def _canonical_mix(mix: Any) -> Optional[Tuple[Tuple[str, float], ...]]:
 class SyntheticSource:
     """The generated suite: which analogue traces a run simulates.
 
-    The v1 ``WorkloadSpec`` (``WorkloadSpec`` remains as an alias),
-    generalised with first-class behaviour-class ``mix`` weights.
+    The v1 workload section, generalised with first-class
+    behaviour-class ``mix`` weights.
 
     Attributes:
         max_length: Scale anchor for the longest benchmark trace
@@ -248,10 +249,6 @@ class SyntheticSource:
         return spec
 
 
-#: Compat alias: the v1 name for the synthetic source.
-WorkloadSpec = SyntheticSource
-
-
 @dataclass(frozen=True)
 class TraceEntry:
     """One imported trace, referenced by content digest.
@@ -267,8 +264,8 @@ class TraceEntry:
             spec digest so a spec stays portable across machines.
         format: Optional declared format (``bpt2``/``text``/``binary``;
             None = sniff from the file).
-        branches: Optional declared dynamic branch count, used for
-            chunk-span planning before the file is opened.
+        branches: Optional declared dynamic branch count; loading the
+            trace rejects a file with any other count.
     """
 
     name: str
@@ -908,7 +905,7 @@ def spec_from_kwargs(
         experiments=tuple(
             experiments if experiments is not None else EXPERIMENT_IDS
         ),
-        workload=WorkloadSpec(max_length=max_length, seed=seed),
+        workload=SyntheticSource(max_length=max_length, seed=seed),
         config=config if config is not None else DEFAULT_CONFIG,
         engine=EngineOptions(
             jobs=None if jobs is None else int(jobs),

@@ -36,26 +36,22 @@ from repro.predictors import parse_predictor_spec
 from repro.trace.ingest import load_imported_trace
 from repro.trace.stats import compute_statistics
 from repro.trace.stream import write_text_trace, write_trace
-from repro.workloads.suite import BENCHMARK_NAMES, load_benchmark
+from repro.workloads.suite import BENCHMARK_NAMES, load_source_trace
 
 #: Predictor specs ``simulate`` runs when no ``--predictor`` is given.
 DEFAULT_PREDICTORS = ("gshare", "pas:history_bits=6,bht_bits=12")
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    trace = None
-    cache = None
-    if not args.no_cache:
-        from repro.analysis.cache import ResultCache
+    from repro.analysis.cache import ResultCache
+    from repro.spec import SyntheticSource
 
-        cache = ResultCache(args.cache_dir)
-        trace = cache.load_trace(args.benchmark, args.length, args.seed)
-    if trace is None:
-        trace = load_benchmark(
-            args.benchmark, length=args.length, run_seed=args.seed
-        )
-        if cache is not None:
-            cache.store_trace(args.benchmark, args.length, args.seed, trace)
+    trace = load_source_trace(
+        args.benchmark,
+        SyntheticSource(seed=args.seed),
+        None if args.no_cache else ResultCache(args.cache_dir),
+        length=args.length,
+    )
     if str(args.output).endswith((".txt", ".trace")):
         write_text_trace(trace, args.output)
     else:

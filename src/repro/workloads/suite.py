@@ -364,11 +364,6 @@ def effective_mix(
     )
 
 
-def mix_items_signature(items: Tuple[Tuple[str, float], ...]) -> str:
-    """The canonical string form of an effective-mix tuple."""
-    return ",".join(f"{c}={format(w, 'g')}" for c, w in items)
-
-
 def mix_signature(name: str, mix: Optional[Mix]) -> str:
     """Canonical identity suffix of a mix applied to one benchmark.
 
@@ -376,7 +371,7 @@ def mix_signature(name: str, mix: Optional[Mix]) -> str:
     so the unmixed benchmark keeps its legacy cache and plan keys
     bit-for-bit -- the anchor of cross-point trace dedup in mix sweeps.
     """
-    return mix_items_signature(effective_mix(name, mix))
+    return ",".join(f"{c}={format(w, 'g')}" for c, w in effective_mix(name, mix))
 
 
 def default_trace_length() -> int:
@@ -470,6 +465,59 @@ def load_benchmark(
     # A mix that does not change this profile must hit the same memo
     # entry (and disk-cache key) as the unmixed benchmark.
     return _cached_trace(name, length, run_seed, effective_mix(name, mix))
+
+
+def load_source_trace(
+    name: str,
+    source,
+    cache=None,
+    *,
+    length: Optional[int] = None,
+) -> Trace:
+    """One trace of a run's source: the one way every path loads it.
+
+    ``source`` is a :data:`~repro.spec.TraceSource`.  A synthetic trace
+    is read from ``cache`` (a :class:`~repro.analysis.cache.ResultCache`)
+    under its mix-variant key, or generated and stored back; ``length``
+    overrides its paper-scaled length.  An imported trace is read from
+    its entry's file and checked against the entry's content digest and
+    declared branch count.
+
+    Raises:
+        IngestError: If an imported file is unreadable or its content
+            does not match the declared digest.
+        SpecError: If an imported entry declares a branch count the
+            file does not have.
+    """
+    if source.kind == "imported":
+        from repro.errors import SpecError
+        from repro.trace.ingest import load_imported_trace
+
+        index = source.trace_names().index(name)
+        entry = source.traces[index]
+        trace = load_imported_trace(
+            entry.path, format=entry.format, expected_digest=entry.digest
+        )
+        if entry.branches is not None and entry.branches != len(trace):
+            raise SpecError(
+                f"workload.traces[{index}].branches: declares "
+                f"{entry.branches}, file has {len(trace)}"
+            )
+        return trace
+    mix = source.mix_map()
+    if length is None:
+        length = scaled_length(name, source.max_length)
+    variant = mix_signature(name, mix)
+    trace = (
+        cache.load_trace(name, length, source.seed, variant=variant)
+        if cache is not None
+        else None
+    )
+    if trace is None:
+        trace = load_benchmark(name, length, source.seed, mix=mix)
+        if cache is not None:
+            cache.store_trace(name, length, source.seed, trace, variant=variant)
+    return trace
 
 
 def load_suite(

@@ -126,3 +126,36 @@ class TestSuppression:
         target.write_text(patched, encoding="utf-8")
         diagnostics = analyze_projections(config_path=str(target))
         assert codes(diagnostics) == ["DS005"]
+
+
+class TestMissingTaskTable:
+    """A table module without the table is reported, never skipped."""
+
+    TABLE = FIXTURES / "no_task_table.py"
+
+    def test_requires_pass_reports_missing_default_tasks(self):
+        diagnostics = analyze_requires(
+            experiments_root=str(FIXTURES / "experiments"),
+            parallel_path=str(self.TABLE),
+        )
+        (missing,) = by_code(diagnostics, "DS000")
+        assert missing.severity == ERROR
+        assert "DEFAULT_TASKS" in missing.message
+        assert str(self.TABLE) in missing.message
+        assert missing.location == f"{self.TABLE}:0"
+
+    def test_projection_pass_reports_missing_factories_and_compute(self):
+        diagnostics = analyze_projections(parallel_path=str(self.TABLE))
+        assert codes(diagnostics) == ["DS000", "DS000"]
+        messages = " ".join(diag.message for diag in diagnostics)
+        assert "_FACTORY_ATTRS" in messages and "compute_task" in messages
+        assert all(str(self.TABLE) in diag.location for diag in diagnostics)
+
+    def test_default_table_is_the_labs_module(self):
+        import repro.analysis.runner as runner
+        from repro.check.deps import TASK_TABLE, _default_package_root
+
+        table = _default_package_root() / TASK_TABLE
+        assert table.resolve() == Path(runner.__file__).resolve()
+        assert "DEFAULT_TASKS" in vars(runner)
+        assert "compute_task" in vars(runner)

@@ -9,6 +9,7 @@ import repro.analysis.parallel as parallel
 from repro.check.diagnostics import ERROR
 from repro.check.workers import (
     DEFAULT_ENTRY,
+    TASK_ENTRY,
     WORKER_SAFE_GLOBALS,
     analyze_worker_safety,
 )
@@ -45,6 +46,15 @@ class TestRealTreeIsClean:
         module, functions = DEFAULT_ENTRY
         assert module == parallel.__name__
         assert submitted and submitted <= set(functions)
+
+    def test_task_table_compute_is_an_entry(self):
+        # Workers run the task table's compute_task; the default analysis
+        # must seed it from the module that defines it.
+        import importlib
+
+        module, functions = TASK_ENTRY
+        assert functions == ("compute_task",)
+        assert importlib.import_module(module).compute_task is parallel.compute_task
 
     def test_telemetry_singletons_are_allowlisted(self):
         # The delta-shipping protocol depends on these staying exempt.

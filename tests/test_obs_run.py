@@ -125,3 +125,52 @@ class TestWarmCache:
                 == parallel_run.results[experiment_id].to_json()
             )
         assert diff_manifests(parallel_run.manifest, warm.manifest) == []
+
+
+def _pool_source(kind, tmp_path):
+    from repro.spec import ImportedSource, SyntheticSource, TraceEntry
+    from repro.trace.stream import write_trace
+    from repro.workloads.suite import load_benchmark
+
+    names = ("compress", "gcc")
+    if kind == "mixed":
+        return SyntheticSource(
+            max_length=MAX_LENGTH, benchmarks=names, mix={"noise": 2.0}
+        )
+    entries = []
+    for name in names:
+        trace = load_benchmark(name, 1500, 7)
+        path = tmp_path / f"{name}.bpt"
+        write_trace(trace, path)
+        entries.append(
+            TraceEntry(name, trace.digest(), str(path), branches=len(trace))
+        )
+    return ImportedSource(traces=tuple(entries))
+
+
+class TestPoolWorkerSources:
+    """Pool workers load whole-trace lanes from every source kind."""
+
+    @pytest.mark.parametrize("kind", ["mixed", "imported"])
+    def test_pool_run_matches_serial_run(self, tmp_path, kind):
+        from repro.spec import EngineOptions, RunSpec
+
+        workload = _pool_source(kind, tmp_path)
+        runs = {}
+        for jobs in (1, 2):
+            runs[jobs] = run_spec(
+                RunSpec(
+                    experiments=tuple(EXPERIMENTS),
+                    workload=workload,
+                    engine=EngineOptions(
+                        jobs=jobs, cache_dir=str(tmp_path / f"cache-{jobs}")
+                    ),
+                )
+            )
+        assert runs[2].metrics["counters"]["parallel.jobs_executed"] > 0
+        digests = [
+            {e["id"]: e["result_digest"] for e in run.manifest["experiments"]}
+            for run in runs.values()
+        ]
+        assert digests[0] == digests[1]
+        assert diff_manifests(runs[1].manifest, runs[2].manifest) == []

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import signal
+import struct
+import threading
+from multiprocessing.connection import wait as wait_for
 
 import numpy as np
 import pytest
 
+import repro.analysis.parallel as parallel
 from repro.analysis.cache import ResultCache
 from repro.analysis.parallel import (
     DEFAULT_TASKS,
@@ -17,6 +22,7 @@ from repro.analysis.parallel import (
 )
 from repro.analysis.runner import Lab
 from repro.experiments.base import build_labs
+from repro.spec import SyntheticSource
 from repro.workloads.suite import load_benchmark
 
 SMALL = 2000
@@ -76,6 +82,10 @@ def _raise_interrupt(signum, frame):
     raise KeyboardInterrupt(f"signal {signum}")
 
 
+def _blocked_signals():
+    return {int(signum) for signum in signal.pthread_sigmask(signal.SIG_BLOCK, [])}
+
+
 class TestWorkerSignals:
     def test_workers_drop_the_parents_handlers(self):
         # A run converts SIGTERM into KeyboardInterrupt in the parent;
@@ -87,6 +97,81 @@ class TestWorkerSignals:
         finally:
             signal.signal(signal.SIGTERM, previous)
         assert handlers == (signal.SIG_DFL, signal.SIG_IGN)
+
+    def test_workers_unblock_the_signals_deferred_at_fork(self):
+        # The scheduler holds SIGTERM/SIGINT pending while it submits, so
+        # workers forked by that submit inherit the mask; they drop it.
+        with WorkerPool(2) as pool:
+            with parallel._interrupts_deferred():
+                future = pool.handle().submit(_blocked_signals)
+            blocked = future.result(timeout=60)
+        assert int(signal.SIGTERM) not in blocked
+        assert int(signal.SIGINT) not in blocked
+
+    def test_killed_pool_with_a_partial_result_does_not_hang(self):
+        # What a worker killed mid-write leaves in the result pipe: a
+        # header promising 4 KiB, then a few bytes.
+        pool = WorkerPool(1)
+        executor = pool.handle()
+        executor.submit(int).result(timeout=60)
+        manager = executor._executor_manager_thread
+        writer = executor._result_queue._writer
+        os.write(writer.fileno(), struct.pack("!i", 4096) + b"partial")
+        try:
+            pool.drain(kill=True)
+            manager.join(timeout=30)
+            assert not manager.is_alive()
+        finally:
+            writer.close()  # never leave the thread, or the exit, blocked
+
+    def test_sigterm_during_submit_surfaces_after_registration(
+        self, monkeypatch
+    ):
+        schedulers, workers, seen = [], [], {}
+
+        class Recording(parallel._Scheduler):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                schedulers.append(self)
+
+        real_handle = WorkerPool.handle
+
+        def handle(pool):
+            executor = real_handle(pool)
+            real_submit = executor.submit
+
+            def submit(fn, *args):
+                # The signal lands inside submit, before the real one.
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGTERM)
+                future = real_submit(fn, *args)
+                seen["submitted"] = True
+                workers.extend(executor._processes.values())
+                return future
+
+            executor.submit = submit
+            return executor
+
+        def on_sigterm(signum, frame):
+            seen.setdefault("submitted", False)
+            seen["registered"] = len(schedulers[0].active)
+            raise KeyboardInterrupt(f"signal {signum}")
+
+        monkeypatch.setattr(parallel, "_Scheduler", Recording)
+        monkeypatch.setattr(WorkerPool, "handle", handle)
+        labs = build_labs(
+            source=SyntheticSource(max_length=SMALL, benchmarks=("compress",))
+        )
+        previous = signal.signal(signal.SIGTERM, on_sigterm)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                prime_labs(labs, jobs=2, tasks=("loop",))
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert seen == {"submitted": True, "registered": 1}
+        # No worker outlives the pass: each one's sentinel closes on exit.
+        assert workers
+        for worker in workers:
+            assert wait_for([worker.sentinel], timeout=30), worker.pid
 
 
 class TestPrimeLabs:

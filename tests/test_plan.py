@@ -3,15 +3,15 @@
 import pytest
 
 from repro.analysis.config import LabConfig
-from repro.plan import Plan, PlanError, PlanTask, build_plan, tasks_by_id_task
-from repro.spec import EngineOptions, RunSpec, SweepSpec, WorkloadSpec
+from repro.plan import Plan, PlanError, PlanTask, build_plan
+from repro.spec import EngineOptions, RunSpec, SweepSpec, SyntheticSource
 from repro.workloads.suite import BENCHMARK_NAMES
 
 
 def fig9_spec(**overrides) -> RunSpec:
     defaults = dict(
         experiments=("fig9",),
-        workload=WorkloadSpec(max_length=2000, seed=7),
+        workload=SyntheticSource(max_length=2000, seed=7),
     )
     defaults.update(overrides)
     return RunSpec(**defaults)
@@ -42,7 +42,7 @@ class TestPlainPlan:
         experiment = plan.task_by_id("p0/experiment/fig9")
         assert experiment.experiment_id == "fig9"
         assert len(experiment.deps) == 2 * len(BENCHMARK_NAMES)
-        assert {tasks_by_id_task(dep) for dep in experiment.deps} == {
+        assert {plan.task_by_id(dep).task for dep in experiment.deps} == {
             "gshare",
             "pas",
         }
@@ -64,7 +64,7 @@ class TestPlainPlan:
 
     def test_benchmark_subset_is_honoured(self):
         spec = fig9_spec(
-            workload=WorkloadSpec(
+            workload=SyntheticSource(
                 max_length=2000, seed=7, benchmarks=("gcc", "compress")
             )
         )
@@ -212,70 +212,22 @@ class TestRequiresValidation:
 
 
 class TestChunkedPlan:
+    """Chunking is an execution setting: the plan never expands it."""
+
     def chunked_spec(self, chunk_branches=512, **overrides):
         return fig9_spec(
             engine=EngineOptions(chunk_branches=chunk_branches), **overrides
         )
 
-    def test_chunkable_sims_expand_into_chunk_tasks(self):
-        plan = build_plan(self.chunked_spec())
-        chunked = [t for t in plan.tasks if t.chunk is not None]
-        assert chunked, "expected chunk tasks at window 512"
-        for task in chunked:
-            assert task.kind == "sim"
-            assert task.id.endswith(f"/c{task.chunk}")
-            assert task.num_chunks >= 2
-            assert f"|chunk={task.chunk}/{task.num_chunks}@512" in task.key
-
-    def test_chunks_chain_through_the_lane(self):
-        plan = build_plan(self.chunked_spec())
-        lanes = {}
-        for task in plan.tasks:
-            if task.chunk is not None:
-                lanes.setdefault((task.benchmark, task.task), []).append(task)
-        for (benchmark, _), lane in lanes.items():
-            lane.sort(key=lambda t: t.chunk)
-            trace_id = f"p0/trace/{benchmark}"
-            assert lane[0].deps == (trace_id,)
-            for previous, current in zip(lane, lane[1:]):
-                assert current.deps == (trace_id, previous.id)
-
-    def test_experiments_depend_on_each_lanes_final_chunk(self):
-        plan = build_plan(self.chunked_spec())
-        final_ids = {
-            max(
-                (t for t in plan.tasks
-                 if t.chunk is not None
-                 and (t.benchmark, t.task) == (benchmark, task_name)),
-                key=lambda t: t.chunk,
-            ).id
-            for benchmark in {t.benchmark for t in plan.tasks if t.chunk is not None}
-            for task_name in {t.task for t in plan.tasks if t.chunk is not None}
-        }
-        (experiment,) = [t for t in plan.tasks if t.kind == "experiment"]
-        sim_deps = {dep for dep in experiment.deps if "/sim/" in dep}
-        assert sim_deps <= final_ids | {dep for dep in sim_deps if "/c" not in dep}
-        assert any(dep in final_ids for dep in sim_deps)
-        # No intermediate chunk may feed the experiment directly.
-        for dep in sim_deps:
-            if dep[-2] == "c" or "/c" in dep.rsplit("/", 1)[-1]:
-                assert dep in final_ids
-
-    def test_task_name_lookup_strips_the_chunk_segment(self):
-        assert tasks_by_id_task("p0/sim/gcc/gshare/c3") == "gshare"
-        assert tasks_by_id_task("p0/sim/gcc/gshare") == "gshare"
+    def test_chunked_spec_plans_the_unchunked_tasks(self):
+        plain = build_plan(fig9_spec()).tasks
+        for chunk_branches in (510, 512, 1 << 20):
+            assert build_plan(self.chunked_spec(chunk_branches)).tasks == plain
 
     def test_window_wider_than_every_trace_means_no_chunking(self):
         wide = build_plan(self.chunked_spec(chunk_branches=1 << 20))
         plain = build_plan(fig9_spec())
         assert [t.id for t in wide.tasks] == [t.id for t in plain.tasks]
-        assert all(t.chunk is None for t in wide.tasks)
-
-    def test_window_is_normalized_into_chunk_keys(self):
-        plan = build_plan(self.chunked_spec(chunk_branches=510))
-        chunked = [t for t in plan.tasks if t.chunk is not None]
-        assert chunked
-        assert all("@512" in t.key for t in chunked)
 
 
 class TestMixAxisPlan:

@@ -14,7 +14,7 @@ from repro.spec import (
     RunSpec,
     SpecError,
     SweepSpec,
-    WorkloadSpec,
+    SyntheticSource,
     spec_from_kwargs,
 )
 
@@ -22,7 +22,7 @@ from repro.spec import (
 def small_spec(**overrides) -> RunSpec:
     defaults = dict(
         experiments=("fig9",),
-        workload=WorkloadSpec(max_length=2000, seed=7),
+        workload=SyntheticSource(max_length=2000, seed=7),
     )
     defaults.update(overrides)
     return RunSpec(**defaults)
@@ -32,7 +32,7 @@ class TestRoundTrip:
     def test_json_round_trip_is_identical(self):
         spec = RunSpec(
             experiments=("table1", "fig9"),
-            workload=WorkloadSpec(
+            workload=SyntheticSource(
                 max_length=5000, seed=99, benchmarks=("gcc", "compress")
             ),
             config=dataclasses.replace(DEFAULT_CONFIG, gshare_history_bits=12),
@@ -57,7 +57,7 @@ class TestRoundTrip:
     def test_defaults_parse_from_minimal_document(self):
         spec = RunSpec.from_dict({"experiments": ["table1"]})
         assert spec.experiments == ("table1",)
-        assert spec.workload == WorkloadSpec()
+        assert spec.workload == SyntheticSource()
         assert spec.config == DEFAULT_CONFIG
         assert spec.engine == EngineOptions()
         assert spec.sweep is None
@@ -189,7 +189,7 @@ class TestDigest:
         )
 
     def test_workload_changes_digest(self):
-        longer = small_spec(workload=WorkloadSpec(max_length=4000, seed=7))
+        longer = small_spec(workload=SyntheticSource(max_length=4000, seed=7))
         assert small_spec().digest() != longer.digest()
 
     def test_input_digest_ignores_experiments_and_sweep(self):
@@ -376,7 +376,7 @@ class TestTraceSources:
         assert small_spec().digest() == "0f0c54f0edd9c8ecac7bc02b3cff1601"
 
     def test_unmixed_workload_serialises_in_legacy_layout(self):
-        payload = WorkloadSpec(max_length=2000, seed=7).to_dict()
+        payload = SyntheticSource(max_length=2000, seed=7).to_dict()
         assert payload == {
             "max_length": 2000, "seed": 7, "benchmarks": None
         }
@@ -397,16 +397,16 @@ class TestTraceSources:
 
     def test_unknown_mix_class_rejected(self):
         with pytest.raises(SpecError, match="phase"):
-            WorkloadSpec(max_length=2000, mix={"phase": 2.0})
+            SyntheticSource(max_length=2000, mix={"phase": 2.0})
 
     def test_negative_mix_weight_rejected(self):
         with pytest.raises(SpecError, match="non-negative"):
-            WorkloadSpec(max_length=2000, mix={"noise": -1.0})
+            SyntheticSource(max_length=2000, mix={"noise": -1.0})
 
     def test_mixed_workload_round_trips_and_changes_digest(self):
         plain = small_spec()
         mixed = small_spec(
-            workload=WorkloadSpec(max_length=2000, seed=7, mix={"noise": 2.0})
+            workload=SyntheticSource(max_length=2000, seed=7, mix={"noise": 2.0})
         )
         assert mixed.digest() != plain.digest()
         restored = RunSpec.from_json(mixed.to_json())

@@ -21,7 +21,7 @@ import pytest
 from repro.api import run_spec, run_sweep, SweepRun
 from repro.cli import main
 from repro.obs.manifest import diff_manifests, read_manifest
-from repro.spec import EngineOptions, RunSpec, SweepSpec, WorkloadSpec
+from repro.spec import EngineOptions, RunSpec, SweepSpec, SyntheticSource
 
 REPO_DIR = Path(__file__).parent.parent
 
@@ -31,7 +31,7 @@ BENCHMARKS = ("gcc", "compress")
 def sweep_spec(cache_dir, max_length=2000, journal=None, resume=False):
     return RunSpec(
         experiments=("fig9",),
-        workload=WorkloadSpec(
+        workload=SyntheticSource(
             max_length=max_length, seed=7, benchmarks=BENCHMARKS
         ),
         engine=EngineOptions(
@@ -131,7 +131,7 @@ class TestSweepCli:
         # flag supplies the grid.
         RunSpec(
             experiments=("fig9",),
-            workload=WorkloadSpec(
+            workload=SyntheticSource(
                 max_length=1500, seed=7, benchmarks=BENCHMARKS
             ),
         ).to_file(str(spec_path))

@@ -225,3 +225,24 @@ class TestLoadImported:
         source.write_text("")
         with pytest.raises(IngestError, match="no branches"):
             load_imported_trace(source)
+
+    def test_declared_branch_count_must_match_the_file(self, tmp_path):
+        from repro.errors import SpecError
+        from repro.spec import ImportedSource, TraceEntry
+        from repro.workloads.suite import load_source_trace
+
+        entries = []
+        for index, name in enumerate(("alpha", "beta")):
+            trace = make_trace(n=400 + index, seed=index)
+            path = tmp_path / f"{name}.bpt"
+            write_trace(trace, path)
+            entries.append(
+                TraceEntry(name, trace.digest(), str(path), branches=len(trace))
+            )
+        entries[1] = TraceEntry("beta", entries[1].digest, entries[1].path, branches=5)
+        source = ImportedSource(traces=tuple(entries))
+        assert len(load_source_trace("alpha", source)) == 400
+        with pytest.raises(
+            SpecError, match=r"workload\.traces\[1\]\.branches: declares 5, file has 401"
+        ):
+            load_source_trace("beta", source)
