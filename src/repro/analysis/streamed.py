@@ -68,34 +68,40 @@ def chunked_bitmap(stream: TraceStream, config: LabConfig, task: str) -> np.ndar
     return fold_simulate(task_predictor(config, task), stream.chunks())
 
 
+def _window_rows(
+    window_pcs: List[np.ndarray],
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The sorted union of the windows' branch addresses, and each
+    window's rows in it (for ``searchsorted`` accumulation)."""
+    pcs = np.unique(np.concatenate(window_pcs))
+    return pcs, [np.searchsorted(pcs, window) for window in window_pcs]
+
+
 def ideal_static_count(chunks: Iterable[Trace]) -> Tuple[int, int]:
     """Streamed ``(correct, total)`` of the ideal static predictor.
 
-    One pass accumulating per-static-branch ``(executions, taken)``
-    counts; the majority direction (ties toward taken, matching
+    One pass keeping each window's per-static-branch ``(executions,
+    taken)`` counts from its branch index, summed per branch at the
+    end; the majority direction (ties toward taken, matching
     :func:`repro.trace.stats.ideal_static_correct`) determines the
     correct count without ever materialising the bitmap.
     """
-    counts: Dict[int, List[int]] = {}
+    windows: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     total = 0
     for chunk in chunks:
         total += len(chunk)
-        uniq, inverse = np.unique(chunk.pc, return_inverse=True)
-        executions = np.bincount(inverse, minlength=len(uniq))
-        taken = np.bincount(
-            inverse, weights=chunk.taken, minlength=len(uniq)
-        ).astype(np.int64)
-        for pc, execs, tk in zip(
-            uniq.tolist(), executions.tolist(), taken.tolist()
-        ):
-            entry = counts.setdefault(pc, [0, 0])
-            entry[0] += execs
-            entry[1] += tk
-    correct = sum(
-        taken if 2 * taken >= execs else execs - taken
-        for execs, taken in counts.values()
-    )
-    return correct, total
+        pcs, _ids, counts = chunk.branch_index()
+        windows.append((pcs, counts, chunk.branch_sums(chunk.taken)))
+    if not total:
+        return 0, 0
+    pcs, window_rows = _window_rows([window[0] for window in windows])
+    executions = np.zeros(len(pcs), dtype=np.int64)
+    taken = np.zeros(len(pcs), dtype=np.int64)
+    for rows, (_pcs, counts, window_taken) in zip(window_rows, windows):
+        executions[rows] += counts
+        taken[rows] += window_taken
+    correct = np.where(2 * taken >= executions, taken, executions - taken)
+    return int(correct.sum()), total
 
 
 def fixed_best_count(
@@ -127,16 +133,15 @@ def fixed_best_count(
         windows.append((pcs, counts, np.packbits(grouped, bitorder="little")))
     if not total:
         return 0, 0
-    pcs = np.unique(np.concatenate([window[0] for window in windows]))
+    pcs, window_rows = _window_rows([window[0] for window in windows])
     counts = np.zeros(len(pcs), dtype=np.int64)
-    for window_pcs, window_counts, _packed in windows:
-        counts[np.searchsorted(pcs, window_pcs)] += window_counts
+    for rows, (_pcs, window_counts, _packed) in zip(window_rows, windows):
+        counts[rows] += window_counts
     # Each window's branch groups land after what earlier windows wrote
     # for the same branch.
     fill = np.cumsum(counts) - counts
     outcomes = np.empty(total, dtype=bool)
-    for window_pcs, window_counts, packed in windows:
-        rows = np.searchsorted(pcs, window_pcs)
+    for rows, (_pcs, window_counts, packed) in zip(window_rows, windows):
         length = int(window_counts.sum())
         offset = fill[rows] - (np.cumsum(window_counts) - window_counts)
         outcomes[np.repeat(offset, window_counts) + np.arange(length)] = (

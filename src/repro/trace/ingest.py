@@ -376,18 +376,12 @@ def ingest_file(
         out_path if out_path is not None else f"{source}.bpt"
     )
     written = 0
-    try:
-        with BPT2Writer(destination, chunk_branches=chunk) as writer:
-            for pc, target, taken in _rechunk(_batches(source, fmt), chunk):
-                writer.append_chunk(pc, target, taken)
-                written += len(pc)
-    except BaseException:
-        # A rejected source must not leave a partial spill behind.
-        try:
-            os.unlink(destination)
-        except OSError:
-            pass
-        raise
+    # A rejected source leaves no partial spill: the writer publishes
+    # the file only on a clean close.
+    with BPT2Writer(destination, chunk_branches=chunk) as writer:
+        for pc, target, taken in _rechunk(_batches(source, fmt), chunk):
+            writer.append_chunk(pc, target, taken)
+            written += len(pc)
     if written == 0:
         os.unlink(destination)
         raise IngestError(f"{source}: trace contains no branches")

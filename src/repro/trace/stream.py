@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import mmap
 import os
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+import secrets
+from typing import BinaryIO, Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -144,6 +145,21 @@ def _drop_pages(buffer, ranges: List[Tuple[int, int]]) -> None:
             return
 
 
+def _open_sibling(path: PathLike) -> Tuple[str, BinaryIO]:
+    """Create a fresh hidden temporary file beside ``path``.
+
+    ``open(..., "xb")`` keeps the mode a plain ``open`` would give the
+    final file; a name collision just draws another name.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    while True:
+        temp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
+        try:
+            return temp, open(temp, "xb")
+        except FileExistsError:
+            continue
+
+
 class BPT2Writer:
     """Streaming ``BPT2`` writer: append chunks, finalise on close.
 
@@ -152,6 +168,12 @@ class BPT2Writer:
     trace with resident memory bounded by one chunk.  Every chunk except
     the last must hold exactly ``chunk_branches`` branches; the header
     and chunk index are patched in on :meth:`close`.
+
+    The chunks go to a temporary file beside ``path``, renamed onto
+    ``path`` only by a successful :meth:`close`.  A write that fails
+    (an exception inside ``with BPT2Writer(...)``) deletes it, so no
+    half-written file ever appears at ``path`` and a file already
+    there survives.
     """
 
     def __init__(
@@ -159,7 +181,7 @@ class BPT2Writer:
     ) -> None:
         self.path = path
         self.chunk_branches = normalize_chunk_branches(chunk_branches)
-        self._fh = open(path, "wb")
+        self._temp, self._fh = _open_sibling(path)
         self._fh.write(MAGIC2 + b"\x00" * (HEADER2_SIZE - 4))
         self._offsets: List[int] = []
         self._n = 0
@@ -201,20 +223,37 @@ class BPT2Writer:
         self._n += count
 
     def close(self) -> None:
-        """Write the chunk index and patch the header (idempotent)."""
+        """Write the chunk index, patch the header and publish the file.
+
+        Idempotent; a failure here discards the file like a failed write.
+        """
         if self._closed:
             return
-        index_offset = self._fh.tell()
-        self._fh.write(np.asarray(self._offsets, dtype="<u8").tobytes())
-        self._fh.seek(8)
-        self._fh.write(
-            np.asarray(
-                [self._n, self.chunk_branches, len(self._offsets), index_offset],
-                dtype="<u8",
-            ).tobytes()
-        )
-        self._fh.close()
+        try:
+            index_offset = self._fh.tell()
+            self._fh.write(np.asarray(self._offsets, dtype="<u8").tobytes())
+            self._fh.seek(8)
+            self._fh.write(
+                np.asarray(
+                    [self._n, self.chunk_branches, len(self._offsets), index_offset],
+                    dtype="<u8",
+                ).tobytes()
+            )
+            self._fh.close()
+            os.replace(self._temp, self.path)
+        except BaseException:
+            self._discard()
+            raise
         self._closed = True
+
+    def _discard(self) -> None:
+        """Abandon the write: delete the temporary file, leave ``path`` be."""
+        self._closed = True
+        self._fh.close()
+        try:
+            os.unlink(self._temp)
+        except OSError:
+            pass
 
     def __enter__(self) -> "BPT2Writer":
         return self
@@ -222,9 +261,8 @@ class BPT2Writer:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is None:
             self.close()
-        else:
-            self._closed = True
-            self._fh.close()
+        elif not self._closed:
+            self._discard()
 
 
 def write_trace(

@@ -10,7 +10,7 @@ mitigation for pure-Python simulation speed.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -235,9 +235,8 @@ class Trace:
 class TraceBuilder:
     """Incremental trace construction with amortised append.
 
-    The workload interpreter emits one branch per executed conditional; the
-    builder buffers into Python lists and converts to columnar numpy storage
-    once at :meth:`build`.
+    Buffers records into Python lists and converts to columnar numpy
+    storage once at :meth:`build` (see :meth:`Trace.from_records`).
     """
 
     def __init__(self) -> None:
@@ -262,65 +261,3 @@ class TraceBuilder:
     def build(self) -> Trace:
         """Freeze the buffered branches into an immutable :class:`Trace`."""
         return Trace(self._pc, self._target, self._taken)
-
-
-class ChunkedTraceBuilder:
-    """Bounded-memory trace construction: flush fixed windows to a sink.
-
-    Where :class:`TraceBuilder` buffers the whole trace in Python lists
-    (hundreds of bytes per branch), this builder fills preallocated
-    numpy columns of ``chunk_branches`` entries and hands each full
-    window to ``sink(pc, target, taken)`` -- typically a
-    :class:`~repro.trace.stream.BPT2Writer` spilling to disk.  Resident
-    memory is one window regardless of trace length.
-
-    The sink must consume the arrays before returning (they are reused
-    for the next window).
-    """
-
-    def __init__(
-        self,
-        sink: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
-        chunk_branches: int,
-    ) -> None:
-        if chunk_branches < 1:
-            raise ValueError(
-                f"chunk_branches must be >= 1, got {chunk_branches}"
-            )
-        self._sink = sink
-        self._chunk_branches = int(chunk_branches)
-        self._pc = np.empty(self._chunk_branches, dtype=PC_DTYPE)
-        self._target = np.empty(self._chunk_branches, dtype=PC_DTYPE)
-        self._taken = np.empty(self._chunk_branches, dtype=TAKEN_DTYPE)
-        self._fill = 0
-        self._flushed = 0
-
-    def append(self, pc: int, target: int, taken: bool) -> None:
-        """Record one dynamic branch, flushing on a full window."""
-        if pc < 0 or target < 0:
-            raise ValueError("branch addresses must be non-negative")
-        i = self._fill
-        self._pc[i] = pc
-        self._target[i] = target
-        self._taken[i] = bool(taken)
-        self._fill = i + 1
-        if self._fill == self._chunk_branches:
-            self._flush()
-
-    def __len__(self) -> int:
-        return self._flushed + self._fill
-
-    def _flush(self) -> None:
-        self._sink(
-            self._pc[: self._fill],
-            self._target[: self._fill],
-            self._taken[: self._fill],
-        )
-        self._flushed += self._fill
-        self._fill = 0
-
-    def finish(self) -> int:
-        """Flush any partial final window; returns the total count."""
-        if self._fill:
-            self._flush()
-        return self._flushed

@@ -5,22 +5,30 @@ statements (blocks, ifs, for/while loops, calls, assignments).  Layout
 assigns every branch site a fixed address, with loop branches backward
 and if/while-exit branches forward, so traces carry realistic
 direction information for the backward-branch tagging scheme
-(section 3.2) and the BTFNT baseline.  Execution interprets the program
-against an :class:`Environment` (boolean variables + seeded RNG) and
-emits one trace record per executed conditional branch.
+(section 3.2) and the BTFNT baseline.  Layout also numbers the branch
+sites: the program keeps a site table of ``(pc, target)`` pairs.
+Execution interprets the program against an :class:`Environment`
+(boolean variables + seeded RNG) and appends one site code,
+``2 * site + taken``, per executed conditional branch; one numpy gather
+through the site table turns a run of codes into trace columns.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.trace.trace import Trace, TraceBuilder
+import numpy as np
+
+from repro.trace.trace import PC_DTYPE, Trace
 from repro.workloads.conditions import Expr, TripCountGenerator
 
 #: Address stride between instruction slots.
 ADDRESS_STRIDE = 4
+
+#: Where a windowed run sends each window's ``(pc, target, taken)`` columns.
+Sink = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
 class Environment:
@@ -40,15 +48,30 @@ class Environment:
 
 
 class _AddressAllocator:
-    """Hands out increasing instruction addresses."""
+    """Hands out increasing instruction addresses and branch-site numbers."""
 
     def __init__(self, start: int = 0x1000) -> None:
         self._next = start
+        self.sites: List[Tuple[int, int]] = []
 
     def allocate(self) -> int:
         address = self._next
         self._next += ADDRESS_STRIDE
         return address
+
+    def site(self, pc: int, target: int) -> Tuple[int, int]:
+        """Register a branch site; returns its codes ``(2*site, 2*site + 1)``.
+
+        The codes are the site's not-taken and taken records; the
+        interpreter appends the shared int objects, so a buffered run
+        costs one list slot per branch.  Addresses are checked here,
+        once per site, rather than once per executed branch.
+        """
+        if pc < 0 or target < 0:
+            raise ValueError("branch addresses must be non-negative")
+        code = 2 * len(self.sites)
+        self.sites.append((pc, target))
+        return code, code + 1
 
 
 class _TraceComplete(Exception):
@@ -56,22 +79,45 @@ class _TraceComplete(Exception):
 
 
 class _Emitter:
-    """Collects emitted branches and stops execution at the target length.
+    """Collects site codes and cuts the run at windows and at its end.
 
-    ``builder`` is anything with ``append(pc, target, taken)`` and
-    ``__len__``: the default whole-trace :class:`TraceBuilder`, or a
-    :class:`~repro.trace.trace.ChunkedTraceBuilder` when the caller
-    streams windows out instead of materialising the run.
+    A branch site appends its code to ``codes`` and, once
+    ``len(codes)`` reaches ``stop``, calls :meth:`boundary`.  With a
+    ``sink`` each full window of codes is decoded, handed to
+    ``sink(pc, target, taken)`` and cleared; without one the codes
+    accumulate until the run ends.
     """
 
-    def __init__(self, target_length: int, builder=None) -> None:
-        self.builder = TraceBuilder() if builder is None else builder
-        self._target = target_length
+    __slots__ = ("codes", "stop", "_program", "_sink", "_window", "_remaining")
 
-    def emit(self, pc: int, target: int, taken: bool) -> None:
-        self.builder.append(pc, target, taken)
-        if len(self.builder) >= self._target:
+    def __init__(
+        self,
+        program: "Program",
+        num_branches: int,
+        sink: Optional[Sink] = None,
+        chunk_branches: Optional[int] = None,
+    ) -> None:
+        if num_branches < 1:
+            raise ValueError(f"num_branches must be >= 1, got {num_branches}")
+        window = num_branches if chunk_branches is None else int(chunk_branches)
+        if window < 1:
+            raise ValueError(f"chunk_branches must be >= 1, got {chunk_branches}")
+        self.codes: List[int] = []
+        self.stop = min(window, num_branches)
+        self._program = program
+        self._sink = sink
+        self._window = window
+        self._remaining = num_branches
+
+    def boundary(self) -> None:
+        """Flush a full window to the sink; stop the run at its length."""
+        self._remaining -= len(self.codes)
+        if self._sink is not None:
+            self._sink(*self._program.columns(self.codes))
+            self.codes.clear()
+        if self._remaining == 0:
             raise _TraceComplete
+        self.stop = min(self._window, self._remaining)
 
 
 class Statement(abc.ABC):
@@ -142,6 +188,7 @@ class If(Statement):
         self.else_body = else_body
         self.pc = -1
         self.target = -1
+        self.site_codes = (-1, -1)
 
     def layout(self, allocator: _AddressAllocator) -> None:
         self.pc = allocator.allocate()
@@ -151,11 +198,18 @@ class If(Statement):
             self.else_body.layout(allocator)
         # Forward target: past the whole statement.
         self.target = allocator.allocate()
+        self.site_codes = allocator.site(self.pc, self.target)
 
     def execute(self, env: Environment, emitter: _Emitter, program: "Program") -> None:
-        outcome = bool(self.condition.evaluate(env))
-        emitter.emit(self.pc, self.target, outcome)
-        body = self.then_body if outcome else self.else_body
+        codes = emitter.codes
+        if self.condition.evaluate(env):
+            codes.append(self.site_codes[1])
+            body = self.then_body
+        else:
+            codes.append(self.site_codes[0])
+            body = self.else_body
+        if len(codes) >= emitter.stop:
+            emitter.boundary()
         if body is not None:
             body.execute(env, emitter, program)
 
@@ -173,17 +227,23 @@ class ForLoop(Statement):
         self.body = body
         self.start = -1
         self.pc = -1
+        self.site_codes = (-1, -1)
 
     def layout(self, allocator: _AddressAllocator) -> None:
         self.start = allocator.allocate()
         self.body.layout(allocator)
         self.pc = allocator.allocate()  # after the body: backward branch
+        self.site_codes = allocator.site(self.pc, self.start)
 
     def execute(self, env: Environment, emitter: _Emitter, program: "Program") -> None:
         trip_count = max(1, int(self.trips(env)))
+        last = trip_count - 1
+        codes = emitter.codes
         for iteration in range(trip_count):
             self.body.execute(env, emitter, program)
-            emitter.emit(self.pc, self.start, iteration < trip_count - 1)
+            codes.append(self.site_codes[iteration < last])
+            if len(codes) >= emitter.stop:
+                emitter.boundary()
 
 
 class WhileLoop(Statement):
@@ -199,18 +259,26 @@ class WhileLoop(Statement):
         self.body = body
         self.pc = -1
         self.target = -1
+        self.site_codes = (-1, -1)
 
     def layout(self, allocator: _AddressAllocator) -> None:
         self.pc = allocator.allocate()
         self.body.layout(allocator)
         self.target = allocator.allocate()  # forward: past the loop
+        self.site_codes = allocator.site(self.pc, self.target)
 
     def execute(self, env: Environment, emitter: _Emitter, program: "Program") -> None:
         trip_count = max(0, int(self.trips(env)))
+        not_taken, taken = self.site_codes
+        codes = emitter.codes
         for _iteration in range(trip_count):
-            emitter.emit(self.pc, self.target, False)
+            codes.append(not_taken)
+            if len(codes) >= emitter.stop:
+                emitter.boundary()
             self.body.execute(env, emitter, program)
-        emitter.emit(self.pc, self.target, True)
+        codes.append(taken)
+        if len(codes) >= emitter.stop:
+            emitter.boundary()
 
 
 class AddCounter(Statement):
@@ -287,6 +355,9 @@ class Program:
         allocator = _AddressAllocator()
         for proc in procedures:
             proc.body.layout(allocator)
+        self._site_pc, self._site_target = (
+            np.array(allocator.sites, dtype=PC_DTYPE).reshape(-1, 2).T.copy()
+        )
 
     def procedure(self, name: str) -> Procedure:
         try:
@@ -303,6 +374,35 @@ class Program:
     def main(self) -> str:
         return self._main
 
+    def columns(self, codes: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decode site codes into ``(pc, target, taken)`` trace columns."""
+        code_arr = np.array(codes, dtype=np.intp)
+        sites = code_arr >> 1
+        return (
+            self._site_pc[sites],
+            self._site_target[sites],
+            (code_arr & 1).astype(bool),
+        )
+
+
+def _run(
+    program: Program,
+    num_branches: int,
+    seed: int,
+    sink: Optional[Sink] = None,
+    chunk_branches: Optional[int] = None,
+) -> _Emitter:
+    """Invoke the main procedure repeatedly until the emitter stops it."""
+    emitter = _Emitter(program, num_branches, sink, chunk_branches)
+    env = Environment(random.Random(seed))
+    main_body = program.procedure(program.main).body
+    try:
+        while True:
+            main_body.execute(env, emitter, program)
+    except _TraceComplete:
+        pass
+    return emitter
+
 
 def execute_program(program: Program, num_branches: int, seed: int) -> Trace:
     """Run ``program`` until ``num_branches`` conditional branches execute.
@@ -317,24 +417,15 @@ def execute_program(program: Program, num_branches: int, seed: int) -> Trace:
         seed: Workload RNG seed; identical seeds reproduce identical
             traces.
     """
-    if num_branches < 1:
-        raise ValueError(f"num_branches must be >= 1, got {num_branches}")
-    env = Environment(random.Random(seed))
-    emitter = _Emitter(num_branches)
-    main_body = program.procedure(program.main).body
-    try:
-        while True:
-            main_body.execute(env, emitter, program)
-    except _TraceComplete:
-        pass
-    return emitter.builder.build()
+    emitter = _run(program, num_branches, seed)
+    return Trace(*program.columns(emitter.codes))
 
 
 def stream_program(
     program: Program,
     num_branches: int,
     seed: int,
-    sink,
+    sink: Sink,
     chunk_branches: int,
 ) -> int:
     """Run ``program`` like :func:`execute_program`, streaming windows out.
@@ -345,16 +436,5 @@ def stream_program(
     -- peak residency is one window regardless of ``num_branches``.
     Returns the number of branches emitted (== ``num_branches``).
     """
-    from repro.trace.trace import ChunkedTraceBuilder
-
-    if num_branches < 1:
-        raise ValueError(f"num_branches must be >= 1, got {num_branches}")
-    env = Environment(random.Random(seed))
-    emitter = _Emitter(num_branches, builder=ChunkedTraceBuilder(sink, chunk_branches))
-    main_body = program.procedure(program.main).body
-    try:
-        while True:
-            main_body.execute(env, emitter, program)
-    except _TraceComplete:
-        pass
-    return emitter.builder.finish()
+    _run(program, num_branches, seed, sink, chunk_branches)
+    return num_branches

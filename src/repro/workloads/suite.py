@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.trace.trace import Trace
 from repro.workloads.generator import BenchmarkProfile, build_program
 from repro.workloads.motifs import MIX_CLASSES, mix_class
-from repro.workloads.program import execute_program
+from repro.workloads.program import execute_program, stream_program
 
 #: A behaviour-class mix: class name -> non-negative weight.  Weight 1
 #: leaves that class untouched, 0 removes it, other values scale every
@@ -557,8 +557,6 @@ def stream_benchmark(
 
     spec = benchmark_spec(name, length, run_seed, mix=mix)
     chunk = normalize_chunk_branches(chunk_branches)
-    from repro.workloads.program import stream_program
-
     with span(
         "stream_trace",
         benchmark=name,

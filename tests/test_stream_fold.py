@@ -167,12 +167,17 @@ class TestStreamedTaskFolds:
     def test_ideal_static_count_is_window_invariant(self, fold_trace):
         from repro.trace.stats import ideal_static_correct
 
-        reference = int(np.count_nonzero(ideal_static_correct(fold_trace)))
-        for chunk in (8, 104, 520):
-            stream = TraceStream.from_trace(fold_trace, chunk_branches=chunk)
-            assert ideal_static_count(stream.chunks()) == (
-                reference, len(fold_trace)
-            )
+        # A branch first seen in the last window, below every other
+        # address, shifts every row of the per-branch accumulation.
+        late = trace_from_steps([(0x4, 0x8, taken) for taken in (1, 1, 0)])
+        assert 0x4 not in fold_trace.dynamic_counts()
+        for trace in (fold_trace, fold_trace.concat(late)):
+            reference = int(np.count_nonzero(ideal_static_correct(trace)))
+            for chunk in (8, 104, 520):
+                stream = TraceStream.from_trace(trace, chunk_branches=chunk)
+                assert ideal_static_count(stream.chunks()) == (
+                    reference, len(trace)
+                )
 
     def test_fixed_best_count_is_window_invariant(self, fold_trace):
         whole = fixed_best_count([fold_trace])

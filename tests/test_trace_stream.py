@@ -216,6 +216,35 @@ class TestBPT2Writer:
             writer.append_chunk([0] * 8, [0] * 8, [False] * 8)
         writer.close()
 
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "w.bpt"
+        with pytest.raises(RuntimeError):
+            with BPT2Writer(path, 8) as writer:
+                writer.append_chunk([1] * 8, [2] * 8, [True] * 8)
+                raise RuntimeError("producer failed")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "w.bpt"
+        write_trace(trace_from_string("TTN"), path)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            with BPT2Writer(path, 8) as writer:
+                writer.append_chunk([1] * 8, [2] * 8, [True] * 8)
+                raise RuntimeError("producer failed")
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_close_publishes_the_file(self, tmp_path):
+        path = tmp_path / "w.bpt"
+        write_trace(trace_from_string("TTN"), path)
+        writer = BPT2Writer(path, 8)
+        writer.append_chunk([1], [2], [False])
+        assert len(read_trace(path)) == 3  # not visible before close
+        writer.close()
+        assert read_trace(path) == trace_from_steps([(1, 2, False)])
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_closed_writer_rejects_appends(self, tmp_path):
         writer = BPT2Writer(tmp_path / "w.bpt", 8)
         writer.append_chunk([1], [2], [True])

@@ -12,8 +12,10 @@ from repro.workloads.program import (
     If,
     Procedure,
     Program,
+    Statement,
     WhileLoop,
     execute_program,
+    stream_program,
 )
 
 
@@ -134,6 +136,22 @@ class TestProgram:
     def test_positive_length_required(self):
         with pytest.raises(ValueError):
             run([If(ConstExpr(True))], n=0)
+
+    def test_negative_site_address_rejected_at_layout(self):
+        class NegativeSite(Statement):
+            def layout(self, allocator):
+                self.site_codes = allocator.site(-4, 0x1000)
+
+            def execute(self, env, emitter, program):
+                pass
+
+        with pytest.raises(ValueError, match="branch addresses must be non-negative"):
+            Program([Procedure("main", NegativeSite())], main="main")
+
+    def test_positive_window_required(self):
+        program = Program([Procedure("main", If(ConstExpr(True)))], main="main")
+        with pytest.raises(ValueError, match="chunk_branches must be >= 1, got 0"):
+            stream_program(program, 10, 1, lambda *columns: None, 0)
 
     def test_determinism_per_seed(self):
         statements = lambda: [If(BernoulliExpr(0.5)), ForLoop(constant_trips(3), If(BernoulliExpr(0.7)))]
