@@ -3,31 +3,21 @@
 A full report simulates seven predictors plus the best-of-32 fixed
 pattern sweep and the tagged-correlation collection over eight benchmark
 traces -- 72 independent ``(benchmark, task)`` jobs with no shared
-state.  This module runs them as *lanes* -- one lane per job, each an
-ordered list of windows -- over a :class:`~concurrent.futures.\
+state.  This module runs them as *lanes* -- one lane per job, each one
+whole-trace computation -- over a :class:`~concurrent.futures.\
 ProcessPoolExecutor` (or in-process for ``jobs <= 1``) and folds the
 results back into each :class:`~repro.analysis.runner.Lab`'s memo dict,
 so downstream experiments see exactly the state a serial run would have
-produced.
-
-Lanes: a whole-trace job is a one-window lane.  With
-``chunk_branches`` set, the causal tasks
-(:data:`~repro.analysis.streamed.CHUNKABLE_TASKS`) become many-window
-lanes: window ``k`` resumes from the pickled predictor state window
-``k-1`` returned, so a lane is sequential, but lanes run side by side.
-:func:`prime_labs` is the one place windows are decided, from each
-loaded trace's length; the plan never expands chunks.  Pool workers
-read chunk windows from the benchmark's columns, published
-once into :mod:`multiprocessing.shared_memory`, so nothing
-trace-length-proportional is pickled into a submission.  The folded
-bitmaps are bit-identical to the unchunked run (the PC011 contract
-check and the split-point property tests enforce it).
+produced.  A lab holds its whole trace: the paper's baselines (ideal
+static, best-of-32, the selective-history oracle) are defined over the
+whole run.  Bounded-memory runs go through
+:func:`~repro.analysis.streamed.stream_report` instead.
 
 Determinism: every job is a pure function of ``(benchmark name, trace
 source, config, task)``, computed by the task table's
-:func:`~repro.analysis.runner.compute_task`.  A whole-trace lane ships
-the run's frozen :data:`~repro.spec.TraceSource`, and its worker loads
-the trace through :func:`~repro.workloads.suite.load_source_trace`, the
+:func:`~repro.analysis.runner.compute_task`.  A pooled lane ships the
+run's frozen :data:`~repro.spec.TraceSource`, and its worker loads the
+trace through :func:`~repro.workloads.suite.load_source_trace`, the
 loader every path uses (a per-process LRU plus the shared disk cache
 make this cheap).  The parent verifies the returned trace digest before
 folding, so completion order and worker scheduling cannot change any
@@ -36,31 +26,28 @@ through :meth:`~repro.analysis.runner.Lab.fold_cached`, the method a
 lab's lazy lookup uses too.
 
 Resilience: one loop owns submission, retries, deadlines and pool
-rebuilds for every lane, chunked or not, pooled or in-process.  A
-failing attempt (worker exception, injected crash, lost worker,
-wall-clock timeout) is retried with deterministic capped backoff up to
-the :class:`~repro.resilience.RetryPolicy`'s attempt budget, from the
-state carried into the failed window; a lane's attempt number counts
-its failures across all its windows.  A timed-out or broken pool is
-killed and rebuilt, with innocent in-flight lanes resubmitted at their
-*current* attempt number.  A lane that exhausts its budget becomes a
-structured :class:`~repro.resilience.TaskFailure` -- the run continues
-and the lab computes that task lazily in-process if an experiment needs
-it.  ``KeyboardInterrupt``/``SIGTERM`` tear the pool down cleanly
-(cancel pending futures, terminate workers) instead of leaking it.  Both
-signals are held pending while a window is submitted (which may fork
-the workers) and registered, and while the loop waits on and harvests
-futures, so an interrupt cannot leave a worker unregistered or an
-executor lock held.  The
-:class:`~repro.resilience.FaultInjector` is consulted once per lane
-attempt, on the window where the attempt starts, so crashes, hangs and
-cache corruption are reproducible: the same fault spec yields the same
-attempt sequence -- and identical folded results and resilience
-counters -- for ``--jobs 1`` and ``--jobs 4``, chunked or not.
+rebuilds for every lane, pooled or in-process.  A failing attempt
+(worker exception, injected crash, lost worker, wall-clock timeout) is
+retried with deterministic capped backoff up to the
+:class:`~repro.resilience.RetryPolicy`'s attempt budget.  A timed-out or
+broken pool is killed and rebuilt, with innocent in-flight lanes
+resubmitted at their *current* attempt number.  A lane that exhausts its
+budget becomes a structured :class:`~repro.resilience.TaskFailure` --
+the run continues and the lab computes that task lazily in-process if an
+experiment needs it.  ``KeyboardInterrupt``/``SIGTERM`` tear the pool
+down cleanly (cancel pending futures, terminate workers) instead of
+leaking it.  Both signals are held pending while a lane is submitted
+(which may fork the workers) and registered, and while the loop waits on
+and harvests futures, so an interrupt cannot leave a worker unregistered
+or an executor lock held.  The :class:`~repro.resilience.FaultInjector`
+is consulted once per lane attempt, so crashes, hangs and cache
+corruption are reproducible: the same fault spec yields the same attempt
+sequence -- and identical folded results and resilience counters -- for
+``--jobs 1`` and ``--jobs 4``.
 
 Observability crosses the process boundary the same way the results do:
 each worker resets its per-process :data:`repro.obs.METRICS` registry
-and :data:`repro.obs.TRACER` per window, and ships the metric delta plus
+and :data:`repro.obs.TRACER` per job, and ships the metric delta plus
 its span events back alongside the result; the parent folds both in the
 same deterministic (sorted-benchmark, task-order) sequence it folds
 bitmaps, so aggregated counters are independent of completion order and
@@ -70,7 +57,7 @@ attempts are folded, identically in serial and parallel runs.)
 
 Worker count comes from ``--jobs``, the :data:`ENV_JOBS` environment
 variable, or ``os.cpu_count()``; ``jobs <= 1`` runs the same loop with
-each window executed in-process at submission -- no executor, no
+each lane executed in-process at submission -- no executor, no
 pickling of results, no subprocesses.
 """
 
@@ -78,7 +65,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import pickle
 import signal
 import time
 from collections import deque
@@ -86,12 +72,9 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.analysis.cache import ResultCache, result_key
 from repro.analysis.config import LabConfig
 from repro.analysis.runner import CORRELATION_TASK, DEFAULT_TASKS, Lab, compute_task
-from repro.analysis.streamed import CHUNKABLE_TASKS, task_predictor
 from repro.obs.metrics import METRICS
 from repro.obs.tracing import TRACER, span
 from repro.resilience.faults import (
@@ -101,8 +84,6 @@ from repro.resilience.faults import (
     InjectedCrash,
 )
 from repro.resilience.retry import RetryPolicy, TaskFailure, TaskTimeout
-from repro.trace.stream import chunk_spans, normalize_chunk_branches
-from repro.trace.trace import Trace
 from repro.workloads.suite import load_source_trace
 
 #: Environment variable overriding the worker count.
@@ -131,37 +112,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs is None:
         return default_jobs()
     return max(1, int(jobs))
-
-
-def _simulate_window(
-    trace: Trace,
-    config: LabConfig,
-    task: str,
-    window: Optional[Tuple[int, int]],
-    state: Optional[bytes],
-) -> tuple:
-    """One lane window on ``trace``: ``(result, carried state)``.
-
-    A whole-trace window (``None``) computes the task outright.  A chunk
-    window ``(start, stop)`` resumes the predictor from ``state`` (the
-    pickle the previous window returned; None for the first) and
-    returns the window's bitmap with the predictor's new pickled state.
-    ``state`` itself is never mutated, so a retried window restarts
-    from exactly the state carried into it.
-    """
-    if window is None:
-        return compute_task(trace, config, task), None
-    start, stop = window
-    predictor = (
-        pickle.loads(state)
-        if state is not None
-        else task_predictor(config, task)
-    )
-    with span("chunk", task=task, start=start, stop=stop):
-        METRICS.inc("sim.chunk_simulations")
-        bitmap = np.asarray(predictor.simulate(trace[start:stop]), dtype=bool)
-        state = pickle.dumps(predictor, protocol=pickle.HIGHEST_PROTOCOL)
-    return bitmap, state
 
 
 def _act_out_faults(
@@ -204,57 +154,36 @@ def _corrupt_result_entry(
         pass
 
 
-def _run_window(job: tuple):
-    """Execute one window attempt of a lane in a worker process.
+def _run_job(job: tuple):
+    """Execute one lane attempt in a worker process.
 
-    Module-level so it pickles.  A whole-trace window loads the trace
-    from the lane's :data:`~repro.spec.TraceSource` through
+    Module-level so it pickles.  The worker loads the trace from the
+    lane's :data:`~repro.spec.TraceSource` through
     :func:`~repro.workloads.suite.load_source_trace` (per-process LRU in
     ``load_benchmark`` plus the shared disk cache keep this a one-time
     cost per worker per benchmark) and writes its result through to the
-    shared cache.  A
-    chunk window reads the parent's shared-memory segment -- no column
-    pickling, no regeneration.  Returns the window's metric delta and
-    span events alongside the result so the parent can fold telemetry
+    shared cache.  Returns the job's metric delta and span events
+    alongside the result so the parent can fold telemetry
     deterministically.
 
     ``fault_kinds`` is the pre-matched tuple of injected faults for
-    exactly this window (the parent does the matching and counting, so
+    exactly this attempt (the parent does the matching and counting, so
     an attempt that dies cannot lose the accounting).
     """
-    name, task, config, origin, window, state, fault_kinds = job
+    name, task, config, (source, length, cache_root), fault_kinds = job
     _act_out_faults(fault_kinds, name, task, in_process=False)
 
     METRICS.reset()
     TRACER.reset()
     begin = time.perf_counter()
-    digest = None
-    if window is None:
-        source, length, cache_root = origin
-        with span("job", benchmark=name, task=task):
-            cache = ResultCache(cache_root) if cache_root is not None else None
-            trace = load_source_trace(name, source, cache, length=length)
-            digest = trace.digest()
-            result = compute_task(trace, config, task)
-            lab = Lab(trace, config, cache)
-            lab.store(task, result)
-    else:
-        from repro.analysis.shm import attach_trace
-
-        segment, length = origin
-        columns, handle = attach_trace(segment, length)
-        try:
-            result, state = _simulate_window(
-                columns, config, task, window, state
-            )
-        finally:
-            del columns
-            try:
-                handle.close()
-            except BufferError:
-                pass
+    with span("job", benchmark=name, task=task):
+        cache = ResultCache(cache_root) if cache_root is not None else None
+        trace = load_source_trace(name, source, cache, length=length)
+        digest = trace.digest()
+        result = compute_task(trace, config, task)
+        Lab(trace, config, cache).store(task, result)
     return (
-        result, state, digest,
+        result, digest,
         METRICS.snapshot(), TRACER.chrome_events(),
         time.perf_counter() - begin,
     )
@@ -379,40 +308,28 @@ class WorkerPool:
 
 
 class _Lane:
-    """One ``(benchmark, task)`` folded over an ordered list of windows.
+    """One ``(benchmark, task)`` job and its attempts.
 
-    ``windows`` is ``[None]`` for a whole-trace lane, else the
-    ``(start, stop)`` chunk spans.  ``attempt`` counts failures across
-    every window; ``kinds`` holds the injected faults of the current
-    attempt (None until the attempt's first window is submitted) and
-    ``first`` the window that attempt started on.
+    ``origin`` is what a pool worker loads the trace from: the frozen
+    source, the trace's length and the cache root.  ``kinds`` holds
+    the injected faults of the current attempt (None until the attempt
+    is first submitted); ``payload`` is the successful attempt's result
+    tuple, None until then.
     """
 
-    def __init__(self, name: str, task: str, windows: list) -> None:
+    def __init__(self, name: str, task: str, origin: tuple) -> None:
         self.name = name
         self.task = task
-        self.windows = windows
-        self.origin: Optional[tuple] = None  # what the worker reads the trace from
-        self.next = 0
-        self.state: Optional[bytes] = None
+        self.origin = origin
         self.attempt = 1
         self.kinds: Optional[Tuple[str, ...]] = None
-        self.first = 0
-        self.parts: list = []
-        self.digest: Optional[str] = None
-        self.deltas: List[dict] = []
-        self.events: list = []
-        self.seconds = 0.0
-
-    @property
-    def done(self) -> bool:
-        return self.next == len(self.windows)
+        self.payload: Optional[tuple] = None
 
 
 class _Scheduler:
     """The priming loop: submit, retry, expire, rebuild -- for every lane.
 
-    ``jobs <= 1`` runs each window in-process at submission and hands
+    ``jobs <= 1`` runs each lane in-process at submission and hands
     the loop an already-completed future, so the serial path is this
     same loop with one slot.
     """
@@ -456,34 +373,30 @@ class _Scheduler:
 
     def _submit(self, lane: _Lane) -> None:
         if lane.kinds is None:
-            # A new attempt starts on this window: consult the injector
-            # once, and count what it schedules before anything can die.
+            # A new attempt: consult the injector once, and count what
+            # it schedules before anything can die.  A resubmitted
+            # innocent keeps its attempt's faults.
             lane.kinds = (
                 self.injector.kinds(lane.name, lane.task, lane.attempt)
                 if self.injector is not None
                 else ()
             )
             _count_injected(lane.kinds)
-            lane.first = lane.next
-        kinds = lane.kinds if lane.next == lane.first else ()
-        window = lane.windows[lane.next]
         if self.jobs <= 1:
             future: Future = Future()
             lab = self.labs[lane.name]
             try:
-                _act_out_faults(kinds, lane.name, lane.task, in_process=True)
-                result, state = _simulate_window(
-                    lab.trace, lab.config, lane.task, window, lane.state
-                )
+                _act_out_faults(lane.kinds, lane.name, lane.task, in_process=True)
+                result = compute_task(lab.trace, lab.config, lane.task)
             except Exception as error:
                 future.set_exception(error)
             else:
-                future.set_result((result, state, None, None, None, 0.0))
+                future.set_result((result, None, None, None, 0.0))
             self._register(lane, future)
             return
         job = (
             lane.name, lane.task, self.labs[lane.name].config,
-            lane.origin, window, lane.state, kinds,
+            lane.origin, lane.kinds,
         )
         # An interrupt inside submit -- which may fork the workers -- could
         # leave a worker unregistered or a lock held.  Hold it pending
@@ -491,11 +404,11 @@ class _Scheduler:
         # KeyboardInterrupt, and run()'s cleanup reaps the pool.
         with _interrupts_deferred():
             try:
-                future = self._pool.handle().submit(_run_window, job)
+                future = self._pool.handle().submit(_run_job, job)
             except BrokenProcessPool:
                 # The pool broke between loops; rebuild once and resubmit.
                 self._rebuild_pool()
-                future = self._pool.handle().submit(_run_window, job)
+                future = self._pool.handle().submit(_run_job, job)
             self._register(lane, future)
 
     def _register(self, lane: _Lane, future: Future) -> None:
@@ -522,8 +435,7 @@ class _Scheduler:
                 )
             )
             return
-        # Queue the next attempt after its deterministic backoff; it
-        # resumes at the failed window from the state carried into it.
+        # Queue the next attempt after its deterministic backoff.
         backoff = self.policy.backoff(lane.attempt)
         METRICS.inc("resilience.retries")
         METRICS.add_time("resilience.backoff_seconds", backoff)
@@ -591,23 +503,11 @@ class _Scheduler:
             except Exception as error:
                 self._fail(lane, "error", f"{type(error).__name__}: {error}")
             else:
-                self._advance(lane, payload)
+                lane.payload = payload
         return True
 
-    def _advance(self, lane: _Lane, payload: tuple) -> None:
-        result, lane.state, lane.digest, delta, events, seconds = payload
-        lane.parts.append(result)
-        if delta is not None:
-            lane.deltas.append(delta)
-            lane.events.extend(events)
-            lane.seconds += seconds
-        lane.next += 1
-        if not lane.done:
-            # Keep the lane's chain moving before starting new lanes.
-            self.ready.appendleft(lane)
-
     def _on_pool_broken(self, lane: _Lane, error: BaseException) -> None:
-        """A worker died hard; every in-flight window went down with it.
+        """A worker died hard; every in-flight lane went down with it.
 
         The culprit is unknowable from the parent, so every in-flight
         lane (the reporting one included) is charged one attempt -- each
@@ -633,7 +533,7 @@ class _Scheduler:
         if not expired:
             return
         # A hung worker can only be reclaimed by killing the pool, which
-        # takes every in-flight window with it: timed-out attempts are
+        # takes every in-flight lane with it: timed-out attempts are
         # charged and retried, innocents resubmitted at the same attempt.
         innocents = [
             lane for lane, _ in self.active.values() if lane not in expired
@@ -657,7 +557,6 @@ def prime_labs(
     injector: Optional[FaultInjector] = None,
     failures: Optional[list] = None,
     pool: Optional[WorkerPool] = None,
-    chunk_branches: Optional[int] = None,
     source=None,
 ) -> int:
     """Populate every lab's memos for ``tasks``, in parallel.
@@ -688,17 +587,9 @@ def prime_labs(
             When given it overrides ``jobs``, stays warm after the pass
             (the owner drains it), and is shared with every other run
             of the same session.
-        chunk_branches: If set, fold every chunkable task
-            (:data:`~repro.analysis.streamed.CHUNKABLE_TASKS`) as a
-            lane of fixed windows of this many branches instead of one
-            whole-trace window.  Results, retries and injected faults
-            are the same either way.  Ignored for traces no longer than
-            one chunk.
         source: The frozen :data:`~repro.spec.TraceSource` the labs
-            were loaded from; pool workers load whole-trace lanes' traces
-            from it.  None means the unmixed suite at ``run_seed``.
-            Chunk lanes ignore it -- their windows ship from the
-            parent's columns over shared memory.
+            were loaded from; pool workers load their traces from it.
+            None means the unmixed suite at ``run_seed``.
 
     Returns:
         The number of jobs that executed successfully (0 means
@@ -717,74 +608,32 @@ def prime_labs(
             "pass --task-timeout (or REPRO_TASK_TIMEOUT)"
         )
     METRICS.gauge("parallel.workers", jobs)
-    chunk_size = (
-        normalize_chunk_branches(chunk_branches)
-        if chunk_branches is not None
-        else 0
-    )
+    if source is None:
+        from repro.spec import SyntheticSource
+
+        source = SyntheticSource(seed=run_seed)
+    cache_root = str(cache.root) if cache is not None else None
     lanes: List[_Lane] = []
     for name in sorted(labs):
         lab = labs[name]
         if cache is not None and lab.cache is None:
             lab.cache = cache
-        length = len(lab.trace)
+        origin = (source, len(lab.trace), cache_root)
         for task in tasks:
             if lab.is_primed(task) or lab.fold_cached(task):
                 continue
-            chunked = (
-                chunk_size and task in CHUNKABLE_TASKS and length > chunk_size
-            )
-            windows = chunk_spans(length, chunk_size) if chunked else [None]
-            lanes.append(_Lane(name, task, windows))
+            lanes.append(_Lane(name, task, origin))
 
     if not lanes:
         return 0
 
     with span("prime_labs", jobs=jobs, pending=len(lanes)):
-        segments: dict = {}
-        try:
-            if jobs > 1:
-                if source is None:
-                    from repro.spec import SyntheticSource
-
-                    source = SyntheticSource(seed=run_seed)
-                _set_origins(lanes, labs, source, cache, segments)
-            scheduler = _Scheduler(lanes, labs, jobs, policy, injector, pool)
-            scheduler.run()
-        finally:
-            for segment in segments.values():
-                segment.unlink()
+        scheduler = _Scheduler(lanes, labs, jobs, policy, injector, pool)
+        scheduler.run()
         executed = _fold_lanes(lanes, labs, cache)
     METRICS.inc("parallel.jobs_executed", executed)
     _report_failures(scheduler.failures, failures)
     return executed
-
-
-def _set_origins(
-    lanes: Sequence[_Lane],
-    labs: Dict[str, Lab],
-    source,
-    cache: Optional[ResultCache],
-    segments: dict,
-) -> None:
-    """Give each lane the picklable trace origin its workers read.
-
-    A whole-trace lane ships the frozen source, the trace's length and
-    the cache root; chunk lanes share one shared-memory segment per
-    benchmark, published here into ``segments`` (the caller unlinks
-    them).
-    """
-    from repro.analysis.shm import SharedTrace
-
-    cache_root = str(cache.root) if cache is not None else None
-    for lane in lanes:
-        trace = labs[lane.name].trace
-        if lane.windows[0] is None:
-            lane.origin = (source, len(trace), cache_root)
-            continue
-        if lane.name not in segments:
-            segments[lane.name] = SharedTrace.create(trace)
-        lane.origin = (segments[lane.name].name, len(trace))
 
 
 def _fold_lanes(
@@ -800,27 +649,21 @@ def _fold_lanes(
     """
     executed = 0
     for lane in lanes:
-        if not lane.done:
+        if lane.payload is None:
             continue  # failed after retries; recorded by the scheduler
-        for delta in lane.deltas:
+        result, digest, delta, events, seconds = lane.payload
+        if delta is not None:
             METRICS.merge(delta)
-        if lane.deltas:
-            METRICS.add_time("parallel.job_seconds", lane.seconds)
-        TRACER.add_events(lane.events)
+            METRICS.add_time("parallel.job_seconds", seconds)
+            TRACER.add_events(events)
         lab = labs[lane.name]
-        if lane.digest is not None and lane.digest != lab.trace.digest():
+        if digest is not None and digest != lab.trace.digest():
             continue
-        if len(lane.parts) == 1:
-            result = lane.parts[0]
-        else:
-            result = np.concatenate(lane.parts)
-        if lane.windows[0] is not None:
-            METRICS.inc("sim.chunked_simulations")
-        # A worker that regenerated the trace already wrote the shared
+        # A worker that loaded the trace already wrote the shared
         # cache; skip the second write.
-        write_through = lane.digest is None or cache is None
+        write_through = digest is None or cache is None
         lab.store(lane.task, result, write_through=write_through)
-        # An injected 'corrupt' lands when the lane's final window does.
+        # An injected 'corrupt' lands when the lane's result does.
         if "corrupt" in lane.kinds and lab.cache is not None:
             _corrupt_result_entry(
                 lab.cache, lab.trace.digest(), lane.task, lab.config

@@ -67,7 +67,7 @@ def compute_task(trace: Trace, config: LabConfig, task: str):
     """Compute one task's result on a trace (the single source of truth).
 
     Every computation of a :data:`DEFAULT_TASKS` member goes through
-    here -- a lab's lazy lookup, an in-process lane window, a pool
+    here -- a lab's lazy lookup, an in-process lane, a pool
     worker -- so all paths produce bit-identical results and identical
     work-unit metrics (``sim.simulations`` /
     ``sim.correlation_collections``).

@@ -1,20 +1,19 @@
 """Streamed analysis: task folds over a :class:`TraceStream`.
 
-Two consumers:
+:func:`stream_report` is the bounded-memory accuracy report behind
+``benchmarks/check_rss.py`` and paper-scale runs.  With a ``BPT2`` file
+written window by window (:func:`repro.workloads.suite.stream_benchmark`
+or ``repro ingest``), it never holds a whole trace or a whole-trace
+bitmap, reducing each window to counts as it goes.  A
+:func:`repro.api.run_spec` run is the other mode: its labs hold each
+trace whole, because the selective-history oracle reads the whole run.
 
-* The chunked priming path (:func:`repro.analysis.parallel.prime_labs`
-  with ``chunk_branches`` set) folds the *causal* simulation tasks --
-  the ones whose kernels carry their predictor state across
-  ``simulate()`` calls -- window by window, in-process or across the
-  worker pool.  :data:`CHUNKABLE_TASKS` names them and
-  :func:`task_predictor` builds each lane's first predictor;
-  :func:`chunked_bitmap` is the one-call fold the contract/property
-  tests compare against.
-
-* :func:`stream_report` is the bounded-memory accuracy report behind
-  ``benchmarks/check_rss.py`` and paper-scale runs: it never holds a
-  whole-trace bitmap, reducing each window to counts as it goes.  The
-  non-causal paper baselines (``ideal_static``, ``fixed_best``) are
+* The *causal* simulation tasks -- the ones whose kernels carry their
+  predictor state across ``simulate()`` calls -- fold window by window
+  through :func:`repro.sim.fold.fold_correct_count`.
+  :data:`CHUNKABLE_TASKS` names them and :func:`task_predictor` builds
+  each fold's predictor.
+* The non-causal paper baselines (``ideal_static``, ``fixed_best``) are
   whole-run *definitions* -- the ideal static direction is the majority
   over the full run -- so they get dedicated streaming folds here that
   accumulate per-static-branch state (a few entries per static branch,
@@ -29,16 +28,15 @@ import numpy as np
 
 from repro.analysis.config import LabConfig
 from repro.analysis.runner import _FACTORY_ATTRS
-from repro.obs.metrics import METRICS
-from repro.sim.fold import fold_correct_count, fold_simulate
+from repro.sim.fold import fold_correct_count
 from repro.trace.stream import TraceStream
 from repro.trace.trace import Trace
 
 #: Simulation tasks whose kernels resume from written-back state, so a
-#: chunked fold is bit-identical to the whole-trace run.  The whole-run
-#: baselines (``ideal_static``, ``fixed_best``) and the correlation
-#: collection are deliberately absent: they are defined over the full
-#: trace and keep the unchunked path.
+#: chunked fold is bit-identical to the whole-trace run (contract PC011).
+#: The whole-run baselines (``ideal_static``, ``fixed_best``) and the
+#: correlation collection are deliberately absent: they are defined over
+#: the full trace.
 CHUNKABLE_TASKS: Tuple[str, ...] = (
     "gshare",
     "if_gshare",
@@ -56,16 +54,6 @@ def task_predictor(config: LabConfig, task: str):
             f"task {task!r} is not chunkable; choose from {CHUNKABLE_TASKS}"
         )
     return getattr(config, _FACTORY_ATTRS[task])()
-
-
-def chunked_bitmap(stream: TraceStream, config: LabConfig, task: str) -> np.ndarray:
-    """Whole-trace correctness bitmap of ``task``, folded over chunks.
-
-    Bit-identical to ``compute_task(stream.whole(), config, task)`` for
-    every :data:`CHUNKABLE_TASKS` member.
-    """
-    METRICS.inc("sim.chunked_simulations")
-    return fold_simulate(task_predictor(config, task), stream.chunks())
 
 
 def _window_rows(

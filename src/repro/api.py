@@ -415,7 +415,6 @@ def _run_point(
             failures=failures,
             tasks=sims,
             pool=engine.pool,
-            chunk_branches=engine.options.chunk_branches,
             source=workload,
         )
         build_seconds = time.perf_counter() - build_start
@@ -484,7 +483,6 @@ def _run_point(
         jobs=engine.jobs,
         cache_enabled=engine.cache is not None,
         cache_dir=str(engine.cache.root) if engine.cache is not None else None,
-        chunk_branches=engine.options.chunk_branches,
         labs=labs,
         results=results,
         experiment_timings=experiment_timings,

@@ -32,7 +32,7 @@ dynamic check exercises it, PC011 chunked-fold divergence
 (:func:`check_chunked_fold`): splitting a trace and chaining
 ``simulate()`` over the windows must reproduce the whole-trace bitmap
 bit-for-bit at every split point -- the property the streaming trace
-path (:func:`repro.analysis.streamed.chunked_bitmap`) rests on.
+path (:func:`repro.analysis.streamed.stream_report`) rests on.
 """
 
 from __future__ import annotations

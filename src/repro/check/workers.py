@@ -1,7 +1,7 @@
 """Worker-safety pass: hazards in code that crosses the process pool.
 
 The parallel scheduler's whole determinism argument rests on worker
-jobs being *pure*: :func:`repro.analysis.parallel._run_window` (the one
+jobs being *pure*: :func:`repro.analysis.parallel._run_job` (the one
 function the scheduler submits to the pool) and the task table's
 :func:`~repro.analysis.runner.compute_task` must be functions of the
 job spec alone, and the parent's fold must consume their results in a
@@ -26,8 +26,7 @@ WS004  a whole :class:`~repro.trace.trace.Trace` handed to pool
        ``Trace(...)`` / ``load_benchmark(...)`` / ``read_trace(...)`` /
        ``.whole()``: every submit re-pickles the full column arrays
        into each worker.  Ship the spill file path or a
-       ``multiprocessing.shared_memory`` segment name instead (the
-       chunk lanes' protocol).
+       ``multiprocessing.shared_memory`` segment name instead.
 ====== =================================================================
 
 Reachability is computed statically from the AST: starting at the entry
@@ -35,7 +34,7 @@ functions, the pass follows direct calls (``f(...)``, ``mod.f(...)``),
 ``self.method()`` calls inside classes, constructor calls plus
 local-variable method calls (``cache = ResultCache(...);
 cache.load_trace(...)``), and bare function references passed as
-call arguments (``pool.submit(_run_window, job)``).  Imports resolve
+call arguments (``pool.submit(_run_job, job)``).  Imports resolve
 within the ``repro`` package only; calls on objects of unknown type
 (e.g. ``predictor.simulate(trace)``) are out of scope -- predictor
 purity is already enforced dynamically by the contracts pass.
@@ -65,9 +64,9 @@ WORKER_SAFE_GLOBALS = frozenset({"METRICS", "TRACER"})
 
 #: Worker entry points: (dotted module, function names).  Every function
 #: the scheduler passes to pool submission must be listed here.
-DEFAULT_ENTRY = ("repro.analysis.parallel", ("_run_window",))
+DEFAULT_ENTRY = ("repro.analysis.parallel", ("_run_job",))
 
-#: The task table's compute function, which every whole-trace window
+#: The task table's compute function, which every pooled lane
 #: runs in a worker; the default analysis seeds it as an entry point too.
 TASK_ENTRY = ("repro.analysis.runner", ("compute_task",))
 

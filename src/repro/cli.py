@@ -181,7 +181,11 @@ def _cache_main(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     # One resolution path for REPRO_CACHE_DIR & co: the same
     # EngineOptions.from_env() the engine itself uses.
-    options = EngineOptions.from_env(cache_dir=args.cache_dir)
+    try:
+        options = EngineOptions.from_env(cache_dir=args.cache_dir)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return error.exit_code
     cache = ResultCache(options.cache_dir)
     if args.action == "stats":
         # A missing or empty cache directory is a normal state (fresh
@@ -240,8 +244,6 @@ def _engine_overrides(spec, args):
         updates["journal"] = journal or None
     if getattr(args, "resume", False):
         updates["resume"] = True
-    if getattr(args, "chunk_branches", None) is not None:
-        updates["chunk_branches"] = args.chunk_branches
     if not updates:
         return spec
     return dataclasses.replace(
@@ -281,11 +283,18 @@ def _finish(run) -> int:
     return 0
 
 
-def _execute_spec(spec, argv: List[str], **outputs) -> int:
+def _execute_spec(spec, argv: List[str], args=None, **outputs) -> int:
+    """Run ``spec`` and map the outcome onto the CLI exit contract.
+
+    ``args``, when given, are parsed flags whose explicitly given engine
+    options override the spec's (:func:`_engine_overrides`).
+    """
     from repro.api import run_spec
 
     start = time.time()
     try:
+        if args is not None:
+            spec = _engine_overrides(spec, args)
         run = run_spec(
             spec,
             command=["repro", *argv],
@@ -359,11 +368,11 @@ def _run_main(argv: List[str]) -> int:
     spec, error_code = _load_spec(args.spec)
     if spec is None:
         return error_code
-    spec = _engine_overrides(spec, args)
     if spec.sweep is not None:
         return _execute_spec(
             spec,
             ["run", *argv],
+            args,
             manifest_dir=args.manifest_dir or DEFAULT_SWEEP_DIR,
             result_out=args.result_out,
             metrics_out=args.metrics_out,
@@ -375,6 +384,7 @@ def _run_main(argv: List[str]) -> int:
     return _execute_spec(
         spec,
         ["run", *argv],
+        args,
         json_out=args.json,
         manifest_out=manifest_out or None,
         result_out=args.result_out,
@@ -524,10 +534,10 @@ def _sweep_main(argv: List[str]) -> int:
                 spec.engine, journal=DEFAULT_JOURNAL_NAME
             ),
         )
-    spec = _engine_overrides(spec, args)
     return _execute_spec(
         spec,
         ["sweep", *argv],
+        args,
         manifest_dir=args.manifest_dir or None,
         summary_out=args.summary_out,
         metrics_out=args.metrics_out,
@@ -752,7 +762,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             fault_spec=fault_spec_from_args(args),
             journal_path=journal or None,
             resume=args.resume,
-            chunk_branches=args.chunk_branches,
         )
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

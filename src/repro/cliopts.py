@@ -16,9 +16,7 @@ lists it in ``parents=[...]`` --
   budget and per-task wall-clock limit (``REPRO_MAX_RETRIES`` /
   ``REPRO_TASK_TIMEOUT``);
 * ``--inject-fault`` -- deterministic fault injection
-  (``REPRO_FAULT_SPEC``; see ``docs/resilience.md``);
-* ``--chunk-branches`` -- streamed simulation window
-  (``REPRO_CHUNK_BRANCHES``; see ``docs/performance.md``).
+  (``REPRO_FAULT_SPEC``; see ``docs/resilience.md``).
 
 Commands that have no use for a given flag still *accept* it (uniform
 interface); they simply ignore it.
@@ -126,18 +124,6 @@ def engine_parent() -> argparse.ArgumentParser:
             "inject a deterministic fault: 'selector:attempt:kind' with "
             "kind one of crash|hang|corrupt (repeatable; default: "
             "REPRO_FAULT_SPEC; see docs/resilience.md)"
-        ),
-    )
-    group.add_argument(
-        "--chunk-branches",
-        type=int,
-        metavar="N",
-        default=None,
-        help=(
-            "stream simulations over N-branch trace windows instead of "
-            "whole traces (bounded memory, bit-identical results; "
-            "rounded up to a multiple of 8; default: "
-            "REPRO_CHUNK_BRANCHES or whole-trace)"
         ),
     )
     return parent

@@ -168,7 +168,6 @@ def build_labs(
     failures: Optional[list] = None,
     tasks: Optional[tuple] = None,
     pool: Optional[Any] = None,
-    chunk_branches: Optional[int] = None,
     source: Optional[Any] = None,
 ) -> Dict[str, Lab]:
     """One :class:`Lab` per trace of the run's source.
@@ -195,9 +194,6 @@ def build_labs(
             their experiments declared.
         pool: Session-owned :class:`repro.analysis.parallel.WorkerPool`
             the priming pass schedules onto (None = a per-pass pool).
-        chunk_branches: Streaming window for the chunkable simulation
-            tasks (see :func:`repro.analysis.parallel.prime_labs`);
-            None keeps the whole-trace path.
         source: The :data:`~repro.spec.TraceSource` the labs load from,
             benchmark subset included.  None means the unmixed suite at
             ``max_length`` and ``run_seed``.
@@ -222,7 +218,6 @@ def build_labs(
                 injector=injector,
                 failures=failures,
                 pool=pool,
-                chunk_branches=chunk_branches,
                 source=source,
             )
     return labs

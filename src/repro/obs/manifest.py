@@ -46,7 +46,8 @@ from typing import Any, Dict, List, Optional
 #: the deterministic diff keys, so a run over ingested traces diffs
 #: clean against another run over the same digests and *dirty* against
 #: a synthetic run that merely produced equal trace bytes.
-MANIFEST_SCHEMA_VERSION = 6
+#: v7 dropped ``chunk_branches``: every run primes whole traces.
+MANIFEST_SCHEMA_VERSION = 7
 
 #: Discriminator so readers can reject non-manifest JSON early.
 MANIFEST_KIND = "repro.run_manifest"
@@ -84,7 +85,6 @@ def build_manifest(
     jobs: int,
     cache_enabled: bool,
     cache_dir: Optional[str],
-    chunk_branches: Optional[int] = None,
     labs: Dict[str, Any],
     results: Dict[str, Any],
     experiment_timings: List[dict],
@@ -106,8 +106,6 @@ def build_manifest(
         jobs: Resolved worker count.
         cache_enabled: Whether the on-disk result cache was consulted.
         cache_dir: The cache root actually used (None when disabled).
-        chunk_branches: Streaming window the priming pass folded the
-            chunkable simulations over (None = whole-trace priming).
         labs: Benchmark name -> Lab (for trace digests and lengths).
         results: Experiment id -> ExperimentResult.
         experiment_timings: ``[{"id", "seconds"}, ...]`` in run order.
@@ -157,9 +155,6 @@ def build_manifest(
         "run_seed": int(run_seed),
         "max_length": None if max_length is None else int(max_length),
         "jobs": int(jobs),
-        "chunk_branches": (
-            None if chunk_branches is None else int(chunk_branches)
-        ),
         "spec_digest": spec_digest,
         "sweep": None if sweep is None else dict(sweep),
         "served_by": served_by,
@@ -219,7 +214,6 @@ _TOP_LEVEL_SPEC: Dict[str, tuple] = {
     "run_seed": (int,),
     "max_length": (int, type(None)),
     "jobs": (int,),
-    "chunk_branches": (int, type(None)),
     "spec_digest": (str, type(None)),
     "sweep": (dict, type(None)),
     "served_by": (str, type(None)),
@@ -412,8 +406,6 @@ def summarize_manifest(payload: dict) -> str:
         f"  jobs:        {payload.get('jobs')}",
         f"  config:      {payload.get('config_digest')}",
     ]
-    if payload.get("chunk_branches") is not None:
-        lines.append(f"  chunking:    {payload['chunk_branches']} branches/window")
     if payload.get("spec_digest"):
         lines.append(f"  spec:        {payload['spec_digest']}")
     if payload.get("trace_source"):

@@ -33,13 +33,10 @@ priming loop -- scheduling, caching, retries, fault injection,
 journaling -- runs exactly the planned work.  ``repro plan spec.json``
 prints :meth:`Plan.describe` without executing anything.
 
-Chunking is not planned.  ``chunk_branches`` is an execution setting,
-excluded from spec identity like ``jobs``: a chunked spec plans exactly
-the tasks of the unchunked spec, and
-:func:`~repro.analysis.parallel.prime_labs` -- the one place that
-splits a lane into windows -- decides them from each loaded trace's
-length, which the plan cannot know for an imported trace.  The folded
-result is bit-identical (PC011) either way.
+Every sim task is one whole-trace job: a run holds each trace whole,
+because the paper's baselines are defined over the whole run.
+Bounded-memory accuracy over a windowed trace file is
+:func:`~repro.analysis.streamed.stream_report`'s job, outside the plan.
 """
 
 from __future__ import annotations

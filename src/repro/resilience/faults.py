@@ -10,9 +10,7 @@ entries:
   accept ``fnmatch``-style globs (``if_*``, ``fig?``...).
 * **attempt** is the 1-based attempt number the fault fires on.  A
   fault on attempt 1 with retries enabled is transparent to the run's
-  outputs -- that is the whole point.  A chunked task's attempt number
-  counts failures across all of its windows, and the fault fires on
-  the window where that attempt starts.
+  outputs -- that is the whole point.
 * **kind** is one of:
 
   ======== ==============================================================

@@ -734,13 +734,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--chunk-branches", type=int, default=None, metavar="N",
-        help=(
-            "stream simulations over N-branch windows (bounded memory; "
-            "default: REPRO_CHUNK_BRANCHES or whole-trace)"
-        ),
-    )
-    parser.add_argument(
         "--instance-id", default=None,
         help="served_by stamp (default: a fresh serve-<hex> id)",
     )
@@ -768,7 +761,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             cache_dir=args.cache_dir,
             journal=args.journal or None,
             resume=bool(args.journal),
-            chunk_branches=args.chunk_branches,
         )
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -413,13 +413,47 @@ def workload_from_dict(payload: Dict[str, Any]) -> TraceSource:
     )
 
 
+#: Engine field -> (accepted types, what the error says is expected).
+#: None is accepted for every field but the two switches.
+_ENGINE_TYPES: Dict[str, Tuple[tuple, str]] = {
+    "jobs": ((int,), "an int"),
+    "cache": ((bool,), "true or false"),
+    "cache_dir": ((str, os.PathLike), "a path"),
+    "retries": ((int,), "an int"),
+    "task_timeout": ((int, float), "a positive number of seconds"),
+    "fault_spec": ((str,), "a fault spec string"),
+    "journal": ((str, os.PathLike), "a path"),
+    "resume": ((bool,), "true or false"),
+}
+
+
+def _check_engine_value(name: str, value: Any, env: Optional[str] = None) -> None:
+    """Reject a mistyped or out-of-range engine option.
+
+    ``env`` names the variable the value was read from, if any, so the
+    message says where to fix it.
+    """
+    types, expected = _ENGINE_TYPES[name]
+    if value is None and bool not in types:
+        return
+    if (
+        not isinstance(value, types)
+        or (isinstance(value, bool) and bool not in types)
+        or (name == "task_timeout" and not value > 0)
+    ):
+        where = f"engine.{name}" + (f" (from {env})" if env else "")
+        raise SpecError(f"{where}: expected {expected}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EngineOptions:
     """How a run executes -- never *what* it computes.
 
     Every field mirrors one engine flag; None defers to the same
     environment default the flag uses.  Excluded from
-    :meth:`RunSpec.digest` by design.
+    :meth:`RunSpec.digest` by design.  Every field is type-checked on
+    construction: a bad value raises a :class:`SpecError` naming
+    ``engine.<field>``.
     """
 
     jobs: Optional[int] = None
@@ -430,12 +464,15 @@ class EngineOptions:
     fault_spec: Optional[str] = None
     journal: Optional[str] = None
     resume: bool = False
-    chunk_branches: Optional[int] = None
 
     _FIELDS = (
         "jobs", "cache", "cache_dir", "retries", "task_timeout",
-        "fault_spec", "journal", "resume", "chunk_branches",
+        "fault_spec", "journal", "resume",
     )
+
+    def __post_init__(self) -> None:
+        for name in self._FIELDS:
+            _check_engine_value(name, getattr(self, name))
 
     def to_dict(self) -> Dict[str, Any]:
         return {name: getattr(self, name) for name in self._FIELDS}
@@ -443,6 +480,14 @@ class EngineOptions:
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "EngineOptions":
         _require(payload, dict, "engine")
+        payload = dict(payload)
+        # Spec files written before whole-trace-only priming carry
+        # ``"chunk_branches": null``; the null reads as absent.
+        if payload.pop("chunk_branches", None) is not None:
+            raise SpecError(
+                "engine.chunk_branches: no longer supported -- runs hold "
+                "each trace whole; remove the field or set it to null"
+            )
         _reject_unknown(payload, cls._FIELDS, "engine")
         return cls(**payload)
 
@@ -464,12 +509,10 @@ class EngineOptions:
         * ``retries``/``task_timeout`` -- ``REPRO_MAX_RETRIES`` /
           ``REPRO_TASK_TIMEOUT``, else unset (the retry policy's own
           defaults apply);
-        * ``fault_spec`` -- ``REPRO_FAULT_SPEC``, else unset;
-        * ``chunk_branches`` -- ``REPRO_CHUNK_BRANCHES``, else unset
-          (whole-trace priming; set = streamed chunk window).
+        * ``fault_spec`` -- ``REPRO_FAULT_SPEC``, else unset.
 
         Raises:
-            SpecError: On an unknown override name.
+            SpecError: On an unknown override name, or a bad value.
         """
         _reject_unknown(overrides, cls._FIELDS, "engine")
         options = cls(**overrides)
@@ -481,51 +524,33 @@ class EngineOptions:
         Two resolved option sets built under the same environment are
         equal, which is what lets the server, the CLI and tests agree
         on where the cache lives and how many workers run without each
-        re-parsing ``REPRO_*`` variables on its own.
+        re-parsing ``REPRO_*`` variables on its own.  An unparseable
+        variable is ignored; a parseable but invalid one (say
+        ``REPRO_TASK_TIMEOUT=0``) raises a :class:`SpecError` naming it.
         """
         from repro.analysis.cache import default_cache_dir
         from repro.analysis.parallel import resolve_jobs
         from repro.resilience.faults import ENV_FAULT_SPEC
-        from repro.resilience.retry import ENV_MAX_RETRIES, ENV_TASK_TIMEOUT
-        from repro.trace.stream import ENV_CHUNK_BRANCHES, normalize_chunk_branches
-
-        updates: Dict[str, Any] = {}
-        updates["jobs"] = resolve_jobs(
-            self.jobs if self.jobs is None else int(self.jobs)
+        from repro.resilience.retry import (
+            ENV_MAX_RETRIES,
+            ENV_TASK_TIMEOUT,
+            _env_float,
+            _env_int,
         )
+
+        updates: Dict[str, Any] = {"jobs": resolve_jobs(self.jobs)}
         if self.cache_dir is None:
             updates["cache_dir"] = str(default_cache_dir())
-        if self.retries is None:
-            text = os.environ.get(ENV_MAX_RETRIES)
-            if text:
-                try:
-                    updates["retries"] = int(text)
-                except ValueError:
-                    pass
-        if self.task_timeout is None:
-            text = os.environ.get(ENV_TASK_TIMEOUT)
-            if text:
-                try:
-                    updates["task_timeout"] = float(text)
-                except ValueError:
-                    pass
+        for name, env, parse in (
+            ("retries", ENV_MAX_RETRIES, _env_int),
+            ("task_timeout", ENV_TASK_TIMEOUT, _env_float),
+        ):
+            if getattr(self, name) is None:
+                value = parse(env)
+                _check_engine_value(name, value, env)
+                updates[name] = value
         if self.fault_spec is None:
-            env_spec = os.environ.get(ENV_FAULT_SPEC)
-            if env_spec:
-                updates["fault_spec"] = env_spec
-        chunk = self.chunk_branches
-        if chunk is None:
-            text = os.environ.get(ENV_CHUNK_BRANCHES)
-            if text:
-                try:
-                    chunk = int(text)
-                except ValueError:
-                    chunk = None
-        if chunk is not None:
-            try:
-                updates["chunk_branches"] = normalize_chunk_branches(int(chunk))
-            except (TypeError, ValueError) as error:
-                raise SpecError(f"engine.chunk_branches: {error}") from None
+            updates["fault_spec"] = os.environ.get(ENV_FAULT_SPEC) or None
         return replace(self, **updates)
 
 
@@ -889,7 +914,6 @@ def spec_from_kwargs(
     fault_spec: Optional[str] = None,
     journal_path: Optional[str] = None,
     resume: bool = False,
-    chunk_branches: Optional[int] = None,
 ) -> RunSpec:
     """The keyword surface, folded into a spec.
 
@@ -901,6 +925,11 @@ def spec_from_kwargs(
     """
     from repro.experiments.base import EXPERIMENT_IDS
 
+    if isinstance(jobs, str):
+        try:
+            jobs = int(jobs)
+        except ValueError:
+            pass  # EngineOptions rejects it, naming engine.jobs
     return RunSpec(
         experiments=tuple(
             experiments if experiments is not None else EXPERIMENT_IDS
@@ -908,7 +937,7 @@ def spec_from_kwargs(
         workload=SyntheticSource(max_length=max_length, seed=seed),
         config=config if config is not None else DEFAULT_CONFIG,
         engine=EngineOptions(
-            jobs=None if jobs is None else int(jobs),
+            jobs=jobs,
             cache=use_cache,
             cache_dir=cache_dir,
             retries=retries,
@@ -916,8 +945,5 @@ def spec_from_kwargs(
             fault_spec=fault_spec,
             journal=journal_path,
             resume=resume,
-            chunk_branches=(
-                None if chunk_branches is None else int(chunk_branches)
-            ),
         ),
     )

@@ -55,7 +55,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if str(args.output).endswith((".txt", ".trace")):
         write_text_trace(trace, args.output)
     else:
-        write_trace(trace, args.output)
+        write_trace(trace, args.output, args.chunk_branches)
     print(f"wrote {len(trace)} branches to {args.output}")
     return 0
 
@@ -144,6 +144,10 @@ def _parser() -> argparse.ArgumentParser:
     generate.add_argument("benchmark", choices=BENCHMARK_NAMES)
     generate.add_argument("-o", "--output", required=True)
     generate.add_argument("--length", type=int, default=None)
+    generate.add_argument(
+        "--chunk-branches", type=int, default=None, metavar="N",
+        help="BPT2 window in branches (default: 65536; text output ignores it)",
+    )
     generate.set_defaults(func=_cmd_generate)
 
     stats = subparsers.add_parser(

@@ -28,8 +28,8 @@ to a :class:`~repro.trace.stream.BPT2Writer`, so ingesting a
 multi-gigabyte trace holds one window resident -- the same promise the
 generator's spill path makes.  The resulting ``.bpt`` then serves the
 whole engine for free: bounded-memory folds (PC011), the
-content-addressed cache, shared-memory chunk shipping, and the serve
-API all consume it exactly like a synthetic spill.
+content-addressed cache and the serve API all consume it exactly like a
+synthetic spill.
 
 Every rejection raises :class:`~repro.errors.IngestError` (exit 2 /
 HTTP 400) with the offending ``path:line`` or byte offset in the

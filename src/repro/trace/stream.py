@@ -58,9 +58,6 @@ HEADER2_SIZE = 40
 #: and resident memory is flat in the trace length.
 DEFAULT_CHUNK_BRANCHES = 65536
 
-#: Environment variable overriding the engine's chunk size.
-ENV_CHUNK_BRANCHES = "REPRO_CHUNK_BRANCHES"
-
 PathLike = Union[str, os.PathLike]
 
 

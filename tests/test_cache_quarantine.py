@@ -76,19 +76,8 @@ class TestQuarantine:
 class TestCorruptFaultRoundTrip:
     """The injected 'corrupt' fault exercises the full quarantine path."""
 
-    @pytest.mark.parametrize(
-        "jobs,chunk_branches",
-        [
-            pytest.param(1, None, id="1"),
-            pytest.param(2, None, id="2"),
-            # A chunk lane's corrupt fault lands with its final window.
-            pytest.param(1, 512, id="1-chunked"),
-            pytest.param(2, 512, id="2-chunked"),
-        ],
-    )
-    def test_corrupt_then_reload_recomputes_identically(
-        self, tmp_path, jobs, chunk_branches
-    ):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_corrupt_then_reload_recomputes_identically(self, tmp_path, jobs):
         trace = load_benchmark("gcc", length=SMALL, run_seed=12345)
         config = LabConfig()
 
@@ -101,7 +90,6 @@ class TestCorruptFaultRoundTrip:
             tasks=("loop",),
             policy=RetryPolicy(max_attempts=1),
             injector=FaultInjector.from_spec("gcc/loop:1:corrupt"),
-            chunk_branches=chunk_branches,
         )
         reference = labs["gcc"].correct("loop")
 

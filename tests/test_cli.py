@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +275,59 @@ class TestSpecCommands:
         capsys.readouterr()
         assert main(["obs", "diff", str(legacy), str(via_spec)]) == 0
         assert "agree" in capsys.readouterr().out
+
+
+#: A tiny spec whose ``engine`` section each case below spoils.
+_ENGINE_SPEC = {
+    "kind": "repro.runspec",
+    "experiments": ["table1"],
+    "workload": {"max_length": 300},
+    "engine": {"cache": False},
+}
+
+
+class TestBadEngineOptions:
+    """A bad engine option exits 2 naming the field -- no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, env, engine, expected",
+        [
+            (["report", "--task-timeout", "0"], {}, None,
+             "engine.task_timeout"),
+            (["report", "--task-timeout", "-1"], {}, None,
+             "engine.task_timeout"),
+            (["report"], {"REPRO_TASK_TIMEOUT": "0"}, None,
+             "engine.task_timeout (from REPRO_TASK_TIMEOUT)"),
+            (["run", "spec.json"], {}, {"task_timeout": 0},
+             "engine.task_timeout"),
+            (["run", "spec.json"], {}, {"task_timeout": "soon"},
+             "engine.task_timeout"),
+            (["run", "spec.json"], {}, {"jobs": "x"}, "engine.jobs"),
+            (["run", "spec.json"], {}, {"retries": "x"}, "engine.retries"),
+            (["run", "spec.json", "--task-timeout", "0"], {}, {},
+             "engine.task_timeout"),
+        ],
+        ids=[
+            "flag-zero", "flag-negative", "env-zero", "spec-zero",
+            "spec-text", "spec-jobs", "spec-retries", "run-flag-zero",
+        ],
+    )
+    def test_exits_2_naming_the_field(
+        self, tmp_path, argv, env, engine, expected
+    ):
+        if engine is not None:
+            document = dict(_ENGINE_SPEC)
+            document["engine"] = {**_ENGINE_SPEC["engine"], **engine}
+            (tmp_path / "spec.json").write_text(json.dumps(document))
+        else:
+            argv = argv + ["--max-length", "300", "--no-cache"]
+        environment = dict(os.environ, **env)
+        environment["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            cwd=tmp_path, env=environment, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert expected in done.stderr
+        assert "Traceback" not in done.stderr

@@ -222,45 +222,6 @@ class TestPrimeLabs:
             assert not lab.is_primed("gshare")
 
 
-class TestChunkedPriming:
-    def test_chunked_prime_is_bit_identical(self, serial_labs):
-        # A window far below every trace length forces chunk lanes
-        # (carried-state folds; shared-memory shipping on the pool) for
-        # all chunkable tasks; results must match the serial references
-        # in-process and on the pool alike.
-        for jobs in (1, 2):
-            labs = build_labs(SMALL, chunk_branches=512)
-            executed = prime_labs(labs, jobs=jobs, chunk_branches=512)
-            assert executed == len(labs) * len(DEFAULT_TASKS)
-            assert_labs_match(labs, serial_labs)
-
-    def test_chunked_metrics_count_lanes_and_windows(self):
-        from repro.obs.metrics import METRICS
-
-        counts = []
-        for jobs in (1, 2):
-            labs = build_labs(SMALL, chunk_branches=512)
-            METRICS.reset()
-            prime_labs(
-                labs, jobs=jobs, tasks=("gshare",), chunk_branches=512
-            )
-            snapshot = METRICS.snapshot()
-            lanes = snapshot["counters"].get("sim.chunked_simulations", 0)
-            windows = snapshot["counters"].get("sim.chunk_simulations", 0)
-            assert lanes == len(labs)
-            assert windows > lanes  # several windows per lane
-            assert "sim.simulations" not in snapshot["counters"]
-            counts.append((lanes, windows))
-        assert counts[0] == counts[1]
-
-    def test_window_wider_than_traces_uses_whole_trace_path(
-        self, serial_labs
-    ):
-        labs = build_labs(SMALL, chunk_branches=1 << 20)
-        prime_labs(labs, jobs=1, chunk_branches=1 << 20)
-        assert_labs_match(labs, serial_labs)
-
-
 class TestBuildLabsWiring:
     def test_default_build_stays_lazy(self):
         labs = build_labs(SMALL)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.config import LabConfig
 from repro.plan import Plan, PlanError, PlanTask, build_plan
-from repro.spec import EngineOptions, RunSpec, SweepSpec, SyntheticSource
+from repro.spec import RunSpec, SweepSpec, SyntheticSource
 from repro.workloads.suite import BENCHMARK_NAMES
 
 
@@ -209,25 +209,6 @@ class TestRequiresValidation:
         )
         with pytest.raises(PlanError, match="collection_window: 24"):
             build_plan(spec)
-
-
-class TestChunkedPlan:
-    """Chunking is an execution setting: the plan never expands it."""
-
-    def chunked_spec(self, chunk_branches=512, **overrides):
-        return fig9_spec(
-            engine=EngineOptions(chunk_branches=chunk_branches), **overrides
-        )
-
-    def test_chunked_spec_plans_the_unchunked_tasks(self):
-        plain = build_plan(fig9_spec()).tasks
-        for chunk_branches in (510, 512, 1 << 20):
-            assert build_plan(self.chunked_spec(chunk_branches)).tasks == plain
-
-    def test_window_wider_than_every_trace_means_no_chunking(self):
-        wide = build_plan(self.chunked_spec(chunk_branches=1 << 20))
-        plain = build_plan(fig9_spec())
-        assert [t.id for t in wide.tasks] == [t.id for t in plain.tasks]
 
 
 class TestMixAxisPlan:

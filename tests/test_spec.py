@@ -1,6 +1,7 @@
 """Tests for the declarative run description (repro.spec)."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -131,39 +132,73 @@ class TestCorrelationWindows:
         assert spec.config.collection_window == 8
 
 
-class TestChunkBranches:
-    def test_kwargs_surface_carries_it(self):
-        spec = spec_from_kwargs(["fig9"], chunk_branches=4096)
-        assert spec.engine.chunk_branches == 4096
+#: ``small_spec()`` as a file written while ``repro`` still had the
+#: ``--chunk-branches`` engine knob: every such file carries its null.
+PARENT_FORMAT_SPEC = """{
+  "config": {"collection_window": 32, "gshare_history_bits": 16,
+             "gshare_pht_bits": 16, "if_gshare_history_bits": 8,
+             "if_pas_history_bits": 6, "pas_bht_bits": 12,
+             "pas_history_bits": 6, "selective_top_k": 12,
+             "selective_window": 16},
+  "engine": {"cache": true, "cache_dir": null, "chunk_branches": null,
+             "fault_spec": null, "jobs": null, "journal": null,
+             "resume": false, "retries": null, "task_timeout": null},
+  "experiments": ["fig9"],
+  "kind": "repro.runspec",
+  "schema_version": 2,
+  "sweep": null,
+  "workload": {"benchmarks": null, "max_length": 2000, "seed": 7}
+}"""
 
-    def test_round_trips_through_json(self):
-        spec = small_spec(engine=EngineOptions(chunk_branches=4096))
-        assert RunSpec.from_json(spec.to_json()).engine.chunk_branches == 4096
+
+class TestChunkBranches:
+    """The retired ``engine.chunk_branches`` field of older spec files."""
 
     def test_execution_knob_does_not_change_identity(self):
-        base = small_spec()
-        chunked = dataclasses.replace(
-            base, engine=EngineOptions(chunk_branches=4096)
-        )
-        assert base.digest() == chunked.digest()
-        assert base.input_digest() == chunked.input_digest()
+        # The null field is read as absent: same spec, same digest.
+        restored = RunSpec.from_json(PARENT_FORMAT_SPEC)
+        assert restored == small_spec()
+        assert restored.digest() == "0f0c54f0edd9c8ecac7bc02b3cff1601"
 
-    def test_resolved_normalizes_to_a_multiple_of_eight(self):
-        assert EngineOptions(chunk_branches=100).resolved().chunk_branches == 104
-
-    def test_resolved_reads_the_environment_when_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_BRANCHES", "1000")
-        assert EngineOptions().resolved().chunk_branches == 1000
-        monkeypatch.delenv("REPRO_CHUNK_BRANCHES")
-        assert EngineOptions().resolved().chunk_branches is None
-
-    def test_explicit_value_wins_over_the_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_BRANCHES", "1000")
-        assert EngineOptions(chunk_branches=64).resolved().chunk_branches == 64
+    def test_round_trips_through_json(self):
+        restored = RunSpec.from_json(PARENT_FORMAT_SPEC)
+        assert "chunk_branches" not in restored.to_dict()["engine"]
+        assert RunSpec.from_json(restored.to_json()) == restored
 
     def test_invalid_value_is_a_spec_error(self):
+        payload = json.loads(PARENT_FORMAT_SPEC)
+        payload["engine"]["chunk_branches"] = 4096
         with pytest.raises(SpecError, match="engine.chunk_branches"):
-            EngineOptions(chunk_branches=0).resolved()
+            RunSpec.from_dict(payload)
+
+
+class TestEngineValues:
+    """Engine values the CLI cannot produce; tests/test_cli.py covers the
+    rest end to end."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("jobs", True),
+            ("retries", 1.5),
+            ("task_timeout", float("nan")),
+            ("cache", "no"),
+            ("resume", None),
+            ("journal", 5),
+            ("fault_spec", 7),
+        ],
+    )
+    def test_bad_value_names_the_field(self, field, value):
+        payload = small_spec().to_dict()
+        payload["engine"][field] = value
+        with pytest.raises(SpecError, match=f"engine.{field}"):
+            RunSpec.from_dict(payload)
+
+    def test_unparseable_environment_value_is_ignored(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "soon")
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "many")
+        resolved = EngineOptions().resolved()
+        assert resolved.task_timeout is None and resolved.retries is None
 
 
 class TestDigest:
@@ -322,6 +357,10 @@ class TestKwargShim:
         )
         explicit = small_spec()
         assert shimmed.digest() == explicit.digest()
+
+    def test_shim_rejects_a_non_int_jobs_string(self):
+        with pytest.raises(SpecError, match="engine.jobs"):
+            spec_from_kwargs(["table1"], jobs="x")
 
     def test_shim_defaults_to_all_experiments(self):
         assert spec_from_kwargs().experiments == tuple(EXPERIMENT_IDS)

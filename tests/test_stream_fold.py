@@ -17,7 +17,6 @@ from repro.analysis.config import DEFAULT_CONFIG
 from repro.analysis.streamed import (
     CHUNKABLE_TASKS,
     STREAMABLE_TASKS,
-    chunked_bitmap,
     fixed_best_count,
     ideal_static_count,
     stream_report,
@@ -116,7 +115,9 @@ class TestStreamedTaskFolds:
             reference = np.asarray(
                 compute_task(fold_trace, DEFAULT_CONFIG, task), dtype=bool
             )
-            folded = chunked_bitmap(stream, DEFAULT_CONFIG, task)
+            folded = fold_simulate(
+                task_predictor(DEFAULT_CONFIG, task), stream.chunks()
+            )
             np.testing.assert_array_equal(
                 np.asarray(folded, dtype=bool), reference
             )
@@ -157,7 +158,9 @@ class TestStreamedTaskFolds:
     def test_fold_correct_count_matches_bitmap_sum(self, fold_trace):
         stream = TraceStream.from_trace(fold_trace, chunk_branches=256)
         for task in CHUNKABLE_TASKS:
-            reference = chunked_bitmap(stream, DEFAULT_CONFIG, task)
+            reference = fold_simulate(
+                task_predictor(DEFAULT_CONFIG, task), stream.chunks()
+            )
             correct, total = fold_correct_count(
                 task_predictor(DEFAULT_CONFIG, task), stream.chunks()
             )
