@@ -6,7 +6,7 @@ several lengths, showing the training-density effect DESIGN.md documents
 (both rise with length; the gap persists).
 """
 
-from repro.analysis.config import DEFAULT_CONFIG
+from repro.analysis.config import DEFAULT_CONFIG, build_task
 from repro.workloads.suite import load_benchmark
 
 from conftest import save_result
@@ -19,8 +19,8 @@ def test_bench_ablation_scaling(benchmark, results_dir):
         results = {}
         for length in LENGTHS:
             trace = load_benchmark("gcc", length=length, run_seed=12345)
-            gshare = float(DEFAULT_CONFIG.gshare().simulate(trace).mean())
-            if_gshare = float(DEFAULT_CONFIG.if_gshare().simulate(trace).mean())
+            gshare = float(build_task("gshare", DEFAULT_CONFIG).simulate(trace).mean())
+            if_gshare = float(build_task("if_gshare", DEFAULT_CONFIG).simulate(trace).mean())
             results[length] = (gshare, if_gshare)
         return results
 

@@ -6,7 +6,7 @@ Run:
 
 import os
 
-from repro.analysis.config import DEFAULT_CONFIG
+from repro.analysis.config import DEFAULT_CONFIG, build_task
 from repro.predictors import (
     BimodalPredictor,
     GsharePredictor,
@@ -36,8 +36,8 @@ def main() -> None:
         GsharePredictor(history_bits=16, pht_bits=16),
         PAsPredictor(history_bits=6, bht_bits=12),
         LoopPredictor(),
-        DEFAULT_CONFIG.if_gshare(),
-        DEFAULT_CONFIG.if_pas(),
+        build_task("if_gshare", DEFAULT_CONFIG),
+        build_task("if_pas", DEFAULT_CONFIG),
     ]
     print(f"{'predictor':24s} accuracy")
     for predictor in predictors:

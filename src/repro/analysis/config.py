@@ -19,22 +19,28 @@ with the trace:
   picks at most 3 branches, so no training-density issue arises).
 
 All sizes remain constructor arguments; this module only fixes the
-defaults the experiments use.
+defaults the experiments use, and builds every task's predictor,
+correlation collector and oracle configuration from the fields the
+task's cache key projects (:func:`build_task`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
+from functools import partial
+from typing import Callable, Dict, Set
 
 from repro.correlation.selection import SelectionConfig
-from repro.predictors.base import BranchPredictor
+from repro.correlation.tagging import collect_correlation_data
 from repro.predictors.interference_free import (
     InterferenceFreeGshare,
     InterferenceFreePAs,
 )
 from repro.predictors.loop import LoopPredictor
-from repro.predictors.pattern import BlockPatternPredictor
+from repro.predictors.pattern import (
+    BlockPatternPredictor,
+    best_fixed_length_correct,
+)
 from repro.predictors.static_ import IdealStaticPredictor
 from repro.predictors.twolevel import GsharePredictor, PAsPredictor
 
@@ -68,35 +74,6 @@ class LabConfig:
     selective_window: int = 16
     selective_top_k: int = 12
     collection_window: int = 32
-
-    # -- factories ---------------------------------------------------------
-
-    def gshare(self) -> BranchPredictor:
-        return GsharePredictor(self.gshare_history_bits, self.gshare_pht_bits)
-
-    def if_gshare(self) -> BranchPredictor:
-        return InterferenceFreeGshare(self.if_gshare_history_bits)
-
-    def pas(self) -> BranchPredictor:
-        return PAsPredictor(self.pas_history_bits, self.pas_bht_bits)
-
-    def if_pas(self) -> BranchPredictor:
-        return InterferenceFreePAs(self.if_pas_history_bits)
-
-    def loop(self) -> BranchPredictor:
-        return LoopPredictor()
-
-    def block_pattern(self) -> BranchPredictor:
-        return BlockPatternPredictor()
-
-    def ideal_static(self) -> BranchPredictor:
-        return IdealStaticPredictor()
-
-    def selection_config(self, window: Optional[int] = None) -> SelectionConfig:
-        return SelectionConfig(
-            window=self.selective_window if window is None else window,
-            top_k=self.selective_top_k,
-        )
 
 
 #: The configuration every experiment module uses unless told otherwise.
@@ -151,3 +128,76 @@ def task_config_key(task: str, config: "LabConfig") -> str:
         f"{name}={getattr(config, name)}" for name in task_config_fields(task)
     )
     return f"{task}({parts})"
+
+
+class ProjectedConfig:
+    """One task's view of a :class:`LabConfig`: only its projected fields.
+
+    Every task is built from this view, never from the whole config, so
+    the projection that keys the task's cache entries holds by
+    construction: a factory that reads a field outside
+    :func:`task_config_fields` raises :class:`AttributeError` on its
+    first build, instead of letting two configurations that differ in
+    that field share one cache entry.  ``reads`` records the fields a
+    build used, so tests can flag projected fields no build reads.
+    """
+
+    __slots__ = ("task", "reads", "_values")
+
+    def __init__(self, config: LabConfig, task: str) -> None:
+        self.task = task
+        self.reads: Set[str] = set()
+        self._values = {
+            name: getattr(config, name) for name in task_config_fields(task)
+        }
+
+    def __getattr__(self, name: str):
+        if name not in self._values:
+            raise AttributeError(
+                f"task {self.task!r} reads LabConfig.{name}, which its cache "
+                f"key does not project (projected: {tuple(self._values)}); "
+                "add the field to the task's TASK_CONFIG_FIELDS entry"
+            )
+        self.reads.add(name)
+        return self._values[name]
+
+    def build(self):
+        """What computes the task, constructed from this view.
+
+        A fresh predictor for a predictor task, the trace -> bitmap
+        function for ``fixed_best``, the trace -> table collector for
+        ``correlation``, and the oracle's :class:`SelectionConfig` for
+        ``selective_{count}_{window}``.
+        """
+        family = "selective" if self.task.startswith("selective_") else self.task
+        if family not in _FACTORIES:
+            raise KeyError(
+                f"no factory for task {self.task!r}; choose from "
+                f"{tuple(_FACTORIES)}"
+            )
+        return _FACTORIES[family](self)
+
+
+#: Task (or task family) -> factory over its :class:`ProjectedConfig`.
+_FACTORIES: Dict[str, Callable[[ProjectedConfig], object]] = {
+    "gshare": lambda c: GsharePredictor(c.gshare_history_bits, c.gshare_pht_bits),
+    "if_gshare": lambda c: InterferenceFreeGshare(c.if_gshare_history_bits),
+    "pas": lambda c: PAsPredictor(c.pas_history_bits, c.pas_bht_bits),
+    "if_pas": lambda c: InterferenceFreePAs(c.if_pas_history_bits),
+    "loop": lambda c: LoopPredictor(),
+    "block": lambda c: BlockPatternPredictor(),
+    "ideal_static": lambda c: IdealStaticPredictor(),
+    "fixed_best": lambda c: best_fixed_length_correct,
+    "correlation": lambda c: partial(
+        collect_correlation_data, window=c.collection_window
+    ),
+    # The window is part of the task name, not a projected field.
+    "selective": lambda c: SelectionConfig(
+        window=int(c.task.rsplit("_", 1)[1]), top_k=c.selective_top_k
+    ),
+}
+
+
+def build_task(task: str, config: LabConfig):
+    """Build what computes ``task`` from its projection of ``config``."""
+    return ProjectedConfig(config, task).build()

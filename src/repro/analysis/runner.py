@@ -11,11 +11,12 @@ When an on-disk :class:`~repro.analysis.cache.ResultCache` is attached,
 each lookup goes memo -> disk cache -> compute (storing back to both),
 so a repeated run over unchanged traces performs no simulation at all.
 
-This module also holds the task table -- :data:`DEFAULT_TASKS`, the
-task -> ``LabConfig`` factory map and :func:`compute_task` -- so a lab's
-lazy lookup, the scheduler's lanes and pool workers compute every task
-the same way, and the scheduler folds cache hits through the lab's own
-:meth:`Lab.fold_cached`.
+This module also holds the task table -- :data:`DEFAULT_TASKS` and
+:func:`compute_task` -- so a lab's lazy lookup, the scheduler's lanes
+and pool workers compute every task the same way, and the scheduler
+folds cache hits through the lab's own :meth:`Lab.fold_cached`.  Every
+task is built by :func:`~repro.analysis.config.build_task` from the
+config fields its cache key projects.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.analysis.cache import ResultCache, result_key
-from repro.analysis.config import DEFAULT_CONFIG, LabConfig
+from repro.analysis.config import DEFAULT_CONFIG, LabConfig, build_task
 from repro.correlation.selection import Selection, select_counts
-from repro.correlation.tagging import CorrelationTable, collect_correlation_data
+from repro.correlation.tagging import CorrelationTable
 from repro.obs.metrics import METRICS
 from repro.obs.tracing import span
-from repro.predictors.pattern import best_fixed_length_correct
 from repro.predictors.selective import SelectiveHistoryPredictor
 from repro.trace.stats import TraceStatistics, compute_statistics
 from repro.trace.trace import Trace
@@ -51,17 +51,6 @@ DEFAULT_TASKS: Tuple[str, ...] = (
     CORRELATION_TASK,
 )
 
-#: Map task name -> LabConfig factory attribute.
-_FACTORY_ATTRS: Dict[str, str] = {
-    "gshare": "gshare",
-    "if_gshare": "if_gshare",
-    "pas": "pas",
-    "if_pas": "if_pas",
-    "loop": "loop",
-    "block": "block_pattern",
-    "ideal_static": "ideal_static",
-}
-
 
 def compute_task(trace: Trace, config: LabConfig, task: str):
     """Compute one task's result on a trace (the single source of truth).
@@ -77,17 +66,13 @@ def compute_task(trace: Trace, config: LabConfig, task: str):
         with span(
             "collect_correlation", length=len(trace)
         ), METRICS.timer("sim.seconds"):
-            return collect_correlation_data(
-                trace, window=config.collection_window
-            )
+            return build_task(task, config)(trace)
     METRICS.inc("sim.simulations")
     with span(
         "simulate", predictor=task, length=len(trace)
     ), METRICS.timer("sim.seconds"):
-        if task == "fixed_best":
-            return best_fixed_length_correct(trace)
-        factory = getattr(config, _FACTORY_ATTRS[task])
-        return factory().simulate(trace)
+        built = build_task(task, config)
+        return built(trace) if task == "fixed_best" else built.simulate(trace)
 
 
 class Lab:
@@ -129,7 +114,7 @@ class Lab:
 
     def available_predictors(self) -> Tuple[str, ...]:
         """Names accepted by :meth:`correct` / :meth:`accuracy`."""
-        return tuple(_FACTORY_ATTRS) + ("fixed_best",)
+        return tuple(task for task in DEFAULT_TASKS if task != CORRELATION_TASK)
 
     def is_primed(self, task: str) -> bool:
         """Whether a task's result is already memoised in this lab."""
@@ -231,7 +216,7 @@ class Lab:
                 ), METRICS.timer("sim.seconds"):
                     passes = select_counts(
                         self.correlation_data(),
-                        self.config.selection_config(window),
+                        build_task(f"selective_{count}_{window}", self.config),
                     )
                 self._oracle_passes[window] = passes
             cached = passes[min(count, 3)]
@@ -253,7 +238,7 @@ class Lab:
                 "simulate", predictor=name, length=len(self.trace)
             ), METRICS.timer("sim.seconds"):
                 predictor = SelectiveHistoryPredictor(
-                    count, self.config.selection_config(window)
+                    count, build_task(name, self.config)
                 )
                 predictor.fit(
                     self.trace,

@@ -26,8 +26,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.config import LabConfig
-from repro.analysis.runner import _FACTORY_ATTRS
+from repro.analysis.config import LabConfig, build_task
 from repro.sim.fold import fold_correct_count
 from repro.trace.stream import TraceStream
 from repro.trace.trace import Trace
@@ -53,7 +52,7 @@ def task_predictor(config: LabConfig, task: str):
         raise ValueError(
             f"task {task!r} is not chunkable; choose from {CHUNKABLE_TASKS}"
         )
-    return getattr(config, _FACTORY_ATTRS[task])()
+    return build_task(task, config)
 
 
 def _window_rows(

@@ -1,6 +1,6 @@
 """Static verification of workload IR, predictor contracts, and lint.
 
-Five passes, none of which executes a workload or trains a predictor
+Four passes, none of which executes a workload or trains a predictor
 on real experiment data:
 
 ``repro.check.ir``
@@ -21,19 +21,16 @@ on real experiment data:
     unseeded RNGs, float equality in accuracy math, and iteration over
     sets feeding trace or report output.
 
-``repro.check.deps``
-    Declaration soundness (DS codes): proves every experiment's
-    ``@register(..., requires=)`` tuple matches the sim products its
-    runner actually consumes, and that the ``TASK_CONFIG_FIELDS``
-    cache-key projection covers exactly the :class:`LabConfig` fields
-    each task's factory and kernel read.
-
 ``repro.check.workers``
     Worker safety (WS codes): flags module-global mutation, unpicklable
     closures handed to pool submission, and unsorted set iteration in
     code reachable from the multiprocess ``compute_task`` entry points.
 
-Run all five with ``python -m repro check``.
+Run all four with ``python -m repro check``.  The experiment and
+cache-key declarations (``requires=``, ``TASK_CONFIG_FIELDS``) are not
+checked here: tasks are built from their projected config
+(:func:`repro.analysis.config.build_task`), and tier-1 tests run every
+experiment against its ``requires=``.
 """
 
 from repro.check.diagnostics import (
@@ -58,11 +55,6 @@ from repro.check.ir import (
     verify_program,
     verify_program_or_raise,
 )
-from repro.check.deps import (
-    analyze_projections,
-    analyze_requires,
-    run_deps_pass,
-)
 from repro.check.lint import lint_paths, lint_source
 from repro.check.workers import analyze_worker_safety
 
@@ -75,8 +67,6 @@ __all__ = [
     "INFO",
     "ProgramVerificationError",
     "WARNING",
-    "analyze_projections",
-    "analyze_requires",
     "analyze_worker_safety",
     "check_determinism",
     "check_predictor_classes",
@@ -86,7 +76,6 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "run_contract_suite",
-    "run_deps_pass",
     "verify_program",
     "verify_program_or_raise",
 ]

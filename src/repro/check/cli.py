@@ -2,9 +2,9 @@
 
 Examples::
 
-    python -m repro check                # all five passes
+    python -m repro check                # all four passes
     python -m repro check ir lint        # a subset
-    python -m repro check deps workers --format json
+    python -m repro check workers --format json
     python -m repro check --trace-length 2000 --strict
 
 Exit code 0 when no error-severity diagnostics were found, 1 otherwise
@@ -29,7 +29,7 @@ from repro.check.diagnostics import (
 from repro.predictors import PREDICTOR_REGISTRY
 
 #: Pass names in execution order.
-PASS_NAMES = ["ir", "contracts", "lint", "deps", "workers"]
+PASS_NAMES = ["ir", "contracts", "lint", "workers"]
 
 #: Default dynamic trace length for the contract pass (small: the
 #: state-digest wrapper makes every branch deliberately expensive).
@@ -84,21 +84,6 @@ def run_lint_pass(root: Optional[str]) -> List[Diagnostic]:
 
         root = str(Path(repro.__file__).parent)
     return lint_paths([root])
-
-
-def run_deps_pass_cli(
-    experiments_root: Optional[str],
-    config_path: Optional[str],
-    parallel_path: Optional[str],
-) -> List[Diagnostic]:
-    """Declaration-soundness pass (DS codes) with CLI path overrides."""
-    from repro.check.deps import run_deps_pass
-
-    return run_deps_pass(
-        experiments_root=experiments_root,
-        config_path=config_path,
-        parallel_path=parallel_path,
-    )
 
 
 def run_workers_pass_cli(entry: Optional[str]) -> List[Diagnostic]:
@@ -160,8 +145,7 @@ def _parser() -> argparse.ArgumentParser:
         prog="repro check",
         description=(
             "Static verification: workload IR programs, predictor "
-            "contracts, determinism lint, declaration soundness, and "
-            "worker safety."
+            "contracts, determinism lint, and worker safety."
         ),
     )
     parser.add_argument(
@@ -185,29 +169,11 @@ def _parser() -> argparse.ArgumentParser:
              "repro package)",
     )
     parser.add_argument(
-        "--deps-experiments-root",
-        default=None,
-        help="experiment modules analysed by the deps pass (default: the "
-             "installed repro.experiments package)",
-    )
-    parser.add_argument(
-        "--deps-config",
-        default=None,
-        help="LabConfig module checked by the deps projection sub-pass "
-             "(default: the installed repro.analysis.config)",
-    )
-    parser.add_argument(
-        "--deps-parallel",
-        default=None,
-        help="task-table module providing DEFAULT_TASKS / _FACTORY_ATTRS "
-             "/ compute_task (default: the installed repro.analysis.runner)",
-    )
-    parser.add_argument(
         "--workers-entry",
         default=None,
         metavar="PATH[:FN1,FN2]",
         help="worker entry module (and optional entry function names) "
-             "for the workers pass (default: _run_window in the installed "
+             "for the workers pass (default: _run_job in the installed "
              "repro.analysis.parallel, plus compute_task in the task-table "
              "module repro.analysis.runner)",
     )
@@ -261,13 +227,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif pass_name == "lint":
             progress("lint: scanning source for determinism hazards...")
             results["lint"] = run_lint_pass(args.lint_root)
-        elif pass_name == "deps":
-            progress("deps: checking requires= and cache-key projections...")
-            results["deps"] = run_deps_pass_cli(
-                args.deps_experiments_root,
-                args.deps_config,
-                args.deps_parallel,
-            )
         elif pass_name == "workers":
             progress("workers: scanning pool-reachable code for hazards...")
             results["workers"] = run_workers_pass_cli(args.workers_entry)

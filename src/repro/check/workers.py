@@ -25,8 +25,8 @@ WS004  a whole :class:`~repro.trace.trace.Trace` handed to pool
        submission -- a ``.trace`` attribute, or a local bound from
        ``Trace(...)`` / ``load_benchmark(...)`` / ``read_trace(...)`` /
        ``.whole()``: every submit re-pickles the full column arrays
-       into each worker.  Ship the spill file path or a
-       ``multiprocessing.shared_memory`` segment name instead.
+       into each worker.  Ship the spill path instead, and load the
+       trace in the worker.
 ====== =================================================================
 
 Reachability is computed statically from the AST: starting at the entry
@@ -54,7 +54,6 @@ from collections import deque
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.check.deps import _default_package_root, _Module, _ModuleIndex
 from repro.check.diagnostics import ERROR, Diagnostic, sort_diagnostics
 
 #: Module-level singletons designed for per-process mutation: workers
@@ -97,6 +96,89 @@ _SUBMIT_METHODS = frozenset({
 
 #: Calls whose result is a whole in-memory trace (WS004 tracking).
 _TRACE_FACTORIES = frozenset({"Trace", "load_benchmark", "read_trace"})
+
+#: A comment that silences a finding on its line.
+_SUPPRESS_MARKER = "check: ignore"
+
+
+def _default_package_root() -> Path:
+    import repro
+
+    return Path(repro.__file__).parent.parent
+
+
+def _repro_path(package_root: Path, dotted: str) -> Optional[Path]:
+    """File for a ``repro.*`` dotted module under ``package_root``."""
+    if not dotted.startswith("repro"):
+        return None
+    candidate = package_root.joinpath(*dotted.split("."))
+    if candidate.is_dir():
+        candidate = candidate / "__init__.py"
+    else:
+        candidate = candidate.with_suffix(".py")
+    return candidate if candidate.is_file() else None
+
+
+def _suppressed_lines(source: str) -> Set[int]:
+    return {
+        number
+        for number, line in enumerate(source.splitlines(), start=1)
+        if _SUPPRESS_MARKER in line
+    }
+
+
+class _Module:
+    """One parsed module: functions, imports, and suppression lines."""
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        source = path.read_text(encoding="utf-8")
+        self.tree = ast.parse(source, filename=str(path))
+        self.suppressed = _suppressed_lines(source)
+        self.functions: Dict[str, ast.FunctionDef] = {}
+        #: class name -> {method name -> def}
+        self.classes: Dict[str, Dict[str, ast.FunctionDef]] = {}
+        #: local name -> ("module", dotted) or ("member", dotted, name)
+        self.imports: Dict[str, tuple] = {}
+        for node in self.tree.body:
+            if isinstance(node, ast.FunctionDef):
+                self.functions[node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                self.classes[node.name] = {
+                    member.name: member
+                    for member in node.body
+                    if isinstance(member, ast.FunctionDef)
+                }
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    self.imports[local] = ("module", alias.name)
+            elif isinstance(node, ast.ImportFrom) and node.module \
+                    and node.level == 0:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    self.imports[local] = ("member", node.module, alias.name)
+
+
+class _ModuleIndex:
+    """Lazy loader/cache of parsed modules keyed by file path."""
+
+    def __init__(self, package_root: Path) -> None:
+        self.package_root = package_root
+        self._by_path: Dict[Path, Optional[_Module]] = {}
+
+    def load(self, path: Path) -> Optional[_Module]:
+        path = path.resolve()
+        if path not in self._by_path:
+            try:
+                self._by_path[path] = _Module(path)
+            except (OSError, SyntaxError):
+                self._by_path[path] = None
+        return self._by_path[path]
+
+    def load_dotted(self, dotted: str) -> Optional[_Module]:
+        path = _repro_path(self.package_root, dotted)
+        return self.load(path) if path is not None else None
 
 
 def _mutable_module_globals(module: _Module) -> Dict[str, int]:
@@ -310,8 +392,8 @@ class _FunctionScan(ast.NodeVisitor):
                     f"whole trace ('.{arg.attr}' attribute) passed to "
                     f".{node.func.attr}(): every submit re-pickles the "
                     "full column arrays into each worker; ship the "
-                    "spill path or a shared-memory segment name and "
-                    "window span instead",
+                    "spill path instead and load the trace in the "
+                    "worker",
                     arg,
                 )
             elif isinstance(arg, ast.Name) and arg.id in self._trace_vars:
@@ -320,8 +402,8 @@ class _FunctionScan(ast.NodeVisitor):
                     f"whole in-memory trace {arg.id!r} passed to "
                     f".{node.func.attr}(): every submit re-pickles the "
                     "full column arrays into each worker; ship the "
-                    "spill path or a shared-memory segment name and "
-                    "window span instead",
+                    "spill path instead and load the trace in the "
+                    "worker",
                     arg,
                 )
 

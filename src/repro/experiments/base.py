@@ -106,17 +106,16 @@ _REQUIRES: Dict[str, tuple] = {}
 _WINDOWS: Dict[str, tuple] = {}
 
 
-def register(experiment_id: str, requires: Optional[tuple] = None, windows: tuple = ()):
+def register(experiment_id: str, *, requires: tuple, windows: tuple = ()):
     """Decorator registering an experiment runner under an id.
 
     Args:
         experiment_id: Stable id (``table1`` .. ``fig9``, ``ext_*``).
         requires: The simulation task names this experiment's runner
             reads from its labs (``()`` for an experiment that works
-            straight off the traces).  The planner uses these to prime
-            exactly the needed simulations; an experiment registered
-            without a declaration falls back to the full default task
-            set, which is always sufficient.
+            straight off the traces).  The planner primes exactly these;
+            ``tests/test_check_deps.py`` runs every registered
+            experiment and fails if its reads differ from them.
         windows: History windows the runner selects at besides
             ``selective_window``; the planner checks the collection.
     """
@@ -125,8 +124,7 @@ def register(experiment_id: str, requires: Optional[tuple] = None, windows: tupl
         if experiment_id in _REGISTRY:
             raise ValueError(f"duplicate experiment id {experiment_id!r}")
         _REGISTRY[experiment_id] = runner
-        if requires is not None:
-            _REQUIRES[experiment_id] = tuple(requires)
+        _REQUIRES[experiment_id] = tuple(requires)
         _WINDOWS[experiment_id] = tuple(windows)
         return runner
 
@@ -135,9 +133,6 @@ def register(experiment_id: str, requires: Optional[tuple] = None, windows: tupl
 
 def experiment_requires(experiment_id: str) -> tuple:
     """The simulation tasks ``experiment_id`` declared it reads.
-
-    Falls back to the scheduler's full default task set for an
-    experiment with no declaration -- conservative but always correct.
 
     Raises:
         KeyError: For an unregistered experiment id.
@@ -148,7 +143,7 @@ def experiment_requires(experiment_id: str) -> tuple:
             f"unknown experiment {experiment_id!r}; choose from "
             f"{sorted(_REGISTRY)}"
         )
-    return _REQUIRES.get(experiment_id, DEFAULT_TASKS)
+    return _REQUIRES[experiment_id]
 
 
 def experiment_windows(experiment_id: str) -> tuple:

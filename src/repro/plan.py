@@ -53,8 +53,8 @@ TASK_KINDS = ("trace", "sim", "experiment", "render")
 
 # PlanError (re-exported here for its historical import path) is raised
 # by :func:`build_plan` when an experiment's ``requires=`` declaration
-# names a task outside the plannable set -- the runtime mirror of the
-# static DS003 diagnostic.  Without this the bad name survives until a
+# names a task outside the plannable set (DS003, planted in
+# tests/test_check_deps.py).  Without this the bad name survives until a
 # worker's ``compute_task`` raises ``KeyError`` mid-run (or never, if
 # the point is cache-hit).
 __all__ = ["Plan", "PlanError", "PlanTask", "TASK_KINDS", "build_plan"]

@@ -1,19 +1,21 @@
 """Tests for the ``repro check`` CLI wiring (repro.check.cli)."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.check import cli as check_cli
+from repro.check.diagnostics import WARNING, Diagnostic
 from repro.cli import main as repro_main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "check_defects"
 
 DEFECT_ARGS = [
-    "deps", "workers",
-    "--deps-experiments-root", str(FIXTURES / "experiments"),
-    "--deps-config", str(FIXTURES / "bad_config.py"),
+    "workers",
     "--workers-entry", str(FIXTURES / "bad_worker.py") + ":compute_task",
 ]
 
@@ -34,6 +36,19 @@ class TestCheckCli:
         with pytest.raises(SystemExit):
             check_cli.main(["nonsense"])
 
+    def test_deps_is_a_usage_error(self, tmp_path):
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "check", "deps"],
+            cwd=tmp_path, env=environment, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "usage: repro check" in done.stderr
+        assert "choose from ir, contracts, lint, workers" in done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_lint_root_failure_sets_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "hazard.py"
         bad.write_text("import random\nx = random.random()\n")
@@ -42,22 +57,18 @@ class TestCheckCli:
 
 
 class TestNewPasses:
-    def test_deps_and_workers_in_pass_names(self):
-        assert check_cli.PASS_NAMES == [
-            "ir", "contracts", "lint", "deps", "workers"
-        ]
+    def test_workers_in_pass_names(self):
+        assert check_cli.PASS_NAMES == ["ir", "contracts", "lint", "workers"]
 
-    def test_deps_and_workers_clean_on_seed_repo(self, capsys):
-        assert check_cli.main(["deps", "workers"]) == 0
+    def test_workers_clean_on_seed_repo(self, capsys):
+        assert check_cli.main(["workers"]) == 0
         out = capsys.readouterr().out
-        assert "deps:" in out
         assert "workers:" in out
 
     def test_defect_fixtures_fail_the_check(self, capsys):
         assert check_cli.main(DEFECT_ARGS) == 1
         out = capsys.readouterr().out
-        for code in ("DS001", "DS002", "DS003", "DS004", "DS005",
-                     "WS001", "WS002", "WS003", "WS004"):
+        for code in ("WS001", "WS002", "WS003", "WS004"):
             assert code in out
 
 
@@ -66,9 +77,9 @@ class TestJsonFormat:
         assert check_cli.main(DEFECT_ARGS + ["--format", "json"]) == 1
         out = capsys.readouterr().out
         document = json.loads(out)  # progress lines suppressed
-        assert document["passes"] == ["deps", "workers"]
-        assert document["errors"] == 12
-        assert document["warnings"] == 2
+        assert document["passes"] == ["workers"]
+        assert document["errors"] == 8
+        assert document["warnings"] == 0
         record = document["diagnostics"][0]
         assert set(record) == {
             "pass", "code", "severity", "message", "location", "file",
@@ -93,9 +104,13 @@ class TestGithubAnnotations:
         assert check_cli.main(DEFECT_ARGS + ["--github"]) == 1
         out = capsys.readouterr().out
         assert "::error file=" in out
-        assert "::warning file=" in out
-        assert ",title=DS004::" in out
+        assert ",title=WS004::" in out
         assert ",line=" in out
+        # No planted fixture yields a warning, so format one directly.
+        warning = Diagnostic("DH004", WARNING, "set\niteration", "mod.py:7")
+        assert check_cli.github_annotations({"lint": [warning]}) == [
+            "::warning file=mod.py,line=7,title=DH004::set iteration"
+        ]
 
     def test_no_annotations_on_clean_run(self, capsys):
         assert check_cli.main(["lint", "--github"]) == 0

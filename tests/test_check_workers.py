@@ -100,7 +100,11 @@ class TestSeededWorkerDefects:
         messages = [diag.message for diag in by_code(diagnostics, "WS004")]
         assert any("'.trace'" in m for m in messages)
         assert any("'loaded'" in m for m in messages)
-        assert all("shared-memory" in m for m in messages)
+        assert all(
+            "ship the spill path instead and load the trace in the worker" in m
+            for m in messages
+        )
+        assert not any("shared-memory" in m for m in messages)
 
     def test_clean_fold_stays_silent(self, diagnostics):
         # fold_clean's sorted() iteration must not fire WS003.

@@ -86,7 +86,7 @@ class TestProjectionConservatism:
 
 
 class TestRegistryRequiresArePlannable:
-    """Registry-wide mirror of the static DS003 check."""
+    """Registry-wide mirror of the plan's DS003 check."""
 
     def test_every_registered_requires_resolves(self):
         for experiment_id in experiment_ids():
@@ -103,12 +103,20 @@ class TestRegistryRequiresArePlannable:
 
 class TestInfrastructure:
     def test_duplicate_registration_rejected(self):
-        @register("test-dummy-experiment")
+        from repro.experiments import base
+
+        @register("test-dummy-experiment", requires=())
         def dummy(labs):
             return None
 
-        with pytest.raises(ValueError, match="duplicate"):
-            register("test-dummy-experiment")(dummy)
+        try:
+            with pytest.raises(ValueError, match="duplicate"):
+                register("test-dummy-experiment", requires=())(dummy)
+        finally:
+            base._REGISTRY.pop("test-dummy-experiment", None)
+            base._REQUIRES.pop("test-dummy-experiment", None)
+            base._WINDOWS.pop("test-dummy-experiment", None)
+        assert "test-dummy-experiment" not in experiment_ids()
 
     def test_build_labs_propagates_config(self):
         config = LabConfig(gshare_history_bits=4, gshare_pht_bits=6)

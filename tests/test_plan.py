@@ -185,6 +185,7 @@ class TestRequiresValidation:
         finally:
             base._REGISTRY.pop("test-bad-requires", None)
             base._REQUIRES.pop("test-bad-requires", None)
+            base._WINDOWS.pop("test-bad-requires", None)
 
     def test_plan_error_is_a_value_error(self):
         assert issubclass(PlanError, ValueError)
