@@ -8,16 +8,27 @@ bitmap, reducing each window to counts as it goes.  A
 :func:`repro.api.run_spec` run is the other mode: its labs hold each
 trace whole, because the selective-history oracle reads the whole run.
 
+The stream is read once.  Each window goes to every task's *fold* in
+turn -- an object with ``add(window)`` and ``result()`` -- so the
+window's memoised branch index and branch order are built once and
+shared by all of them:
+
 * The *causal* simulation tasks -- the ones whose kernels carry their
   predictor state across ``simulate()`` calls -- fold window by window
-  through :func:`repro.sim.fold.fold_correct_count`.
+  through :class:`repro.sim.fold.CorrectCount`.
   :data:`CHUNKABLE_TASKS` names them and :func:`task_predictor` builds
   each fold's predictor.
 * The non-causal paper baselines (``ideal_static``, ``fixed_best``) are
   whole-run *definitions* -- the ideal static direction is the majority
-  over the full run -- so they get dedicated streaming folds here that
-  accumulate per-static-branch state (a few entries per static branch,
-  not per dynamic branch) instead of materialising columns.
+  over the full run -- so their folds (:class:`IdealStaticCount`,
+  :class:`FixedBestCount`) accumulate per-static-branch state (a few
+  entries per static branch, not per dynamic branch; bit-packed
+  outcomes for ``fixed_best``) and reduce it at the end.
+  :func:`ideal_static_count` and :func:`fixed_best_count` drive the
+  same folds over any window iterable.
+
+Each task's work on a window runs in a ``simulate`` span tagged with
+the task, as does the final ``fixed_best`` reduction.
 """
 
 from __future__ import annotations
@@ -27,7 +38,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.config import LabConfig, build_task
-from repro.sim.fold import fold_correct_count
+from repro.obs.tracing import span
+from repro.sim.fold import CorrectCount, fold_windows
 from repro.trace.stream import TraceStream
 from repro.trace.trace import Trace
 
@@ -64,79 +76,107 @@ def _window_rows(
     return pcs, [np.searchsorted(pcs, window) for window in window_pcs]
 
 
-def ideal_static_count(chunks: Iterable[Trace]) -> Tuple[int, int]:
+class IdealStaticCount:
     """Streamed ``(correct, total)`` of the ideal static predictor.
 
-    One pass keeping each window's per-static-branch ``(executions,
-    taken)`` counts from its branch index, summed per branch at the
-    end; the majority direction (ties toward taken, matching
+    Each window adds its per-static-branch ``(executions, taken)`` counts
+    from its branch index; :meth:`result` sums them per branch, and the
+    majority direction (ties toward taken, matching
     :func:`repro.trace.stats.ideal_static_correct`) determines the
     correct count without ever materialising the bitmap.
     """
-    windows: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    total = 0
-    for chunk in chunks:
-        total += len(chunk)
+
+    def __init__(self) -> None:
+        self._windows: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.total = 0
+
+    def add(self, chunk: Trace) -> None:
+        self.total += len(chunk)
         pcs, _ids, counts = chunk.branch_index()
-        windows.append((pcs, counts, chunk.branch_sums(chunk.taken)))
-    if not total:
-        return 0, 0
-    pcs, window_rows = _window_rows([window[0] for window in windows])
-    executions = np.zeros(len(pcs), dtype=np.int64)
-    taken = np.zeros(len(pcs), dtype=np.int64)
-    for rows, (_pcs, counts, window_taken) in zip(window_rows, windows):
-        executions[rows] += counts
-        taken[rows] += window_taken
-    correct = np.where(2 * taken >= executions, taken, executions - taken)
-    return int(correct.sum()), total
+        self._windows.append((pcs, counts, chunk.branch_sums(chunk.taken)))
+
+    def result(self) -> Tuple[int, int]:
+        if not self.total:
+            return 0, 0
+        pcs, window_rows = _window_rows([window[0] for window in self._windows])
+        executions = np.zeros(len(pcs), dtype=np.int64)
+        taken = np.zeros(len(pcs), dtype=np.int64)
+        for rows, (_pcs, counts, window_taken) in zip(
+            window_rows, self._windows
+        ):
+            executions[rows] += counts
+            taken[rows] += window_taken
+        correct = np.where(2 * taken >= executions, taken, executions - taken)
+        return int(correct.sum()), self.total
 
 
-def fixed_best_count(
-    chunks: Iterable[Trace], max_k: Optional[int] = None
-) -> Tuple[int, int]:
+class FixedBestCount:
     """Streamed ``(correct, total)`` of the best-of-k fixed baseline.
 
     Matches :func:`repro.predictors.pattern.best_fixed_length_correct`:
     each static branch uses its individually best pattern length (ties
     toward the shortest ``k``).  Each window's outcomes are kept grouped
     by branch and bit-packed -- n/8 bytes total, the only
-    trace-length-proportional state any streamed task needs -- then laid
-    out branch after branch for one
+    trace-length-proportional state any streamed task needs -- and
+    :meth:`result` lays them out branch after branch for one
     :func:`~repro.predictors.pattern.best_fixed_length_counts` reduction.
     """
-    from repro.predictors.pattern import (
-        MAX_PATTERN_LENGTH,
-        best_fixed_length_counts,
-    )
 
-    if max_k is None:
-        max_k = MAX_PATTERN_LENGTH
-    windows: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    total = 0
-    for chunk in chunks:
-        total += len(chunk)
-        pcs, ids, counts = chunk.branch_index()
-        grouped = chunk.taken[np.argsort(ids, kind="stable")]
-        windows.append((pcs, counts, np.packbits(grouped, bitorder="little")))
-    if not total:
-        return 0, 0
-    pcs, window_rows = _window_rows([window[0] for window in windows])
-    counts = np.zeros(len(pcs), dtype=np.int64)
-    for rows, (_pcs, window_counts, _packed) in zip(window_rows, windows):
-        counts[rows] += window_counts
-    # Each window's branch groups land after what earlier windows wrote
-    # for the same branch.
-    fill = np.cumsum(counts) - counts
-    outcomes = np.empty(total, dtype=bool)
-    for rows, (_pcs, window_counts, packed) in zip(window_rows, windows):
-        length = int(window_counts.sum())
-        offset = fill[rows] - (np.cumsum(window_counts) - window_counts)
-        outcomes[np.repeat(offset, window_counts) + np.arange(length)] = (
-            np.unpackbits(packed, count=length, bitorder="little").view(bool)
+    def __init__(self, max_k: Optional[int] = None) -> None:
+        from repro.predictors.pattern import MAX_PATTERN_LENGTH
+
+        self.max_k = MAX_PATTERN_LENGTH if max_k is None else max_k
+        self._windows: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.total = 0
+
+    def add(self, chunk: Trace) -> None:
+        self.total += len(chunk)
+        pcs, _ids, counts = chunk.branch_index()
+        grouped = chunk.taken[chunk.branch_order()]
+        self._windows.append(
+            (pcs, counts, np.packbits(grouped, bitorder="little"))
         )
-        fill[rows] += window_counts
-    _best_k, best = best_fixed_length_counts(outcomes, counts, max_k)
-    return int(best.sum()), total
+
+    def result(self) -> Tuple[int, int]:
+        from repro.predictors.pattern import best_fixed_length_counts
+
+        if not self.total:
+            return 0, 0
+        pcs, window_rows = _window_rows([window[0] for window in self._windows])
+        counts = np.zeros(len(pcs), dtype=np.int64)
+        for rows, (_pcs, window_counts, _packed) in zip(
+            window_rows, self._windows
+        ):
+            counts[rows] += window_counts
+        # Each window's branch groups land after what earlier windows
+        # wrote for the same branch.
+        fill = np.cumsum(counts) - counts
+        outcomes = np.empty(self.total, dtype=bool)
+        for rows, (_pcs, window_counts, packed) in zip(
+            window_rows, self._windows
+        ):
+            length = int(window_counts.sum())
+            offset = fill[rows] - (np.cumsum(window_counts) - window_counts)
+            outcomes[np.repeat(offset, window_counts) + np.arange(length)] = (
+                np.unpackbits(packed, count=length, bitorder="little").view(bool)
+            )
+            fill[rows] += window_counts
+        _best_k, best = best_fixed_length_counts(outcomes, counts, self.max_k)
+        return int(best.sum()), self.total
+
+
+def ideal_static_count(chunks: Iterable[Trace]) -> Tuple[int, int]:
+    """Streamed ``(correct, total)`` of the ideal static predictor
+    (:class:`IdealStaticCount`)."""
+    return fold_windows(IdealStaticCount(), chunks)
+
+
+def fixed_best_count(
+    chunks: Iterable[Trace], max_k: Optional[int] = None
+) -> Tuple[int, int]:
+    """Streamed ``(correct, total)`` of the best-of-k fixed baseline
+    (:class:`FixedBestCount`)."""
+    return fold_windows(FixedBestCount(max_k), chunks)
 
 
 #: Tasks :func:`stream_report` can fold in bounded memory, in report
@@ -145,6 +185,14 @@ STREAMABLE_TASKS: Tuple[str, ...] = CHUNKABLE_TASKS + (
     "ideal_static",
     "fixed_best",
 )
+
+
+def _task_fold(config: LabConfig, task: str):
+    if task == "ideal_static":
+        return IdealStaticCount()
+    if task == "fixed_best":
+        return FixedBestCount()
+    return CorrectCount(task_predictor(config, task))
 
 
 def stream_report(
@@ -156,23 +204,34 @@ def stream_report(
 
     Returns ``{task: {"correct", "total", "accuracy"}}``.  Counts are
     identical to a whole-trace run (the kernels are carried-state
-    exact; the static folds are count-exact by construction).
+    exact; the static folds are count-exact by construction).  The
+    stream is read once: every task's fold takes each window in turn,
+    so the window's branch index is built once for all of them.
     """
-    report: Dict[str, Dict[str, float]] = {}
     for task in tasks:
-        if task in CHUNKABLE_TASKS:
-            correct, total = fold_correct_count(
-                task_predictor(config, task), stream.chunks()
-            )
-        elif task == "ideal_static":
-            correct, total = ideal_static_count(stream.chunks())
-        elif task == "fixed_best":
-            correct, total = fixed_best_count(stream.chunks())
-        else:
+        if task not in STREAMABLE_TASKS:
             raise ValueError(
                 f"task {task!r} is not streamable; choose from "
                 f"{STREAMABLE_TASKS}"
             )
+    folds = {task: _task_fold(config, task) for task in tasks}
+    for window in stream.chunks():
+        for task, fold in folds.items():
+            with span("simulate", predictor=task, length=len(window)):
+                fold.add(window)
+    # The best-of-k reduction lays out the whole run's outcomes, so it
+    # runs last, once every other fold and its predictor are released.
+    counts: Dict[str, Tuple[int, int]] = {}
+    for task in sorted(folds, key=lambda task: task == "fixed_best"):
+        fold = folds.pop(task)
+        if task == "fixed_best":
+            with span("simulate", predictor=task, length=0):
+                counts[task] = fold.result()
+        else:
+            counts[task] = fold.result()
+    report: Dict[str, Dict[str, float]] = {}
+    for task in tasks:
+        correct, total = counts[task]
         report[task] = {
             "correct": correct,
             "total": total,

@@ -8,7 +8,9 @@ predictor object after every ``simulate()`` call, precisely so a chained
 run bit for bit.  This module is the fold that exploits it: feed the
 windows of a :class:`~repro.trace.stream.TraceStream` through one
 predictor instance and concatenate (or just count) the per-window
-correctness bitmaps.
+correctness bitmaps.  A fold is an object with ``add(window)`` and
+``result()``, so one pass over a stream can feed each window to several
+folds (:func:`repro.analysis.streamed.stream_report`).
 
 Everything here takes "a predictor" as any object with the
 :class:`~repro.predictors.base.BranchPredictor` ``simulate`` contract;
@@ -24,7 +26,7 @@ import numpy as np
 from repro.obs.metrics import METRICS
 from repro.trace.trace import Trace
 
-__all__ = ["fold_simulate", "fold_correct_count"]
+__all__ = ["CorrectCount", "fold_correct_count", "fold_simulate", "fold_windows"]
 
 
 def fold_simulate(predictor, chunks: Iterable[Trace]) -> np.ndarray:
@@ -46,18 +48,37 @@ def fold_simulate(predictor, chunks: Iterable[Trace]) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def fold_correct_count(predictor, chunks: Iterable[Trace]) -> Tuple[int, int]:
-    """Streamed ``(correct, total)`` over ``chunks`` -- O(window) memory.
+class CorrectCount:
+    """Running ``(correct, total)`` of one predictor over windows fed in
+    order -- O(window) memory.
 
-    The accuracy-only fold: per-window bitmaps are reduced to counts as
-    they are produced, so nothing proportional to the trace length is
-    ever resident.  This is what the memory gate measures.
+    The accuracy-only fold: each window's bitmap is reduced to a count as
+    it is produced, so nothing proportional to the trace length is ever
+    resident.  This is what the memory gate measures.
     """
-    correct = 0
-    total = 0
-    for chunk in chunks:
+
+    def __init__(self, predictor) -> None:
+        self.predictor = predictor
+        self.correct = 0
+        self.total = 0
+
+    def add(self, chunk: Trace) -> None:
         METRICS.inc("sim.chunk_simulations")
-        bitmap = predictor.simulate(chunk)
-        correct += int(np.count_nonzero(bitmap))
-        total += len(chunk)
-    return correct, total
+        bitmap = self.predictor.simulate(chunk)
+        self.correct += int(np.count_nonzero(bitmap))
+        self.total += len(chunk)
+
+    def result(self) -> Tuple[int, int]:
+        return self.correct, self.total
+
+
+def fold_windows(fold, chunks: Iterable[Trace]) -> Tuple[int, int]:
+    """Feed ``chunks`` to ``fold`` in order; return its result."""
+    for chunk in chunks:
+        fold.add(chunk)
+    return fold.result()
+
+
+def fold_correct_count(predictor, chunks: Iterable[Trace]) -> Tuple[int, int]:
+    """Streamed ``(correct, total)`` over ``chunks`` (:class:`CorrectCount`)."""
+    return fold_windows(CorrectCount(predictor), chunks)

@@ -35,6 +35,7 @@ class Trace:
         "_target",
         "_taken",
         "_branch_index_cache",
+        "_branch_order_cache",
         "_pc_index_cache",
         "_digest_cache",
     )
@@ -57,6 +58,7 @@ class Trace:
         self._target = target_arr
         self._taken = taken_arr
         self._branch_index_cache: Union[BranchIndex, None] = None
+        self._branch_order_cache: Union[np.ndarray, None] = None
         self._pc_index_cache: Union[Dict[int, np.ndarray], None] = None
         self._digest_cache: Union[str, None] = None
         for col in (self._pc, self._target, self._taken):
@@ -176,6 +178,19 @@ class Trace:
             self._branch_index_cache = (pcs, ids, counts)
         return self._branch_index_cache
 
+    def branch_order(self) -> np.ndarray:
+        """The memoised permutation that sorts dynamic branches by branch.
+
+        A stable argsort of ``branch_index()``'s ``ids``: branch after
+        branch in ``pcs`` order, each branch's executions in trace order.
+        Read-only.
+        """
+        if self._branch_order_cache is None:
+            order = np.argsort(self.branch_index()[1], kind="stable")
+            order.setflags(write=False)
+            self._branch_order_cache = order
+        return self._branch_order_cache
+
     def branch_sums(self, bitmap: np.ndarray) -> np.ndarray:
         """Per-static-branch count of set entries in a bool ``bitmap``.
 
@@ -201,14 +216,14 @@ class Trace:
     def indices_by_pc(self) -> Dict[int, np.ndarray]:
         """Map each static branch address to its dynamic-instance indices.
 
-        Keys are in ``static_pcs()`` order.  The result is cached for the
-        stateful per-branch kernels; stateless per-branch reductions use
-        :meth:`branch_index` instead.
+        Keys are in ``static_pcs()`` order; each value is a slice of
+        :meth:`branch_order`.  The result is cached.  Per-branch
+        reductions use :meth:`branch_index`, and array passes over every
+        branch use :meth:`branch_order`, instead.
         """
         if self._pc_index_cache is None:
-            pcs, ids, counts = self.branch_index()
-            order = np.argsort(ids, kind="stable")
-            groups = np.split(order, np.cumsum(counts)[:-1])
+            pcs, _ids, counts = self.branch_index()
+            groups = np.split(self.branch_order(), np.cumsum(counts)[:-1])
             self._pc_index_cache = dict(zip(pcs.tolist(), groups))
         return self._pc_index_cache
 

@@ -28,7 +28,7 @@ from repro.predictors.pattern import (
 from repro.trace.trace import Trace
 from repro.workloads.suite import BENCHMARK_NAMES, load_benchmark
 
-from conftest import trace_from_string
+from conftest import trace_from_steps, trace_from_string
 
 #: Every kernelised predictor, as (label, zero-arg factory).
 KERNEL_FACTORIES = [
@@ -244,3 +244,101 @@ class TestKernelStateWriteback:
                 [chained.simulate(trace[:10]), chained.simulate(trace[10:])]
             )
             assert np.array_equal(bitmap, reference)
+
+
+def entry_state(predictor):
+    """Every perfect-BTB entry of a loop, block or fixed-k predictor."""
+    if isinstance(predictor, LoopPredictor):
+        return {
+            pc: (e.direction, e.expected, e.run_length, e.opposite_streak)
+            for pc, e in predictor._entries.items()
+        }
+    if isinstance(predictor, BlockPatternPredictor):
+        return {
+            pc: (e.current_direction, e.run_length, dict(e.previous_run))
+            for pc, e in predictor._entries.items()
+        }
+    return dict(predictor._state)
+
+
+#: The run-length kernels and fixed-k, whose carried state the
+#: window-edge cases below exercise.
+RUN_FACTORIES = [
+    ("loop", LoopPredictor),
+    ("block", BlockPatternPredictor),
+    ("fixed-1", lambda: FixedLengthPatternPredictor(1)),
+    ("fixed-3", lambda: FixedLengthPatternPredictor(3)),
+    ("fixed-32", lambda: FixedLengthPatternPredictor(32)),
+]
+RUN_IDS = [label for label, _ in RUN_FACTORIES]
+RUN_MAKERS = [factory for _, factory in RUN_FACTORIES]
+
+
+def assert_windows_match_scalar(factory, trace, bounds):
+    """Kernel calls over ``trace`` cut at ``bounds`` equal one scalar
+    replay, bitmap and final entry state."""
+    scalar = factory()
+    reference = generic_simulate(scalar, trace)
+    kernel = factory()
+    edges = [0, *bounds, len(trace)]
+    bitmap = np.concatenate(
+        [kernel.simulate(trace[a:b]) for a, b in zip(edges, edges[1:])]
+    )
+    assert np.array_equal(bitmap, reference), bounds
+    assert entry_state(kernel) == entry_state(scalar), bounds
+
+
+class TestRunLengthEdges:
+    """Runs around the 255 saturation and window edges placed on purpose."""
+
+    @pytest.mark.parametrize("factory", RUN_MAKERS, ids=RUN_IDS)
+    @pytest.mark.parametrize("length", [254, 255, 256, 300])
+    def test_saturating_loop_runs(self, factory, length):
+        # A loop of `length` iterations, then one of 3, then `length`
+        # again: the learned trip count saturates or not at each exit.
+        spec = ("T" * length + "N") * 2 + "TTTN" * 2 + ("T" * length + "N") * 2
+        trace = trace_from_string(spec)
+        assert_windows_match_scalar(factory, trace, [])
+        assert_windows_match_scalar(
+            factory, trace, [length - 1, length, length + 1, 2 * length + 2]
+        )
+
+    @pytest.mark.parametrize("factory", RUN_MAKERS, ids=RUN_IDS)
+    @pytest.mark.parametrize("length", [254, 255, 256, 300])
+    def test_saturating_block_runs(self, factory, length):
+        # Blocks of `length` taken and `length` not-taken, then short
+        # blocks whose change predictions read the saturated lengths.
+        spec = ("T" * length + "N" * length) * 2 + "TTNNN" * 3 + "T" * length
+        trace = trace_from_string(spec)
+        assert_windows_match_scalar(factory, trace, [])
+        assert_windows_match_scalar(
+            factory, trace, [length, length + 1, 2 * length - 1, 4 * length + 3]
+        )
+
+    @pytest.mark.parametrize("factory", RUN_MAKERS, ids=RUN_IDS)
+    def test_loop_trace_split_after_every_position(self, factory):
+        trace = trace_from_string("TTTNTTTNNTTNNNTNTNTTTN")
+        for split in range(1, len(trace)):
+            assert_windows_match_scalar(factory, trace, [split])
+
+    def test_split_after_a_lone_exit_carries_streak_one(self):
+        trace = trace_from_string("TTTNTTTNNTTTN")
+        # Each window ends right after an exit outcome, so the carried
+        # entry is mid-exit: the next window starts a body run (split 4)
+        # or continues the exit run, flipping the direction bit (split 8).
+        for split in (4, 8):
+            first = LoopPredictor()
+            first.simulate(trace[:split])
+            assert first._entries[0x100].opposite_streak == 1
+            assert_windows_match_scalar(LoopPredictor, trace, [split])
+
+    @pytest.mark.parametrize("factory", RUN_MAKERS, ids=RUN_IDS)
+    def test_new_branch_with_one_outcome_in_the_window(self, factory):
+        steps = [(0x100, 0x80, taken) for taken in (1, 1, 1, 0, 1, 1, 1, 0)]
+        late = [(0x104, 0x80, 0), (0x100, 0x80, 1)]
+        after = [(0x104, 0x80, taken) for taken in (0, 0, 1, 0, 0, 1)]
+        trace = trace_from_steps(steps + late + after)
+        # 0x104's only outcome in the first window is its first (a
+        # not-taken fallback miss), and it is the window's last branch.
+        assert_windows_match_scalar(factory, trace, [9])
+        assert_windows_match_scalar(factory, trace, [9, 10])

@@ -27,7 +27,7 @@ from repro.sim.fold import fold_correct_count, fold_simulate
 from repro.predictors import PREDICTOR_REGISTRY
 from repro.trace.stream import TraceStream, write_trace
 
-from conftest import trace_from_steps
+from conftest import trace_from_steps, trace_from_string
 
 #: Registry predictors that participate in window folds (the two
 #: oracle-replay predictors opt out via ``windowable = False``).
@@ -104,6 +104,21 @@ def test_property_random_trace_random_window(steps, chunk_branches, name):
     stream = TraceStream.from_trace(trace, chunk_branches=chunk_branches)
     folded = fold_simulate(_prepare(factory(), trace), stream.chunks())
     np.testing.assert_array_equal(np.asarray(folded, dtype=bool), reference)
+
+
+class CountingStream:
+    """A stand-in stream that counts ``chunks()`` calls and windows read."""
+
+    def __init__(self, trace, chunk_branches):
+        self.inner = TraceStream.from_trace(trace, chunk_branches=chunk_branches)
+        self.passes = 0
+        self.windows = 0
+
+    def chunks(self):
+        self.passes += 1
+        for window in self.inner.chunks():
+            self.windows += 1
+            yield window
 
 
 class TestStreamedTaskFolds:
@@ -197,6 +212,48 @@ class TestStreamedTaskFolds:
             assert 0.0 < entry["accuracy"] <= 1.0
 
     def test_stream_report_rejects_unknown_task(self, fold_trace):
-        stream = TraceStream.from_trace(fold_trace, chunk_branches=256)
+        stream = CountingStream(fold_trace, chunk_branches=256)
         with pytest.raises(ValueError, match="not streamable"):
-            stream_report(stream, DEFAULT_CONFIG, tasks=("correlation",))
+            stream_report(
+                stream, DEFAULT_CONFIG, tasks=("gshare", "correlation")
+            )
+        assert stream.windows == 0  # rejected before any window is read
+
+    def test_stream_report_reads_each_window_once(self, fold_trace):
+        stream = CountingStream(fold_trace, chunk_branches=256)
+        report = stream_report(stream, DEFAULT_CONFIG)
+        assert stream.passes == 1
+        assert stream.windows == len(stream.inner.spans())
+        windows = TraceStream.from_trace(fold_trace, chunk_branches=256)
+        expected = {
+            task: fold_correct_count(
+                task_predictor(DEFAULT_CONFIG, task), windows.chunks()
+            )
+            for task in CHUNKABLE_TASKS
+        }
+        expected["ideal_static"] = ideal_static_count(windows.chunks())
+        expected["fixed_best"] = fixed_best_count(windows.chunks())
+        assert {
+            task: (entry["correct"], entry["total"])
+            for task, entry in report.items()
+        } == expected
+
+
+@pytest.mark.parametrize("task", ["loop", "block"])
+def test_saturated_runs_across_window_edges(task):
+    """Runs of 254-300 outcomes cut by windows of 254, 255 and 256."""
+    from repro.predictors.base import simulate as generic_simulate
+
+    spec = "".join(
+        "T" * length + "N" * (1 if task == "loop" else length)
+        for length in (254, 255, 256, 300, 3, 255)
+    )
+    trace = trace_from_string(spec)
+    reference = generic_simulate(task_predictor(DEFAULT_CONFIG, task), trace)
+    # Explicit slices: a TraceStream rounds its windows up to 256.
+    for width in (254, 255, 256):
+        windows = [
+            trace[start:start + width] for start in range(0, len(trace), width)
+        ]
+        folded = fold_simulate(task_predictor(DEFAULT_CONFIG, task), windows)
+        np.testing.assert_array_equal(np.asarray(folded, dtype=bool), reference)
