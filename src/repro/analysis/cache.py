@@ -67,7 +67,7 @@ from repro.obs.metrics import METRICS
 from repro.trace.trace import Trace
 
 #: Bump when the on-disk layout or any cached result's semantics change.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Bump when the workload generator changes what an unchanged
 #: ``(name, length, run_seed)`` triple produces.
@@ -330,7 +330,7 @@ class ResultCache:
         self._store(
             self._path("corr", self.correlation_key(trace_digest, data.window)),
             "corr",
-            **data.columns(),
+            **_encode_correlation(data),
         )
 
     # -- generated benchmark traces ---------------------------------------
@@ -461,9 +461,42 @@ def _decode_bitmap(payload: dict) -> tuple:
     return bitmap, bitmap.nbytes
 
 
+#: Table columns sorted by owner row, stored as per-owner row counts:
+#: ``(column, owner rows, a column of the same row set)``.
+_OWNED_COLUMNS = (
+    ("inst_branch", "pcs", "inst_index"),
+    ("tag_branch", "pcs", "tag_scheme"),
+    ("entry_tag", "tag_scheme", "entry_instance"),
+)
+
+
+def _encode_correlation(data: CorrelationTable) -> dict:
+    """A table's columns, with the owner columns as counts and the entry
+    outcomes bit-packed."""
+    columns = data.columns()
+    offsets = (data.branch_offsets, data.tag_offsets, data.entry_offsets)
+    for (name, _owners, _rows), bounds in zip(_OWNED_COLUMNS, offsets):
+        columns[f"{name}_counts"] = np.diff(bounds).astype(columns.pop(name).dtype)
+    columns["entry_outcome_packed"] = np.packbits(columns.pop("entry_outcome"))
+    return columns
+
+
 def _decode_correlation(payload: dict) -> tuple:
-    data = CorrelationTable(**payload)
-    return data, sum(column.nbytes for column in payload.values())
+    columns = dict(payload)
+    for name, owners, rows in _OWNED_COLUMNS:
+        counts = columns.pop(f"{name}_counts")
+        if (
+            counts.shape != (len(columns[owners]),)
+            or (counts < 0).any()
+            or int(counts.sum()) != len(columns[rows])
+        ):
+            raise ValueError(f"correlation {name} counts do not match the rows")
+        columns[name] = np.repeat(np.arange(len(counts), dtype=counts.dtype), counts)
+    packed, entries = columns.pop("entry_outcome_packed"), len(columns["entry_instance"])
+    if packed.shape != ((entries + 7) // 8,):
+        raise ValueError("correlation entry outcomes do not match the entries")
+    columns["entry_outcome"] = np.unpackbits(packed, count=entries).astype(bool)
+    return CorrelationTable(**columns), sum(column.nbytes for column in columns.values())
 
 
 def _decode_trace(payload: dict) -> tuple:

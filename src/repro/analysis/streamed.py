@@ -110,6 +110,12 @@ class IdealStaticCount:
         return int(correct.sum()), self.total
 
 
+#: Outcomes per best-of-k block: :meth:`FixedBestCount.result` lays out
+#: whole branches, a block for the branches that start in each span of
+#: this many outcomes, so its peak does not grow with the run's length.
+FIXED_BEST_BLOCK = 1 << 18
+
+
 class FixedBestCount:
     """Streamed ``(correct, total)`` of the best-of-k fixed baseline.
 
@@ -117,9 +123,12 @@ class FixedBestCount:
     each static branch uses its individually best pattern length (ties
     toward the shortest ``k``).  Each window's outcomes are kept grouped
     by branch and bit-packed -- n/8 bytes total, the only
-    trace-length-proportional state any streamed task needs -- and
-    :meth:`result` lays them out branch after branch for one
-    :func:`~repro.predictors.pattern.best_fixed_length_counts` reduction.
+    trace-length-proportional state any streamed task needs.
+    :meth:`result` reduces whole branches in blocks of about
+    :data:`FIXED_BEST_BLOCK` outcomes: it unpacks each window's bit range
+    for the block, lays the block's branches out one after another, and
+    sums :func:`~repro.predictors.pattern.best_fixed_length_counts` over
+    the blocks.
     """
 
     def __init__(self, max_k: Optional[int] = None) -> None:
@@ -151,18 +160,35 @@ class FixedBestCount:
         # Each window's branch groups land after what earlier windows
         # wrote for the same branch.
         fill = np.cumsum(counts) - counts
-        outcomes = np.empty(self.total, dtype=bool)
-        for rows, (_pcs, window_counts, packed) in zip(
-            window_rows, self._windows
-        ):
-            length = int(window_counts.sum())
-            offset = fill[rows] - (np.cumsum(window_counts) - window_counts)
-            outcomes[np.repeat(offset, window_counts) + np.arange(length)] = (
-                np.unpackbits(packed, count=length, bitorder="little").view(bool)
+        block = fill // FIXED_BEST_BLOCK
+        edges = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(pcs)]
+        windows = [
+            (rows, window_counts, np.cumsum(window_counts) - window_counts, packed)
+            for rows, (_pcs, window_counts, packed) in zip(window_rows, self._windows)
+        ]
+        correct = 0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            base = int(fill[lo])
+            outcomes = np.empty(int(counts[lo:hi].sum()), dtype=bool)
+            for rows, window_counts, starts, packed in windows:
+                # The window's branches in the block are one bit range.
+                first, last = np.searchsorted(rows, (lo, hi))
+                if first == last:
+                    continue
+                sizes = window_counts[first:last]
+                bit, length = int(starts[first]), int(sizes.sum())
+                piece = np.unpackbits(
+                    packed[bit >> 3 : (bit + length + 7) >> 3], bitorder="little"
+                )[bit & 7 : (bit & 7) + length]
+                at = np.repeat(fill[rows[first:last]] - base - (starts[first:last] - bit), sizes)
+                at += np.arange(length)
+                outcomes[at] = piece.view(bool)
+                fill[rows[first:last]] += sizes
+            _best_k, best = best_fixed_length_counts(
+                outcomes, counts[lo:hi], self.max_k
             )
-            fill[rows] += window_counts
-        _best_k, best = best_fixed_length_counts(outcomes, counts, self.max_k)
-        return int(best.sum()), self.total
+            correct += int(best.sum())
+        return correct, self.total
 
 
 def ideal_static_count(chunks: Iterable[Trace]) -> Tuple[int, int]:

@@ -135,7 +135,7 @@ def _joint_correct(
     owner = np.repeat(np.arange(len(lengths)), lengths)
     keys = (owner * space + pattern) * 2 + outcomes[expand_ranges(starts, lengths)]
     counts = np.bincount(keys, minlength=len(lengths) * space * 2)
-    return counts.reshape(-1, space, 2).max(axis=2).sum(axis=1)
+    return np.maximum(counts[0::2], counts[1::2]).reshape(-1, space).sum(axis=1)
 
 
 def _first_best(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -206,9 +206,10 @@ def _oracle_block(
     states = table.fill_states(slots + t_lo, window)
     row = np.cumsum(n[owner[slots]]) - n[owner[slots]]
 
-    # Every pair of each branch's slots, in combinations() order.
+    # Every pair of each branch's slots, in combinations() order.  A
+    # pair is right at most n times, so a perfect single cannot be beaten.
     left, right = np.triu_indices(top_k, 1)
-    paired = np.nonzero(k >= 2)[0]
+    paired = np.nonzero((k >= 2) & (single < n))[0]
     which, pair = np.nonzero(right[None, :] < k[paired, None])
     pair_branch = paired[which]
     base = slot0[pair_branch]
@@ -221,8 +222,9 @@ def _oracle_block(
     grown, best_pair = paired[improved], best_pair[improved]
     pair_slots = (slot0[grown] + left[pair[best_pair]], slot0[grown] + right[pair[best_pair]])
 
-    # Greedy third: every other slot appended to an improving best pair.
-    extendable = np.nonzero(k[grown] >= 3)[0]
+    # Greedy third: every other slot appended to an improving, imperfect
+    # best pair.
+    extendable = np.nonzero((k[grown] >= 3) & (pair_correct[best_pair] < n[grown]))[0]
     others = np.arange(top_k)[None, :]
     which, third = np.nonzero(
         (others < k[grown[extendable], None])

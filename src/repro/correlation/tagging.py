@@ -16,7 +16,7 @@ two ways and keeps both tag sets as distinct correlation candidates:
 
 The collector tags every ``(position, depth)`` pair of the trace with the
 *maximum* history window (32, the largest the paper sweeps in figure 5)
-into one columnar :class:`CorrelationTable` -- the layout the result
+into one columnar :class:`CorrelationTable` -- the table the result
 cache stores -- recording the depth of every tagged appearance, so any
 smaller window is analysed by filtering on depth: numbering under both
 schemes counts from the current branch and is therefore window-independent.

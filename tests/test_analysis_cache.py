@@ -9,7 +9,7 @@ import repro.analysis.cache as cache_module
 from repro.analysis.cache import ResultCache, result_key
 from repro.analysis.config import LabConfig
 from repro.analysis.runner import Lab
-from repro.correlation.tagging import collect_correlation_data
+from repro.correlation.tagging import CorrelationTable, collect_correlation_data
 from repro.workloads.suite import load_benchmark
 
 from conftest import trace_from_string
@@ -123,6 +123,97 @@ class TestCorrelationCache:
         assert cache.stats.misses == 1
         assert cache.stats.quarantined == 0
         assert old_path.exists()
+
+    def test_layout_2_entry_is_never_read(self, cache, trace, monkeypatch):
+        # A schema-2 entry held the table's own columns (owner columns and
+        # unpacked entry outcomes) at the schema-2 key; the bump to the
+        # compact layout must leave it unaddressed, not quarantine it.
+        data = collect_correlation_data(trace, window=8)
+        monkeypatch.setattr(cache_module, "SCHEMA_VERSION", 2)
+        old_path = cache.entry_path(
+            "corr", cache.correlation_key(trace.digest(), 8)
+        )
+        monkeypatch.undo()
+        old_path.parent.mkdir(parents=True)
+        np.savez_compressed(old_path, **data.columns())
+        assert cache.entry_path(
+            "corr", cache.correlation_key(trace.digest(), 8)
+        ) != old_path
+        assert cache.load_correlation(trace.digest(), 8) is None
+        assert cache.stats.misses == 1
+        assert cache.stats.quarantined == 0
+        assert old_path.exists()
+
+    def test_entry_stores_counts_and_packed_outcomes(self, cache, trace):
+        data = collect_correlation_data(trace, window=8)
+        cache.store_correlation(trace.digest(), data)
+        path = cache.entry_path("corr", cache.correlation_key(trace.digest(), 8))
+        with np.load(path) as payload:
+            stored = set(payload.files)
+            counts = payload["entry_tag_counts"]
+            packed = payload["entry_outcome_packed"]
+        assert not stored & {"inst_branch", "tag_branch", "entry_tag", "entry_outcome"}
+        assert np.array_equal(counts, np.diff(data.entry_offsets))
+        assert len(packed) == (len(data.entry_instance) + 7) // 8
+
+    def test_wide_row_columns_keep_their_dtype(self, cache, trace):
+        # Tables of 2**31 rows or more use int64 row columns.
+        collected = collect_correlation_data(trace, window=8).columns()
+        rows = ("inst_branch", "inst_index", "tag_branch", "entry_tag", "entry_instance")
+        data = CorrelationTable(
+            **{
+                name: column.astype(np.int64) if name in rows else column
+                for name, column in collected.items()
+            }
+        )
+        cache.store_correlation(trace.digest(), data)
+        restored = cache.load_correlation(trace.digest(), 8).columns()
+        for name, column in data.columns().items():
+            assert np.array_equal(column, restored[name]), name
+            assert np.asarray(column).dtype == np.asarray(restored[name]).dtype, name
+
+
+def _tamper(payload: dict, name: str) -> None:
+    """Damage one stored column of a correlation entry."""
+    if name == "negative":
+        # One tag's count goes negative; the total is kept.
+        counts = payload["entry_tag_counts"].copy()
+        counts[-1] += counts[0] + 1
+        counts[0] = -1
+        payload["entry_tag_counts"] = counts
+    elif name == "total":
+        counts = payload["inst_branch_counts"].copy()
+        counts[0] += 1
+        payload["inst_branch_counts"] = counts
+    elif name == "owners":
+        # One count fewer than branches; the total is kept.
+        counts = payload["tag_branch_counts"].copy()
+        counts[-2] += counts[-1]
+        payload["tag_branch_counts"] = counts[:-1]
+    else:
+        payload["entry_outcome_packed"] = payload["entry_outcome_packed"][:-1]
+
+
+class TestMalformedCorrelationEntry:
+    @pytest.mark.parametrize("damage", ["negative", "total", "owners", "outcomes"])
+    def test_is_quarantined_and_recomputed(self, cache, trace, damage):
+        data = Lab(trace, cache=cache).correlation_data()
+        path = cache.entry_path(
+            "corr", cache.correlation_key(trace.digest(), data.window)
+        )
+        with np.load(path) as stored:
+            payload = {name: stored[name] for name in stored.files}
+        _tamper(payload, damage)
+        np.savez_compressed(path, **payload)
+
+        fresh = ResultCache(cache.root)
+        recomputed = Lab(trace, cache=fresh).correlation_data()
+        assert fresh.stats.quarantined == 1
+        assert fresh.quarantine_count() == 1
+        for name, column in data.columns().items():
+            assert np.array_equal(column, recomputed.columns()[name]), name
+        # The recompute wrote a clean entry back in place.
+        assert ResultCache(cache.root).load_correlation(trace.digest(), data.window) is not None
 
 
 class TestTraceCache:

@@ -10,12 +10,16 @@ including the empty trace and branches shorter than ``k``, the bitmap
 must be identical and the streamed count must equal its sum.
 """
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.analysis.streamed as streamed
 import repro.predictors.pattern as pattern
-from repro.analysis.streamed import fixed_best_count
+from repro.analysis.streamed import FixedBestCount, fixed_best_count
 from repro.predictors.pattern import (
     MAX_PATTERN_LENGTH,
     best_fixed_length_correct,
@@ -86,6 +90,22 @@ def test_streamed_count_is_the_whole_trace_sum(steps, max_k, chunk_branches):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=steps,
+    max_k=st.integers(1, MAX_PATTERN_LENGTH),
+    chunk_branches=st.integers(1, 48),
+    block=st.integers(1, 64),
+)
+def test_blocked_count_is_the_whole_trace_sum(steps, max_k, chunk_branches, block):
+    trace = _trace([p for p, _ in steps], [t for _, t in steps])
+    stream = TraceStream.from_trace(trace, chunk_branches=chunk_branches)
+    with mock.patch.object(streamed, "FIXED_BEST_BLOCK", block):
+        assert fixed_best_count(stream.chunks(), max_k) == (
+            int(best_fixed_length_correct(trace, max_k).sum()), len(trace)
+        )
+
+
 def test_suite_trace_matches_reference_loop(small_benchmark_trace):
     trace = small_benchmark_trace[:3000]
     reference = reference_best_fixed(trace)
@@ -153,3 +173,27 @@ def test_counts_are_the_bitmap_sums(small_benchmark_trace, max_k):
     np.testing.assert_array_equal(
         best, trace.branch_sums(best_fixed_length_correct(trace, max_k))
     )
+
+
+def test_blocked_reduction_memory_does_not_grow_with_the_run():
+    # 4M outcomes over 64 branches in 65536-branch windows: the packed
+    # windows are n/8 bytes, and the reduction adds at most a quarter of
+    # n on top (one unblocked layout would add n bytes of bools alone).
+    rng = np.random.default_rng(11)
+    total = 1 << 22
+    pcs = 0x400 + 4 * rng.integers(0, 64, total).astype(np.uint64)
+    trace = Trace(pcs, pcs, rng.random(total) < 0.7)
+    fold = FixedBestCount()
+    for window in TraceStream.from_trace(trace, chunk_branches=1 << 16).chunks():
+        fold.add(window)
+    fold.result()  # first call pays one-time imports
+    tracemalloc.start()
+    try:
+        counted = fold.result()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < total // 4
+    with mock.patch.object(streamed, "FIXED_BEST_BLOCK", total):
+        assert fold.result() == counted
+    assert counted == (int(best_fixed_length_correct(trace).sum()), total)

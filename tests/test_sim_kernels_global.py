@@ -16,7 +16,7 @@ reproduce ``select_for_trace`` exactly (same tags, float-equal scores).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from repro.correlation.selection import (
     Selection,
     SelectionConfig,
     joint_ideal_accuracy,
+    select_counts,
     select_for_trace,
     single_tag_score,
 )
@@ -262,10 +263,17 @@ class TestSelectiveKernelEquivalence:
         assert np.array_equal(fast, generic_simulate(online, trace))
 
 
-def _reference_select_for_branch(
-    branch, count: int, config: SelectionConfig
-) -> Selection:
-    """The pre-batching oracle search, re-derived via the public scorers."""
+def _reference_select_counts(
+    branch, config: SelectionConfig
+) -> Dict[int, Selection]:
+    """The pre-batching oracle search, re-derived via the public scorers.
+
+    One sequential search answers every count: the best single, the best
+    pair over the ``top_k`` singles (kept only if strictly better), and
+    the greedy third on that pair (likewise).  The pair and triple
+    searches always run in full, so the batched pass's pruning is checked
+    against an unpruned search.
+    """
     n = branch.num_instances()
     support_floor = max(
         config.min_support_absolute, int(config.min_support_fraction * n)
@@ -283,11 +291,13 @@ def _reference_select_for_branch(
         outcomes = branch.outcomes
         rate = float(outcomes.mean()) if len(outcomes) else 0.0
         bias = max(rate, 1.0 - rate) if len(outcomes) else 0.0
-        return Selection(tags=(), ideal_accuracy=bias)
+        selection = Selection(tags=(), ideal_accuracy=bias)
+        return {1: selection, 2: selection, 3: selection}
 
     best_single = scored[0]
-    if count == 1 or len(scored) == 1:
-        return Selection(tags=(best_single[0],), ideal_accuracy=best_single[1])
+    single = Selection(tags=(best_single[0],), ideal_accuracy=best_single[1])
+    if len(scored) == 1:
+        return {1: single, 2: single, 3: single}
 
     top = [tag for tag, _score in scored[: config.top_k]]
     vectors = {tag: branch.state_vector(tag, config.window) for tag in top}
@@ -300,8 +310,9 @@ def _reference_select_for_branch(
         if score > best_pair_score:
             best_pair_score = score
             best_pair = pair
-    if count == 2 or len(best_pair) < 2:
-        return Selection(tags=tuple(best_pair), ideal_accuracy=best_pair_score)
+    pair = Selection(tags=tuple(best_pair), ideal_accuracy=best_pair_score)
+    if len(best_pair) < 2:
+        return {1: single, 2: pair, 3: pair}
 
     best_triple = best_pair
     best_triple_score = best_pair_score
@@ -313,7 +324,40 @@ def _reference_select_for_branch(
         if score > best_triple_score:
             best_triple_score = score
             best_triple = best_pair + (tag,)
-    return Selection(tags=tuple(best_triple), ideal_accuracy=best_triple_score)
+    triple = Selection(tags=tuple(best_triple), ideal_accuracy=best_triple_score)
+    return {1: single, 2: pair, 3: triple}
+
+
+#: How a small random trace's step picks its outcome: fixed, a copy of an
+#: earlier outcome, or the XOR of two, so perfect singles and perfect
+#: pairs are common.
+_OUTCOME_RULES = ("T", "N", "copy1", "copy2", "xor")
+
+
+@st.composite
+def small_oracle_traces(draw) -> Trace:
+    """1-4 branches of 1-40 instances each, interleaved at random."""
+    counts = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    branches = draw(
+        st.permutations([b for b, count in enumerate(counts) for _ in range(count)])
+    )
+    rules = draw(
+        st.lists(
+            st.sampled_from(_OUTCOME_RULES),
+            min_size=len(branches), max_size=len(branches),
+        )
+    )
+    taken = []
+    for rule in rules:
+        last = taken[-1] if taken else True
+        before = taken[-2] if len(taken) > 1 else False
+        taken.append(
+            {"T": True, "N": False, "copy1": last, "copy2": before, "xor": last != before}[rule]
+        )
+    pcs = [0x400 + 0x40 * b for b in branches]
+    # Branches 2 and 3 jump backward, so both tag schemes are exercised.
+    targets = [pc - 0x20 if pc >= 0x480 else pc + 0x200 for pc in pcs]
+    return Trace(pcs, targets, taken)
 
 
 class TestBatchedOracleEquivalence:
@@ -331,14 +375,34 @@ class TestBatchedOracleEquivalence:
         trace = load_benchmark(workload, length=3000)
         data = collect_correlation_data(trace, window=16)
         for config in self.CONFIGS:
-            for count in (1, 2, 3):
-                batched = select_for_trace(data, count, config)
-                for pc, branch in data.branches.items():
-                    expected = _reference_select_for_branch(
-                        branch, count, config
-                    )
-                    got = batched[pc]
+            batched = {count: select_for_trace(data, count, config) for count in (1, 2, 3)}
+            for pc, branch in data.branches.items():
+                reference = _reference_select_counts(branch, config)
+                for count in (1, 2, 3):
+                    expected = reference[count]
+                    got = batched[count][pc]
                     assert got.tags == expected.tags, (pc, count, config)
                     assert got.ideal_accuracy == expected.ideal_accuracy, (
                         pc, count, config,
                     )
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        trace=small_oracle_traces(),
+        window=st.sampled_from((4, 8, 16)),
+        top_k=st.sampled_from((2, 3, 12)),
+        floor=st.sampled_from((1, 4)),
+    )
+    def test_pruned_search_matches_the_full_search(self, trace, window, top_k, floor):
+        """Skipping pair and triple searches that cannot win changes nothing."""
+        data = collect_correlation_data(trace, window=16)
+        config = SelectionConfig(window=window, top_k=top_k, min_support_absolute=floor)
+        selections = select_counts(data, config)
+        for pc, branch in data.branches.items():
+            reference = _reference_select_counts(branch, config)
+            for count in (1, 2, 3):
+                assert selections[count][pc] == reference[count], (pc, count)
+            single = selections[1][pc]
+            if len(single.tags) == 1 and single.ideal_accuracy == 1.0:
+                assert selections[2][pc].tags == single.tags
+                assert selections[3][pc].tags == single.tags
