@@ -54,7 +54,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api import EngineSession, run_spec
-from repro.errors import AdmissionError, ReproError, SpecError
+from repro.errors import AdmissionError, ReproError
 from repro.obs.metrics import Metrics
 from repro.spec import EngineOptions, RunSpec
 
@@ -518,10 +518,7 @@ class AnalysisServer:
         self, body: bytes, client: str, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            payload = json.loads(body.decode("utf-8") or "null")
-            if not isinstance(payload, dict):
-                raise SpecError("request body must be a RunSpec JSON object")
-            spec = RunSpec.from_dict(payload)
+            spec = RunSpec.from_json(body.decode("utf-8") or "null")
             state, created = self.submit(spec, client)
         except ReproError as error:
             self.metrics.inc("serve.rejected")

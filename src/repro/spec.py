@@ -128,7 +128,12 @@ def _canonical_mix(mix: Any) -> Optional[Tuple[Tuple[str, float], ...]]:
             raise SpecError(
                 f"workload.mix[{cls!r}]: expected a number, got {raw!r}"
             )
-        weight = float(raw)
+        try:
+            weight = float(raw)
+        except OverflowError:
+            raise SpecError(
+                f"workload.mix[{cls!r}]: weight {raw!r} is out of range"
+            ) from None
         if weight < 0 or weight != weight:
             raise SpecError(
                 f"workload.mix[{cls!r}]: weight must be non-negative, "
@@ -774,7 +779,9 @@ class RunSpec:
     def from_json(cls, text: str) -> "RunSpec":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:
+            # ValueError covers JSONDecodeError and over-long integers;
+            # RecursionError, nesting deeper than the decoder's stack.
             raise SpecError(f"spec is not valid JSON: {error}") from None
         return cls.from_dict(payload)
 

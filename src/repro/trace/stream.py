@@ -337,7 +337,8 @@ class TraceStream:
                 f"{source}: chunk_branches {size} is not a positive "
                 "multiple of 8"
             )
-        expected_chunks = len(chunk_spans(n, size)) if n else 0
+        # Counted, not listed: a forged n must not allocate its spans.
+        expected_chunks = -(-n // normalize_chunk_branches(size))
         if num_chunks != expected_chunks:
             raise TraceFormatError(
                 f"{source}: {num_chunks} chunks indexed, "

@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.cache import QUARANTINE_DIRNAME, ResultCache, result_key
-from repro.analysis.config import LabConfig
-from repro.analysis.parallel import prime_labs
-from repro.analysis.runner import Lab
 from repro.api import EngineSession, run_spec
-from repro.resilience.faults import FaultInjector
-from repro.resilience.retry import RetryPolicy
 from repro.spec import EngineOptions, spec_from_kwargs
-from repro.workloads.suite import load_benchmark
 
 from conftest import count_disk_reads
 
@@ -71,43 +65,6 @@ class TestQuarantine:
     def test_clean_cache_reports_zero(self, cache):
         assert cache.quarantine_count() == 0
         assert "quarantined" not in cache.stats.summary()
-
-
-class TestCorruptFaultRoundTrip:
-    """The injected 'corrupt' fault exercises the full quarantine path."""
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_corrupt_then_reload_recomputes_identically(self, tmp_path, jobs):
-        trace = load_benchmark("gcc", length=SMALL, run_seed=12345)
-        config = LabConfig()
-
-        cache = ResultCache(tmp_path / "c")
-        labs = {"gcc": Lab(trace, config, cache=cache)}
-        prime_labs(
-            labs,
-            jobs=jobs,
-            cache=cache,
-            tasks=("loop",),
-            policy=RetryPolicy(max_attempts=1),
-            injector=FaultInjector.from_spec("gcc/loop:1:corrupt"),
-        )
-        reference = labs["gcc"].correct("loop")
-
-        # A later run over the poisoned cache: the load quarantines the
-        # torn entry and the task recomputes bit-identically.
-        cache2 = ResultCache(tmp_path / "c")
-        labs2 = {"gcc": Lab(trace, config, cache=cache2)}
-        prime_labs(labs2, jobs=jobs, cache=cache2, tasks=("loop",))
-        assert cache2.stats.quarantined == 1
-        assert np.array_equal(labs2["gcc"].correct("loop"), reference)
-
-        # And a third run hits the rewritten clean entry.
-        cache3 = ResultCache(tmp_path / "c")
-        labs3 = {"gcc": Lab(trace, config, cache=cache3)}
-        prime_labs(labs3, jobs=jobs, cache=cache3, tasks=("loop",))
-        assert cache3.stats.quarantined == 0
-        assert cache3.stats.misses == 0
-        assert np.array_equal(labs3["gcc"].correct("loop"), reference)
 
 
 class TestQuarantineInLongLivedSession:

@@ -258,24 +258,6 @@ class TestSpecCommands:
         # Planning must not execute anything.
         assert "running fig9" not in out
 
-    def test_legacy_flags_and_spec_file_agree(self, tmp_path, capsys):
-        # The parity gate: the same run launched via legacy flags and
-        # via its emitted spec must produce manifests that diff clean.
-        spec_path = self.emit(tmp_path, capsys)
-        legacy = tmp_path / "legacy.json"
-        via_spec = tmp_path / "spec_run.json"
-        assert main(
-            ["fig9", "--max-length", "2000",
-             "--cache-dir", str(tmp_path / "c"),
-             "--manifest-out", str(legacy)]
-        ) == 0
-        assert main(
-            ["run", str(spec_path), "--manifest-out", str(via_spec)]
-        ) == 0
-        capsys.readouterr()
-        assert main(["obs", "diff", str(legacy), str(via_spec)]) == 0
-        assert "agree" in capsys.readouterr().out
-
 
 #: A tiny spec whose ``engine`` section each case below spoils.
 _ENGINE_SPEC = {

@@ -43,30 +43,6 @@ def reference_loop():
 
 
 class TestCrashRetry:
-    @pytest.mark.parametrize("jobs", PATHS)
-    def test_attempt_one_crash_is_transparent(self, jobs, reference_loop):
-        labs = build_labs(SMALL)
-        injector = FaultInjector.from_spec("loop:1:crash")
-        failures = []
-        baseline = METRICS.snapshot()
-        executed = prime_labs(
-            labs,
-            jobs=jobs,
-            tasks=("loop",),
-            policy=RetryPolicy(max_attempts=3, **FAST),
-            injector=injector,
-            failures=failures,
-        )
-        delta = METRICS.delta_since(baseline)
-        assert executed == len(labs)
-        assert failures == []
-        counters = resilience_counters(delta)
-        assert counters["resilience.faults.crash"] == len(labs)
-        assert counters["resilience.retries"] == len(labs)
-        assert "resilience.task_failures" not in counters
-        for name, lab in labs.items():
-            assert np.array_equal(lab.correct("loop"), reference_loop[name])
-
     def test_serial_and_parallel_counters_match(self, reference_loop):
         # Both paths run in this one test so their counters and bitmaps
         # can be compared with each other.

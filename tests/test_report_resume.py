@@ -51,33 +51,6 @@ class TestJournaling:
 
 
 class TestResume:
-    def test_resume_replays_bit_identically(self, tmp_path):
-        journal_path = tmp_path / "j.jsonl"
-        clean = report(
-            tmp_path, ["table1", "fig4"], journal_path=str(journal_path)
-        )
-        resumed = report(
-            tmp_path,
-            ["table1", "fig4"],
-            journal_path=str(journal_path),
-            resume=True,
-        )
-        assert resumed.replayed == ["table1", "fig4"]
-        assert digests(resumed) == digests(clean)
-        assert resumed.manifest["resilience"]["resumed"] is True
-        assert resumed.manifest["resilience"]["replayed"] == [
-            "table1", "fig4",
-        ]
-        for experiment_id in ("table1", "fig4"):
-            assert (
-                resumed.results[experiment_id].to_dict()
-                == clean.results[experiment_id].to_dict()
-            )
-            assert (
-                resumed.results[experiment_id].render()
-                == clean.results[experiment_id].render()
-            )
-
     def test_partial_journal_runs_only_the_missing(self, tmp_path):
         journal_path = tmp_path / "j.jsonl"
         report(tmp_path, ["table1"], journal_path=str(journal_path))

@@ -3,9 +3,9 @@
 The acceptance bar for analysis-as-a-service:
 
 * three concurrent clients posting the same spec cause exactly one
-  execution (dedup by spec digest), all see the identical manifest,
-  and that manifest obs-diffs clean against a direct ``run_spec`` of
-  the same spec;
+  execution (dedup by spec digest) and all see the identical manifest
+  (that it obs-diffs clean against a direct run is a served cell of
+  tests/test_equivalence.py);
 * admission control is per client and bounded globally: over-limit
   submissions come back as HTTP 429 with stable ``admission.*`` codes,
   rehydrated client-side as :class:`AdmissionError`;
@@ -13,16 +13,13 @@ The acceptance bar for analysis-as-a-service:
   sequence numbers, ``queued`` first, a terminal ``done``/``failed``.
 """
 
-import dataclasses
 import json
 import threading
 
 import pytest
 
-from repro.api import run_spec
 from repro.client import ServeClient
 from repro.errors import AdmissionError, SpecError
-from repro.obs.manifest import diff_manifests, validate_manifest
 from repro.serve import EVENT_SCHEMA, AnalysisServer, ServerThread
 from repro.spec import EngineOptions, spec_from_kwargs
 
@@ -119,30 +116,6 @@ class TestDedupAcrossClients:
         run_counters = envelopes[0]["metrics"]["counters"]
         assert run_counters["sim.simulations"] > 0
         assert run_counters["experiments.run"] == 1
-
-    def test_served_manifest_diffs_clean_against_direct_run(
-        self, server, tmp_path
-    ):
-        srv, thread = server
-        spec = small_spec()
-        client = ServeClient(thread.url, client_id="diff-check")
-        run_id, _ = client.submit(spec)
-        doc = client.wait(run_id, timeout=120)
-        served_manifest = doc["result"]["manifest"]
-        assert validate_manifest(served_manifest) == []
-        assert served_manifest["served_by"] == "test-server"
-
-        direct_spec = dataclasses.replace(
-            spec,
-            engine=dataclasses.replace(
-                spec.engine, cache_dir=str(tmp_path / "direct-cache")
-            ),
-        )
-        direct = run_spec(direct_spec)
-        assert direct.manifest["served_by"] is None
-        assert diff_manifests(served_manifest, direct.manifest) == []
-        # The spec executed is byte-for-byte the identity submitted.
-        assert doc["result"]["spec_digest"] == direct_spec.digest()
 
     def test_completed_runs_dedupe_too(self, server):
         srv, thread = server

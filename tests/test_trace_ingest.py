@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.errors import IngestError, ReproError
 from repro.trace.ingest import (
     BINARY_RECORD,
@@ -153,6 +154,13 @@ class TestRejections:
             ingest_file(source, tmp_path / "bad.bpt")
         assert f"{source}:3" in str(exc.value)
         assert not (tmp_path / "bad.bpt").exists()
+
+    def test_cli_exits_2_naming_the_line(self, tmp_path, capsys):
+        source = tmp_path / "bad_trace.txt"
+        source.write_text("0x400 T\nnot a branch line\n")
+        assert main(["ingest", str(source)]) == 2
+        assert f"{source}:2" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["bad_trace.txt"]
 
     def test_bad_address(self, tmp_path):
         source = tmp_path / "bad.txt"
