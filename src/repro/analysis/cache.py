@@ -192,6 +192,15 @@ class ResultCache:
         self.stats.hits += 1
         METRICS.inc(f"cache.{kind}.hits")
 
+    def record_memo_hit(self, kind: str) -> None:
+        """Count a hit served from memory instead of disk.
+
+        The session memo's hits count this way, and so does an entry a
+        sweep point takes in memory from the point that computed it.
+        """
+        METRICS.inc("cache.memo_hits")
+        self._record_hit(kind)
+
     def _quarantine(self, path: Path, kind: str) -> None:
         """Move a corrupt entry aside so it is never loaded again.
 
@@ -238,8 +247,7 @@ class ResultCache:
         held = self._memo.get((kind, key))
         if held is not None:
             self._memo.move_to_end((kind, key))
-            METRICS.inc("cache.memo_hits")
-            self._record_hit(kind)
+            self.record_memo_hit(kind)
             return held[0]
         path = self._path(kind, key)
         payload = self._load(path, kind)

@@ -13,17 +13,26 @@ static, best-of-32, the selective-history oracle) are defined over the
 whole run.  Bounded-memory runs go through
 :func:`~repro.analysis.streamed.stream_report` instead.
 
+:func:`prime_plan` feeds the loop from a :class:`~repro.plan.Plan`'s
+graph, every sweep point at once: a trace the cache lacks is a *trace
+lane* too, made in a worker and shipped back, and the sims planned on it
+become lanes once it is in.  Ready lanes leave trace lanes first, then
+longest trace first.  Each later point takes a deduped task's result in
+memory from the point that planned it first.  :func:`prime_labs` runs
+the same loop over labs a caller built.
+
 Determinism: every job is a pure function of ``(benchmark name, trace
 source, config, task)``, computed by the task table's
 :func:`~repro.analysis.runner.compute_task`.  A pooled lane ships the
 run's frozen :data:`~repro.spec.TraceSource`, and its worker loads the
 trace through :func:`~repro.workloads.suite.load_source_trace`, the
-loader every path uses (a per-process LRU plus the shared disk cache
-make this cheap).  The parent verifies the returned trace digest before
-folding, so completion order and worker scheduling cannot change any
-result.  In-process lanes run on the lab's own trace.  Cache hits fold
-through :meth:`~repro.analysis.runner.Lab.fold_cached`, the method a
-lab's lazy lookup uses too.
+loader every path uses; one cache handle per worker keeps each trace in
+its session memo after the worker's first read.  The parent verifies
+the returned trace digest before folding, so completion order and
+worker scheduling cannot change any result.  In-process lanes run on
+the lab's own trace.  Cache hits fold through
+:meth:`~repro.analysis.runner.Lab.fold_cached`, the method a lab's lazy
+lookup uses too.
 
 Resilience: one loop owns submission, retries, deadlines and pool
 rebuilds for every lane, pooled or in-process.  A failing attempt
@@ -39,8 +48,10 @@ down cleanly (cancel pending futures, terminate workers) instead of
 leaking it.  Both signals are held pending while a lane is submitted
 (which may fork the workers) and registered, and while the loop waits on
 and harvests futures, so an interrupt cannot leave a worker unregistered
-or an executor lock held.  The :class:`~repro.resilience.FaultInjector`
-is consulted once per lane attempt, so crashes, hangs and cache
+or an executor lock held; an interrupt that surfaces from the wait says
+so in its arguments.  The :class:`~repro.resilience.FaultInjector` is
+consulted once per sim-lane attempt (trace lanes are no fault target: a
+failed one is made in the parent), so crashes, hangs and cache
 corruption are reproducible: the same fault spec yields the same attempt
 sequence -- and identical folded results and resilience counters -- for
 ``--jobs 1`` and ``--jobs 4``.
@@ -49,8 +60,9 @@ Observability crosses the process boundary the same way the results do:
 each worker resets its per-process :data:`repro.obs.METRICS` registry
 and :data:`repro.obs.TRACER` per job, and ships the metric delta plus
 its span events back alongside the result; the parent folds both in the
-same deterministic (sorted-benchmark, task-order) sequence it folds
-bitmaps, so aggregated counters are independent of completion order and
+same deterministic (plan, or sorted-benchmark and task, order) sequence
+it folds bitmaps, charging each lane to the sweep point that planned it,
+so aggregated counters are independent of completion order and
 ``sum(worker deltas) == single-process counters`` for every work-unit
 counter.  (A crashed attempt's delta dies with it; only successful
 attempts are folded, identically in serial and parallel runs.)
@@ -64,18 +76,20 @@ pickling of results, no subprocesses.
 from __future__ import annotations
 
 import contextlib
+import functools
+import heapq
 import os
 import signal
 import time
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.cache import ResultCache, result_key
 from repro.analysis.config import LabConfig
 from repro.analysis.runner import CORRELATION_TASK, DEFAULT_TASKS, Lab, compute_task
-from repro.obs.metrics import METRICS
+from repro.obs.metrics import METRICS, Metrics
 from repro.obs.tracing import TRACER, span
 from repro.resilience.faults import (
     HANG_SECONDS,
@@ -84,7 +98,12 @@ from repro.resilience.faults import (
     InjectedCrash,
 )
 from repro.resilience.retry import RetryPolicy, TaskFailure, TaskTimeout
-from repro.workloads.suite import load_source_trace
+from repro.workloads.suite import (
+    build_source_trace,
+    cached_source_trace,
+    load_source_trace,
+    scaled_length,
+)
 
 #: Environment variable overriding the worker count.
 ENV_JOBS = "REPRO_JOBS"
@@ -154,17 +173,34 @@ def _corrupt_result_entry(
         pass
 
 
+#: The lane task name of a trace: it makes the trace its sims run on.
+TRACE_TASK = "trace"
+
+
+@functools.lru_cache(maxsize=4)
+def _worker_cache(root: Optional[str]) -> Optional[ResultCache]:
+    """This process's handle on the cache at ``root`` (None: no cache).
+
+    One handle per worker process, not per job, so its session memo
+    serves every trace read after a worker's first of each benchmark.
+    Entries are keyed by content, so a memoised one never goes stale.
+    """
+    return ResultCache(root) if root is not None else None
+
+
 def _run_job(job: tuple):
     """Execute one lane attempt in a worker process.
 
-    Module-level so it pickles.  The worker loads the trace from the
-    lane's :data:`~repro.spec.TraceSource` through
-    :func:`~repro.workloads.suite.load_source_trace` (per-process LRU in
-    ``load_benchmark`` plus the shared disk cache keep this a one-time
-    cost per worker per benchmark) and writes its result through to the
-    shared cache.  Returns the job's metric delta and span events
-    alongside the result so the parent can fold telemetry
-    deterministically.
+    Module-level so it pickles.  A trace lane makes its trace from the
+    lane's :data:`~repro.spec.TraceSource` (generated and stored to the
+    shared cache, or read from its imported file) and ships it back.  A
+    sim lane loads its trace the way every path does
+    (:func:`~repro.workloads.suite.load_source_trace`): through this
+    worker's cache handle, whose memo keeps each trace after its first
+    disk read, or without a cache through ``load_benchmark``'s
+    per-process LRU; it writes its result through to the shared cache.
+    Returns the job's metric delta and span events alongside the result
+    so the parent can fold telemetry deterministically.
 
     ``fault_kinds`` is the pre-matched tuple of injected faults for
     exactly this attempt (the parent does the matching and counting, so
@@ -177,11 +213,15 @@ def _run_job(job: tuple):
     TRACER.reset()
     begin = time.perf_counter()
     with span("job", benchmark=name, task=task):
-        cache = ResultCache(cache_root) if cache_root is not None else None
-        trace = load_source_trace(name, source, cache, length=length)
-        digest = trace.digest()
-        result = compute_task(trace, config, task)
-        Lab(trace, config, cache).store(task, result)
+        cache = _worker_cache(cache_root)
+        if task == TRACE_TASK:
+            result = build_source_trace(name, source, cache, length=length)
+            digest = None
+        else:
+            trace = load_source_trace(name, source, cache, length=length)
+            digest = trace.digest()
+            result = compute_task(trace, config, task, name)
+            Lab(trace, config, cache, name).store(task, result)
     return (
         result, digest,
         METRICS.snapshot(), TRACER.chrome_events(),
@@ -308,22 +348,51 @@ class WorkerPool:
 
 
 class _Lane:
-    """One ``(benchmark, task)`` job and its attempts.
+    """One trace or ``(benchmark, task)`` sim job and its attempts.
 
-    ``origin`` is what a pool worker loads the trace from: the frozen
-    source, the trace's length and the cache root.  ``kinds`` holds
-    the injected faults of the current attempt (None until the attempt
-    is first submitted); ``payload`` is the successful attempt's result
-    tuple, None until then.
+    ``origin`` is what a pool worker makes or loads the trace from: the
+    frozen source, the trace's length (None: the source's scaled
+    length) and the cache root.  A sim lane runs on its ``lab``'s trace
+    and config; a trace lane has no lab until its trace is in.
+    ``point`` is the plan point its telemetry is charged to, ``rank``
+    its place in the deterministic fold, ``priority`` its place in the
+    ready queue, and ``key`` its plan task's content key.  ``kinds``
+    holds the injected faults of the current attempt (None until the
+    attempt is first submitted); ``payload`` is the successful
+    attempt's result tuple, None until then.
     """
 
-    def __init__(self, name: str, task: str, origin: tuple) -> None:
+    def __init__(
+        self,
+        name: str,
+        task: str,
+        origin: tuple,
+        *,
+        lab: Optional[Lab] = None,
+        point: int = 0,
+        rank: int = 0,
+        priority: tuple = (),
+        key: Optional[str] = None,
+    ) -> None:
         self.name = name
         self.task = task
         self.origin = origin
+        self.lab = lab
+        self.point = point
+        self.rank = rank
+        self.priority = priority
+        self.key = key
         self.attempt = 1
         self.kinds: Optional[Tuple[str, ...]] = None
         self.payload: Optional[tuple] = None
+
+    @property
+    def is_trace(self) -> bool:
+        return self.task == TRACE_TASK
+
+
+def _no_charge(point: int):
+    return contextlib.nullcontext()
 
 
 class _Scheduler:
@@ -331,31 +400,54 @@ class _Scheduler:
 
     ``jobs <= 1`` runs each lane in-process at submission and hands
     the loop an already-completed future, so the serial path is this
-    same loop with one slot.
+    same loop with one slot.  Ready lanes leave in ``priority`` order.
+    ``on_done(lane)`` is called for each lane that lands and returns
+    the lanes it makes ready (a trace's sims); ``charge(point)`` scopes
+    each lane's parent-side work to the point it is accounted to;
+    ``announce()`` runs once, when the first lanes are in flight.
     """
 
     def __init__(
         self,
         lanes: Sequence[_Lane],
-        labs: Dict[str, Lab],
         jobs: int,
         policy: RetryPolicy,
         injector: Optional[FaultInjector],
         pool: Optional[WorkerPool] = None,
+        cache: Optional[ResultCache] = None,
+        on_done: Optional[Callable[[_Lane], Sequence[_Lane]]] = None,
+        charge: Callable[[int], contextlib.AbstractContextManager] = _no_charge,
+        announce: Optional[Callable[[], None]] = None,
     ) -> None:
-        self.labs = labs
         self.jobs = jobs
         self.policy = policy
         self.injector = injector
-        self.ready = deque(lanes)
+        self.cache = cache
+        self.on_done = on_done
+        self.charge = charge
+        self.announce = announce
+        self.lanes: List[_Lane] = []
+        self.ready: List[Tuple[tuple, int, _Lane]] = []
         self.waiting: List[Tuple[float, int, _Lane]] = []
         self.active: Dict[Future, Tuple[_Lane, Optional[float]]] = {}
-        self.failures: List[TaskFailure] = []
+        self.failures: List[Tuple[int, TaskFailure]] = []
+        self._landed: List[_Lane] = []
+        self._in_wait = 0
         self._seq = 0
         # A shared pool outlives this pass (the owning session drains
         # it); a private one is built on demand and reaped at the end.
         self._shared = pool is not None
         self._pool = pool if pool is not None else WorkerPool(jobs)
+        for lane in lanes:
+            self._queue(lane)
+
+    def _queue(self, lane: _Lane) -> None:
+        self.lanes.append(lane)
+        self._push(lane)
+
+    def _push(self, lane: _Lane) -> None:
+        self._seq += 1
+        heapq.heappush(self.ready, (lane.priority, self._seq, lane))
 
     def _rebuild_pool(self) -> None:
         self._pool.drain(kill=True)
@@ -371,23 +463,31 @@ class _Scheduler:
 
     # -- scheduling --------------------------------------------------------
 
+    def _compute(self, lane: _Lane):
+        """A lane's result, computed in this process."""
+        if lane.is_trace:
+            source, length, _ = lane.origin
+            return build_source_trace(lane.name, source, self.cache, length=length)
+        lab = lane.lab
+        return compute_task(lab.trace, lab.config, lane.task, lane.name)
+
     def _submit(self, lane: _Lane) -> None:
         if lane.kinds is None:
             # A new attempt: consult the injector once, and count what
             # it schedules before anything can die.  A resubmitted
-            # innocent keeps its attempt's faults.
+            # innocent keeps its attempt's faults.  Trace lanes are no
+            # fault target.
             lane.kinds = (
                 self.injector.kinds(lane.name, lane.task, lane.attempt)
-                if self.injector is not None
+                if self.injector is not None and not lane.is_trace
                 else ()
             )
             _count_injected(lane.kinds)
         if self.jobs <= 1:
             future: Future = Future()
-            lab = self.labs[lane.name]
             try:
                 _act_out_faults(lane.kinds, lane.name, lane.task, in_process=True)
-                result = compute_task(lab.trace, lab.config, lane.task)
+                result = self._compute(lane)
             except Exception as error:
                 future.set_exception(error)
             else:
@@ -395,7 +495,7 @@ class _Scheduler:
             self._register(lane, future)
             return
         job = (
-            lane.name, lane.task, self.labs[lane.name].config,
+            lane.name, lane.task, None if lane.is_trace else lane.lab.config,
             lane.origin, lane.kinds,
         )
         # An interrupt inside submit -- which may fork the workers -- could
@@ -412,33 +512,40 @@ class _Scheduler:
             self._register(lane, future)
 
     def _register(self, lane: _Lane, future: Future) -> None:
+        # Trace lanes are no fault target, so no deadline stops them.
         deadline = (
             time.monotonic() + self.policy.timeout
-            if self.policy.timeout is not None
+            if self.policy.timeout is not None and not lane.is_trace
             else None
         )
         self.active[future] = (lane, deadline)
 
     def _fail(self, lane: _Lane, kind: str, message: str) -> None:
-        """Charge the lane's current attempt; retry or record a failure."""
-        if kind == "timeout":
-            METRICS.inc("resilience.timeouts")
-        if lane.attempt >= self.policy.max_attempts:
-            METRICS.inc("resilience.task_failures")
-            self.failures.append(
-                TaskFailure(
+        """Charge the lane's current attempt; retry or record a failure.
+
+        A failed trace lane is charged nothing: the parent makes the
+        trace itself once the harvest is over (see :meth:`_release`).
+        """
+        if lane.is_trace:
+            self._landed.append(lane)
+            return
+        with self.charge(lane.point):
+            if kind == "timeout":
+                METRICS.inc("resilience.timeouts")
+            if lane.attempt >= self.policy.max_attempts:
+                METRICS.inc("resilience.task_failures")
+                self.failures.append((lane.point, TaskFailure(
                     benchmark=lane.name,
                     task=lane.task,
                     attempts=lane.attempt,
                     kind=kind,
                     message=message,
-                )
-            )
-            return
-        # Queue the next attempt after its deterministic backoff.
-        backoff = self.policy.backoff(lane.attempt)
-        METRICS.inc("resilience.retries")
-        METRICS.add_time("resilience.backoff_seconds", backoff)
+                )))
+                return
+            # Queue the next attempt after its deterministic backoff.
+            backoff = self.policy.backoff(lane.attempt)
+            METRICS.inc("resilience.retries")
+            METRICS.add_time("resilience.backoff_seconds", backoff)
         lane.attempt += 1
         lane.kinds = None
         self._seq += 1
@@ -454,7 +561,9 @@ class _Scheduler:
             while self.ready or self.waiting or self.active:
                 self._promote_waiting()
                 while self.ready and len(self.active) < self.jobs:
-                    self._submit(self.ready.popleft())
+                    lane = heapq.heappop(self.ready)[2]
+                    with self.charge(lane.point):
+                        self._submit(lane)
                 if not self.active:
                     # Everything left is backing off; sleep to the next
                     # ready time instead of spinning.
@@ -466,16 +575,30 @@ class _Scheduler:
                 # executor's thread needs too; an interrupt inside them
                 # could leave one held and hang the exit.  At most one
                 # tick later it surfaces here instead.
+                # Futures this wait is on (pooled lanes only), for an
+                # interrupt's report of where it landed.
+                self._in_wait = len(self.active) if self.jobs > 1 else 0
                 with _interrupts_deferred():
+                    if self.announce is not None:
+                        # Said with signals held: a SIGTERM sent on this
+                        # line surfaces at the end of this wait.
+                        self.announce()
+                        self.announce = None
                     done, _ = wait(
                         list(self.active), timeout=_TICK,
                         return_when=FIRST_COMPLETED,
                     )
                     if self._collect(done):
                         self._expire_deadlines()
-        except BaseException:
+                self._in_wait = 0
+                self._release()
+        except BaseException as error:
             # Interrupt/SIGTERM/unexpected error: reap workers, cancel
             # queued futures, and let the caller decide what to keep.
+            if isinstance(error, KeyboardInterrupt) and self._in_wait:
+                error.args += (
+                    f"landed in the wait on {self._in_wait} pool future(s)",
+                )
             self._shutdown(kill=True)
             raise
         else:
@@ -487,7 +610,7 @@ class _Scheduler:
         now = time.monotonic()
         self.waiting.sort()
         while self.waiting and self.waiting[0][0] <= now:
-            self.ready.append(self.waiting.pop(0)[2])
+            self._push(self.waiting.pop(0)[2])
 
     def _collect(self, done) -> bool:
         """Harvest finished futures; False if the pool broke mid-batch."""
@@ -504,7 +627,26 @@ class _Scheduler:
                 self._fail(lane, "error", f"{type(error).__name__}: {error}")
             else:
                 lane.payload = payload
+                self._landed.append(lane)
         return True
+
+    def _release(self) -> None:
+        """Queue what the harvest's landed lanes made ready.
+
+        Runs outside the deferred-signal block: a trace that landed has
+        its sims' cache entries probed here, and a trace lane that
+        failed has its trace made in this process, whose error (an
+        unreadable imported file, say) ends the pass as loading the
+        trace would have.
+        """
+        landed, self._landed = self._landed, []
+        for lane in landed:
+            if lane.payload is None:
+                with self.charge(lane.point):
+                    lane.payload = (self._compute(lane), None, None, None, 0.0)
+            if self.on_done is not None:
+                for ready in self.on_done(lane):
+                    self._queue(ready)
 
     def _on_pool_broken(self, lane: _Lane, error: BaseException) -> None:
         """A worker died hard; every in-flight lane went down with it.
@@ -519,7 +661,8 @@ class _Scheduler:
             future.cancel()
             victims.append(other)
         self.active.clear()
-        self._rebuild_pool()
+        with self.charge(lane.point):
+            self._rebuild_pool()
         for victim in victims:
             self._fail(victim, "worker-lost", f"worker pool broke: {error}")
 
@@ -539,11 +682,31 @@ class _Scheduler:
             lane for lane, _ in self.active.values() if lane not in expired
         ]
         self.active.clear()
-        self._rebuild_pool()
+        with self.charge(expired[0].point):
+            self._rebuild_pool()
         for lane in expired:
             self._fail(lane, "timeout", self._timeout_message())
-        for lane in reversed(innocents):
-            self.ready.appendleft(lane)
+        for lane in innocents:
+            self._push(lane)
+
+
+def _resolve_policy(
+    policy: Optional[RetryPolicy], injector: Optional[FaultInjector]
+) -> RetryPolicy:
+    """The pass's retry policy (None -> environment defaults).
+
+    Raises:
+        FaultSpecError: If the fault spec injects hangs but the policy
+            has no timeout to detect them with.
+    """
+    if policy is None:
+        policy = RetryPolicy.resolve()
+    if injector is not None and injector.wants_timeout() and policy.timeout is None:
+        raise FaultSpecError(
+            "fault spec injects 'hang' faults but no task timeout is set; "
+            "pass --task-timeout (or REPRO_TASK_TIMEOUT)"
+        )
+    return policy
 
 
 def prime_labs(
@@ -563,7 +726,8 @@ def prime_labs(
 
     Cached results are folded in directly; only misses are scheduled.
     After this returns, ``lab.correct(task)`` / ``lab.correlation_data()``
-    are pure memo lookups for every requested task.
+    are pure memo lookups for every requested task.  This is the
+    scheduler pass of :func:`prime_plan` over labs the caller built.
 
     Args:
         labs: Benchmark name -> Lab, as built by ``build_labs``.  The
@@ -600,13 +764,7 @@ def prime_labs(
             has no timeout to detect them with.
     """
     jobs = pool.jobs if pool is not None else resolve_jobs(jobs)
-    if policy is None:
-        policy = RetryPolicy.resolve()
-    if injector is not None and injector.wants_timeout() and policy.timeout is None:
-        raise FaultSpecError(
-            "fault spec injects 'hang' faults but no task timeout is set; "
-            "pass --task-timeout (or REPRO_TASK_TIMEOUT)"
-        )
+    policy = _resolve_policy(policy, injector)
     METRICS.gauge("parallel.workers", jobs)
     if source is None:
         from repro.spec import SyntheticSource
@@ -622,62 +780,259 @@ def prime_labs(
         for task in tasks:
             if lab.is_primed(task) or lab.fold_cached(task):
                 continue
-            lanes.append(_Lane(name, task, origin))
+            lanes.append(_Lane(
+                name, task, origin, lab=lab, rank=len(lanes),
+                priority=(1, -len(lab.trace)),
+            ))
 
     if not lanes:
         return 0
 
     with span("prime_labs", jobs=jobs, pending=len(lanes)):
-        scheduler = _Scheduler(lanes, labs, jobs, policy, injector, pool)
+        scheduler = _Scheduler(lanes, jobs, policy, injector, pool, cache)
         scheduler.run()
-        executed = _fold_lanes(lanes, labs, cache)
-    METRICS.inc("parallel.jobs_executed", executed)
+        executed = _fold_lanes(scheduler.lanes, cache)
     _report_failures(scheduler.failures, failures)
     return executed
 
 
-def _fold_lanes(
-    lanes: Sequence[_Lane], labs: Dict[str, Lab], cache: Optional[ResultCache]
-) -> int:
-    """Fold finished lanes into their labs; returns how many landed.
+@dataclass
+class PrimedPlan:
+    """What one priming pass over a plan leaves each of its points.
 
-    Lanes fold in deterministic (sorted-name, task-order) order, and
-    so do their workers' metric deltas and span events, so aggregate
-    telemetry is independent of worker scheduling.  A lane whose worker
-    regenerated a different trace than the lab holds (an ad-hoc lab) is
-    discarded; the lab computes it lazily.
+    Attributes:
+        labs: Per point, benchmark name -> :class:`Lab` holding every
+            result the point planned; a deduped task's result is the
+            one its first planner computed, taken in memory.
+        metrics: Per point, the pass's metric delta charged to it: the
+            work of the lanes it planned first, and what it took.
+        failures: Per point, the structured failures of its lanes.
+        seconds: Wall time of the pass.
+    """
+
+    labs: List[Dict[str, Lab]]
+    metrics: List[dict]
+    failures: List[List[dict]]
+    seconds: float
+
+
+class _Ledger:
+    """Charges a pass's metrics to the plan points that caused them.
+
+    Each charge snapshots the registry around the work it scopes.  A
+    one-point plan needs no split, so it charges everything to its one
+    point without snapshots.
+    """
+
+    def __init__(self, points: int) -> None:
+        self._baseline = METRICS.snapshot()
+        self._points = [Metrics() for _ in range(points)] if points > 1 else None
+
+    def charge(self, point: int):
+        if self._points is None:
+            return contextlib.nullcontext()
+        return self._charging(point)
+
+    @contextlib.contextmanager
+    def _charging(self, point: int):
+        before = METRICS.snapshot()
+        try:
+            yield
+        finally:
+            self._points[point].merge(METRICS.delta_since(before))
+
+    def deltas(self) -> List[dict]:
+        if self._points is None:
+            return [METRICS.delta_since(self._baseline)]
+        return [metrics.snapshot() for metrics in self._points]
+
+
+def _planned_length(name: str, source) -> int:
+    """A trace's length before it exists (0 when unknown)."""
+    if source.kind == "imported":
+        return source.traces[source.trace_names().index(name)].branches or 0
+    return scaled_length(name, source.max_length)
+
+
+def prime_plan(
+    plan,
+    *,
+    jobs: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+    policy: Optional[RetryPolicy] = None,
+    injector: Optional[FaultInjector] = None,
+    pool: Optional[WorkerPool] = None,
+    say: Callable[[str], None] = lambda message: None,
+) -> PrimedPlan:
+    """Run a plan's trace and sim tasks in one scheduler pass.
+
+    The lanes are the plan's non-deduped ``trace`` and ``sim`` tasks,
+    across every point.  A trace the cache holds is read here; any
+    other is a trace lane, made in a worker (or in-process at
+    ``jobs <= 1``), longest first.  Once a trace is in, each sim task
+    planned on it is folded from the cache or becomes a sim lane.
+    Every lane's telemetry is charged to the point that planned it
+    first, and each later point takes a deduped task's result from that
+    point's lab -- counted as the session-memo hit a cache read would
+    have been.  A one-point plan is the same pass with one point.
+
+    Args mirror :func:`prime_labs`; a sim lane that exhausts its
+    attempts is reported in its point's ``failures``.  ``say`` gets one
+    progress line once the first lanes are in flight.
+
+    Raises:
+        FaultSpecError: If the fault spec injects hangs but the policy
+            has no timeout to detect them with.
+    """
+    begin = time.perf_counter()
+    jobs = pool.jobs if pool is not None else resolve_jobs(jobs)
+    policy = _resolve_policy(policy, injector)
+    ledger = _Ledger(len(plan.points))
+    METRICS.gauge("parallel.workers", jobs)
+    cache_root = str(cache.root) if cache is not None else None
+    rank = {task.id: index for index, task in enumerate(plan.tasks)}
+    trace_key: Dict[Tuple[int, str], str] = {}
+    waiting: Dict[str, list] = {}
+    for task in plan.tasks:
+        if task.kind == "trace":
+            trace_key[task.point, task.benchmark] = task.key
+        elif task.kind == "sim" and task.deduped_from is None:
+            key = trace_key[task.point, task.benchmark]
+            waiting.setdefault(key, []).append(task)
+    traces: Dict[str, object] = {}
+    held: Dict[Tuple[int, str], Lab] = {}
+
+    def lab(point: int, name: str) -> Lab:
+        if (point, name) not in held:
+            held[point, name] = Lab(
+                traces[trace_key[point, name]],
+                plan.points[point][1].config, cache, name,
+            )
+        return held[point, name]
+
+    def trace_ready(key: str, trace) -> List[_Lane]:
+        traces[key] = trace
+        lanes = []
+        for task in waiting.pop(key, ()):
+            owner = lab(task.point, task.benchmark)
+            with ledger.charge(task.point):
+                if owner.fold_cached(task.task):
+                    continue
+            lanes.append(_Lane(
+                task.benchmark, task.task,
+                (plan.points[task.point][1].workload, len(trace), cache_root),
+                lab=owner, point=task.point, rank=rank[task.id],
+                priority=(1, -len(trace)),
+            ))
+        return lanes
+
+    with span("prime_labs", jobs=jobs) as node:
+        lanes: List[_Lane] = []
+        for task in plan.tasks:
+            if task.kind != "trace" or task.deduped_from is not None:
+                continue
+            source = plan.points[task.point][1].workload
+            with ledger.charge(task.point):
+                trace = cached_source_trace(task.benchmark, source, cache)
+            if trace is not None:
+                lanes += trace_ready(task.key, trace)
+                continue
+            lanes.append(_Lane(
+                task.benchmark, TRACE_TASK, (source, None, cache_root),
+                point=task.point, rank=rank[task.id], key=task.key,
+                priority=(0, -_planned_length(task.benchmark, source)),
+            ))
+        scheduler = _Scheduler(
+            lanes, jobs, policy, injector, pool, cache,
+            on_done=lambda lane: (
+                trace_ready(lane.key, lane.payload[0]) if lane.is_trace else ()
+            ),
+            charge=ledger.charge,
+            announce=lambda: say(f"priming on {jobs} worker(s)..."),
+        )
+        scheduler.run()
+        node.attrs["pending"] = len(scheduler.lanes)
+        _fold_lanes(scheduler.lanes, cache, ledger.charge)
+
+    # Each point's labs, in its benchmark order; deduped tasks are taken
+    # from the point that planned them first.
+    labs: List[Dict[str, Lab]] = []
+    for index in range(len(plan.points)):
+        labs.append({})
+        with ledger.charge(index):
+            for task in plan.point_tasks(index):
+                if task.kind == "trace":
+                    labs[index][task.benchmark] = lab(index, task.benchmark)
+                    if task.deduped_from is not None and cache is not None:
+                        cache.record_memo_hit("trace")
+                elif task.kind == "sim" and task.deduped_from is not None:
+                    owner = plan.task_by_id(task.deduped_from)
+                    labs[index][task.benchmark].take(
+                        task.task, lab(owner.point, owner.benchmark)
+                    )
+    failures: List[List[dict]] = [[] for _ in plan.points]
+    for point, failure in sorted(
+        scheduler.failures, key=lambda f: (f[1].benchmark, f[1].task)
+    ):
+        failures[point].append(failure.to_dict())
+    return PrimedPlan(
+        labs=labs,
+        metrics=ledger.deltas(),
+        failures=failures,
+        seconds=time.perf_counter() - begin,
+    )
+
+
+def _fold_lanes(
+    lanes: Sequence[_Lane],
+    cache: Optional[ResultCache],
+    charge: Callable[[int], contextlib.AbstractContextManager] = _no_charge,
+) -> int:
+    """Fold finished lanes into their labs; returns how many sims landed.
+
+    Lanes fold in deterministic ``rank`` order, and so do their
+    workers' metric deltas and span events, so aggregate telemetry is
+    independent of worker scheduling.  A trace lane's trace was used
+    when it landed; only its telemetry folds here.  A sim lane whose
+    worker regenerated a different trace than the lab holds (an ad-hoc
+    lab) is discarded; the lab computes it lazily.
     """
     executed = 0
-    for lane in lanes:
+    for lane in sorted(lanes, key=lambda lane: lane.rank):
         if lane.payload is None:
             continue  # failed after retries; recorded by the scheduler
         result, digest, delta, events, seconds = lane.payload
-        if delta is not None:
-            METRICS.merge(delta)
-            METRICS.add_time("parallel.job_seconds", seconds)
-            TRACER.add_events(events)
-        lab = labs[lane.name]
-        if digest is not None and digest != lab.trace.digest():
-            continue
-        # A worker that loaded the trace already wrote the shared
-        # cache; skip the second write.
-        write_through = digest is None or cache is None
-        lab.store(lane.task, result, write_through=write_through)
-        # An injected 'corrupt' lands when the lane's result does.
-        if "corrupt" in lane.kinds and lab.cache is not None:
-            _corrupt_result_entry(
-                lab.cache, lab.trace.digest(), lane.task, lab.config
-            )
-        executed += 1
+        with charge(lane.point):
+            if delta is not None:
+                METRICS.merge(delta)
+                METRICS.add_time("parallel.job_seconds", seconds)
+                TRACER.add_events(events)
+            if lane.is_trace:
+                continue
+            lab = lane.lab
+            if digest is not None and digest != lab.trace.digest():
+                continue
+            # A worker that loaded the trace already wrote the shared
+            # cache; skip the second write.
+            write_through = digest is None or cache is None
+            lab.store(lane.task, result, write_through=write_through)
+            # An injected 'corrupt' lands when the lane's result does.
+            if "corrupt" in lane.kinds and lab.cache is not None:
+                _corrupt_result_entry(
+                    lab.cache, lab.trace.digest(), lane.task, lab.config
+                )
+            METRICS.inc("parallel.jobs_executed")
+            executed += 1
     return executed
 
 
 def _report_failures(
-    task_failures: List[TaskFailure], sink: Optional[list]
+    task_failures: List[Tuple[int, TaskFailure]], sink: Optional[list]
 ) -> None:
     """Deliver structured failures in a schedule-independent order."""
     if sink is None:
         return
-    for failure in sorted(task_failures, key=lambda f: (f.benchmark, f.task)):
+    for _point, failure in sorted(
+        task_failures, key=lambda f: (f[1].benchmark, f[1].task)
+    ):
         sink.append(failure.to_dict())
-

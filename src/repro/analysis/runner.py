@@ -52,24 +52,30 @@ DEFAULT_TASKS: Tuple[str, ...] = (
 )
 
 
-def compute_task(trace: Trace, config: LabConfig, task: str):
+def compute_task(
+    trace: Trace,
+    config: LabConfig,
+    task: str,
+    benchmark: Optional[str] = None,
+):
     """Compute one task's result on a trace (the single source of truth).
 
     Every computation of a :data:`DEFAULT_TASKS` member goes through
     here -- a lab's lazy lookup, an in-process lane, a pool
     worker -- so all paths produce bit-identical results and identical
     work-unit metrics (``sim.simulations`` /
-    ``sim.correlation_collections``).
+    ``sim.correlation_collections``).  ``benchmark`` only labels the
+    task's span.
     """
     if task == CORRELATION_TASK:
         METRICS.inc("sim.correlation_collections")
         with span(
-            "collect_correlation", length=len(trace)
+            "collect_correlation", benchmark=benchmark, length=len(trace)
         ), METRICS.timer("sim.seconds"):
             return build_task(task, config)(trace)
     METRICS.inc("sim.simulations")
     with span(
-        "simulate", predictor=task, length=len(trace)
+        "simulate", benchmark=benchmark, predictor=task, length=len(trace)
     ), METRICS.timer("sim.seconds"):
         built = build_task(task, config)
         return built(trace) if task == "fixed_best" else built.simulate(trace)
@@ -84,6 +90,8 @@ class Lab:
             :data:`~repro.analysis.config.DEFAULT_CONFIG`).
         cache: Optional on-disk result cache consulted before simulating
             and written through after.
+        name: The trace's benchmark name, if it has one; it labels the
+            lab's spans.
     """
 
     def __init__(
@@ -91,10 +99,12 @@ class Lab:
         trace: Trace,
         config: LabConfig = DEFAULT_CONFIG,
         cache: Optional[ResultCache] = None,
+        name: Optional[str] = None,
     ) -> None:
         self.trace = trace
         self.config = config
         self.cache = cache
+        self.name = name
         # Task name -> result: correctness bitmaps, and the correlation
         # table under CORRELATION_TASK.
         self._results: Dict[str, object] = {}
@@ -167,12 +177,32 @@ class Lab:
         self.store(task, result, write_through=False)
         return True
 
+    def take(self, task: str, source: "Lab") -> bool:
+        """Fold ``source``'s memoised ``task`` result into this lab.
+
+        A sweep point takes a result an earlier point computed this
+        way; it counts as the session-memo hit that reading it back
+        from the cache would have been.  False if ``source`` lacks it.
+        """
+        if not source.is_primed(task):
+            return False
+        self.store(task, source._results[task], write_through=False)
+        if self.cache is None:
+            METRICS.inc("sim.memo_hits")
+        else:
+            self.cache.record_memo_hit(
+                "corr" if task == CORRELATION_TASK else "bitmap"
+            )
+        return True
+
     def _result(self, task: str):
         """Memo -> disk cache -> :func:`compute_task`, stored back to both."""
         if self.is_primed(task):
             METRICS.inc("sim.memo_hits")
         elif not self.fold_cached(task):
-            self.store(task, compute_task(self.trace, self.config, task))
+            self.store(
+                task, compute_task(self.trace, self.config, task, self.name)
+            )
         return self._results[task]
 
     def correct(self, name: str) -> np.ndarray:
@@ -211,8 +241,8 @@ class Lab:
             passes = self._oracle_passes.get(window)
             if passes is None:
                 with span(
-                    "select_oracle", count=count, window=window,
-                    length=len(self.trace),
+                    "select_oracle", benchmark=self.name, count=count,
+                    window=window, length=len(self.trace),
                 ), METRICS.timer("sim.seconds"):
                     passes = select_counts(
                         self.correlation_data(),
@@ -235,7 +265,8 @@ class Lab:
         if not self.is_primed(name) and not self.fold_cached(name):
             METRICS.inc("sim.simulations")
             with span(
-                "simulate", predictor=name, length=len(self.trace)
+                "simulate", benchmark=self.name, predictor=name,
+                length=len(self.trace),
             ), METRICS.timer("sim.seconds"):
                 predictor = SelectiveHistoryPredictor(
                     count, build_task(name, self.config)

@@ -112,7 +112,8 @@ class IdealStaticCount:
 
 #: Outcomes per best-of-k block: :meth:`FixedBestCount.result` lays out
 #: whole branches, a block for the branches that start in each span of
-#: this many outcomes, so its peak does not grow with the run's length.
+#: this many outcomes, and a longer branch in pieces of this many, so its
+#: peak does not grow with the run's length.
 FIXED_BEST_BLOCK = 1 << 18
 
 
@@ -128,7 +129,9 @@ class FixedBestCount:
     :data:`FIXED_BEST_BLOCK` outcomes: it unpacks each window's bit range
     for the block, lays the block's branches out one after another, and
     sums :func:`~repro.predictors.pattern.best_fixed_length_counts` over
-    the blocks.
+    the blocks.  A branch longer than a block is reduced on its own, in
+    pieces of a block that overlap by ``max_k`` outcomes: its per-``k``
+    counts are summed over the pieces before the best ``k`` is picked.
     """
 
     def __init__(self, max_k: Optional[int] = None) -> None:
@@ -160,14 +163,22 @@ class FixedBestCount:
         # Each window's branch groups land after what earlier windows
         # wrote for the same branch.
         fill = np.cumsum(counts) - counts
-        block = fill // FIXED_BEST_BLOCK
-        edges = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(pcs)]
+        size = max(FIXED_BEST_BLOCK, self.max_k)
+        block = fill // size
+        long = np.flatnonzero(counts > size)
+        edges = sorted({
+            0, len(pcs), *(np.flatnonzero(np.diff(block)) + 1).tolist(),
+            *long.tolist(), *(long + 1).tolist(),
+        })
         windows = [
             (rows, window_counts, np.cumsum(window_counts) - window_counts, packed)
             for rows, (_pcs, window_counts, packed) in zip(window_rows, self._windows)
         ]
         correct = 0
         for lo, hi in zip(edges[:-1], edges[1:]):
+            if counts[lo] > size:
+                correct += self._long_branch(lo, int(counts[lo]), windows, size)
+                continue
             base = int(fill[lo])
             outcomes = np.empty(int(counts[lo:hi].sum()), dtype=bool)
             for rows, window_counts, starts, packed in windows:
@@ -177,18 +188,52 @@ class FixedBestCount:
                     continue
                 sizes = window_counts[first:last]
                 bit, length = int(starts[first]), int(sizes.sum())
-                piece = np.unpackbits(
-                    packed[bit >> 3 : (bit + length + 7) >> 3], bitorder="little"
-                )[bit & 7 : (bit & 7) + length]
                 at = np.repeat(fill[rows[first:last]] - base - (starts[first:last] - bit), sizes)
                 at += np.arange(length)
-                outcomes[at] = piece.view(bool)
+                outcomes[at] = _unpack(packed, bit, length)
                 fill[rows[first:last]] += sizes
             _best_k, best = best_fixed_length_counts(
                 outcomes, counts[lo:hi], self.max_k
             )
             correct += int(best.sum())
         return correct, self.total
+
+    def _long_branch(self, row: int, count: int, windows, size: int) -> int:
+        """Best-of-k correct count of one branch longer than a block."""
+        from repro.predictors.pattern import fixed_length_counts
+
+        # Where each window's share of the branch sits in its outcomes.
+        parts = []
+        offset = 0
+        for rows, window_counts, starts, packed in windows:
+            at = int(np.searchsorted(rows, row))
+            if at < len(rows) and rows[at] == row:
+                share = int(window_counts[at])
+                parts.append((offset, share, int(starts[at]), packed))
+                offset += share
+        per_k = np.zeros(self.max_k, dtype=np.int64)
+        for lo in range(0, count, size):
+            hi = min(lo + size, count)
+            # max_k earlier outcomes give every scored one its history.
+            begin = max(0, lo - self.max_k)
+            outcomes = np.empty(hi - begin, dtype=bool)
+            for start, share, bit, packed in parts:
+                a, b = max(begin, start), min(hi, start + share)
+                if a < b:
+                    outcomes[a - begin:b - begin] = _unpack(
+                        packed, bit + a - start, b - a
+                    )
+            per_k += fixed_length_counts(
+                outcomes, [hi - begin], self.max_k, context=[lo - begin]
+            )[0]
+        return int(per_k.max())
+
+
+def _unpack(packed: np.ndarray, bit: int, length: int) -> np.ndarray:
+    """``length`` outcomes from bit ``bit`` of a little-endian packing."""
+    return np.unpackbits(
+        packed[bit >> 3:(bit + length + 7) >> 3], bitorder="little"
+    )[bit & 7:(bit & 7) + length].view(bool)
 
 
 def ideal_static_count(chunks: Iterable[Trace]) -> Tuple[int, int]:

@@ -25,11 +25,12 @@ it scopes the global metrics registry, traces every stage, primes
 exactly the simulations the planned experiments declared, assembles
 the schema-versioned run manifest, and hosts the resilience layer
 (per-task retries, journal checkpointing, ``resume``, structured
-failures).  There is one run path: a plain spec is a one-point plan,
-and :func:`run_spec` runs every point of a plan through the same loop
-(:func:`_run_point` per point) inside one session, tracer and SIGTERM
-scope.  :func:`run_sweep` is that path for a swept spec: points share
-one cache and journal, and each writes its own manifest.
+failures).  There is one run path: a plain spec is a one-point plan.
+:func:`run_spec` primes every point of a plan in one scheduler pass
+(:func:`~repro.analysis.parallel.prime_plan`), then runs each point's
+experiments (:func:`_run_point`), all inside one session, tracer and
+SIGTERM scope.  :func:`run_sweep` is that path for a swept spec: points
+share one pass, cache and journal, and each writes its own manifest.
 
 Execution state has an explicit owner: an :class:`EngineSession` holds
 the resolved cache, retry policy, fault injector, journal and warm
@@ -61,7 +62,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.config import LabConfig
-from repro.analysis.parallel import WorkerPool, prime_labs
+from repro.analysis.parallel import PrimedPlan, WorkerPool, prime_labs, prime_plan
 from repro.analysis.runner import Lab
 from repro.errors import (
     AdmissionError,
@@ -80,7 +81,7 @@ from repro.experiments.base import (
     run_experiment,
 )
 from repro.obs.manifest import build_manifest, write_manifest
-from repro.obs.metrics import METRICS
+from repro.obs.metrics import METRICS, Metrics
 from repro.obs.tracing import TRACER
 from repro.plan import Plan, build_plan
 from repro.resilience.faults import FaultInjector
@@ -377,47 +378,66 @@ class EngineSession:
         self.close(kill=exc_type is not None)
 
 
-def _run_point(
-    point_spec: RunSpec,
-    coords: Dict[str, int],
-    *,
-    sims: tuple,
-    engine: EngineSession,
-    command: Optional[List[str]],
-    say: Callable[[str], None],
-    span_name: str = "report",
-) -> ReportRun:
-    """Execute one plan point through the instrumented engine.
+def _merge_deltas(*deltas: dict) -> dict:
+    """One metric delta from several consecutive ones."""
+    merged = Metrics()
+    for delta in deltas:
+        merged.merge(delta)
+    return merged.snapshot()
 
-    This is the body every entry point shares: build/prime labs for
-    exactly the planned simulation tasks, replay journaled experiments
-    under this point's run key, run the rest (a failing experiment
-    becomes a structured failure, not a traceback), and assemble the
-    manifest.  The caller owns TRACER lifetime, the SIGTERM handler,
-    the journal's close, and all file outputs.
-    """
-    failures: List[Dict[str, Any]] = []
-    replayed: List[str] = []
-    requested = list(dict.fromkeys(point_spec.experiments))
-    workload = point_spec.workload
 
-    baseline = METRICS.snapshot()
-    run_start = time.perf_counter()
-    with TRACER.span(span_name, experiments=",".join(requested)):
-        say("building workload traces...")
-        build_start = time.perf_counter()
-        labs = build_labs(
-            config=point_spec.config,
+def _prime(
+    plan: Plan, engine: EngineSession, say: Callable[[str], None]
+) -> PrimedPlan:
+    """The plan's one priming pass on the session's engine state."""
+    say("building workload traces...")
+    with TRACER.span("build_labs", run_seed=plan.points[0][1].workload.seed):
+        return prime_plan(
+            plan,
             jobs=engine.jobs,
             cache=engine.cache,
             policy=engine.policy,
             injector=engine.injector,
-            failures=failures,
-            tasks=sims,
             pool=engine.pool,
-            source=workload,
+            say=say,
         )
-        build_seconds = time.perf_counter() - build_start
+
+
+def _run_point(
+    plan: Plan,
+    index: int,
+    primed: PrimedPlan,
+    finished: Dict[str, ExperimentResult],
+    *,
+    engine: EngineSession,
+    command: Optional[List[str]],
+    say: Callable[[str], None],
+) -> ReportRun:
+    """Execute one plan point over its primed labs.
+
+    This is the body every entry point shares: replay journaled
+    experiments under this point's run key, reuse a result an earlier
+    point computed from the same inputs (``finished``, keyed by the
+    plan's experiment key), run the rest (a failing experiment becomes
+    a structured failure, not a traceback), and assemble the manifest
+    from the pass's metrics charged to this point plus its own.  The
+    caller owns TRACER lifetime, the SIGTERM handler, the journal's
+    close, and all file outputs.
+    """
+    coords, point_spec = plan.points[index]
+    swept = plan.spec.sweep is not None
+    failures: List[Dict[str, Any]] = list(primed.failures[index])
+    replayed: List[str] = []
+    requested = list(dict.fromkeys(point_spec.experiments))
+    workload = point_spec.workload
+    labs = primed.labs[index]
+    # The pass is charged to the first point, which planned most of it.
+    build_seconds = primed.seconds if index == 0 else 0.0
+
+    baseline = METRICS.snapshot()
+    run_start = time.perf_counter()
+    with TRACER.span("point", experiments=",".join(requested)) if swept \
+            else contextlib.nullcontext():
         total = sum(len(lab.trace) for lab in labs.values())
         say(f"  {len(labs)} benchmarks, {total} dynamic branches")
         if engine.cache is not None:
@@ -434,9 +454,10 @@ def _run_point(
         results: Dict[str, ExperimentResult] = {}
         experiment_timings: List[dict] = []
         for experiment_id in requested:
+            task = plan.task_by_id(f"p{index}/experiment/{experiment_id}")
             entry = journaled.get((experiment_id, key))
             if entry is not None:
-                results[experiment_id] = ReplayedResult(
+                results[experiment_id] = finished[task.key] = ReplayedResult(
                     entry["payload"], entry["render"]
                 )
                 experiment_timings.append(
@@ -446,35 +467,50 @@ def _run_point(
                 METRICS.inc("resilience.replayed")
                 say(f"{experiment_id}: replayed from journal\n")
                 continue
-            say(f"running {experiment_id}...")
-            experiment_start = time.perf_counter()
-            try:
-                result = run_experiment(experiment_id, labs)
-            except KeyboardInterrupt:
-                raise
-            except Exception as error:
-                METRICS.inc("resilience.experiment_failures")
-                failures.append({
-                    "scope": "experiment",
-                    "experiment_id": experiment_id,
-                    "kind": "error",
-                    "message": f"{type(error).__name__}: {error}",
-                })
-                say(
-                    f"  {experiment_id} FAILED "
-                    f"({type(error).__name__}: {error}); continuing\n"
+            result = finished.get(task.key)
+            reused = result is not None
+            if reused:
+                experiment_timings.append(
+                    {"id": experiment_id, "seconds": 0.0}
                 )
-                continue
-            experiment_timings.append({
-                "id": experiment_id,
-                "seconds": time.perf_counter() - experiment_start,
-            })
+                METRICS.inc("experiments.reused")
+            else:
+                say(f"running {experiment_id}...")
+                experiment_start = time.perf_counter()
+                try:
+                    result = run_experiment(experiment_id, labs)
+                except KeyboardInterrupt:
+                    raise
+                except Exception as error:
+                    METRICS.inc("resilience.experiment_failures")
+                    failures.append({
+                        "scope": "experiment",
+                        "experiment_id": experiment_id,
+                        "kind": "error",
+                        "message": f"{type(error).__name__}: {error}",
+                    })
+                    say(
+                        f"  {experiment_id} FAILED "
+                        f"({type(error).__name__}: {error}); continuing\n"
+                    )
+                    continue
+                experiment_timings.append({
+                    "id": experiment_id,
+                    "seconds": time.perf_counter() - experiment_start,
+                })
+                finished[task.key] = result
             results[experiment_id] = result
             if engine.journal is not None:
                 engine.journal.record(experiment_id, key, result)
-            say(f"\n{result}\n")
+            say(
+                f"{experiment_id}: same inputs as an earlier point; reused\n"
+                if reused
+                else f"\n{result}\n"
+            )
 
-    metrics_delta = METRICS.delta_since(baseline)
+    metrics_delta = _merge_deltas(
+        primed.metrics[index], METRICS.delta_since(baseline)
+    )
     manifest = build_manifest(
         command=command,
         config=point_spec.config,
@@ -489,7 +525,7 @@ def _run_point(
         metrics=metrics_delta,
         timings={
             "build_labs_seconds": build_seconds,
-            "total_seconds": time.perf_counter() - run_start,
+            "total_seconds": build_seconds + time.perf_counter() - run_start,
         },
         resilience={
             "failures": failures,
@@ -585,8 +621,16 @@ def run_spec(
     previous_sigterm = _install_sigterm_handler() if owned else None
     points: List[PointRun] = []
     try:
-        with TRACER.span("sweep", points=str(len(plan.points))) if swept \
-                else contextlib.nullcontext():
+        root = (
+            TRACER.span("sweep", points=str(len(plan.points)))
+            if swept
+            else TRACER.span("report", experiments=",".join(
+                dict.fromkeys(spec.experiments)
+            ))
+        )
+        with root:
+            primed = _prime(plan, engine, say)
+            finished: Dict[str, ExperimentResult] = {}
             for index, (coords, point_spec) in enumerate(plan.points):
                 if swept:
                     say(
@@ -594,13 +638,13 @@ def run_spec(
                         f"{_where(coords)} ==="
                     )
                 run = _run_point(
-                    point_spec,
-                    coords,
-                    sims=plan.sim_task_names(index),
+                    plan,
+                    index,
+                    primed,
+                    finished,
                     engine=engine,
                     command=command,
                     say=say,
-                    span_name="point" if swept else "report",
                 )
                 manifest_path = None
                 if swept and manifest_dir:
@@ -688,11 +732,12 @@ def run_sweep(
 ) -> SweepRun:
     """Execute a swept spec point by point over one shared engine.
 
-    One plan is built for the whole grid; every point primes exactly
-    its planned simulations against the *same* cache, so artefacts the
-    sweep's axes don't touch (traces, unaffected predictors) are
-    computed once and served as hits everywhere else -- the cache
-    counters in each point's manifest show the sharing.  One journal
+    One plan is built for the whole grid and primed in one pass, so
+    artefacts the sweep's axes don't touch (traces, unaffected
+    predictors) are computed once and taken in memory everywhere else,
+    and an experiment whose inputs repeat an earlier point's is reused
+    -- the cache counters and ``experiments.reused`` in each point's
+    manifest show the sharing.  One journal
     (``spec.engine.journal``) checkpoints all points under per-point
     run keys, so ``resume`` finishes a killed sweep bit-identically.
 

@@ -307,10 +307,13 @@ def _execute_spec(spec, argv: List[str], args=None, **outputs) -> int:
     except KeyError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:
+    except KeyboardInterrupt as interrupt:
+        # The interrupt's args say what it hit: the signal, and where
+        # the scheduler was when it landed.
+        where = "; ".join(map(str, interrupt.args))
         print(
-            "interrupted; completed experiments are journaled -- "
-            "re-run with --resume to continue",
+            f"interrupted{f' ({where})' if where else ''}; completed "
+            "experiments are journaled -- re-run with --resume to continue",
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED

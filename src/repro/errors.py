@@ -24,6 +24,8 @@ prose.  This module is that contract:
 * :class:`EngineError` -- the engine itself failed (as opposed to the
   run finishing with recorded failures, which is a *result*, not an
   exception).
+* :class:`RequestError` -- an HTTP request the server cannot parse
+  (a malformed header, say).  HTTP 400.
 * :class:`AdmissionError` -- the server refused to enqueue a run
   (per-client in-flight limit, full queue).  HTTP 429; retriable by
   definition, and :attr:`AdmissionError.retry_after` says when.
@@ -118,6 +120,14 @@ class EngineError(ReproError, RuntimeError):
     exit_code = 1
 
 
+class RequestError(ReproError, ValueError):
+    """An HTTP request the server cannot parse; the message names the part."""
+
+    code = "http.bad_request"
+    http_status = 400
+    exit_code = 2
+
+
 class AdmissionError(ReproError):
     """The server refused to admit a run (limits, not correctness).
 
@@ -164,6 +174,8 @@ def error_from_payload(payload: Dict[str, Any]) -> ReproError:
         error = PlanError(message)
     elif code.startswith("ingest."):
         error = IngestError(message)
+    elif code.startswith("http."):
+        error = RequestError(message)
     elif code.startswith("admission."):
         error = AdmissionError(
             message, code=code, retry_after=payload.get("retry_after")
@@ -181,6 +193,7 @@ __all__ = [
     "IngestError",
     "PlanError",
     "ReproError",
+    "RequestError",
     "SpecError",
     "UnknownExperimentError",
     "error_from_payload",

@@ -9,7 +9,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.config import DEFAULT_CONFIG, LabConfig
-from repro.analysis.runner import DEFAULT_TASKS, Lab
+from repro.analysis.runner import Lab
 from repro.obs.metrics import METRICS
 from repro.obs.tracing import span
 from repro.spec import SyntheticSource
@@ -151,6 +151,30 @@ def experiment_windows(experiment_id: str) -> tuple:
     return _WINDOWS.get(experiment_id, ())
 
 
+def experiment_config_fields(experiment_id: str) -> Optional[tuple]:
+    """The LabConfig fields a paper experiment's result is a function of.
+
+    The union of its declared tasks' projections; an experiment that
+    declares ``correlation`` also reads the oracle's fields, since its
+    selective products derive from that table.  Together with the
+    traces, these fields are the experiment's reuse key: two sweep
+    points that agree on them give the same result.  None for every
+    other experiment: the ``ext_*`` runners build predictors from
+    ``lab.config`` directly, so only the whole point identifies them.
+    """
+    from repro.analysis.config import _SELECTIVE_FIELDS, task_config_fields
+    from repro.analysis.runner import CORRELATION_TASK
+
+    if experiment_id not in EXPERIMENT_IDS:
+        return None
+    fields = []
+    for task in experiment_requires(experiment_id):
+        fields += task_config_fields(task)
+        if task == CORRELATION_TASK:
+            fields += (*_SELECTIVE_FIELDS, "selective_window")
+    return tuple(dict.fromkeys(fields))
+
+
 def build_labs(
     max_length: Optional[int] = None,
     config: LabConfig = DEFAULT_CONFIG,
@@ -158,11 +182,6 @@ def build_labs(
     *,
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    policy: Optional[Any] = None,
-    injector: Optional[Any] = None,
-    failures: Optional[list] = None,
-    tasks: Optional[tuple] = None,
-    pool: Optional[Any] = None,
     source: Optional[Any] = None,
 ) -> Dict[str, Lab]:
     """One :class:`Lab` per trace of the run's source.
@@ -178,43 +197,26 @@ def build_labs(
             the parallel scheduler with this many workers (1 = serial
             priming).  Default None leaves labs lazy, as before.
         cache: Optional on-disk result cache attached to every lab.
-        policy: Retry policy for the priming pass
-            (:class:`repro.resilience.RetryPolicy`; None = defaults).
-        injector: Fault injector for the priming pass
-            (:class:`repro.resilience.FaultInjector`; None = no faults).
-        failures: If given, structured task-failure dicts from the
-            priming pass are appended here instead of raising.
-        tasks: Simulation-task subset to prime (None = the scheduler's
-            full default set).  Plan-driven runs pass exactly the tasks
-            their experiments declared.
-        pool: Session-owned :class:`repro.analysis.parallel.WorkerPool`
-            the priming pass schedules onto (None = a per-pass pool).
         source: The :data:`~repro.spec.TraceSource` the labs load from,
             benchmark subset included.  None means the unmixed suite at
             ``max_length`` and ``run_seed``.
+
+    A spec run primes its labs through the plan instead
+    (:func:`repro.analysis.parallel.prime_plan`).
     """
     if source is None:
         source = SyntheticSource(max_length=max_length, seed=run_seed)
     with span("build_labs", run_seed=source.seed):
         labs = {
-            name: Lab(load_source_trace(name, source, cache), config, cache=cache)
+            name: Lab(
+                load_source_trace(name, source, cache), config, cache, name
+            )
             for name in source.trace_names()
         }
         if jobs is not None:
             from repro.analysis.parallel import prime_labs
 
-            prime_labs(
-                labs,
-                source.seed,
-                jobs=jobs,
-                cache=cache,
-                tasks=DEFAULT_TASKS if tasks is None else tuple(tasks),
-                policy=policy,
-                injector=injector,
-                failures=failures,
-                pool=pool,
-                source=source,
-            )
+            prime_labs(labs, source.seed, jobs=jobs, cache=cache, source=source)
     return labs
 
 

@@ -22,16 +22,22 @@ journal use -- and the planner dedupes by them *across sweep points*:
 a trace is generated once per (name, length, seed) no matter how many
 points share it, and a sim whose config projection
 (:func:`repro.analysis.config.task_config_key`) is unaffected by the
-swept fields collapses onto the first point's task.  The deduped task
-records its ``deduped_from`` so tooling can show where the sharing
-happens; executors simply skip duplicates and let the shared cache
-entry serve every point.
+swept fields collapses onto the first point's task.  A paper
+experiment is keyed by its inputs the same way -- its traces and the
+config fields its declared tasks read
+(:func:`repro.experiments.base.experiment_config_fields`) -- so a point
+whose experiment inputs repeat an earlier point's reuses that result.
+The deduped task records its ``deduped_from`` so tooling can show
+where the sharing happens.
 
-The executor (:func:`repro.api.run_spec`) consumes the plan per point:
-``sim_task_names(point)`` feeds ``prime_labs(tasks=...)`` so the
-priming loop -- scheduling, caching, retries, fault injection,
-journaling -- runs exactly the planned work.  ``repro plan spec.json``
-prints :meth:`Plan.describe` without executing anything.
+The executor (:func:`repro.api.run_spec`) runs the plan's graph: one
+scheduler pass (:func:`repro.analysis.parallel.prime_plan`) takes every
+non-deduped ``trace`` and ``sim`` task of every point as a lane -- sims
+start once their trace is in -- and hands each point's labs the shared
+results in memory.  The points then run their experiments in grid
+order, an experiment task with ``deduped_from`` taking the earlier
+point's result.  ``repro plan spec.json`` prints :meth:`Plan.describe`
+without executing anything.
 
 Every sim task is one whole-trace job: a run holds each trace whole,
 because the paper's baselines are defined over the whole run.
@@ -116,7 +122,7 @@ class Plan:
         """Simulation task names point ``point`` needs, in plan order.
 
         Includes deduped tasks: the point still *needs* the artefact,
-        it just expects to find it in the shared cache.
+        it just takes it from the point that computed it.
         """
         return tuple(dict.fromkeys(
             task.task
@@ -182,7 +188,11 @@ def build_plan(spec: RunSpec) -> Plan:
             shallower than a history window an experiment sweeps.
     """
     from repro.analysis.runner import DEFAULT_TASKS
-    from repro.experiments.base import experiment_requires, experiment_windows
+    from repro.experiments.base import (
+        experiment_config_fields,
+        experiment_requires,
+        experiment_windows,
+    )
 
     for experiment_id in spec.experiments:
         try:
@@ -282,20 +292,31 @@ def build_plan(spec: RunSpec) -> Plan:
                     )
                 )
 
+        sources = ";".join(source_key(name) for name in benchmarks)
         experiment_ids = []
         for experiment_id in point_spec.experiments:
             required = experiment_requires(experiment_id)
             deps = tuple(
                 sim.id for sim in sims if sim.task in required
             ) or tuple(trace_ids.values())
+            # A paper experiment is a function of its traces and the
+            # config fields it reads, so points that agree on those share
+            # it; any other experiment is keyed by the whole point.
+            fields = experiment_config_fields(experiment_id)
+            inputs = (
+                point_spec.digest()
+                if fields is None
+                else sources + "|" + ", ".join(
+                    f"{name}={getattr(point_spec.config, name)}"
+                    for name in fields
+                )
+            )
             task = add(
                 PlanTask(
                     id=f"{prefix}/experiment/{experiment_id}",
                     kind="experiment",
                     point=index,
-                    # Experiments rerun per point even when every input
-                    # is shared: the key includes the point digest.
-                    key=f"experiment|{experiment_id}|{point_spec.digest()}",
+                    key=f"experiment|{experiment_id}|{inputs}",
                     deps=deps,
                     experiment_id=experiment_id,
                 )

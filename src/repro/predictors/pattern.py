@@ -13,7 +13,7 @@ Two subsets:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -90,6 +90,70 @@ def _popcount(words: np.ndarray) -> np.ndarray:
     return bits.sum(axis=1, dtype=np.uint8)
 
 
+def fixed_length_counts(
+    outcomes: np.ndarray,
+    counts: np.ndarray,
+    max_k: int = MAX_PATTERN_LENGTH,
+    context: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Correct predictions of every fixed pattern length, per segment.
+
+    ``outcomes`` holds each segment's outcomes in order, segment after
+    segment, ``counts`` their lengths.  Returns a ``(len(counts),
+    max_k)`` table whose column ``k - 1`` counts each segment's correct
+    fixed-length-``k`` predictions.  ``context`` (default all 0) gives
+    each segment's leading outcomes that are history only: 0 for a
+    whole branch, whose first ``k`` predictions are the taken fallback;
+    at least ``max_k`` for a later piece of a long branch, whose scored
+    outcomes all have their ``k``-back outcome in the segment.
+
+    One segment reduction per ``k``: the fallback predictions are read
+    off one cumulative sum of each segment's head; the rest compare the
+    outcomes packed 64 to a word with themselves shifted ``k`` bits, and
+    a cumulative popcount gives each segment's mismatches over its
+    scored range.  Beside ``outcomes`` itself no temporary exceeds n/8
+    bytes.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    skip = (
+        np.zeros(len(counts), dtype=np.int64)
+        if context is None
+        else np.asarray(context, dtype=np.int64)
+    )
+    starts = np.cumsum(counts) - counts
+    ends = starts + counts
+    lanes = np.arange(max_k)
+    in_head = (lanes < counts[:, None]) & (skip == 0)[:, None]
+    head = np.zeros((len(counts), max_k), dtype=np.uint8)
+    head[in_head] = outcomes[(starts[:, None] + lanes)[in_head]]
+    table = np.cumsum(head, axis=1, dtype=np.int64)
+    # Bit p of the word stream is outcome p; one spare zero word lets
+    # every shift read the word after its own.
+    packed = np.packbits(outcomes, bitorder="little")
+    words = np.zeros(len(outcomes) // 64 + 2, dtype="<u8")
+    words.view(np.uint8)[:len(packed)] = packed
+    for k in range(1, max_k + 1):
+        scored = starts + np.maximum(skip, k)
+        longer = np.nonzero(ends > scored)[0]
+        if not len(longer):
+            continue
+        # Bit p of `differs`: outcome p + k differs from outcome p.
+        differs = words[:-1] ^ (
+            (words[:-1] >> np.uint64(k)) | (words[1:] << np.uint64(64 - k))
+        )
+        bits = _popcount(differs)
+        before = np.cumsum(bits, dtype=np.int64) - bits
+        # Mismatches in [0, edge) for every segment's first and last
+        # compared position: whole words before, then the low bits.
+        edges = np.concatenate((scored[longer] - k, ends[longer] - k))
+        word = edges >> 6
+        low = (np.uint64(1) << (edges & 63).astype(np.uint64)) - np.uint64(1)
+        mismatches = before[word] + _popcount(differs[word] & low)
+        first, last = np.split(mismatches, 2)
+        table[longer, k - 1] += ends[longer] - scored[longer] - (last - first)
+    return table
+
+
 def best_fixed_length_counts(
     outcomes: np.ndarray, counts: np.ndarray, max_k: int = MAX_PATTERN_LENGTH
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -98,52 +162,12 @@ def best_fixed_length_counts(
     ``outcomes`` holds each branch's outcomes in order, branch after
     branch (the ``Trace.branch_index()`` order), ``counts`` their
     lengths.  Returns per branch the shortest ``k <= max_k`` with the
-    most correct fixed-length-``k`` predictions, and that count.
-
-    One segment reduction per ``k``: the first ``k`` predictions are the
-    taken fallback, read off one cumulative sum of each branch's head;
-    the rest compare the outcomes packed 64 to a word with themselves
-    shifted ``k`` bits, and a cumulative popcount gives each branch's
-    mismatches over ``[start + k, end)``.  Beside ``outcomes`` itself no
-    temporary exceeds n/8 bytes.
+    most correct fixed-length-``k`` predictions
+    (:func:`fixed_length_counts`), and that count.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    starts = np.cumsum(counts) - counts
-    ends = starts + counts
-    lanes = np.arange(max_k)
-    in_branch = lanes < counts[:, None]
-    head = np.zeros((len(counts), max_k), dtype=np.uint8)
-    head[in_branch] = outcomes[(starts[:, None] + lanes)[in_branch]]
-    taken_prefix = np.cumsum(head, axis=1, dtype=np.int64)
-    # Bit p of the word stream is outcome p; one spare zero word lets
-    # every shift read the word after its own.
-    packed = np.packbits(outcomes, bitorder="little")
-    words = np.zeros(len(outcomes) // 64 + 2, dtype="<u8")
-    words.view(np.uint8)[:len(packed)] = packed
-    best = np.full(len(counts), -1, dtype=np.int64)
-    best_k = np.zeros(len(counts), dtype=np.int64)
-    for k in range(1, max_k + 1):
-        correct = taken_prefix[:, k - 1].copy()
-        longer = np.nonzero(counts > k)[0]
-        if len(longer):
-            # Bit p of `differs`: outcome p + k differs from outcome p.
-            differs = words[:-1] ^ (
-                (words[:-1] >> np.uint64(k)) | (words[1:] << np.uint64(64 - k))
-            )
-            bits = _popcount(differs)
-            before = np.cumsum(bits, dtype=np.int64) - bits
-            # Mismatches in [0, edge) for every branch's first and last
-            # compared position: whole words before, then the low bits.
-            edges = np.concatenate((starts[longer], ends[longer] - k))
-            word = edges >> 6
-            low = (np.uint64(1) << (edges & 63).astype(np.uint64)) - np.uint64(1)
-            mismatches = before[word] + _popcount(differs[word] & low)
-            first, last = np.split(mismatches, 2)
-            correct[longer] += counts[longer] - k - (last - first)
-        better = correct > best
-        best[better] = correct[better]
-        best_k[better] = k
-    return best_k, best
+    table = fixed_length_counts(outcomes, counts, max_k)
+    best_k = np.argmax(table, axis=1)  # the first maximum: shortest k
+    return best_k + 1, table[np.arange(len(table)), best_k]
 
 
 def best_fixed_length_correct(

@@ -54,7 +54,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api import EngineSession, run_spec
-from repro.errors import AdmissionError, ReproError
+from repro.errors import AdmissionError, ReproError, RequestError
 from repro.obs.metrics import Metrics
 from repro.spec import EngineOptions, RunSpec
 
@@ -422,7 +422,12 @@ class AnalysisServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await self._read_request(reader)
+            except RequestError as error:
+                self.metrics.inc("serve.rejected")
+                await self._send_json(writer, error.http_status, error.to_dict())
+                return
             if request is None:
                 return
             method, path, headers, body = request
@@ -465,8 +470,13 @@ class AnalysisServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > _MAX_BODY_BYTES:
+        raw = headers.get("content-length", "0") or "0"
+        if not (raw.isascii() and raw.isdigit()):
+            raise RequestError(
+                f"Content-Length: {raw!r} is not a non-negative integer"
+            )
+        length = int(raw)
+        if length > _MAX_BODY_BYTES:
             return None
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body

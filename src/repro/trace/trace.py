@@ -64,6 +64,12 @@ class Trace:
         for col in (self._pc, self._target, self._taken):
             col.setflags(write=False)
 
+    def __reduce__(self):
+        # Rebuilt through __init__, so an unpickled trace (one a pool
+        # worker ships back) has read-only columns too, and no caches
+        # travel with it.
+        return (Trace, (self._pc, self._target, self._taken))
+
     # -- construction ----------------------------------------------------
 
     @classmethod

@@ -478,16 +478,55 @@ def load_source_trace(
 
     ``source`` is a :data:`~repro.spec.TraceSource`.  A synthetic trace
     is read from ``cache`` (a :class:`~repro.analysis.cache.ResultCache`)
-    under its mix-variant key, or generated and stored back; ``length``
-    overrides its paper-scaled length.  An imported trace is read from
-    its entry's file and checked against the entry's content digest and
-    declared branch count.
+    under its mix-variant key, or built and stored back
+    (:func:`build_source_trace`); ``length`` overrides its paper-scaled
+    length.  An imported trace is read from its entry's file and checked
+    against the entry's content digest and declared branch count.
 
     Raises:
         IngestError: If an imported file is unreadable or its content
             does not match the declared digest.
         SpecError: If an imported entry declares a branch count the
             file does not have.
+    """
+    trace = cached_source_trace(name, source, cache, length=length)
+    if trace is None:
+        trace = build_source_trace(name, source, cache, length=length)
+    return trace
+
+
+def cached_source_trace(
+    name: str,
+    source,
+    cache=None,
+    *,
+    length: Optional[int] = None,
+) -> Optional[Trace]:
+    """The cache's copy of a synthetic source trace, or None.
+
+    None also for an imported trace (its file is its store) and without
+    a cache; :func:`build_source_trace` then makes the trace.
+    """
+    if source.kind == "imported" or cache is None:
+        return None
+    if length is None:
+        length = scaled_length(name, source.max_length)
+    variant = mix_signature(name, source.mix_map())
+    return cache.load_trace(name, length, source.seed, variant=variant)
+
+
+def build_source_trace(
+    name: str,
+    source,
+    cache=None,
+    *,
+    length: Optional[int] = None,
+) -> Trace:
+    """Make one source trace without reading the cache.
+
+    A synthetic trace is generated and stored to ``cache``; an imported
+    one is read and checked as :func:`load_source_trace` describes.
+    This is what a scheduler's trace lane runs after the cache missed.
     """
     if source.kind == "imported":
         from repro.errors import SpecError
@@ -507,16 +546,11 @@ def load_source_trace(
     mix = source.mix_map()
     if length is None:
         length = scaled_length(name, source.max_length)
-    variant = mix_signature(name, mix)
-    trace = (
-        cache.load_trace(name, length, source.seed, variant=variant)
-        if cache is not None
-        else None
-    )
-    if trace is None:
-        trace = load_benchmark(name, length, source.seed, mix=mix)
-        if cache is not None:
-            cache.store_trace(name, length, source.seed, trace, variant=variant)
+    trace = load_benchmark(name, length, source.seed, mix=mix)
+    if cache is not None:
+        cache.store_trace(
+            name, length, source.seed, trace, variant=mix_signature(name, mix)
+        )
     return trace
 
 

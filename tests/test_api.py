@@ -4,7 +4,10 @@ import pytest
 
 from repro.api import (
     RESULT_SCHEMA,
+    EngineOptions,
     ReportRun,
+    RunSpec,
+    SyntheticSource,
     UnknownExperimentError,
     generate_suite,
     run_spec,
@@ -116,6 +119,33 @@ class TestRunSpecFacade:
         assert "running table1..." in text
         assert "jobs: 2" in text
         assert "cache:" in text
+
+    def test_per_benchmark_spans_name_their_benchmark(self, tmp_path):
+        import json
+
+        trace_path = tmp_path / "spans.json"
+        run_spec(
+            RunSpec(
+                experiments=("fig4",),
+                workload=SyntheticSource(
+                    max_length=1500, benchmarks=("gcc", "compress")
+                ),
+                engine=EngineOptions(jobs=1, cache=False),
+            ),
+            trace_out=str(trace_path),
+        )
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        named = {
+            event["name"]: set() for event in events
+            if event["name"] in ("simulate", "collect_correlation", "select_oracle")
+        }
+        for event in events:
+            if event["name"] in named:
+                named[event["name"]].add(event["args"]["benchmark"])
+        assert named == dict.fromkeys(
+            ("simulate", "collect_correlation", "select_oracle"),
+            {"gcc", "compress"},
+        )
 
     def test_silent_without_echo(self, tmp_path, capsys):
         report(

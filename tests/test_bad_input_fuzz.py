@@ -5,6 +5,7 @@ bodies (answered 2xx, or 400/429 with ``error/v1``); its finds are pinned.
 
 import http.client
 import json
+import socket
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -154,3 +155,26 @@ def test_pinned_example_is_a_spec_error(paused_server, text):
     assert excinfo.value.code.startswith("spec.")
     status, payload = _post(paused_server, text.encode())
     assert status == 400 and payload["error"].startswith("spec."), payload
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "1_0", "12x"])
+def test_malformed_content_length_is_a_400(paused_server, capfd, value):
+    """A request head whose Content-Length is no integer gets an
+    ``error/v1`` reply naming the header, not a dropped connection."""
+    thread, _root = paused_server
+    with socket.create_connection(
+        (thread.server.host, thread.server.port), timeout=30
+    ) as connection:
+        connection.sendall(
+            f"POST /v1/runs HTTP/1.1\r\nContent-Length: {value}\r\n\r\n".encode()
+        )
+        reply = b""
+        while chunk := connection.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 "), reply
+    payload = json.loads(body)
+    assert payload["schema"] == "error/v1"
+    assert payload["error"] == "http.bad_request"
+    assert "Content-Length" in payload["message"] and value in payload["message"]
+    assert "Traceback" not in capfd.readouterr().err

@@ -19,7 +19,11 @@ DS005  warning a projection lists a field its build never reads: sweep
 ====== ======= ========================================================
 
 Reads are recorded at the :class:`Lab`'s public methods, before the
-memo, so a product an experiment gets from the memo still counts.
+memo, so a product an experiment gets from the memo still counts.  A
+recording config also lists the LabConfig fields a paper experiment
+reads, which must lie inside its reuse key
+(:func:`~repro.experiments.base.experiment_config_fields`): sweep
+points that agree on that key share one result.
 """
 
 import inspect
@@ -40,7 +44,9 @@ from repro.analysis.streamed import task_predictor
 from repro.check.diagnostics import ERROR, WARNING, Diagnostic, format_diagnostics
 from repro.experiments import base
 from repro.experiments.base import (
+    EXPERIMENT_IDS,
     build_labs,
+    experiment_config_fields,
     experiment_ids,
     experiment_requires,
     experiment_windows,
@@ -51,15 +57,28 @@ from repro.spec import RunSpec, SyntheticSource
 #: Lab's public methods that read no task product.
 NON_PRODUCT_METHODS = {
     "available_predictors", "fold_cached", "invalidate", "is_primed",
-    "stats", "store",
+    "stats", "store", "take",
 }
+
+
+class RecordingConfig:
+    """A LabConfig that records each field read through it."""
+
+    def __init__(self, config) -> None:
+        self._config = config
+        self.reads: Set[str] = set()
+
+    def __getattr__(self, name):
+        value = getattr(self._config, name)
+        self.reads.add(name)
+        return value
 
 
 class RecordingLab(Lab):
     """A cache-less lab that records each product read at its public methods."""
 
-    def __init__(self, trace) -> None:
-        super().__init__(trace)
+    def __init__(self, trace, config=DEFAULT_CONFIG) -> None:
+        super().__init__(trace, config)
         self.tasks: Set[str] = set()
         self.windows: Set[int] = set()
 
@@ -237,6 +256,15 @@ class TestRealTreeIsClean:
         assert set(planned) == {
             task for eid in experiment_ids() for task in experiment_requires(eid)
         }
+
+    def test_paper_experiments_read_only_their_reuse_key(self, traces):
+        for experiment_id in EXPERIMENT_IDS:
+            config = RecordingConfig(DEFAULT_CONFIG)
+            labs = {name: RecordingLab(trace, config) for name, trace in traces.items()}
+            base._REGISTRY[experiment_id](labs)
+            key = set(experiment_config_fields(experiment_id))
+            assert config.reads <= key, (experiment_id, config.reads - key)
+            assert bool(config.reads) == bool(experiment_requires(experiment_id))
 
     def test_recorder_covers_every_public_lab_method(self):
         public = {name for name in vars(Lab) if not name.startswith("_")}

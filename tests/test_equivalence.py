@@ -5,8 +5,10 @@ experiments at 2,000 branches, seed 12345, or over two ingested
 profiles) another way; its manifests must ``diff_manifests``-equal its
 source's reference (jobs 1, cold cache, direct, uninterrupted), and
 :func:`run_cell` checks its path's own promises.  Kills are timed to
-progress lines and events, not seconds.  Cells without ``tier1`` carry
-the ``matrix`` marker, deselected by default; ``-m ""`` runs them all.
+progress lines and events, not seconds.  :data:`SWEEP_CELLS` run the
+spec as a 2x2 sweep, whose every point must equal a plain run of that
+point's spec.  Cells without ``tier1`` carry the ``matrix`` marker,
+deselected by default; ``-m ""`` runs them all.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ from repro.cli import main as repro_main
 from repro.client import ServeClient
 from repro.experiments.base import EXPERIMENT_IDS
 from repro.obs.manifest import diff_manifests, read_manifest, validate_manifest
+from repro.plan import build_plan
 from repro.resilience.journal import RunJournal
 from repro.serve import AnalysisServer, ServerThread
-from repro.spec import EngineOptions, RunSpec, spec_from_kwargs
+from repro.spec import EngineOptions, RunSpec, SweepSpec, spec_from_kwargs
 from repro.workloads.suite import BENCHMARK_NAMES
 
 REPO_DIR = Path(__file__).resolve().parents[1]
@@ -50,7 +53,9 @@ PROFILES = [REPO_DIR / "benchmarks" / "profiles" / f"{name}.txt"
 CHAOS = "gshare:1:crash,gcc/loop:1:crash,pas:1:corrupt,gcc/correlation:1:corrupt"
 RETRIES = 2
 FAULT_SEED = 20260
-KILL_LINES = {"priming": "building workload traces...", "fig5": "running fig5..."}
+#: The priming kill waits for the pass's line that its first lanes are in
+#: flight, so SIGTERM lands in the pool's futures wait.
+KILL_LINES = {"priming": "priming on 2 worker(s)...", "fig5": "running fig5..."}
 TIMEOUT = 600
 
 
@@ -273,6 +278,7 @@ def _kill_and_resume(cell, tmp, cache, references):
         assert entry["render"] == references.get(cell.source).renders[experiment_id]
     if cell.kill == "priming":
         assert "running " not in output and journaled == []
+        assert "landed in the wait on 2 pool future(s)" in output, output
     else:
         assert journaled == list(EXPERIMENT_IDS[:len(journaled)])
         assert 1 <= len(journaled) <= 8, journaled
@@ -445,3 +451,49 @@ def test_two_servers_share_one_cold_cache(tmp_path, references):
     warm = _direct(spec, cache).manifest
     assert warm["cache"]["result_misses"] == 0
     assert diff_manifests(reference, warm) == []
+
+
+#: A 2x2 grid over the two history lengths the paper's figs 7 and 9 and
+#: table 3 compare, run with 1 and 2 workers and without a cache.
+SWEEP_AXES = (("gshare_history_bits", (8, 12)), ("pas_history_bits", (6, 10)))
+SWEEP_CELLS = {"jobs1": dict(jobs=1), "jobs2": dict(jobs=2),
+               "no-cache": dict(jobs=2, cache=False)}
+
+
+@pytest.fixture(scope="session")
+def point_references(references, tmp_path_factory):
+    """A plain ``run_spec`` of each sweep point's spec, cold, jobs 1."""
+    swept = dataclasses.replace(references.specs["synthetic"], sweep=SweepSpec(axes=SWEEP_AXES))
+    root = tmp_path_factory.mktemp("point-references")
+    return swept, [_direct(point_spec, root / f"cache-{index}").manifest
+                   for index, (_coords, point_spec) in enumerate(swept.expand_points())]
+
+
+@pytest.mark.parametrize("engine", [
+    pytest.param(options, id=f"sweep-{name}", marks=() if name == "jobs2" else pytest.mark.matrix)
+    for name, options in SWEEP_CELLS.items()
+])
+def test_sweep_points_match_plain_runs(engine, tmp_path, point_references):
+    """One priming pass for the grid: each point equals its plain run,
+    each distinct sim key executes once over all points, and each
+    experiment whose inputs repeat an earlier point's is reused."""
+    swept, references = point_references
+    run = run_spec(dataclasses.replace(
+        swept, engine=EngineOptions(cache_dir=str(tmp_path / "cache"), **engine)))
+    assert run.ok and len(run.points) == len(references) == 4
+    for point, reference in zip(run.points, references):
+        assert validate_manifest(point.report.manifest) == []
+        assert point.report.manifest["sweep"] == point.coords
+        assert diff_manifests(reference, {**point.report.manifest, "sweep": None}) == []
+    plan = build_plan(swept)
+
+    def first(kind):
+        return sum(1 for task in plan.tasks if task.kind == kind and task.deduped_from is None)
+
+    def total(counter):
+        return sum(point.report.metrics["counters"].get(counter, 0) for point in run.points)
+
+    assert total("parallel.jobs_executed") == first("sim")
+    assert total("sim.correlation_collections") == len(BENCHMARK_NAMES)
+    assert total("experiments.reused") == len(plan.points) * len(EXPERIMENT_IDS) - first(
+        "experiment") > 0

@@ -197,3 +197,36 @@ def test_blocked_reduction_memory_does_not_grow_with_the_run():
     with mock.patch.object(streamed, "FIXED_BEST_BLOCK", total):
         assert fold.result() == counted
     assert counted == (int(best_fixed_length_correct(trace).sum()), total)
+
+
+@pytest.mark.parametrize("block", [MAX_PATTERN_LENGTH, 40, 64])
+def test_long_branches_reduce_in_overlapping_pieces(monkeypatch, block):
+    # Branches spanning one to four blocks, beside shorter ones, with
+    # periodic outcomes plus noise so different pattern lengths win:
+    # the piecewise count equals the whole-branch bitmap's sum for any
+    # window size.
+    rng = np.random.default_rng(block)
+    lengths = np.array([block // 3, block, block + 1, 2 * block + 5,
+                        3 * block, 4 * block - 1, 4 * block])
+    branch = rng.permutation(np.repeat(np.arange(len(lengths)), lengths))
+    rank = np.zeros(len(branch), dtype=np.int64)
+    for b in range(len(lengths)):
+        rank[branch == b] = np.arange(lengths[b])
+    period = 1 + np.arange(len(lengths)) * 5
+    taken = (rank % period[branch] < (period[branch] + 1) // 2) ^ (
+        rng.random(len(branch)) < 0.05
+    )
+    pcs = (0x400 + 4 * branch).astype(np.uint64)
+    trace = Trace(pcs, pcs, taken)
+    expected = (int(best_fixed_length_correct(trace).sum()), len(trace))
+
+    pieces = []
+    whole = FixedBestCount._long_branch
+    monkeypatch.setattr(FixedBestCount, "_long_branch", lambda self, row, count, *rest: (
+        pieces.append(count) or whole(self, row, count, *rest)))
+    monkeypatch.setattr(streamed, "FIXED_BEST_BLOCK", block)
+    for chunk in (7, 50, 1 << 16):
+        assert fixed_best_count(
+            TraceStream.from_trace(trace, chunk_branches=chunk).chunks()
+        ) == expected
+    assert sorted(set(pieces)) == sorted(n for n in lengths.tolist() if n > block)

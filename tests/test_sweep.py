@@ -28,9 +28,11 @@ REPO_DIR = Path(__file__).parent.parent
 BENCHMARKS = ("gcc", "compress")
 
 
-def sweep_spec(cache_dir, max_length=2000, journal=None, resume=False):
+def sweep_spec(cache_dir, max_length=2000, journal=None, resume=False,
+               experiments=("fig9",),
+               axes=(("gshare_history_bits", (8, 12)),)):
     return RunSpec(
-        experiments=("fig9",),
+        experiments=experiments,
         workload=SyntheticSource(
             max_length=max_length, seed=7, benchmarks=BENCHMARKS
         ),
@@ -40,7 +42,7 @@ def sweep_spec(cache_dir, max_length=2000, journal=None, resume=False):
             journal=journal,
             resume=resume,
         ),
-        sweep=SweepSpec(axes=(("gshare_history_bits", (8, 12)),)),
+        sweep=SweepSpec(axes=axes),
     )
 
 
@@ -194,10 +196,14 @@ def _subprocess_env():
 class TestSweepSigtermResume:
     def test_killed_sweep_resumes_to_identical_manifests(self, tmp_path):
         spec_path = tmp_path / "spec.json"
-        # Large enough that the second point runs for a few hundred
-        # milliseconds -- the window the SIGTERM must land in.
+        # The sweep primes every point before the first one runs, so the
+        # second point's own work is its experiments.  An oracle axis
+        # makes that a few hundred milliseconds of selection -- the
+        # window the SIGTERM must land in -- while the correlation table
+        # it reads is shared from the first point.
         sweep_spec(
-            tmp_path / "cache-victim", max_length=800_000
+            tmp_path / "cache-victim", max_length=20_000,
+            experiments=("fig5",), axes=(("selective_top_k", (12, 8)),),
         ).to_file(str(spec_path))
         env = _subprocess_env()
 

@@ -1,5 +1,7 @@
 """Tests for repro.trace.trace (Trace and TraceBuilder)."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -48,6 +50,14 @@ class TestTraceConstruction:
         trace = trace_from_string("TNT")
         with pytest.raises(ValueError):
             trace.taken[0] = False
+
+    def test_pickled_trace_keeps_read_only_columns(self):
+        # Pool workers ship generated traces back to the parent pickled.
+        trace = trace_from_string("TNTTN")
+        copy = pickle.loads(pickle.dumps(trace))
+        assert copy.digest() == trace.digest()
+        with pytest.raises(ValueError):
+            copy.taken[0] = False
 
 
 class TestTraceAccessors:
