@@ -23,16 +23,21 @@ the same loop over labs a caller built.
 
 Determinism: every job is a pure function of ``(benchmark name, trace
 source, config, task)``, computed by the task table's
-:func:`~repro.analysis.runner.compute_task`.  A pooled lane ships the
-run's frozen :data:`~repro.spec.TraceSource`, and its worker loads the
-trace through :func:`~repro.workloads.suite.load_source_trace`, the
-loader every path uses; one cache handle per worker keeps each trace in
-its session memo after the worker's first read.  The parent verifies
-the returned trace digest before folding, so completion order and
-worker scheduling cannot change any result.  In-process lanes run on
-the lab's own trace.  Cache hits fold through
-:meth:`~repro.analysis.runner.Lab.fold_cached`, the method a lab's lazy
-lookup uses too.
+:func:`~repro.analysis.runner.compute_task`, and that holds by
+construction: a pooled lane is one frozen :class:`PoolJob`, which
+cannot hold a trace, an ndarray or a callable, and
+:meth:`WorkerPool.submit`, the only call into the executor, always
+sends :func:`_run_job`.  (Set iteration is lint rule DH004; tier-1
+tests run ``_run_job`` job after job in one process against fresh
+``compute_task`` results.)  A pooled lane ships the run's frozen
+:data:`~repro.spec.TraceSource`, and its worker loads the trace through
+:func:`~repro.workloads.suite.load_source_trace`, the loader every path
+uses; one cache handle per worker keeps each trace in its session memo
+after the worker's first read.  The parent verifies the returned trace
+digest before folding, so completion order and worker scheduling cannot
+change any result.  In-process lanes run on the lab's own trace.  Cache
+hits fold through :meth:`~repro.analysis.runner.Lab.fold_cached`, the
+method a lab's lazy lookup uses too.
 
 Resilience: one loop owns submission, retries, deadlines and pool
 rebuilds for every lane, pooled or in-process.  A failing attempt
@@ -83,8 +88,10 @@ import signal
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.analysis.cache import ResultCache, result_key
 from repro.analysis.config import LabConfig
@@ -98,6 +105,7 @@ from repro.resilience.faults import (
     InjectedCrash,
 )
 from repro.resilience.retry import RetryPolicy, TaskFailure, TaskTimeout
+from repro.trace.trace import Trace
 from repro.workloads.suite import (
     build_source_trace,
     cached_source_trace,
@@ -188,11 +196,45 @@ def _worker_cache(root: Optional[str]) -> Optional[ResultCache]:
     return ResultCache(root) if root is not None else None
 
 
-def _run_job(job: tuple):
+@dataclass(frozen=True)
+class PoolJob:
+    """One lane attempt, as a pool worker receives it.
+
+    Every field is small and pickles: the benchmark name, the task, the
+    frozen config (None for a trace lane), the run's frozen
+    :data:`~repro.spec.TraceSource`, the trace's length (None: the
+    source's scaled length), the cache root (None: no cache) and the
+    injected faults of exactly this attempt (the parent does the
+    matching and counting, so an attempt that dies cannot lose the
+    accounting).  The worker makes or loads the trace itself, so a job
+    never carries one: construction raises ``TypeError`` on a field
+    that is a ``Trace``, an ndarray or a callable.
+    """
+
+    name: str
+    task: str
+    config: Optional[LabConfig]
+    source: object
+    length: Optional[int]
+    cache_root: Optional[str]
+    fault_kinds: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, (Trace, np.ndarray)) or callable(value):
+                raise TypeError(
+                    f"PoolJob.{field.name} is a {type(value).__name__}: a "
+                    "pool job carries names, config and trace source, and "
+                    "its worker loads the trace"
+                )
+
+
+def _run_job(job: PoolJob):
     """Execute one lane attempt in a worker process.
 
     Module-level so it pickles.  A trace lane makes its trace from the
-    lane's :data:`~repro.spec.TraceSource` (generated and stored to the
+    job's :data:`~repro.spec.TraceSource` (generated and stored to the
     shared cache, or read from its imported file) and ships it back.  A
     sim lane loads its trace the way every path does
     (:func:`~repro.workloads.suite.load_source_trace`): through this
@@ -201,24 +243,20 @@ def _run_job(job: tuple):
     per-process LRU; it writes its result through to the shared cache.
     Returns the job's metric delta and span events alongside the result
     so the parent can fold telemetry deterministically.
-
-    ``fault_kinds`` is the pre-matched tuple of injected faults for
-    exactly this attempt (the parent does the matching and counting, so
-    an attempt that dies cannot lose the accounting).
     """
-    name, task, config, (source, length, cache_root), fault_kinds = job
-    _act_out_faults(fault_kinds, name, task, in_process=False)
+    name, task, config = job.name, job.task, job.config
+    _act_out_faults(job.fault_kinds, name, task, in_process=False)
 
     METRICS.reset()
     TRACER.reset()
     begin = time.perf_counter()
     with span("job", benchmark=name, task=task):
-        cache = _worker_cache(cache_root)
+        cache = _worker_cache(job.cache_root)
         if task == TRACE_TASK:
-            result = build_source_trace(name, source, cache, length=length)
+            result = build_source_trace(name, job.source, cache, length=job.length)
             digest = None
         else:
-            trace = load_source_trace(name, source, cache, length=length)
+            trace = load_source_trace(name, job.source, cache, length=job.length)
             digest = trace.digest()
             result = compute_task(trace, config, task, name)
             Lab(trace, config, cache, name).store(task, result)
@@ -326,6 +364,19 @@ class WorkerPool:
                 max_workers=self.jobs, initializer=_init_worker
             )
         return self._pool
+
+    def submit(self, job: PoolJob) -> Future:
+        """Run one job on a worker: the only call into the executor.
+
+        It always sends :func:`_run_job`, so no caller can hand the pool
+        a closure, and it takes only a :class:`PoolJob`, which cannot
+        hold a trace.
+        """
+        if not isinstance(job, PoolJob):
+            raise TypeError(
+                f"WorkerPool.submit takes a PoolJob, not {type(job).__name__}"
+            )
+        return self.handle().submit(_run_job, job)
 
     def drain(self, kill: bool = False) -> None:
         """Shut the pool down (idempotent); the next :meth:`handle`
@@ -494,9 +545,10 @@ class _Scheduler:
                 future.set_result((result, None, None, None, 0.0))
             self._register(lane, future)
             return
-        job = (
+        source, length, cache_root = lane.origin
+        job = PoolJob(
             lane.name, lane.task, None if lane.is_trace else lane.lab.config,
-            lane.origin, lane.kinds,
+            source, length, cache_root, lane.kinds,
         )
         # An interrupt inside submit -- which may fork the workers -- could
         # leave a worker unregistered or a lock held.  Hold it pending
@@ -504,11 +556,11 @@ class _Scheduler:
         # KeyboardInterrupt, and run()'s cleanup reaps the pool.
         with _interrupts_deferred():
             try:
-                future = self._pool.handle().submit(_run_job, job)
+                future = self._pool.submit(job)
             except BrokenProcessPool:
                 # The pool broke between loops; rebuild once and resubmit.
                 self._rebuild_pool()
-                future = self._pool.handle().submit(_run_job, job)
+                future = self._pool.submit(job)
             self._register(lane, future)
 
     def _register(self, lane: _Lane, future: Future) -> None:

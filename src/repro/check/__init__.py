@@ -1,6 +1,6 @@
 """Static verification of workload IR, predictor contracts, and lint.
 
-Four passes, none of which executes a workload or trains a predictor
+Three passes, none of which executes a workload or trains a predictor
 on real experiment data:
 
 ``repro.check.ir``
@@ -19,16 +19,16 @@ on real experiment data:
 ``repro.check.lint``
     An AST pass over ``src/repro`` flagging determinism hazards:
     unseeded RNGs, float equality in accuracy math, and iteration over
-    sets feeding trace or report output.
+    sets (set expressions and local names bound to one) feeding trace
+    or report output.
 
-``repro.check.workers``
-    Worker safety (WS codes): flags module-global mutation, unpicklable
-    closures handed to pool submission, and unsorted set iteration in
-    code reachable from the multiprocess ``compute_task`` entry points.
-
-Run all four with ``python -m repro check``.  The experiment and
-cache-key declarations (``requires=``, ``TASK_CONFIG_FIELDS``) are not
-checked here: tasks are built from their projected config
+Run all three with ``python -m repro check``.  Pool jobs are pure by
+construction: :class:`~repro.analysis.parallel.PoolJob` rejects a trace,
+an ndarray or a callable, and
+:meth:`~repro.analysis.parallel.WorkerPool.submit` is the one call into
+the executor.  The experiment and cache-key declarations
+(``requires=``, ``TASK_CONFIG_FIELDS``) are not checked here: tasks are
+built from their projected config
 (:func:`repro.analysis.config.build_task`), and tier-1 tests run every
 experiment against its ``requires=``.
 """
@@ -56,7 +56,6 @@ from repro.check.ir import (
     verify_program_or_raise,
 )
 from repro.check.lint import lint_paths, lint_source
-from repro.check.workers import analyze_worker_safety
 
 __all__ = [
     "CheckFailure",
@@ -67,7 +66,6 @@ __all__ = [
     "INFO",
     "ProgramVerificationError",
     "WARNING",
-    "analyze_worker_safety",
     "check_determinism",
     "check_predictor_classes",
     "check_registry",

@@ -2,9 +2,9 @@
 
 Examples::
 
-    python -m repro check                # all four passes
+    python -m repro check                # all three passes
     python -m repro check ir lint        # a subset
-    python -m repro check workers --format json
+    python -m repro check lint --format json
     python -m repro check --trace-length 2000 --strict
 
 Exit code 0 when no error-severity diagnostics were found, 1 otherwise
@@ -29,7 +29,7 @@ from repro.check.diagnostics import (
 from repro.predictors import PREDICTOR_REGISTRY
 
 #: Pass names in execution order.
-PASS_NAMES = ["ir", "contracts", "lint", "workers"]
+PASS_NAMES = ["ir", "contracts", "lint"]
 
 #: Default dynamic trace length for the contract pass (small: the
 #: state-digest wrapper makes every branch deliberately expensive).
@@ -86,19 +86,6 @@ def run_lint_pass(root: Optional[str]) -> List[Diagnostic]:
     return lint_paths([root])
 
 
-def run_workers_pass_cli(entry: Optional[str]) -> List[Diagnostic]:
-    """Worker-safety pass (WS codes); ``entry`` is ``PATH:fn1,fn2``."""
-    from repro.check.workers import analyze_worker_safety
-
-    if entry is None:
-        return analyze_worker_safety()
-    path, _, names = entry.partition(":")
-    functions = tuple(n for n in names.split(",") if n) or None
-    if functions is None:
-        return analyze_worker_safety(entry_path=path)
-    return analyze_worker_safety(entry_path=path, entry_functions=functions)
-
-
 def diagnostics_to_json(results: Dict[str, List[Diagnostic]]) -> dict:
     """Machine-readable document for ``--format json`` and CI artifacts."""
     records = []
@@ -145,7 +132,7 @@ def _parser() -> argparse.ArgumentParser:
         prog="repro check",
         description=(
             "Static verification: workload IR programs, predictor "
-            "contracts, determinism lint, and worker safety."
+            "contracts, and determinism lint."
         ),
     )
     parser.add_argument(
@@ -167,15 +154,6 @@ def _parser() -> argparse.ArgumentParser:
         default=None,
         help="directory linted by the lint pass (default: the installed "
              "repro package)",
-    )
-    parser.add_argument(
-        "--workers-entry",
-        default=None,
-        metavar="PATH[:FN1,FN2]",
-        help="worker entry module (and optional entry function names) "
-             "for the workers pass (default: _run_job in the installed "
-             "repro.analysis.parallel, plus compute_task in the task-table "
-             "module repro.analysis.runner)",
     )
     parser.add_argument(
         "--format",
@@ -227,9 +205,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif pass_name == "lint":
             progress("lint: scanning source for determinism hazards...")
             results["lint"] = run_lint_pass(args.lint_root)
-        elif pass_name == "workers":
-            progress("workers: scanning pool-reachable code for hazards...")
-            results["workers"] = run_workers_pass_cli(args.workers_entry)
 
     errors = warnings = 0
     for pass_name, diagnostics in results.items():

@@ -12,9 +12,10 @@ DH002  module-level ``random.*`` call (``random.random()``,
        results depend on import and call order across the whole process.
 DH003  float equality (``==``/``!=`` against a float literal) in
        accuracy math -- rounding differences flip the comparison.
-DH004  direct iteration over a ``set``/``frozenset`` -- iteration order
-       varies with PYTHONHASHSEED, reordering any trace or report
-       output it feeds.
+DH004  direct iteration over a ``set``/``frozenset`` -- a set
+       expression, or a name the same scope bound to one -- iteration
+       order varies with PYTHONHASHSEED, reordering any trace or
+       report output it feeds.
 DH005  unseeded ``numpy.random.default_rng()`` / ``Generator()`` or a
        global ``numpy.random.*`` draw (``np.random.rand()``...) -- the
        numpy kernels make these the same hazard as DH001/DH002.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable, List, Union
+from typing import Iterable, List, Optional, Set, Union
 
 from repro.check.diagnostics import ERROR, Diagnostic, sort_diagnostics
 
@@ -87,6 +88,8 @@ class _HazardVisitor(ast.NodeVisitor):
     def __init__(self, filename: str) -> None:
         self.filename = filename
         self.diagnostics: List[Diagnostic] = []
+        #: Names bound to a set, per enclosing scope (innermost last).
+        self._set_names: List[Set[str]] = [set()]
 
     def _report(self, code: str, message: str, node: ast.AST) -> None:
         line = getattr(node, "lineno", 0)
@@ -158,8 +161,43 @@ class _HazardVisitor(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
+    # -- DH004: set iteration ---------------------------------------------
+
+    def _visit_scope(self, node) -> None:
+        self._set_names.append(set())
+        self.generic_visit(node)
+        self._set_names.pop()
+
+    visit_FunctionDef = _visit_scope
+    visit_AsyncFunctionDef = _visit_scope
+    visit_ClassDef = _visit_scope
+    visit_Lambda = _visit_scope
+
+    def _note_binding(self, target: ast.expr, value: Optional[ast.expr]) -> None:
+        names = self._set_names[-1]
+        if isinstance(target, ast.Name):
+            if value is not None and _is_set_expression(value):
+                names.add(target.id)
+            else:
+                names.discard(target.id)
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                self._note_binding(element, None)
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        self.generic_visit(node)
+        for target in node.targets:
+            self._note_binding(target, node.value)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self.generic_visit(node)
+        self._note_binding(node.target, node.value)
+
     def _check_iteration(self, iter_node: ast.expr) -> None:
-        if _is_set_expression(iter_node):
+        if _is_set_expression(iter_node) or (
+            isinstance(iter_node, ast.Name)
+            and iter_node.id in self._set_names[-1]
+        ):
             self._report(
                 "DH004",
                 "iterating a set directly; order depends on hash seeding "

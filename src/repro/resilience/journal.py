@@ -122,7 +122,14 @@ class RunJournal:
 
     def _handle(self):
         if self._fh is None:
-            self._fh = open(self.path, "a")
+            fh = open(self.path, "a+b")
+            # A kill mid-write leaves a final line without its newline;
+            # end it, so the next entry is not glued onto that garbage.
+            if fh.seek(0, os.SEEK_END):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    fh.write(b"\n")
+            self._fh = fh
         return self._fh
 
     def record(self, experiment_id: str, key: str, result: Any) -> dict:
@@ -145,7 +152,7 @@ class RunJournal:
             "recorded_unix": time.time(),
         }
         fh = self._handle()
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        fh.write(json.dumps(entry, sort_keys=True).encode() + b"\n")
         fh.flush()
         os.fsync(fh.fileno())
         return entry
@@ -175,22 +182,22 @@ class RunJournal:
         Tolerates a missing file, truncated/garbage lines (the crash
         case the journal exists for), wrong-kind or wrong-schema lines,
         and entries whose stored digest no longer matches their payload.
-        Later entries for the same key win, so re-running an experiment
-        supersedes its older record.
+        A garbage line is any line that does not decode: bytes that are
+        not UTF-8, text that is not JSON, an integer past Python's digit
+        limit, or nesting past the recursion limit.  Later entries for
+        the same key win, so re-running an experiment supersedes its
+        older record.
         """
         entries: Dict[Tuple[str, str], dict] = {}
         try:
-            fh = open(self.path)
+            fh = open(self.path, "rb")
         except OSError:
             return entries
         with fh:
             for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
                 try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
+                    entry = json.loads(line.decode("utf-8"))
+                except (ValueError, RecursionError):
                     continue
                 if not isinstance(entry, dict):
                     continue

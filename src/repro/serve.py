@@ -74,6 +74,19 @@ _MAX_BODY_BYTES = 8 * 1024 * 1024
 _MAX_HEADER_BYTES = 64 * 1024
 
 
+async def _head_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One line of a request head; a line past the reader's limit is a
+    :class:`RequestError` naming ``what``.
+    """
+    try:
+        return await reader.readline()
+    except ValueError:
+        # readline() turns LimitOverrunError into ValueError.
+        raise RequestError(
+            f"{what} exceeds {_MAX_HEADER_BYTES} bytes"
+        ) from None
+
+
 class RunState:
     """One deduped run: its spec, lifecycle, events, and final envelope."""
 
@@ -207,7 +220,8 @@ class AnalysisServer:
             max_workers=1, thread_name_prefix="repro-serve"
         )
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port,
+            limit=_MAX_HEADER_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.autostart:
@@ -450,22 +464,27 @@ class AnalysisServer:
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
         try:
-            request_line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
+            request_line = await _head_line(reader, "request line")
+        except ConnectionError:
             return None
         if not request_line:
             return None
-        parts = request_line.decode("latin-1").split()
+        text = request_line.decode("latin-1").strip()
+        parts = text.split()
         if len(parts) != 3:
-            return None
+            raise RequestError(
+                f"request line {text[:80]!r} is not 'METHOD PATH VERSION'"
+            )
         method, path, _version = parts
         headers: Dict[str, str] = {}
         total = 0
         while True:
-            line = await reader.readline()
+            line = await _head_line(reader, "header line")
             total += len(line)
             if total > _MAX_HEADER_BYTES:
-                return None
+                raise RequestError(
+                    f"request headers exceed {_MAX_HEADER_BYTES} bytes"
+                )
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -475,9 +494,13 @@ class AnalysisServer:
             raise RequestError(
                 f"Content-Length: {raw!r} is not a non-negative integer"
             )
-        length = int(raw)
-        if length > _MAX_BODY_BYTES:
-            return None
+        # Strip leading zeros before int(): past 4,300 digits it raises.
+        digits = raw.lstrip("0") or "0"
+        if len(digits) > len(str(_MAX_BODY_BYTES)) or int(digits) > _MAX_BODY_BYTES:
+            raise RequestError(
+                f"Content-Length: {raw[:20]} exceeds {_MAX_BODY_BYTES} bytes"
+            )
+        length = int(digits)
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
 

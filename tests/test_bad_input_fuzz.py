@@ -1,6 +1,7 @@
 """Bad input ends in a typed ``ReproError``, never a crash or a stray file:
-hypothesis fuzzes BPT2 headers and indexes, spec JSON and ``POST /v1/runs``
-bodies (answered 2xx, or 400/429 with ``error/v1``); its finds are pinned.
+hypothesis fuzzes BPT2 headers and indexes, spec JSON, ``POST /v1/runs``
+bodies (answered 2xx, or 400/429 with ``error/v1``), raw request heads
+over a socket, and journal lines; its finds are pinned.
 """
 
 import http.client
@@ -12,12 +13,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
+from repro.resilience.journal import RunJournal
 from repro.serve import AnalysisServer, ServerThread
 from repro.spec import EngineOptions, RunSpec, spec_from_kwargs
 from repro.trace import stream
 from repro.trace.stream import TraceFormatError, TraceStream, write_trace
 
 from conftest import trace_from_steps
+from test_resilience_journal import UNDECODABLE, FakeResult
 
 FUZZ = settings(max_examples=100, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -157,24 +160,113 @@ def test_pinned_example_is_a_spec_error(paused_server, text):
     assert status == 400 and payload["error"].startswith("spec."), payload
 
 
-@pytest.mark.parametrize("value", ["abc", "-5", "1_0", "12x"])
-def test_malformed_content_length_is_a_400(paused_server, capfd, value):
-    """A request head whose Content-Length is no integer gets an
-    ``error/v1`` reply naming the header, not a dropped connection."""
+def _exchange(paused_server, raw: bytes) -> bytes:
+    """Send ``raw``, close the write side, and read the whole reply."""
     thread, _root = paused_server
     with socket.create_connection(
         (thread.server.host, thread.server.port), timeout=30
     ) as connection:
-        connection.sendall(
-            f"POST /v1/runs HTTP/1.1\r\nContent-Length: {value}\r\n\r\n".encode()
-        )
+        connection.sendall(raw)
+        connection.shutdown(socket.SHUT_WR)
         reply = b""
         while chunk := connection.recv(65536):
             reply += chunk
+    return reply
+
+
+def _bad_request(paused_server, raw: bytes) -> str:
+    """The message of the ``error/v1`` 400 that ``raw`` gets."""
+    reply = _exchange(paused_server, raw)
     head, _, body = reply.partition(b"\r\n\r\n")
-    assert head.startswith(b"HTTP/1.1 400 "), reply
+    assert head.startswith(b"HTTP/1.1 400 "), reply[:200]
     payload = json.loads(body)
     assert payload["schema"] == "error/v1"
     assert payload["error"] == "http.bad_request"
-    assert "Content-Length" in payload["message"] and value in payload["message"]
+    return payload["message"]
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "1_0", "12x"])
+def test_malformed_content_length_is_a_400(paused_server, capfd, value):
+    """A request head whose Content-Length is no integer gets an
+    ``error/v1`` reply naming the header, not a dropped connection."""
+    message = _bad_request(
+        paused_server,
+        f"POST /v1/runs HTTP/1.1\r\nContent-Length: {value}\r\n\r\n".encode(),
+    )
+    assert "Content-Length" in message and value in message
     assert "Traceback" not in capfd.readouterr().err
+
+
+LONG = b"a" * 70_000  # past the server's 64 KiB line limit
+
+#: Request heads that got an empty reply and an asyncio traceback.
+BAD_HEADS = {
+    "long-request-line": (b"GET /" + LONG + b" HTTP/1.1\r\n\r\n", "request line"),
+    "long-header-line": (
+        b"GET /v1/healthz HTTP/1.1\r\nX-Long: " + LONG + b"\r\n\r\n", "header line"),
+    "long-head": (
+        b"GET /v1/healthz HTTP/1.1\r\n" + b"X-A: " + LONG[:40_000] + b"\r\n"
+        + b"X-B: " + LONG[:40_000] + b"\r\n\r\n", "request headers"),
+    "long-content-length": (
+        b"POST /v1/runs HTTP/1.1\r\nContent-Length: " + b"7" * 5000 + b"\r\n\r\n",
+        "Content-Length"),
+    "body-too-large": (
+        b"POST /v1/runs HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n", "Content-Length"),
+    "not-http": (b"hello\r\n\r\n", "request line"),
+}
+
+
+@pytest.mark.parametrize("raw, names", BAD_HEADS.values(), ids=BAD_HEADS)
+def test_bad_request_head_is_a_400(paused_server, capfd, raw, names):
+    assert names in _bad_request(paused_server, raw)
+    assert "Traceback" not in capfd.readouterr().err
+
+
+REQUEST_LINES = st.one_of(st.binary(max_size=48), st.sampled_from([
+    b"GET /v1/healthz HTTP/1.1", b"GET /v1/metrics HTTP/1.1", b"POST /v1/runs HTTP/1.1",
+    b"GET /v1/runs/none HTTP/1.1", b"PUT / HTTP/1.1",
+]))
+HEADER_LINES = st.one_of(
+    st.binary(max_size=48),
+    st.sampled_from([b"Content-Length: 0", b"X-Repro-Client: fuzz", b"Host: fuzz"]),
+    st.text("0123456789-_ x", max_size=12).map(lambda v: b"Content-Length: " + v.encode()),
+    st.integers(0, 6000).map(lambda k: b"Content-Length: " + b"9" * k),
+)
+
+
+@settings(FUZZ, max_examples=60)
+@given(line=REQUEST_LINES, headers=st.lists(HEADER_LINES, max_size=4),
+       long=st.sampled_from([None, None, "line", "header"]))
+def test_every_request_head_gets_an_answer(paused_server, capfd, line, headers, long):
+    if long == "line":
+        line += LONG
+    elif long == "header":
+        headers = headers + [b"X-Long: " + LONG]
+    raw = b"".join(part + b"\r\n" for part in [line, *headers]) + b"\r\n"
+    reply = _exchange(paused_server, raw)
+    # No body is sent, so a head that declares one may end unanswered.
+    if b"content-length" not in raw.lower():
+        assert reply
+    if reply:
+        head, _, body = reply.partition(b"\r\n\r\n")
+        status = int(head.split()[1])
+        assert status in (200, 400, 404), reply[:200]
+        if status >= 400:
+            assert json.loads(body)["schema"] == "error/v1"
+    assert "Traceback" not in capfd.readouterr().err
+
+
+@FUZZ
+@given(garbage=st.lists(st.tuples(st.integers(0, 3), st.one_of(
+    st.binary(max_size=64), st.sampled_from(list(UNDECODABLE.values())))), max_size=6))
+def test_journal_loads_exactly_its_valid_lines(tmp_path_factory, garbage):
+    path = tmp_path_factory.mktemp("journal") / "j.jsonl"
+    with RunJournal(path) as journal:
+        for value, experiment in enumerate(("table1", "fig4", "fig5")):
+            journal.record(experiment, "k", FakeResult(value))
+    expected = RunJournal(path).load()
+    lines = path.read_bytes().splitlines(keepends=True)
+    for slot, chunk in garbage:
+        lines.insert(slot, chunk + b"\n")
+    path.write_bytes(b"".join(lines))
+    assert RunJournal(path).load() == expected

@@ -12,12 +12,39 @@ from repro.check import cli as check_cli
 from repro.check.diagnostics import WARNING, Diagnostic
 from repro.cli import main as repro_main
 
-FIXTURES = Path(__file__).parent / "fixtures" / "check_defects"
+#: Planted lint hazards: a global RNG draw (DH002), and a set iterated
+#: directly (DH004) and through a local name (DH004).
+HAZARDS = """\
+import random
 
-DEFECT_ARGS = [
-    "workers",
-    "--workers-entry", str(FIXTURES / "bad_worker.py") + ":compute_task",
-]
+
+def fold(tasks):
+    pending = set(tasks)
+    return [task for task in pending]
+
+
+for name in {"gshare", "pas"}:
+    pass
+
+x = random.random()
+"""
+
+
+@pytest.fixture()
+def defect_args(tmp_path):
+    (tmp_path / "hazards.py").write_text(HAZARDS)
+    return ["lint", "--lint-root", str(tmp_path)]
+
+
+def run_check(tmp_path, *args):
+    """``python -m repro check ARGS`` in a subprocess."""
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "check", *args],
+        cwd=tmp_path, env=environment, capture_output=True, text=True,
+        timeout=120,
+    )
 
 
 class TestCheckCli:
@@ -37,16 +64,10 @@ class TestCheckCli:
             check_cli.main(["nonsense"])
 
     def test_deps_is_a_usage_error(self, tmp_path):
-        environment = dict(os.environ)
-        environment["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
-        done = subprocess.run(
-            [sys.executable, "-m", "repro", "check", "deps"],
-            cwd=tmp_path, env=environment, capture_output=True, text=True,
-            timeout=120,
-        )
+        done = run_check(tmp_path, "deps")
         assert done.returncode == 2, done.stderr
         assert "usage: repro check" in done.stderr
-        assert "choose from ir, contracts, lint, workers" in done.stderr
+        assert "choose from ir, contracts, lint" in done.stderr
         assert "Traceback" not in done.stderr
 
     def test_lint_root_failure_sets_exit_code(self, tmp_path, capsys):
@@ -57,28 +78,34 @@ class TestCheckCli:
 
 
 class TestNewPasses:
-    def test_workers_in_pass_names(self):
-        assert check_cli.PASS_NAMES == ["ir", "contracts", "lint", "workers"]
+    def test_pass_names(self):
+        assert check_cli.PASS_NAMES == ["ir", "contracts", "lint"]
 
-    def test_workers_clean_on_seed_repo(self, capsys):
-        assert check_cli.main(["workers"]) == 0
-        out = capsys.readouterr().out
-        assert "workers:" in out
+    def test_workers_is_a_usage_error(self, tmp_path):
+        # Pool jobs are pure by construction; there is no workers pass.
+        done = run_check(tmp_path, "workers")
+        assert done.returncode == 2, done.stderr
+        assert "choose from ir, contracts, lint" in done.stderr
+        assert "Traceback" not in done.stderr
+        done = run_check(tmp_path, "lint", "--workers-entry", "x.py")
+        assert done.returncode == 2, done.stderr
+        assert "unrecognized arguments: --workers-entry" in done.stderr
 
-    def test_defect_fixtures_fail_the_check(self, capsys):
-        assert check_cli.main(DEFECT_ARGS) == 1
+    def test_defect_fixtures_fail_the_check(self, defect_args, capsys):
+        assert check_cli.main(defect_args) == 1
         out = capsys.readouterr().out
-        for code in ("WS001", "WS002", "WS003", "WS004"):
+        for code in ("DH002", "DH004"):
             assert code in out
+        assert "hazards.py:6" in out  # the set bound to a local name
 
 
 class TestJsonFormat:
-    def test_json_document_shape(self, capsys):
-        assert check_cli.main(DEFECT_ARGS + ["--format", "json"]) == 1
+    def test_json_document_shape(self, defect_args, capsys):
+        assert check_cli.main(defect_args + ["--format", "json"]) == 1
         out = capsys.readouterr().out
         document = json.loads(out)  # progress lines suppressed
-        assert document["passes"] == ["workers"]
-        assert document["errors"] == 8
+        assert document["passes"] == ["lint"]
+        assert document["errors"] == 3
         assert document["warnings"] == 0
         record = document["diagnostics"][0]
         assert set(record) == {
@@ -100,11 +127,11 @@ class TestJsonFormat:
 
 
 class TestGithubAnnotations:
-    def test_error_and_warning_lines_emitted(self, capsys):
-        assert check_cli.main(DEFECT_ARGS + ["--github"]) == 1
+    def test_error_and_warning_lines_emitted(self, defect_args, capsys):
+        assert check_cli.main(defect_args + ["--github"]) == 1
         out = capsys.readouterr().out
         assert "::error file=" in out
-        assert ",title=WS004::" in out
+        assert ",title=DH004::" in out
         assert ",line=" in out
         # No planted fixture yields a warning, so format one directly.
         warning = Diagnostic("DH004", WARNING, "set\niteration", "mod.py:7")

@@ -6,6 +6,7 @@ import pytest
 
 import repro.api as api
 from repro.api import run_spec, spec_from_kwargs
+from repro.cli import main as repro_main
 from repro.resilience.journal import RunJournal
 
 SMALL = 2000
@@ -71,6 +72,24 @@ class TestResume:
             resume=True,
         )
         assert again.replayed == ["table1", "fig4"]
+
+    def test_resume_skips_undecodable_journal_lines(self, tmp_path, capsys):
+        # Lines load() could not decode ended --resume in a traceback.
+        from test_resilience_journal import UNDECODABLE
+
+        journal_path = tmp_path / "bad.jsonl"
+        argv = ["table1", "--max-length", str(SMALL), "--cache-dir",
+                str(tmp_path / "c"), "--journal", str(journal_path),
+                "--manifest-out", "", "--jobs", "1"]
+        assert repro_main(argv) == 0
+        with open(journal_path, "ab") as fh:
+            for garbage in UNDECODABLE.values():
+                fh.write(garbage + b"\n")
+        capsys.readouterr()
+        assert repro_main(argv + ["--resume"]) == 0
+        captured = capsys.readouterr()
+        assert "table1: replayed from journal" in captured.out + captured.err
+        assert "Traceback" not in captured.err
 
     def test_journal_from_other_run_inputs_never_matches(self, tmp_path):
         journal_path = tmp_path / "j.jsonl"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.experiments.base import ReplayedResult
 from repro.resilience.journal import (
     JOURNAL_KIND,
@@ -100,6 +102,14 @@ class TestRoundTrip:
         assert set(loaded) == {("fig4", "k")}
 
 
+#: Journal lines that raised out of ``load()`` instead of being skipped.
+UNDECODABLE = {
+    "not-utf8": b"\xff\xfe not utf-8",  # UnicodeDecodeError
+    "deep-nesting": b"[" * 100_000,  # RecursionError
+    "long-int": b'{"value": ' + b"7" * 5000 + b"}",  # ValueError
+}
+
+
 class TestCorruptionTolerance:
     def test_missing_file_loads_empty(self, tmp_path):
         assert RunJournal(tmp_path / "nope.jsonl").load() == {}
@@ -123,6 +133,28 @@ class TestCorruptionTolerance:
             fh.write('"a bare string"\n')
             fh.write(json.dumps({"kind": "something-else"}) + "\n")
         assert set(RunJournal(path).load()) == {("table1", "k")}
+
+    @pytest.mark.parametrize("garbage", UNDECODABLE.values(), ids=UNDECODABLE)
+    def test_undecodable_lines_are_skipped(self, tmp_path, garbage):
+        path = tmp_path / "j.jsonl"
+        with RunJournal(path) as journal:
+            journal.record("table1", "k", FakeResult(1))
+        with open(path, "ab") as fh:
+            fh.write(garbage + b"\n")
+        with RunJournal(path) as journal:
+            journal.record("fig4", "k", FakeResult(2))
+        assert set(RunJournal(path).load()) == {("table1", "k"), ("fig4", "k")}
+
+    def test_append_after_a_truncated_line_starts_a_new_line(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with RunJournal(path) as journal:
+            journal.record("table1", "k", FakeResult(1))
+            journal.record("fig4", "k", FakeResult(2))
+        text = path.read_text()
+        path.write_text(text[: len(text) - 25])  # kill-mid-write
+        with RunJournal(path) as journal:  # the resumed run
+            journal.record("fig5", "k", FakeResult(3))
+        assert set(RunJournal(path).load()) == {("table1", "k"), ("fig5", "k")}
 
     def test_digest_mismatch_drops_the_entry(self, tmp_path):
         path = tmp_path / "j.jsonl"

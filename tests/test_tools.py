@@ -88,6 +88,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "loop" in out and "bimodal-8b" in out
 
+    def test_simulate_jobs_2_prints_what_jobs_1_prints(self, trace_file, capsys):
+        # --jobs runs the specs on a process pool of their own; map()
+        # keeps their order, and each worker re-reads the trace file.
+        args = ["simulate", str(trace_file)]
+        for spec in ("gshare:history_bits=6", "pas", "loop"):
+            args += ["--predictor", spec]
+        assert main(args + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main(args + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert len(serial.splitlines()) == 4
+
     def test_simulate_bad_predictor_exits_2(self, trace_file, capsys):
         assert main(["simulate", str(trace_file), "--predictor", "nope"]) == 2
         captured = capsys.readouterr()
