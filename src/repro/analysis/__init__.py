@@ -36,7 +36,7 @@ from repro.analysis.offenders import (
     render_offenders,
     top_offenders,
 )
-from repro.analysis.parallel import default_jobs, prime_labs
+from repro.analysis.parallel import default_jobs
 from repro.analysis.percentile import percentile_difference_curve
 from repro.analysis.runner import Lab
 from repro.analysis.warmup import WarmupCurve, warmup_curve
@@ -50,7 +50,6 @@ __all__ = [
     "PipelineModel",
     "ResultCache",
     "default_jobs",
-    "prime_labs",
     "result_key",
     "accuracy_by_branch",
     "dynamic_weighted_fraction",

@@ -52,6 +52,7 @@ reclaims the disk).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import tempfile
@@ -301,11 +302,13 @@ class ResultCache:
         return self._digest("bitmap", str(SCHEMA_VERSION), trace_digest, result_key)
 
     def load_bitmap(
-        self, trace_digest: str, result_key: str
+        self, trace_digest: str, result_key: str, length: int
     ) -> Optional[np.ndarray]:
-        """A cached (read-only) correctness bitmap, or None on miss."""
+        """A cached (read-only) correctness bitmap over a ``length``-branch
+        trace, or None on miss.  An entry of another length is corrupt."""
         return self._fetch(
-            "bitmap", self.bitmap_key(trace_digest, result_key), _decode_bitmap
+            "bitmap", self.bitmap_key(trace_digest, result_key),
+            functools.partial(_decode_bitmap, length=length),
         )
 
     def store_bitmap(
@@ -326,12 +329,13 @@ class ResultCache:
         )
 
     def load_correlation(
-        self, trace_digest: str, window: int
+        self, trace_digest: str, window: int, length: int
     ) -> Optional[CorrelationTable]:
-        """Cached tagged-correlation table, or None on miss."""
+        """Cached tagged-correlation table of a ``length``-branch trace,
+        or None on miss.  A table of another window or length is corrupt."""
         return self._fetch(
             "corr", self.correlation_key(trace_digest, window),
-            _decode_correlation,
+            functools.partial(_decode_correlation, window=window, length=length),
         )
 
     def store_correlation(self, trace_digest: str, data: CorrelationTable) -> None:
@@ -462,9 +466,11 @@ class ResultCache:
 # -- payload decoders: npz payload -> (value, decoded bytes) ---------------
 
 
-def _decode_bitmap(payload: dict) -> tuple:
-    length = int(payload["length"])
-    bitmap = np.unpackbits(payload["packed"], count=length).astype(bool)
+def _decode_bitmap(payload: dict, length: int) -> tuple:
+    packed = payload["packed"]
+    if int(payload["length"]) != length or packed.shape != ((length + 7) // 8,):
+        raise ValueError(f"bitmap entry does not cover {length} branches")
+    bitmap = np.unpackbits(packed, count=length).astype(bool)
     bitmap.flags.writeable = False
     return bitmap, bitmap.nbytes
 
@@ -489,8 +495,13 @@ def _encode_correlation(data: CorrelationTable) -> dict:
     return columns
 
 
-def _decode_correlation(payload: dict) -> tuple:
+def _decode_correlation(payload: dict, window: int, length: int) -> tuple:
     columns = dict(payload)
+    if int(columns["window"]) != window or int(columns["trace_length"]) != length:
+        raise ValueError(
+            f"correlation entry is not the window-{window} table of "
+            f"{length} branches"
+        )
     for name, owners, rows in _OWNED_COLUMNS:
         counts = columns.pop(f"{name}_counts")
         if (
@@ -508,10 +519,12 @@ def _decode_correlation(payload: dict) -> tuple:
 
 
 def _decode_trace(payload: dict) -> tuple:
-    count = int(payload["length"])
+    count, taken = int(payload["length"]), payload["taken"]
+    if taken.shape != ((count + 7) // 8,):
+        raise ValueError(f"trace entry outcomes do not cover {count} branches")
     trace = Trace(
         payload["pc"],
         payload["target"],
-        np.unpackbits(payload["taken"], count=count).astype(bool),
+        np.unpackbits(taken, count=count).astype(bool),
     )
     return trace, trace.pc.nbytes + trace.target.nbytes + trace.taken.nbytes

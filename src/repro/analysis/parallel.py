@@ -18,8 +18,8 @@ graph, every sweep point at once: a trace the cache lacks is a *trace
 lane* too, made in a worker and shipped back, and the sims planned on it
 become lanes once it is in.  Ready lanes leave trace lanes first, then
 longest trace first.  Each later point takes a deduped task's result in
-memory from the point that planned it first.  :func:`prime_labs` runs
-the same loop over labs a caller built.
+memory from the point that planned it first.  :func:`prime_plan` is
+the loop's only entry.
 
 Determinism: every job is a pure function of ``(benchmark name, trace
 source, config, task)``, computed by the task table's
@@ -73,9 +73,10 @@ counter.  (A crashed attempt's delta dies with it; only successful
 attempts are folded, identically in serial and parallel runs.)
 
 Worker count comes from ``--jobs``, the :data:`ENV_JOBS` environment
-variable, or ``os.cpu_count()``; ``jobs <= 1`` runs the same loop with
-each lane executed in-process at submission -- no executor, no
-pickling of results, no subprocesses.
+variable, or ``os.cpu_count()``, and sizes the session's pool;
+``jobs <= 1`` runs the same loop with each lane executed in-process at
+submission -- the pool never starts an executor, nothing is pickled, no
+subprocess is forked.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ import numpy as np
 
 from repro.analysis.cache import ResultCache, result_key
 from repro.analysis.config import LabConfig
-from repro.analysis.runner import CORRELATION_TASK, DEFAULT_TASKS, Lab, compute_task
+from repro.analysis.runner import CORRELATION_TASK, Lab, compute_task
 from repro.obs.metrics import METRICS, Metrics
 from repro.obs.tracing import TRACER, span
 from repro.resilience.faults import (
@@ -337,14 +338,11 @@ def _init_worker() -> None:
 class WorkerPool:
     """A reusable worker pool with an explicit lifecycle.
 
-    One priming pass historically meant one ``ProcessPoolExecutor``:
-    built at the start, torn down at the end, its warm workers (and
-    their per-process trace LRUs) discarded with it.  A long-lived
-    engine session -- a sweep, or the :mod:`repro.serve` daemon
-    fielding many runs -- passes a ``WorkerPool`` into
-    :func:`prime_labs` instead, so every run schedules onto the *same*
-    warm workers and cold-start is paid once per session, not once per
-    request.
+    An engine session owns one and passes it to every
+    :func:`prime_plan` pass it runs -- a sweep's, or each run the
+    :mod:`repro.serve` daemon fields -- so they all schedule onto the
+    *same* warm workers and cold-start is paid once per session, not
+    once per request.
 
     The pool is lazy (no subprocesses until the first submit), rebuilds
     itself when the scheduler kills a broken or hung executor, and
@@ -419,10 +417,10 @@ class _Lane:
         task: str,
         origin: tuple,
         *,
+        point: int,
+        rank: int,
+        priority: tuple,
         lab: Optional[Lab] = None,
-        point: int = 0,
-        rank: int = 0,
-        priority: tuple = (),
         key: Optional[str] = None,
     ) -> None:
         self.name = name
@@ -442,14 +440,12 @@ class _Lane:
         return self.task == TRACE_TASK
 
 
-def _no_charge(point: int):
-    return contextlib.nullcontext()
-
-
 class _Scheduler:
     """The priming loop: submit, retry, expire, rebuild -- for every lane.
 
-    ``jobs <= 1`` runs each lane in-process at submission and hands
+    Lanes run on ``pool``, which the caller owns: a clean end of pass
+    leaves it warm, an interrupt kills its workers.  A one-worker pool
+    is never used: each lane runs in-process at submission and hands
     the loop an already-completed future, so the serial path is this
     same loop with one slot.  Ready lanes leave in ``priority`` order.
     ``on_done(lane)`` is called for each lane that lands and returns
@@ -461,22 +457,22 @@ class _Scheduler:
     def __init__(
         self,
         lanes: Sequence[_Lane],
-        jobs: int,
+        pool: WorkerPool,
         policy: RetryPolicy,
         injector: Optional[FaultInjector],
-        pool: Optional[WorkerPool] = None,
-        cache: Optional[ResultCache] = None,
-        on_done: Optional[Callable[[_Lane], Sequence[_Lane]]] = None,
-        charge: Callable[[int], contextlib.AbstractContextManager] = _no_charge,
-        announce: Optional[Callable[[], None]] = None,
+        cache: Optional[ResultCache],
+        *,
+        on_done: Callable[[_Lane], Sequence[_Lane]],
+        charge: Callable[[int], contextlib.AbstractContextManager],
+        announce: Callable[[], None],
     ) -> None:
-        self.jobs = jobs
+        self.jobs = pool.jobs
         self.policy = policy
         self.injector = injector
         self.cache = cache
         self.on_done = on_done
         self.charge = charge
-        self.announce = announce
+        self.announce: Optional[Callable[[], None]] = announce
         self.lanes: List[_Lane] = []
         self.ready: List[Tuple[tuple, int, _Lane]] = []
         self.waiting: List[Tuple[float, int, _Lane]] = []
@@ -485,10 +481,7 @@ class _Scheduler:
         self._landed: List[_Lane] = []
         self._in_wait = 0
         self._seq = 0
-        # A shared pool outlives this pass (the owning session drains
-        # it); a private one is built on demand and reaped at the end.
-        self._shared = pool is not None
-        self._pool = pool if pool is not None else WorkerPool(jobs)
+        self._pool = pool
         for lane in lanes:
             self._queue(lane)
 
@@ -503,14 +496,6 @@ class _Scheduler:
     def _rebuild_pool(self) -> None:
         self._pool.drain(kill=True)
         METRICS.inc("parallel.pool_rebuilds")
-
-    def _shutdown(self, kill: bool = False) -> None:
-        # A clean end of pass leaves a shared pool warm for the next
-        # run; an interrupt (kill=True) reaps it either way -- the pool
-        # recreates its workers lazily if the session continues.
-        if self._shared and not kill:
-            return
-        self._pool.drain(kill=kill)
 
     # -- scheduling --------------------------------------------------------
 
@@ -647,14 +632,13 @@ class _Scheduler:
         except BaseException as error:
             # Interrupt/SIGTERM/unexpected error: reap workers, cancel
             # queued futures, and let the caller decide what to keep.
+            # The pool starts fresh workers if the session continues.
             if isinstance(error, KeyboardInterrupt) and self._in_wait:
                 error.args += (
                     f"landed in the wait on {self._in_wait} pool future(s)",
                 )
-            self._shutdown(kill=True)
+            self._pool.drain(kill=True)
             raise
-        else:
-            self._shutdown()
 
     def _promote_waiting(self) -> None:
         if not self.waiting:
@@ -696,9 +680,8 @@ class _Scheduler:
             if lane.payload is None:
                 with self.charge(lane.point):
                     lane.payload = (self._compute(lane), None, None, None, 0.0)
-            if self.on_done is not None:
-                for ready in self.on_done(lane):
-                    self._queue(ready)
+            for ready in self.on_done(lane):
+                self._queue(ready)
 
     def _on_pool_broken(self, lane: _Lane, error: BaseException) -> None:
         """A worker died hard; every in-flight lane went down with it.
@@ -740,112 +723,6 @@ class _Scheduler:
             self._fail(lane, "timeout", self._timeout_message())
         for lane in innocents:
             self._push(lane)
-
-
-def _resolve_policy(
-    policy: Optional[RetryPolicy], injector: Optional[FaultInjector]
-) -> RetryPolicy:
-    """The pass's retry policy (None -> environment defaults).
-
-    Raises:
-        FaultSpecError: If the fault spec injects hangs but the policy
-            has no timeout to detect them with.
-    """
-    if policy is None:
-        policy = RetryPolicy.resolve()
-    if injector is not None and injector.wants_timeout() and policy.timeout is None:
-        raise FaultSpecError(
-            "fault spec injects 'hang' faults but no task timeout is set; "
-            "pass --task-timeout (or REPRO_TASK_TIMEOUT)"
-        )
-    return policy
-
-
-def prime_labs(
-    labs: Dict[str, Lab],
-    run_seed: int = 12345,
-    *,
-    jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    tasks: Sequence[str] = DEFAULT_TASKS,
-    policy: Optional[RetryPolicy] = None,
-    injector: Optional[FaultInjector] = None,
-    failures: Optional[list] = None,
-    pool: Optional[WorkerPool] = None,
-    source=None,
-) -> int:
-    """Populate every lab's memos for ``tasks``, in parallel.
-
-    Cached results are folded in directly; only misses are scheduled.
-    After this returns, ``lab.correct(task)`` / ``lab.correlation_data()``
-    are pure memo lookups for every requested task.  This is the
-    scheduler pass of :func:`prime_plan` over labs the caller built.
-
-    Args:
-        labs: Benchmark name -> Lab, as built by ``build_labs``.  The
-            benchmark name must load the lab's trace from ``source``
-            (ad-hoc labs should skip priming).
-        run_seed: The seed the labs' traces were generated with (used
-            only when ``source`` is None).
-        jobs: Worker processes (None -> :func:`default_jobs`).
-        cache: Shared result cache; workers write through to it.
-        tasks: Task names to prime (subset of :data:`DEFAULT_TASKS`).
-        policy: Retry/timeout policy (None -> environment defaults via
-            :meth:`RetryPolicy.resolve`).
-        injector: Deterministic fault injector (None -> no faults; the
-            :data:`REPRO_FAULT_SPEC` environment variable is resolved
-            by the API layer, not here).
-        failures: If given, a task that exhausts its attempt budget is
-            appended here as a structured dict and the pass continues;
-            if None, exhausted tasks are simply left unprimed (the lab
-            computes them lazily on demand).
-        pool: A session-owned :class:`WorkerPool` to schedule onto.
-            When given it overrides ``jobs``, stays warm after the pass
-            (the owner drains it), and is shared with every other run
-            of the same session.
-        source: The frozen :data:`~repro.spec.TraceSource` the labs
-            were loaded from; pool workers load their traces from it.
-            None means the unmixed suite at ``run_seed``.
-
-    Returns:
-        The number of jobs that executed successfully (0 means
-        everything was cached).
-
-    Raises:
-        FaultSpecError: If the fault spec injects hangs but the policy
-            has no timeout to detect them with.
-    """
-    jobs = pool.jobs if pool is not None else resolve_jobs(jobs)
-    policy = _resolve_policy(policy, injector)
-    METRICS.gauge("parallel.workers", jobs)
-    if source is None:
-        from repro.spec import SyntheticSource
-
-        source = SyntheticSource(seed=run_seed)
-    cache_root = str(cache.root) if cache is not None else None
-    lanes: List[_Lane] = []
-    for name in sorted(labs):
-        lab = labs[name]
-        if cache is not None and lab.cache is None:
-            lab.cache = cache
-        origin = (source, len(lab.trace), cache_root)
-        for task in tasks:
-            if lab.is_primed(task) or lab.fold_cached(task):
-                continue
-            lanes.append(_Lane(
-                name, task, origin, lab=lab, rank=len(lanes),
-                priority=(1, -len(lab.trace)),
-            ))
-
-    if not lanes:
-        return 0
-
-    with span("prime_labs", jobs=jobs, pending=len(lanes)):
-        scheduler = _Scheduler(lanes, jobs, policy, injector, pool, cache)
-        scheduler.run()
-        executed = _fold_lanes(scheduler.lanes, cache)
-    _report_failures(scheduler.failures, failures)
-    return executed
 
 
 @dataclass
@@ -909,36 +786,49 @@ def _planned_length(name: str, source) -> int:
 def prime_plan(
     plan,
     *,
-    jobs: Optional[int] = None,
+    pool: WorkerPool,
+    policy: RetryPolicy,
     cache: Optional[ResultCache] = None,
-    policy: Optional[RetryPolicy] = None,
     injector: Optional[FaultInjector] = None,
-    pool: Optional[WorkerPool] = None,
     say: Callable[[str], None] = lambda message: None,
 ) -> PrimedPlan:
     """Run a plan's trace and sim tasks in one scheduler pass.
 
     The lanes are the plan's non-deduped ``trace`` and ``sim`` tasks,
     across every point.  A trace the cache holds is read here; any
-    other is a trace lane, made in a worker (or in-process at
-    ``jobs <= 1``), longest first.  Once a trace is in, each sim task
+    other is a trace lane, made in a worker (or in-process on a
+    one-worker pool), longest first.  Once a trace is in, each sim task
     planned on it is folded from the cache or becomes a sim lane.
     Every lane's telemetry is charged to the point that planned it
     first, and each later point takes a deduped task's result from that
     point's lab -- counted as the session-memo hit a cache read would
     have been.  A one-point plan is the same pass with one point.
 
-    Args mirror :func:`prime_labs`; a sim lane that exhausts its
-    attempts is reported in its point's ``failures``.  ``say`` gets one
-    progress line once the first lanes are in flight.
+    Args:
+        plan: The plan whose trace and sim tasks to run.
+        pool: The session's :class:`WorkerPool`; its size is the pass's
+            worker count, and the pass leaves it warm for the next.
+        policy: Retry/timeout policy.
+        cache: Shared result cache (None: no cache); workers write
+            through to it.
+        injector: Deterministic fault injector (None: no faults).
+        say: Gets one progress line once the first lanes are in flight.
+
+    A sim lane that exhausts its attempts is reported in its point's
+    ``failures``, sorted by benchmark and task; the lab computes it
+    lazily if an experiment needs it.
 
     Raises:
         FaultSpecError: If the fault spec injects hangs but the policy
             has no timeout to detect them with.
     """
     begin = time.perf_counter()
-    jobs = pool.jobs if pool is not None else resolve_jobs(jobs)
-    policy = _resolve_policy(policy, injector)
+    if injector is not None and injector.wants_timeout() and policy.timeout is None:
+        raise FaultSpecError(
+            "fault spec injects 'hang' faults but no task timeout is set; "
+            "pass --task-timeout (or REPRO_TASK_TIMEOUT)"
+        )
+    jobs = pool.jobs
     ledger = _Ledger(len(plan.points))
     METRICS.gauge("parallel.workers", jobs)
     cache_root = str(cache.root) if cache is not None else None
@@ -995,7 +885,7 @@ def prime_plan(
                 priority=(0, -_planned_length(task.benchmark, source)),
             ))
         scheduler = _Scheduler(
-            lanes, jobs, policy, injector, pool, cache,
+            lanes, pool, policy, injector, cache,
             on_done=lambda lane: (
                 trace_ready(lane.key, lane.payload[0]) if lane.is_trace else ()
             ),
@@ -1038,18 +928,17 @@ def prime_plan(
 def _fold_lanes(
     lanes: Sequence[_Lane],
     cache: Optional[ResultCache],
-    charge: Callable[[int], contextlib.AbstractContextManager] = _no_charge,
-) -> int:
-    """Fold finished lanes into their labs; returns how many sims landed.
+    charge: Callable[[int], contextlib.AbstractContextManager],
+) -> None:
+    """Fold finished lanes into their labs.
 
     Lanes fold in deterministic ``rank`` order, and so do their
     workers' metric deltas and span events, so aggregate telemetry is
     independent of worker scheduling.  A trace lane's trace was used
     when it landed; only its telemetry folds here.  A sim lane whose
-    worker regenerated a different trace than the lab holds (an ad-hoc
-    lab) is discarded; the lab computes it lazily.
+    worker loaded a different trace than the lab holds is discarded;
+    the lab computes it lazily.
     """
-    executed = 0
     for lane in sorted(lanes, key=lambda lane: lane.rank):
         if lane.payload is None:
             continue  # failed after retries; recorded by the scheduler
@@ -1074,17 +963,4 @@ def _fold_lanes(
                     lab.cache, lab.trace.digest(), lane.task, lab.config
                 )
             METRICS.inc("parallel.jobs_executed")
-            executed += 1
-    return executed
 
-
-def _report_failures(
-    task_failures: List[Tuple[int, TaskFailure]], sink: Optional[list]
-) -> None:
-    """Deliver structured failures in a schedule-independent order."""
-    if sink is None:
-        return
-    for _point, failure in sorted(
-        task_failures, key=lambda f: (f[1].benchmark, f[1].task)
-    ):
-        sink.append(failure.to_dict())

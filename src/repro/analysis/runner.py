@@ -130,15 +130,6 @@ class Lab:
         """Whether a task's result is already memoised in this lab."""
         return task in self._results
 
-    def invalidate(self, task: str) -> bool:
-        """Drop a task's memoised result; True if one was held.
-
-        Only the in-memory memo is dropped -- the disk cache keeps its
-        entry (quarantine handles corrupt ones).  Used when a folded
-        result is discovered to be untrustworthy and must recompute.
-        """
-        return self._results.pop(task, None) is not None
-
     def store(self, task: str, result, write_through: bool = True) -> None:
         """Fold a task's result into the memo.
 
@@ -168,10 +159,12 @@ class Lab:
         digest = self.trace.digest()
         if task == CORRELATION_TASK:
             result = self.cache.load_correlation(
-                digest, self.config.collection_window
+                digest, self.config.collection_window, len(self.trace)
             )
         else:
-            result = self.cache.load_bitmap(digest, result_key(task, self.config))
+            result = self.cache.load_bitmap(
+                digest, result_key(task, self.config), len(self.trace)
+            )
         if result is None:
             return False
         self.store(task, result, write_through=False)

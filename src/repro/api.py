@@ -62,7 +62,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.config import LabConfig
-from repro.analysis.parallel import PrimedPlan, WorkerPool, prime_labs, prime_plan
+from repro.analysis.parallel import PrimedPlan, WorkerPool, prime_plan
 from repro.analysis.runner import Lab
 from repro.errors import (
     AdmissionError,
@@ -128,7 +128,6 @@ __all__ = [
     "build_labs",
     "build_plan",
     "generate_suite",
-    "prime_labs",
     "run_experiment",
     "run_spec",
     "run_sweep",
@@ -304,8 +303,8 @@ class EngineSession:
     """Resolved engine state with an explicit lifecycle.
 
     A session owns every piece of execution machinery a run needs --
-    the result cache, retry policy, fault injector, journal, and (for
-    parallel sessions) a warm :class:`WorkerPool` -- resolved once from
+    the result cache, retry policy, fault injector, journal, and a warm
+    :class:`WorkerPool` (at one job it never forks) -- resolved once from
     an :class:`EngineOptions` via :meth:`resolve`.  ``run_spec`` makes
     a throwaway session per call when none is passed; a long-lived
     caller (a sweep, the :mod:`repro.serve` daemon) resolves one
@@ -322,13 +321,16 @@ class EngineSession:
 
     options: EngineOptions
     cache: Optional[ResultCache]
-    jobs: int
+    pool: WorkerPool
     policy: RetryPolicy
     injector: Optional[FaultInjector]
     journal: Optional[RunJournal]
     resume: bool
-    pool: Optional[WorkerPool] = None
     served_by: Optional[str] = None
+
+    @property
+    def jobs(self) -> int:
+        return self.pool.jobs
 
     @classmethod
     def resolve(
@@ -346,11 +348,10 @@ class EngineSession:
         this session (the server passes its instance id).
         """
         resolved = options.resolved()
-        jobs = int(resolved.jobs)
         return cls(
             options=resolved,
             cache=ResultCache(resolved.cache_dir) if resolved.cache else None,
-            jobs=jobs,
+            pool=WorkerPool(resolved.jobs),
             policy=RetryPolicy.resolve(resolved.retries, resolved.task_timeout),
             injector=FaultInjector.from_spec(resolved.fault_spec),
             journal=(
@@ -359,15 +360,13 @@ class EngineSession:
                 else None
             ),
             resume=resolved.resume,
-            pool=WorkerPool(jobs) if jobs > 1 else None,
             served_by=served_by,
         )
 
     def close(self, kill: bool = False) -> None:
         """Drain the pool (terminating its workers if ``kill``) and
         close the journal."""
-        if self.pool is not None:
-            self.pool.drain(kill=kill)
+        self.pool.drain(kill=kill)
         if self.journal is not None:
             self.journal.close()
 
@@ -394,11 +393,10 @@ def _prime(
     with TRACER.span("build_labs", run_seed=plan.points[0][1].workload.seed):
         return prime_plan(
             plan,
-            jobs=engine.jobs,
-            cache=engine.cache,
-            policy=engine.policy,
-            injector=engine.injector,
             pool=engine.pool,
+            policy=engine.policy,
+            cache=engine.cache,
+            injector=engine.injector,
             say=say,
         )
 

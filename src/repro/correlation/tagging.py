@@ -105,7 +105,10 @@ class CorrelationTable:
             if len(shapes) != 1 or len(shapes.pop()) != 1:
                 raise ValueError(f"correlation columns {names} are malformed")
             for name in names:
-                getattr(self, name).flags.writeable = False
+                column = getattr(self, name)
+                if column.dtype.kind not in ("b" if name.endswith("outcome") else "iu"):
+                    raise ValueError(f"correlation column {name} is {column.dtype}")
+                column.flags.writeable = False
         self.branch_offsets = _offsets(self.inst_branch, len(self.pcs))
         self.tag_offsets = _offsets(self.tag_branch, len(self.pcs))
         self.entry_offsets = _offsets(self.entry_tag, len(self.tag_branch))

@@ -25,7 +25,8 @@ prose.  This module is that contract:
   run finishing with recorded failures, which is a *result*, not an
   exception).
 * :class:`RequestError` -- an HTTP request the server cannot parse
-  (a malformed header, say).  HTTP 400.
+  (a malformed header, say).  HTTP 400; :class:`RequestTimeout`, one
+  that did not arrive in time, is HTTP 408.
 * :class:`AdmissionError` -- the server refused to enqueue a run
   (per-client in-flight limit, full queue).  HTTP 429; retriable by
   definition, and :attr:`AdmissionError.retry_after` says when.
@@ -128,6 +129,13 @@ class RequestError(ReproError, ValueError):
     exit_code = 2
 
 
+class RequestTimeout(RequestError):
+    """An HTTP request that stalled; the message names the part."""
+
+    code = "http.request_timeout"
+    http_status = 408
+
+
 class AdmissionError(ReproError):
     """The server refused to admit a run (limits, not correctness).
 
@@ -194,6 +202,7 @@ __all__ = [
     "PlanError",
     "ReproError",
     "RequestError",
+    "RequestTimeout",
     "SpecError",
     "UnknownExperimentError",
     "error_from_payload",

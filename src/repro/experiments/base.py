@@ -180,7 +180,6 @@ def build_labs(
     config: LabConfig = DEFAULT_CONFIG,
     run_seed: int = 12345,
     *,
-    jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     source: Optional[Any] = None,
 ) -> Dict[str, Lab]:
@@ -193,31 +192,24 @@ def build_labs(
         config: Predictor sizing.
         run_seed: Workload execution seed.  Ignored when ``source`` is
             given.
-        jobs: If set, eagerly prime every lab's standard simulations via
-            the parallel scheduler with this many workers (1 = serial
-            priming).  Default None leaves labs lazy, as before.
         cache: Optional on-disk result cache attached to every lab.
         source: The :data:`~repro.spec.TraceSource` the labs load from,
             benchmark subset included.  None means the unmixed suite at
             ``max_length`` and ``run_seed``.
 
-    A spec run primes its labs through the plan instead
+    The labs are lazy: each computes a task when it is first asked
+    for.  A spec run primes its labs through the plan instead
     (:func:`repro.analysis.parallel.prime_plan`).
     """
     if source is None:
         source = SyntheticSource(max_length=max_length, seed=run_seed)
     with span("build_labs", run_seed=source.seed):
-        labs = {
+        return {
             name: Lab(
                 load_source_trace(name, source, cache), config, cache, name
             )
             for name in source.trace_names()
         }
-        if jobs is not None:
-            from repro.analysis.parallel import prime_labs
-
-            prime_labs(labs, source.seed, jobs=jobs, cache=cache, source=source)
-    return labs
 
 
 def run_experiment(experiment_id: str, labs: Dict[str, Lab]) -> ExperimentResult:

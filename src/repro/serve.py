@@ -51,10 +51,10 @@ import threading
 import uuid
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Dict, List, Optional, Set, Tuple
 
 from repro.api import EngineSession, run_spec
-from repro.errors import AdmissionError, ReproError, RequestError
+from repro.errors import AdmissionError, ReproError, RequestError, RequestTimeout
 from repro.obs.metrics import Metrics
 from repro.spec import EngineOptions, RunSpec
 
@@ -73,18 +73,39 @@ ANONYMOUS_CLIENT = "anonymous"
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 _MAX_HEADER_BYTES = 64 * 1024
 
+#: Seconds a connection has to deliver its whole request, head and body.
+_READ_TIMEOUT = 30.0
 
-async def _head_line(reader: asyncio.StreamReader, what: str) -> bytes:
+
+async def _within(read: Awaitable[bytes], deadline: float, what: str) -> bytes:
+    """Await one read of a request; past ``deadline`` (loop time) it is
+    a :class:`RequestTimeout` naming ``what``.
+    """
+    remaining = deadline - asyncio.get_running_loop().time()
+    try:
+        return await asyncio.wait_for(read, remaining)
+    except asyncio.TimeoutError:
+        raise RequestTimeout(
+            f"no complete {what} within {_READ_TIMEOUT:g}s"
+        ) from None
+
+
+async def _head_line(
+    reader: asyncio.StreamReader, what: str, deadline: float
+) -> bytes:
     """One line of a request head; a line past the reader's limit is a
     :class:`RequestError` naming ``what``.
     """
-    try:
-        return await reader.readline()
-    except ValueError:
-        # readline() turns LimitOverrunError into ValueError.
-        raise RequestError(
-            f"{what} exceeds {_MAX_HEADER_BYTES} bytes"
-        ) from None
+    async def line() -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:
+            # readline() turns LimitOverrunError into ValueError.
+            raise RequestError(
+                f"{what} exceeds {_MAX_HEADER_BYTES} bytes"
+            ) from None
+
+    return await _within(line(), deadline, what)
 
 
 class RunState:
@@ -204,6 +225,7 @@ class AnalysisServer:
         self._draining = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._worker_task: Optional[asyncio.Task] = None
+        self._handlers: Set[asyncio.Task] = set()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._drained = asyncio.Event()
 
@@ -253,6 +275,14 @@ class AnalysisServer:
             await asyncio.sleep(self.drain_grace)
         if self._server is not None:
             self._server.close()
+        # A connection still open (an idle or stalled client) would
+        # leave its handler pending on a closed loop, and on Python
+        # 3.12+ keep wait_closed() waiting for it.
+        handlers = list(self._handlers)
+        for handler in handlers:
+            handler.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
@@ -435,6 +465,8 @@ class AnalysisServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
         try:
             try:
                 request = await self._read_request(reader)
@@ -459,12 +491,14 @@ class AnalysisServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            self._handlers.discard(handler)
 
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+        deadline = asyncio.get_running_loop().time() + _READ_TIMEOUT
         try:
-            request_line = await _head_line(reader, "request line")
+            request_line = await _head_line(reader, "request line", deadline)
         except ConnectionError:
             return None
         if not request_line:
@@ -479,7 +513,7 @@ class AnalysisServer:
         headers: Dict[str, str] = {}
         total = 0
         while True:
-            line = await _head_line(reader, "header line")
+            line = await _head_line(reader, "header line", deadline)
             total += len(line)
             if total > _MAX_HEADER_BYTES:
                 raise RequestError(
@@ -501,7 +535,11 @@ class AnalysisServer:
                 f"Content-Length: {raw[:20]} exceeds {_MAX_BODY_BYTES} bytes"
             )
         length = int(digits)
-        body = await reader.readexactly(length) if length else b""
+        body = (
+            await _within(reader.readexactly(length), deadline, "request body")
+            if length
+            else b""
+        )
         return method, path, headers, body
 
     async def _route(
@@ -652,6 +690,7 @@ class AnalysisServer:
             201: "Created",
             400: "Bad Request",
             404: "Not Found",
+            408: "Request Timeout",
             429: "Too Many Requests",
             500: "Internal Server Error",
         }

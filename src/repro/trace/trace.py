@@ -49,10 +49,13 @@ class Trace:
         pc_arr = np.ascontiguousarray(pc, dtype=PC_DTYPE)
         target_arr = np.ascontiguousarray(target, dtype=PC_DTYPE)
         taken_arr = np.ascontiguousarray(taken, dtype=TAKEN_DTYPE)
-        if not (len(pc_arr) == len(target_arr) == len(taken_arr)):
+        if not (
+            pc_arr.ndim == target_arr.ndim == taken_arr.ndim == 1
+            and len(pc_arr) == len(target_arr) == len(taken_arr)
+        ):
             raise ValueError(
-                "trace columns must have equal length: "
-                f"pc={len(pc_arr)} target={len(target_arr)} taken={len(taken_arr)}"
+                "trace columns must be 1-D of equal length: "
+                f"pc={pc_arr.shape} target={target_arr.shape} taken={taken_arr.shape}"
             )
         self._pc = pc_arr
         self._target = target_arr

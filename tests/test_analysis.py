@@ -123,20 +123,6 @@ class TestLab:
     def test_selective_correct_is_memoised(self, lab):
         assert lab.selective_correct(1) is lab.selective_correct(1)
 
-    def test_invalidate_drops_only_the_memo(self):
-        from repro.workloads.suite import load_benchmark
-
-        fresh = Lab(load_benchmark("compress", length=6000, run_seed=11))
-        assert not fresh.invalidate("loop")  # nothing memoised yet
-        before = fresh.correct("loop")
-        assert fresh.is_primed("loop")
-        assert fresh.invalidate("loop")
-        assert not fresh.is_primed("loop")
-        assert np.array_equal(fresh.correct("loop"), before)
-        fresh.correlation_data()
-        assert fresh.invalidate("correlation")
-        assert not fresh.is_primed("correlation")
-
     def test_selections_shared_across_counts(self, lab):
         one = lab.selections(1)
         assert set(one) == set(int(pc) for pc in lab.trace.static_pcs())

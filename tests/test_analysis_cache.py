@@ -28,36 +28,36 @@ def trace():
 class TestBitmapCache:
     def test_miss_then_hit(self, cache, trace):
         bitmap = np.arange(len(trace)) % 3 == 0
-        assert cache.load_bitmap(trace.digest(), "gshare|x") is None
+        assert cache.load_bitmap(trace.digest(), "gshare|x", len(trace)) is None
         assert cache.stats.misses == 1
         cache.store_bitmap(trace.digest(), "gshare|x", bitmap)
         assert cache.stats.writes == 1
-        loaded = cache.load_bitmap(trace.digest(), "gshare|x")
+        loaded = cache.load_bitmap(trace.digest(), "gshare|x", len(trace))
         assert np.array_equal(loaded, bitmap)
         assert cache.stats.hits == 1
 
     def test_key_distinguishes_result_and_trace(self, cache, trace):
         bitmap = np.zeros(len(trace), dtype=bool)
         cache.store_bitmap(trace.digest(), "a", bitmap)
-        assert cache.load_bitmap(trace.digest(), "b") is None
-        assert cache.load_bitmap("other-digest", "a") is None
+        assert cache.load_bitmap(trace.digest(), "b", len(trace)) is None
+        assert cache.load_bitmap("other-digest", "a", len(trace)) is None
 
     def test_schema_version_invalidates(self, cache, trace, monkeypatch):
         bitmap = np.ones(len(trace), dtype=bool)
         cache.store_bitmap(trace.digest(), "a", bitmap)
         monkeypatch.setattr(cache_module, "SCHEMA_VERSION", 9999)
-        assert cache.load_bitmap(trace.digest(), "a") is None
+        assert cache.load_bitmap(trace.digest(), "a", len(trace)) is None
 
     def test_corrupted_file_is_a_miss(self, cache, trace):
         bitmap = np.ones(len(trace), dtype=bool)
         cache.store_bitmap(trace.digest(), "a", bitmap)
         path = cache._path("bitmap", cache.bitmap_key(trace.digest(), "a"))
         path.write_bytes(b"not an npz file")
-        assert cache.load_bitmap(trace.digest(), "a") is None
+        assert cache.load_bitmap(trace.digest(), "a", len(trace)) is None
         assert cache.stats.errors == 1
         # Storing again repairs the entry.
         cache.store_bitmap(trace.digest(), "a", bitmap)
-        assert np.array_equal(cache.load_bitmap(trace.digest(), "a"), bitmap)
+        assert np.array_equal(cache.load_bitmap(trace.digest(), "a", len(trace)), bitmap)
 
     def test_unwritable_root_never_raises(self, trace, tmp_path):
         blocker = tmp_path / "blocker"
@@ -71,9 +71,9 @@ class TestBitmapCache:
 class TestCorrelationCache:
     def test_round_trip(self, cache, trace):
         data = collect_correlation_data(trace, window=8)
-        assert cache.load_correlation(trace.digest(), 8) is None
+        assert cache.load_correlation(trace.digest(), 8, len(trace)) is None
         cache.store_correlation(trace.digest(), data)
-        loaded = cache.load_correlation(trace.digest(), 8)
+        loaded = cache.load_correlation(trace.digest(), 8, len(trace))
         assert loaded.window == 8
         assert loaded.trace_length == len(trace)
         collected, restored = data.columns(), loaded.columns()
@@ -85,7 +85,7 @@ class TestCorrelationCache:
     def test_cold_and_warm_tables_share_one_order(self, cache, trace):
         data = collect_correlation_data(trace, window=8)
         cache.store_correlation(trace.digest(), data)
-        loaded = cache.load_correlation(trace.digest(), 8)
+        loaded = cache.load_correlation(trace.digest(), 8, len(trace))
         assert list(data.branches) == sorted(data.branches)
         assert list(loaded.branches) == list(data.branches)
         for pc, branch in data.branches.items():
@@ -95,7 +95,7 @@ class TestCorrelationCache:
     def test_window_is_part_of_the_key(self, cache, trace):
         data = collect_correlation_data(trace, window=8)
         cache.store_correlation(trace.digest(), data)
-        assert cache.load_correlation(trace.digest(), 16) is None
+        assert cache.load_correlation(trace.digest(), 16, len(trace)) is None
 
     def test_old_layout_entry_is_never_read(self, cache, trace, monkeypatch):
         # A schema-1 entry held offset-delimited packed tag buffers at the
@@ -119,7 +119,7 @@ class TestCorrelationCache:
         assert cache.entry_path(
             "corr", cache.correlation_key(trace.digest(), 8)
         ) != old_path
-        assert cache.load_correlation(trace.digest(), 8) is None
+        assert cache.load_correlation(trace.digest(), 8, len(trace)) is None
         assert cache.stats.misses == 1
         assert cache.stats.quarantined == 0
         assert old_path.exists()
@@ -139,7 +139,7 @@ class TestCorrelationCache:
         assert cache.entry_path(
             "corr", cache.correlation_key(trace.digest(), 8)
         ) != old_path
-        assert cache.load_correlation(trace.digest(), 8) is None
+        assert cache.load_correlation(trace.digest(), 8, len(trace)) is None
         assert cache.stats.misses == 1
         assert cache.stats.quarantined == 0
         assert old_path.exists()
@@ -167,7 +167,7 @@ class TestCorrelationCache:
             }
         )
         cache.store_correlation(trace.digest(), data)
-        restored = cache.load_correlation(trace.digest(), 8).columns()
+        restored = cache.load_correlation(trace.digest(), 8, len(trace)).columns()
         for name, column in data.columns().items():
             assert np.array_equal(column, restored[name]), name
             assert np.asarray(column).dtype == np.asarray(restored[name]).dtype, name
@@ -213,7 +213,9 @@ class TestMalformedCorrelationEntry:
         for name, column in data.columns().items():
             assert np.array_equal(column, recomputed.columns()[name]), name
         # The recompute wrote a clean entry back in place.
-        assert ResultCache(cache.root).load_correlation(trace.digest(), data.window) is not None
+        reloaded = ResultCache(cache.root).load_correlation(
+            trace.digest(), data.window, len(trace))
+        assert reloaded is not None
 
 
 class TestTraceCache:

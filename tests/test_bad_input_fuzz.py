@@ -1,23 +1,32 @@
 """Bad input ends in a typed ``ReproError``, never a crash or a stray file:
 hypothesis fuzzes BPT2 headers and indexes, spec JSON, ``POST /v1/runs``
 bodies (answered 2xx, or 400/429 with ``error/v1``), raw request heads
-over a socket, and journal lines; its finds are pinned.
+over a socket, journal lines, result-cache entries (loaded correctly or
+quarantined) and text and BPT1 traces through ``ingest_file``; its finds
+are pinned.
 """
 
+import gc
 import http.client
 import json
 import socket
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ReproError
+from repro import serve
+from repro.analysis.cache import ResultCache
+from repro.correlation.tagging import collect_correlation_data
+from repro.errors import IngestError, ReproError
 from repro.resilience.journal import RunJournal
 from repro.serve import AnalysisServer, ServerThread
 from repro.spec import EngineOptions, RunSpec, spec_from_kwargs
 from repro.trace import stream
+from repro.trace.ingest import ingest_file
 from repro.trace.stream import TraceFormatError, TraceStream, write_trace
+from repro.workloads.suite import load_benchmark
 
 from conftest import trace_from_steps
 from test_resilience_journal import UNDECODABLE, FakeResult
@@ -270,3 +279,216 @@ def test_journal_loads_exactly_its_valid_lines(tmp_path_factory, garbage):
         lines.insert(slot, chunk + b"\n")
     path.write_bytes(b"".join(lines))
     assert RunJournal(path).load() == expected
+
+
+def test_stalled_request_body_is_a_408(paused_server, capfd, monkeypatch):
+    """A head that declares a body it never sends got no reply at all."""
+    monkeypatch.setattr(serve, "_READ_TIMEOUT", 0.2)
+    thread, _root = paused_server
+    with socket.create_connection(
+        (thread.server.host, thread.server.port), timeout=30
+    ) as connection:
+        connection.sendall(b"POST /v1/runs HTTP/1.1\r\nContent-Length: 10\r\n\r\n")
+        reply = b""
+        while chunk := connection.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 408 "), reply[:200]
+    payload = json.loads(body)
+    assert payload["schema"] == "error/v1"
+    assert payload["error"] == "http.request_timeout"
+    assert "request body" in payload["message"]
+    assert "Traceback" not in capfd.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+def test_stop_with_an_idle_connection_is_quiet(capfd, caplog):
+    """Stopping left the idle connection's handler pending on a closed
+    loop: 'Task was destroyed' and 'Event loop is closed'."""
+    server = AnalysisServer(EngineOptions(jobs=1, cache=False),
+                            autostart=False, drain_grace=0.0)
+    thread = ServerThread(server)
+    thread.start()
+    with socket.create_connection((server.host, server.port), timeout=10) as idle:
+        idle.sendall(b"GET /v1/healthz HTTP/1.1\r\n")
+        # Connections are accepted in order: once a later one is
+        # answered, the idle one's handler is waiting on its head.
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        connection.request("GET", "/v1/healthz")
+        assert connection.getresponse().status == 200
+        connection.close()
+        thread.stop()
+        assert idle.recv(65536) == b""  # closed without an answer
+    gc.collect()
+    assert not thread._thread.is_alive()
+    assert "Task was destroyed" not in caplog.text
+    assert capfd.readouterr().err == ""
+
+
+@pytest.fixture(scope="module")
+def cache_references():
+    """A 301-branch trace, a bitmap over it and its correlation table."""
+    trace = load_benchmark("compress", length=301, run_seed=5)
+    bitmap = np.random.default_rng(0).random(len(trace)) < 0.5
+    return {"trace": trace, "bitmap": bitmap, "corr": collect_correlation_data(trace, 8)}
+
+
+def _cache_entry(cache, kind, references, store):
+    """Store (``store``) or load the reference entry of ``kind``; the
+    stored entry's path, or the loaded value."""
+    trace = references["trace"]
+    if kind == "bitmap":
+        if store:
+            cache.store_bitmap(trace.digest(), "loop|v1", references["bitmap"])
+            return cache.entry_path("bitmap", cache.bitmap_key(trace.digest(), "loop|v1"))
+        return cache.load_bitmap(trace.digest(), "loop|v1", len(trace))
+    if kind == "corr":
+        if store:
+            cache.store_correlation(trace.digest(), references["corr"])
+            return cache.entry_path("corr", cache.correlation_key(trace.digest(), 8))
+        return cache.load_correlation(trace.digest(), 8, len(trace))
+    if store:
+        cache.store_trace("compress", len(trace), 5, trace)
+        return cache.entry_path("trace", cache.trace_key("compress", len(trace), 5))
+    return cache.load_trace("compress", len(trace), 5)
+
+
+def _same_value(kind, loaded, reference) -> bool:
+    if kind == "bitmap":
+        return loaded.dtype == bool and np.array_equal(loaded, reference)
+    if kind == "trace":
+        pairs = [(loaded.pc, reference.pc), (loaded.target, reference.target),
+                 (loaded.taken, reference.taken)]
+    else:
+        pairs = [(value, reference.columns()[name]) for name, value in loaded.columns().items()]
+
+    def kind_of(column):  # an integer column may come back wider, not as another kind
+        kind = np.asarray(column).dtype.kind
+        return "i" if kind in "iu" else kind
+
+    return all(kind_of(a) == kind_of(b) and np.array_equal(a, b) for a, b in pairs)
+
+
+def _mutate(fields: dict, op: str, which: int, value: int) -> None:
+    """Apply one structural change to a field of an npz payload."""
+    if op == "add" or not fields:
+        fields[f"extra{which}"] = np.int64(value)
+        return
+    name = sorted(fields)[which % len(fields)]
+    flat = fields[name].ravel()
+    if op == "drop":
+        del fields[name]
+    elif op == "set":  # forge a scalar, or replace an array with one
+        fields[name] = np.int64(value)
+    elif op == "truncate":
+        fields[name] = flat[: value % (flat.size + 1)]
+    elif op == "extend":
+        fields[name] = np.concatenate([flat, np.zeros(value % 9 + 1, flat.dtype)])
+    elif op == "reshape":
+        fields[name] = flat.reshape(-1, 1) if value % 2 else flat.reshape(1, -1)
+    else:  # widen: same values, another dtype
+        fields[name] = flat.astype(np.float64 if value % 2 else np.int64).reshape(
+            fields[name].shape)
+
+
+MUTATIONS = st.lists(st.tuples(
+    st.sampled_from(["add", "drop", "set", "truncate", "extend", "reshape", "widen"]),
+    st.integers(0, 31), st.integers(-2**40, 2**40)), min_size=1, max_size=2)
+
+
+@FUZZ
+@given(kind=st.sampled_from(["bitmap", "corr", "trace"]),
+       raw=st.one_of(st.none(), st.binary(max_size=256)),
+       mutations=MUTATIONS, compressed=st.booleans())
+def test_cache_entry_loads_correct_or_quarantined(
+        tmp_path_factory, cache_references, kind, raw, mutations, compressed):
+    root = tmp_path_factory.mktemp("cache")
+    path = _cache_entry(ResultCache(root), kind, cache_references, store=True)
+    if raw is not None:
+        path.write_bytes(raw)
+    else:
+        with np.load(path) as payload:
+            fields = {name: payload[name] for name in payload.files}
+        for mutation in mutations:
+            _mutate(fields, *mutation)
+        with open(path, "wb") as fh:
+            (np.savez_compressed if compressed else np.savez)(fh, **fields)
+    cache = ResultCache(root)
+    loaded = _cache_entry(cache, kind, cache_references, store=False)
+    if loaded is None:
+        assert cache.stats.quarantined == 1 and not path.exists()
+    else:
+        assert cache.stats.quarantined == 0
+        assert _same_value(kind, loaded, cache_references[kind]), mutations
+
+
+#: Entries that loaded as a wrong value (or, on a lab, raised a raw
+#: ValueError) before their shape was checked against the request.
+FORGED_ENTRIES = {
+    "bitmap-length": ("bitmap", "length", lambda field: field + 5),
+    "bitmap-short-packed": ("bitmap", "packed", lambda field: field[:10]),
+    "trace-short-taken": ("trace", "taken", lambda field: field[:10]),
+    "trace-2d-pc": ("trace", "pc", lambda field: field.reshape(-1, 1)),
+    "corr-window": ("corr", "window", lambda field: field * 2),
+    "corr-trace-length": ("corr", "trace_length", lambda field: field + 1),
+    "corr-float-column": ("corr", "entry_depth", lambda field: field.astype(float)),
+}
+
+
+@pytest.mark.parametrize("kind, name, forge", FORGED_ENTRIES.values(), ids=FORGED_ENTRIES)
+def test_forged_cache_entry_is_quarantined(tmp_path, cache_references, kind, name, forge):
+    path = _cache_entry(ResultCache(tmp_path), kind, cache_references, store=True)
+    with np.load(path) as payload:
+        fields = {field: payload[field] for field in payload.files}
+    fields[name] = forge(fields[name])
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, **fields)
+    cache = ResultCache(tmp_path)
+    assert _cache_entry(cache, kind, cache_references, store=False) is None
+    assert cache.stats.quarantined == 1 and not path.exists()
+
+
+ADDRESSES = st.one_of(st.integers(0, 2**64 - 1).map(str), st.integers(0, 2**64 - 1).map(hex))
+BAD_ADDRESSES = st.one_of(
+    st.integers(2**64 - 4, 2**64 + 8).map(str), st.integers(-9, -1).map(str),
+    st.just("9" * 5000), st.text("0123456789xabcdefg_-", max_size=6))
+OUTCOMES = st.sampled_from(["T", "n", "1", "0", "taken", "not-taken"])
+TEXT_LINES = st.one_of(
+    st.tuples(ADDRESSES, OUTCOMES).map(" ".join),
+    st.tuples(ADDRESSES, ADDRESSES, OUTCOMES).map(" ".join),
+    st.one_of(  # one bad field, a comment, or anything
+        st.tuples(st.one_of(ADDRESSES, BAD_ADDRESSES), BAD_ADDRESSES, OUTCOMES).map(" ".join),
+        st.tuples(ADDRESSES, st.sampled_from(["x", "2", "TT"])).map(" ".join),
+        st.sampled_from(["", "# comment", "   "]), st.text(max_size=12)))
+
+
+@st.composite
+def bpt1_files(draw):
+    """A BPT1 file: a forged or true count, then columns cut anywhere."""
+    count = draw(st.integers(0, 40))
+    declared = draw(st.one_of(st.just(count), st.integers(0, 2**64 - 1)))
+    body = draw(st.binary(min_size=16 * count + (count + 7) // 8,
+                          max_size=16 * count + (count + 7) // 8 + 8))
+    raw = b"BPT1" + declared.to_bytes(8, "little") + body
+    return raw[:draw(st.integers(0, len(raw)))] if draw(st.booleans()) else raw
+
+
+@FUZZ
+@given(text=st.lists(TEXT_LINES, max_size=6).map("\n".join),
+       bpt1=bpt1_files(), use_text=st.booleans(), sniff=st.booleans())
+def test_ingest_raises_only_ingest_errors(tmp_path_factory, text, bpt1, use_text, sniff):
+    directory = tmp_path_factory.mktemp("ingest")
+    source = directory / ("trace.txt" if use_text else "trace.bpt1")
+    if use_text:
+        source.write_text(text, encoding="utf-8", errors="surrogatepass")
+    else:
+        source.write_bytes(bpt1)
+    declared = None if sniff else ("text" if use_text else "bpt1")
+    try:
+        result = ingest_file(source, format=declared)
+    except IngestError:
+        assert [path.name for path in directory.iterdir()] == [source.name]
+        return
+    assert sorted(path.name for path in directory.iterdir()) == sorted(
+        [source.name, source.name + ".bpt"])
+    assert result.branches == len(TraceStream.open(result.path)) > 0

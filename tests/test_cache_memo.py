@@ -37,8 +37,8 @@ class TestMemo:
         stored = bitmap(64)
         cache.store_bitmap(DIGEST, "loop|v1", stored)
         before = METRICS.snapshot()["counters"].get("cache.memo_hits", 0)
-        first = cache.load_bitmap(DIGEST, "loop|v1")
-        second = cache.load_bitmap(DIGEST, "loop|v1")
+        first = cache.load_bitmap(DIGEST, "loop|v1", 64)
+        second = cache.load_bitmap(DIGEST, "loop|v1", 64)
         assert second is first
         assert np.array_equal(first, stored)
         assert len(disk_reads) == 1
@@ -57,24 +57,24 @@ class TestMemo:
         first = cache.load_trace("gcc", 500, 1)
         assert cache.load_trace("gcc", 500, 1) is first
         assert first.digest() == trace.digest()
-        table = cache.load_correlation(trace.digest(), stored.window)
-        assert cache.load_correlation(trace.digest(), stored.window) is table
+        table = cache.load_correlation(trace.digest(), stored.window, len(trace))
+        assert cache.load_correlation(trace.digest(), stored.window, len(trace)) is table
         assert len(disk_reads) == 2
 
     def test_stores_do_not_fill_the_memo(self, cache, disk_reads):
         cache.store_bitmap(DIGEST, "loop|v1", bitmap(64))
-        cache.load_bitmap(DIGEST, "loop|v1")
+        cache.load_bitmap(DIGEST, "loop|v1", 64)
         assert len(disk_reads) == 1
 
     def test_misses_are_not_memoised(self, cache, disk_reads):
-        assert cache.load_bitmap(DIGEST, "loop|v1") is None
+        assert cache.load_bitmap(DIGEST, "loop|v1", 64) is None
         cache.store_bitmap(DIGEST, "loop|v1", bitmap(64))
-        assert cache.load_bitmap(DIGEST, "loop|v1") is not None
+        assert cache.load_bitmap(DIGEST, "loop|v1", 64) is not None
         assert len(disk_reads) == 2
 
     def test_memoised_bitmap_is_read_only(self, cache):
         cache.store_bitmap(DIGEST, "loop|v1", bitmap(64))
-        loaded = cache.load_bitmap(DIGEST, "loop|v1")
+        loaded = cache.load_bitmap(DIGEST, "loop|v1", 64)
         with pytest.raises(ValueError):
             loaded[0] = not loaded[0]
 
@@ -85,14 +85,14 @@ class TestBound:
         monkeypatch.setattr(cache_module, "MEMO_BYTES", 250)
         for key in ("a", "b", "c"):
             cache.store_bitmap(DIGEST, key, bitmap(100))
-        held_a = cache.load_bitmap(DIGEST, "a")
-        held_b = cache.load_bitmap(DIGEST, "b")
-        assert cache.load_bitmap(DIGEST, "a") is held_a  # a is now newest
-        cache.load_bitmap(DIGEST, "c")  # evicts b, the oldest
+        held_a = cache.load_bitmap(DIGEST, "a", 100)
+        held_b = cache.load_bitmap(DIGEST, "b", 100)
+        assert cache.load_bitmap(DIGEST, "a", 100) is held_a  # a is now newest
+        cache.load_bitmap(DIGEST, "c", 100)  # evicts b, the oldest
         assert len(disk_reads) == 3
-        assert cache.load_bitmap(DIGEST, "a") is held_a
+        assert cache.load_bitmap(DIGEST, "a", 100) is held_a
         assert len(disk_reads) == 3
-        reread = cache.load_bitmap(DIGEST, "b")
+        reread = cache.load_bitmap(DIGEST, "b", 100)
         assert len(disk_reads) == 4
         assert reread is not held_b
         assert np.array_equal(reread, held_b)
@@ -103,14 +103,14 @@ class TestBound:
         monkeypatch.setattr(cache_module, "MEMO_BYTES", 250)
         cache.store_bitmap(DIGEST, "small", bitmap(100))
         cache.store_bitmap(DIGEST, "large", bitmap(300))
-        small = cache.load_bitmap(DIGEST, "small")
-        first = cache.load_bitmap(DIGEST, "large")
-        second = cache.load_bitmap(DIGEST, "large")
+        small = cache.load_bitmap(DIGEST, "small", 100)
+        first = cache.load_bitmap(DIGEST, "large", 300)
+        second = cache.load_bitmap(DIGEST, "large", 300)
         assert second is not first
         assert np.array_equal(first, second)
         assert len(disk_reads) == 3
         # The oversized entry evicted nothing on its way past.
-        assert cache.load_bitmap(DIGEST, "small") is small
+        assert cache.load_bitmap(DIGEST, "small", 100) is small
         assert len(disk_reads) == 3
 
 

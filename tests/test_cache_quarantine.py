@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.cache import QUARANTINE_DIRNAME, ResultCache, result_key
+from repro.analysis.config import DEFAULT_CONFIG
+from repro.analysis.runner import Lab
 from repro.api import EngineSession, run_spec
 from repro.spec import EngineOptions, spec_from_kwargs
+from repro.workloads.suite import load_benchmark
 
 from conftest import count_disk_reads
 
@@ -30,7 +33,7 @@ class TestQuarantine:
         _, path = store_bitmap(cache)
         with open(path, "r+b") as fh:
             fh.truncate(8)
-        assert cache.load_bitmap("d" * 32, "loop|v1") is None
+        assert cache.load_bitmap("d" * 32, "loop|v1", 4) is None
         assert not path.exists()
         assert cache.quarantine_count() == 1
         (moved,) = cache.quarantined_entries()
@@ -45,9 +48,9 @@ class TestQuarantine:
         bitmap, path = store_bitmap(cache)
         with open(path, "r+b") as fh:
             fh.truncate(8)
-        assert cache.load_bitmap("d" * 32, "loop|v1") is None
+        assert cache.load_bitmap("d" * 32, "loop|v1", 4) is None
         cache.store_bitmap("d" * 32, "loop|v1", bitmap)
-        reloaded = cache.load_bitmap("d" * 32, "loop|v1")
+        reloaded = cache.load_bitmap("d" * 32, "loop|v1", 4)
         assert np.array_equal(reloaded, bitmap)
         assert cache.quarantine_count() == 1  # evidence is kept
 
@@ -55,12 +58,29 @@ class TestQuarantine:
         _, path = store_bitmap(cache)
         with open(path, "r+b") as fh:
             fh.truncate(8)
-        cache.load_bitmap("d" * 32, "loop|v1")
+        cache.load_bitmap("d" * 32, "loop|v1", 4)
         assert cache.entry_count() == 0
         assert cache.total_bytes() == 0
         removed = cache.clear()
         assert removed == 1
         assert cache.quarantine_count() == 0
+
+    def test_forged_length_bitmap_is_recomputed(self, tmp_path):
+        # A well-formed entry claiming 5 more branches than its trace
+        # raised "bitmap length 2005 != trace length 2000" from the lab.
+        trace = load_benchmark("compress", length=SMALL)
+        reference = Lab(trace, cache=ResultCache(tmp_path)).correct("gshare")
+        cache = ResultCache(tmp_path)
+        path = cache.entry_path("bitmap", cache.bitmap_key(
+            trace.digest(), result_key("gshare", DEFAULT_CONFIG)))
+        with np.load(path) as payload:
+            fields = {name: payload[name] for name in payload.files}
+        fields["length"] = fields["length"] + 5
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **fields)
+        assert np.array_equal(Lab(trace, cache=cache).correct("gshare"), reference)
+        assert cache.stats.quarantined == 1
+        assert cache.quarantine_count() == 1
 
     def test_clean_cache_reports_zero(self, cache):
         assert cache.quarantine_count() == 0

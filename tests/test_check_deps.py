@@ -56,7 +56,7 @@ from repro.spec import RunSpec, SyntheticSource
 
 #: Lab's public methods that read no task product.
 NON_PRODUCT_METHODS = {
-    "available_predictors", "fold_cached", "invalidate", "is_primed",
+    "available_predictors", "fold_cached", "is_primed",
     "stats", "store", "take",
 }
 

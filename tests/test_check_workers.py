@@ -25,11 +25,13 @@ import pytest
 import repro.analysis.parallel as parallel
 from repro.analysis import runner
 from repro.analysis.config import DEFAULT_CONFIG
-from repro.analysis.parallel import PoolJob, WorkerPool, prime_labs
+from repro.analysis.parallel import PoolJob, WorkerPool, prime_plan
 from repro.check.lint import lint_source
-from repro.experiments.base import build_labs
+from repro.experiments.base import experiment_requires
 from repro.obs.metrics import METRICS
-from repro.spec import SyntheticSource
+from repro.plan import build_plan
+from repro.resilience.retry import RetryPolicy
+from repro.spec import RunSpec, SyntheticSource
 from repro.workloads.suite import load_source_trace
 
 SOURCE = SyntheticSource(max_length=2000)
@@ -119,16 +121,24 @@ class TestRealTreeIsClean:
             return real_submit(pool, job)
 
         monkeypatch.setattr(WorkerPool, "submit", recording)
-        labs = build_labs(source=SyntheticSource(
+        spec = RunSpec(experiments=("fig6",), workload=SyntheticSource(
             max_length=2000, benchmarks=("compress", "gcc")))
-        assert prime_labs(labs, jobs=2, tasks=("loop",)) == 2
-        assert sorted(job.name for job in submitted) == ["compress", "gcc"]
-        for job in submitted:
-            assert isinstance(job, PoolJob) and job.task == "loop"
+        with WorkerPool(2) as pool:
+            primed = prime_plan(build_plan(spec), pool=pool, policy=RetryPolicy())
+        labs = primed.labs[0]
+        sims = [job for job in submitted if job.task != parallel.TRACE_TASK]
+        assert primed.metrics[0]["counters"]["parallel.jobs_executed"] == len(sims)
+        assert sorted((job.name, job.task) for job in sims) == sorted(
+            (name, task)
+            for name in ("compress", "gcc")
+            for task in experiment_requires("fig6")
+        )
+        assert all(isinstance(job, PoolJob) for job in submitted)
+        for job in sims:
             lab = labs[job.name]
             assert np.array_equal(
-                lab.correct("loop"),
-                runner.compute_task(lab.trace, lab.config, "loop", job.name),
+                lab.correct(job.task),
+                runner.compute_task(lab.trace, lab.config, job.task, job.name),
             )
 
     def test_every_submitted_function_is_an_entry(self):

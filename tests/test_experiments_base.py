@@ -12,7 +12,7 @@ from repro.analysis.config import (
     task_config_fields,
     task_config_key,
 )
-from repro.analysis.parallel import DEFAULT_TASKS
+from repro.analysis.runner import DEFAULT_TASKS
 from repro.experiments.base import (
     build_labs,
     experiment_ids,

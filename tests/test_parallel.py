@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import struct
@@ -14,18 +15,38 @@ import pytest
 import repro.analysis.parallel as parallel
 from repro.analysis.cache import ResultCache
 from repro.analysis.parallel import (
-    DEFAULT_TASKS,
     WorkerPool,
     default_jobs,
-    prime_labs,
+    prime_plan,
     resolve_jobs,
 )
-from repro.analysis.runner import Lab
-from repro.experiments.base import build_labs
-from repro.spec import SyntheticSource
+from repro.analysis.runner import DEFAULT_TASKS, Lab
+from repro.experiments.base import EXPERIMENT_IDS, build_labs
+from repro.obs.metrics import Metrics
+from repro.plan import build_plan
+from repro.resilience.retry import RetryPolicy
+from repro.spec import RunSpec, SyntheticSource
 from repro.workloads.suite import load_benchmark
 
 SMALL = 2000
+
+#: The paper's experiments on the 2,000-branch suite: every default task.
+SUITE = RunSpec(
+    experiments=EXPERIMENT_IDS, workload=SyntheticSource(max_length=SMALL)
+)
+
+
+def prime(spec, jobs, cache=None):
+    """One priming pass of ``spec``'s plan on a ``jobs``-worker pool."""
+    with WorkerPool(jobs) as pool:
+        return prime_plan(
+            build_plan(spec), pool=pool, policy=RetryPolicy(), cache=cache
+        )
+
+
+def executed(primed):
+    """How many sim lanes the pass ran and folded."""
+    return primed.metrics[0]["counters"].get("parallel.jobs_executed", 0)
 
 
 @pytest.fixture(scope="module")
@@ -158,13 +179,12 @@ class TestWorkerSignals:
 
         monkeypatch.setattr(parallel, "_Scheduler", Recording)
         monkeypatch.setattr(WorkerPool, "handle", handle)
-        labs = build_labs(
-            source=SyntheticSource(max_length=SMALL, benchmarks=("compress",))
-        )
+        spec = RunSpec(experiments=("fig6",), workload=SyntheticSource(
+            max_length=SMALL, benchmarks=("compress",)))
         previous = signal.signal(signal.SIGTERM, on_sigterm)
         try:
             with pytest.raises(KeyboardInterrupt):
-                prime_labs(labs, jobs=2, tasks=("loop",))
+                prime(spec, jobs=2)
         finally:
             signal.signal(signal.SIGTERM, previous)
         assert seen == {"submitted": True, "registered": 1}
@@ -176,47 +196,62 @@ class TestWorkerSignals:
 
 class TestPrimeLabs:
     def test_serial_priming_fills_memos(self, serial_labs):
-        labs = build_labs(SMALL)
-        executed = prime_labs(labs, jobs=1)
-        assert executed == len(labs) * len(DEFAULT_TASKS)
+        primed = prime(SUITE, jobs=1)
+        labs = primed.labs[0]
+        assert executed(primed) == len(labs) * len(DEFAULT_TASKS)
         for lab in labs.values():
             for task in DEFAULT_TASKS:
                 assert lab.is_primed(task)
         assert_labs_match(labs, serial_labs)
 
     def test_parallel_matches_serial(self, serial_labs):
-        labs = build_labs(SMALL)
-        executed = prime_labs(labs, jobs=2)
-        assert executed == len(labs) * len(DEFAULT_TASKS)
+        primed = prime(SUITE, jobs=2)
+        labs = primed.labs[0]
+        assert executed(primed) == len(labs) * len(DEFAULT_TASKS)
         assert_labs_match(labs, serial_labs)
 
-    def test_already_primed_schedules_nothing(self, serial_labs):
-        labs = build_labs(SMALL)
-        prime_labs(labs, jobs=1)
-        assert prime_labs(labs, jobs=2) == 0
+    def test_already_primed_schedules_nothing(self, tmp_path, serial_labs):
+        prime(SUITE, jobs=1, cache=ResultCache(tmp_path / "c"))
+        with WorkerPool(2) as pool:
+            primed = prime_plan(
+                build_plan(SUITE), pool=pool, policy=RetryPolicy(),
+                cache=ResultCache(tmp_path / "c"),
+            )
+            assert pool._pool is None  # nothing to run: no worker forked
+        assert executed(primed) == 0
+        assert_labs_match(primed.labs[0], serial_labs)
 
     def test_cache_makes_second_prime_pure_hits(self, tmp_path, serial_labs):
         cache = ResultCache(tmp_path / "c")
-        labs = build_labs(SMALL, jobs=2, cache=cache)
-        assert_labs_match(labs, serial_labs)
+        assert_labs_match(prime(SUITE, jobs=2, cache=cache).labs[0], serial_labs)
         # A fresh process (fresh labs, fresh cache handle) folds from disk.
         cache2 = ResultCache(tmp_path / "c")
-        labs2 = build_labs(SMALL, jobs=2, cache=cache2)
+        labs2 = prime(SUITE, jobs=2, cache=cache2).labs[0]
         assert cache2.stats.misses == 0
         assert cache2.stats.hits >= len(labs2) * len(DEFAULT_TASKS)
         assert_labs_match(labs2, serial_labs)
 
     def test_adhoc_lab_digest_mismatch_is_discarded(self):
-        # A lab whose trace does NOT regenerate from its key must not be
-        # polluted by the worker's differently-seeded result.
+        # A worker that loaded a different trace than the lab holds must
+        # not pollute the lab with its result.
         trace = load_benchmark("compress", length=SMALL, run_seed=777)
-        labs = {"compress": Lab(trace)}
-        prime_labs(labs, run_seed=12345, jobs=2, tasks=("loop",))
-        assert not labs["compress"].is_primed("loop")
+        delta = Metrics().snapshot()
+        bitmap = np.ones(SMALL, dtype=bool)
+        no_charge = lambda point: contextlib.nullcontext()  # noqa: E731
+        for digest, primed in (("0" * 16, False), (trace.digest(), True)):
+            lab = Lab(trace)
+            lane = parallel._Lane(
+                "compress", "loop", (None, SMALL, None),
+                lab=lab, point=0, rank=0, priority=(),
+            )
+            lane.kinds = ()
+            lane.payload = (bitmap, digest, delta, [], 0.0)
+            parallel._fold_lanes([lane], None, no_charge)
+            assert lab.is_primed("loop") is primed, digest
 
     def test_subset_of_tasks(self):
-        labs = build_labs(SMALL)
-        prime_labs(labs, jobs=1, tasks=("loop", "block"))
+        fig6 = RunSpec(experiments=("fig6",), workload=SUITE.workload)
+        labs = prime(fig6, jobs=1).labs[0]
         for lab in labs.values():
             assert lab.is_primed("loop") and lab.is_primed("block")
             assert not lab.is_primed("gshare")

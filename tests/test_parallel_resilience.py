@@ -11,19 +11,34 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.parallel import prime_labs
-from repro.experiments.base import build_labs
-from repro.obs.metrics import METRICS
+from repro.analysis.parallel import WorkerPool, prime_plan
+from repro.plan import build_plan
 from repro.resilience.faults import FaultInjector, FaultSpecError
 from repro.resilience.retry import RetryPolicy
+from repro.spec import RunSpec, SyntheticSource
 
 SMALL = 2000
+
+#: Figure 6 on the 2,000-branch suite: its tasks include ``loop``, which
+#: every fault spec here targets.
+FIG6 = RunSpec(experiments=("fig6",), workload=SyntheticSource(max_length=SMALL))
 
 #: A policy with negligible backoff so retry tests stay fast.
 FAST = dict(backoff_base=0.001, backoff_factor=1.0, backoff_cap=0.001)
 
 #: Every worker-count path: in-process and pooled.
 PATHS = [1, 2]
+
+
+def prime(jobs, policy, spec=None):
+    """One priming pass of the fig6 plan on a ``jobs``-worker pool, with
+    faults from ``spec``; the point's labs, failures and metric delta."""
+    with WorkerPool(jobs) as pool:
+        primed = prime_plan(
+            build_plan(FIG6), pool=pool, policy=policy,
+            injector=FaultInjector.from_spec(spec) if spec else None,
+        )
+    return primed.labs[0], primed.failures[0], primed.metrics[0]
 
 
 def resilience_counters(delta: dict) -> dict:
@@ -37,8 +52,7 @@ def resilience_counters(delta: dict) -> dict:
 @pytest.fixture()
 def reference_loop():
     """Fault-free serial reference for the 'loop' task."""
-    labs = build_labs(SMALL)
-    prime_labs(labs, jobs=1, tasks=("loop",))
+    labs, _, _ = prime(1, RetryPolicy())
     return {name: lab.correct("loop") for name, lab in labs.items()}
 
 
@@ -49,17 +63,7 @@ class TestCrashRetry:
         spec = "gcc/loop:1:crash,perl/loop:1:crash,perl/loop:2:crash"
         deltas = []
         for jobs in PATHS:
-            labs = build_labs(SMALL)
-            baseline = METRICS.snapshot()
-            prime_labs(
-                labs,
-                jobs=jobs,
-                tasks=("loop",),
-                policy=RetryPolicy(max_attempts=3, **FAST),
-                injector=FaultInjector.from_spec(spec),
-                failures=[],
-            )
-            delta = METRICS.delta_since(baseline)
+            labs, _, delta = prime(jobs, RetryPolicy(max_attempts=3, **FAST), spec)
             deltas.append(resilience_counters(delta))
             for name, lab in labs.items():
                 assert np.array_equal(lab.correct("loop"), reference_loop[name])
@@ -71,19 +75,10 @@ class TestCrashRetry:
 class TestExhaustedRetries:
     @pytest.mark.parametrize("jobs", PATHS)
     def test_persistent_crash_becomes_structured_failure(self, jobs):
-        labs = build_labs(SMALL)
         spec = ",".join(f"gcc/loop:{attempt}:crash" for attempt in (1, 2))
-        failures = []
-        baseline = METRICS.snapshot()
-        prime_labs(
-            labs,
-            jobs=jobs,
-            tasks=("loop",),
-            policy=RetryPolicy(max_attempts=2, **FAST),
-            injector=FaultInjector.from_spec(spec),
-            failures=failures,
+        labs, failures, delta = prime(
+            jobs, RetryPolicy(max_attempts=2, **FAST), spec
         )
-        delta = METRICS.delta_since(baseline)
         assert len(failures) == 1
         failure = failures[0]
         assert failure["scope"] == "task"
@@ -108,15 +103,8 @@ class TestExhaustedRetries:
         )
         records = []
         for jobs in PATHS:
-            labs = build_labs(SMALL)
-            failures = []
-            prime_labs(
-                labs,
-                jobs=jobs,
-                tasks=("loop",),
-                policy=RetryPolicy(max_attempts=2, **FAST),
-                injector=FaultInjector.from_spec(spec),
-                failures=failures,
+            _, failures, _ = prime(
+                jobs, RetryPolicy(max_attempts=2, **FAST), spec
             )
             assert [f["benchmark"] for f in failures] == ["gcc", "perl"]
             records.append(failures)
@@ -125,28 +113,13 @@ class TestExhaustedRetries:
 
 class TestHangs:
     def test_hang_without_timeout_is_a_spec_error(self):
-        labs = build_labs(SMALL)
         with pytest.raises(FaultSpecError, match="task timeout"):
-            prime_labs(
-                labs,
-                jobs=1,
-                tasks=("loop",),
-                injector=FaultInjector.from_spec("loop:1:hang"),
-            )
+            prime(1, RetryPolicy(), "loop:1:hang")
 
     def test_serial_hang_counts_as_timeout_and_retries(self):
-        labs = build_labs(SMALL)
-        failures = []
-        baseline = METRICS.snapshot()
-        prime_labs(
-            labs,
-            jobs=1,
-            tasks=("loop",),
-            policy=RetryPolicy(max_attempts=2, timeout=5.0, **FAST),
-            injector=FaultInjector.from_spec("gcc/loop:1:hang"),
-            failures=failures,
+        labs, failures, delta = prime(
+            1, RetryPolicy(max_attempts=2, timeout=5.0, **FAST), "gcc/loop:1:hang"
         )
-        delta = METRICS.delta_since(baseline)
         assert failures == []
         assert delta["counters"]["resilience.timeouts"] == 1
         assert delta["counters"]["resilience.retries"] == 1
@@ -156,18 +129,9 @@ class TestHangs:
         # A hung worker is reclaimed by the deadline: the pool is
         # killed, the hung lane retried once, innocents resubmitted
         # uncharged.
-        labs = build_labs(SMALL)
-        failures = []
-        baseline = METRICS.snapshot()
-        prime_labs(
-            labs,
-            jobs=2,
-            tasks=("loop",),
-            policy=RetryPolicy(max_attempts=2, timeout=3.0, **FAST),
-            injector=FaultInjector.from_spec("gcc/loop:1:hang"),
-            failures=failures,
+        labs, failures, delta = prime(
+            2, RetryPolicy(max_attempts=2, timeout=3.0, **FAST), "gcc/loop:1:hang"
         )
-        delta = METRICS.delta_since(baseline)
         assert failures == []
         assert delta["counters"]["parallel.pool_rebuilds"] >= 1
         counters = resilience_counters(delta)
@@ -184,17 +148,7 @@ class TestBackoffAccounting:
         spec = "gcc/loop:1:crash,gcc/loop:2:crash"
         totals = []
         for jobs in PATHS:
-            labs = build_labs(SMALL)
-            baseline = METRICS.snapshot()
-            prime_labs(
-                labs,
-                jobs=jobs,
-                tasks=("loop",),
-                policy=policy,
-                injector=FaultInjector.from_spec(spec),
-                failures=[],
-            )
-            delta = METRICS.delta_since(baseline)
+            _, _, delta = prime(jobs, policy, spec)
             totals.append(delta["timers"]["resilience.backoff_seconds"])
         # Every run charges exactly backoff(1) + backoff(2), as recorded
         # nominal values -- not measured sleeps.
