@@ -14,10 +14,27 @@ each artefact by a digest of exactly those inputs:
 
 Entries live under ``.repro-cache/`` (override with the
 :data:`ENV_CACHE_DIR` environment variable or ``--cache-dir``) as
-compressed ``.npz`` files, sharded by the first byte of the key digest.
-Writes are atomic (temp file + ``os.replace``) so concurrent workers can
-share one cache directory; any load failure -- missing file, truncation,
-schema drift -- counts as a miss and never propagates.
+``<kind>/<first digest byte>/<key>.blob`` files.  Writes are atomic
+(temp file + ``os.replace``) so concurrent workers can share one cache
+directory; any load failure -- missing file, truncation, a digest or
+schema mismatch -- counts as a miss and never propagates.
+
+Every entry, whatever its kind, is one blob (:func:`write_entry`,
+:func:`parse_entry`):
+
+* the magic :data:`ENTRY_MAGIC` and a ``uint32`` header length;
+* a JSON header listing each array as ``[name, dtype, shape,
+  compressed length]``;
+* each array's bytes, zlib-compressed on its own, in header order;
+* a 16-byte blake2b digest over everything before it.
+
+A reader takes the file in one ``read()``, checks the magic and the
+digest, then decodes each array from its own slice of the blob; lengths
+that do not add up to the blob are as corrupt as a wrong digest.  The
+digest catches bit rot and torn writes: a flipped bit anywhere in the
+file fails it.  It cannot catch an entry whose arrays were altered and
+re-encoded with a fresh digest; the per-kind decoders' own shape and
+range checks are all that stands in the way of such an entry.
 
 A *corrupt* entry (present but unreadable or undecodable) is not just a
 miss: it is moved into ``<root>/quarantine/`` so the bad bytes are
@@ -54,12 +71,16 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
+import math
 import os
+import struct
 import tempfile
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Tuple, Union
+from typing import BinaryIO, Callable, Dict, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -68,7 +89,7 @@ from repro.obs.metrics import METRICS
 from repro.trace.trace import Trace
 
 #: Bump when the on-disk layout or any cached result's semantics change.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: Bump when the workload generator changes what an unchanged
 #: ``(name, length, run_seed)`` triple produces.
@@ -86,6 +107,28 @@ QUARANTINE_DIRNAME = "quarantine"
 #: Decoded bytes one cache's session memo holds at most; a larger entry
 #: is never held.
 MEMO_BYTES = 64 << 20
+
+#: Suffix of every cache entry file.
+ENTRY_SUFFIX = ".blob"
+
+#: Suffix of the ``.npz`` entries schema versions 1-3 wrote; never read,
+#: only removed by :meth:`ResultCache.clear`.
+LEGACY_SUFFIX = ".npz"
+
+#: First bytes of every cache entry.
+ENTRY_MAGIC = b"RCE1"
+
+#: zlib level each stored array is compressed at.
+COMPRESS_LEVEL = 2
+
+#: Entry prefix: magic, then the JSON header's length.
+_PREFIX = struct.Struct("<4sI")
+
+#: Bytes of the blake2b digest closing every entry.
+_DIGEST_SIZE = 16
+
+#: dtype kinds an entry may hold: bool, signed, unsigned, float.
+_ENTRY_KINDS = "biuf"
 
 
 def result_key(task: str, config: object) -> str:
@@ -154,6 +197,9 @@ class ResultCache:
         # Unlocked, like the stats: a session runs one spec at a time.
         self._memo: "OrderedDict[Tuple[str, str], tuple]" = OrderedDict()
         self._memo_bytes = 0
+        # Shard directories this cache has made, so a write does not
+        # call mkdir each time.
+        self._shards: Set[Path] = set()
 
     # -- keying ------------------------------------------------------------
 
@@ -166,7 +212,7 @@ class ResultCache:
         return h.hexdigest()
 
     def _path(self, kind: str, key: str) -> Path:
-        return self.root / kind / key[:2] / f"{key}.npz"
+        return self.root / kind / key[:2] / f"{key}{ENTRY_SUFFIX}"
 
     def entry_path(self, kind: str, key: str) -> Path:
         """The on-disk path an entry of ``kind`` under ``key`` lives at.
@@ -223,15 +269,16 @@ class ResultCache:
         METRICS.inc("cache.quarantined")
 
     def _load(self, path: Path, kind: str) -> Optional[dict]:
-        """Load an npz entry; a corrupt one is quarantined, not kept."""
+        """Read an entry's arrays; a corrupt entry is quarantined."""
         try:
-            with np.load(path) as payload:
-                return {name: payload[name] for name in payload.files}
+            with open(path, "rb", buffering=0) as fh:
+                blob = fh.read()
+            return parse_entry(blob)
         except FileNotFoundError:
             self._record_miss(kind)
             return None
         except Exception:
-            # Truncated/corrupted/foreign file: quarantine it so the
+            # Truncated/flipped/foreign file: quarantine it so the
             # caller recomputes and writes a clean entry in its place.
             self._quarantine(path, kind)
             return None
@@ -241,7 +288,7 @@ class ResultCache:
     ) -> Optional[object]:
         """An entry from the session memo, else decoded from disk.
 
-        ``decode`` turns the npz payload into ``(value, decoded
+        ``decode`` turns the entry's arrays into ``(value, decoded
         bytes)``; a payload it rejects is quarantined like an
         unreadable file.  Only a successful decode enters the memo.
         """
@@ -268,16 +315,26 @@ class ResultCache:
                 self._memo_bytes -= evicted
         return value
 
+    def _mkstemp(self, path: Path) -> Tuple[int, str]:
+        """A temp file beside ``path``, in a shard made once per cache
+        (and again if it vanished since)."""
+        shard = path.parent
+        if shard in self._shards:
+            try:
+                return tempfile.mkstemp(dir=shard, prefix=path.stem, suffix=".tmp")
+            except FileNotFoundError:
+                pass
+        shard.mkdir(parents=True, exist_ok=True)
+        self._shards.add(shard)
+        return tempfile.mkstemp(dir=shard, prefix=path.stem, suffix=".tmp")
+
     def _store(self, path: Path, kind: str, **arrays: np.ndarray) -> None:
-        """Atomically write an npz entry (temp file + rename)."""
+        """Atomically write an entry (temp file + rename)."""
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=path.stem, suffix=".tmp"
-            )
+            fd, tmp_name = self._mkstemp(path)
             try:
                 with os.fdopen(fd, "wb") as fh:
-                    np.savez_compressed(fh, **arrays)
+                    size = write_entry(fh, arrays)
                 os.replace(tmp_name, path)
             except BaseException:
                 try:
@@ -287,10 +344,7 @@ class ResultCache:
                 raise
             self.stats.writes += 1
             METRICS.inc(f"cache.{kind}.writes")
-            try:
-                METRICS.inc("cache.bytes_written", path.stat().st_size)
-            except OSError:
-                pass
+            METRICS.inc("cache.bytes_written", size)
         except OSError:
             # A read-only or full disk must never fail the computation.
             self.stats.errors += 1
@@ -406,7 +460,7 @@ class ResultCache:
 
     # -- maintenance -------------------------------------------------------
 
-    def _entries(self):
+    def _entries(self, suffixes: Tuple[str, ...] = (ENTRY_SUFFIX,)):
         # A missing, deleted-underneath, or plain-file root must never
         # fail maintenance commands: report an empty cache instead.
         try:
@@ -419,7 +473,8 @@ class ResultCache:
             if kind_dir.name == QUARANTINE_DIRNAME:
                 continue
             if kind_dir.is_dir():
-                yield from sorted(kind_dir.glob("*/*.npz"))
+                for suffix in suffixes:
+                    yield from sorted(kind_dir.glob(f"*/*{suffix}"))
 
     def quarantined_entries(self):
         """Paths of quarantined corrupt entries, sorted."""
@@ -451,10 +506,11 @@ class ResultCache:
         return total
 
     def clear(self) -> int:
-        """Delete every cache entry (quarantine included); returns the
-        number removed."""
+        """Delete every cache entry (quarantine and the ``.npz`` entries
+        of older schema versions included); returns the number removed."""
         removed = 0
-        for path in list(self._entries()) + self.quarantined_entries():
+        entries = list(self._entries((ENTRY_SUFFIX, LEGACY_SUFFIX)))
+        for path in entries + self.quarantined_entries():
             try:
                 path.unlink()
                 removed += 1
@@ -463,7 +519,76 @@ class ResultCache:
         return removed
 
 
-# -- payload decoders: npz payload -> (value, decoded bytes) ---------------
+# -- entry blobs: named arrays <-> bytes -------------------------------------
+
+
+def write_entry(fh: BinaryIO, arrays: Dict[str, np.ndarray]) -> int:
+    """Write ``arrays`` to ``fh`` as one entry; returns its size in bytes.
+
+    Each array is compressed and hashed on its own, so no buffer the
+    size of the whole entry is ever built.
+    """
+    header, blobs = [], []
+    for name, array in arrays.items():
+        array = np.asarray(array)
+        if not array.flags.c_contiguous:
+            array = array.copy(order="C")
+        blob = zlib.compress(array, COMPRESS_LEVEL)
+        header.append([name, array.dtype.str, list(array.shape), len(blob)])
+        blobs.append(blob)
+    encoded = json.dumps(header, separators=(",", ":")).encode()
+    digest = hashlib.blake2b(digest_size=_DIGEST_SIZE)
+    size = 0
+    for part in [_PREFIX.pack(ENTRY_MAGIC, len(encoded)), encoded, *blobs]:
+        digest.update(part)
+        fh.write(part)
+        size += len(part)
+    fh.write(digest.digest())
+    return size + _DIGEST_SIZE
+
+
+def parse_entry(blob: bytes) -> Dict[str, np.ndarray]:
+    """The named (read-only) arrays of one entry's bytes.
+
+    Raises ``ValueError`` (or whatever a malformed header trips) on a
+    wrong magic or digest, or lengths that do not add up to the blob.
+    """
+    view = memoryview(blob)
+    end = len(view) - _DIGEST_SIZE
+    if end < _PREFIX.size:
+        raise ValueError("cache entry is truncated")
+    magic, header_size = _PREFIX.unpack_from(view)
+    if magic != ENTRY_MAGIC:
+        raise ValueError("not a cache entry")
+    digest = hashlib.blake2b(view[:end], digest_size=_DIGEST_SIZE).digest()
+    if digest != view[end:]:
+        raise ValueError("cache entry digest does not match its bytes")
+    start = _PREFIX.size + header_size
+    if start > end:
+        raise ValueError("cache entry header overruns the entry")
+    arrays = {}
+    for name, descr, shape, length in json.loads(bytes(view[_PREFIX.size:start])):
+        dtype = np.dtype(descr)
+        if (
+            dtype.kind not in _ENTRY_KINDS or dtype.str != descr or name in arrays
+            or not all(type(side) is int and side >= 0 for side in shape)
+            or type(length) is not int or not 0 <= length <= end - start
+        ):
+            raise ValueError(f"cache entry array {name!r} is malformed")
+        nbytes = dtype.itemsize * math.prod(shape)
+        # An exact output buffer: zlib's default one grows in blocks and
+        # joins them, peaking at several times the array's size.
+        raw = zlib.decompress(view[start:start + length], bufsize=nbytes)
+        if len(raw) != nbytes:
+            raise ValueError(f"cache entry array {name!r} does not fill its shape")
+        arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        start += length
+    if start != end:
+        raise ValueError("cache entry arrays do not fill the entry")
+    return arrays
+
+
+# -- payload decoders: entry arrays -> (value, decoded bytes) ---------------
 
 
 def _decode_bitmap(payload: dict, length: int) -> tuple:

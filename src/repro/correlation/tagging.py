@@ -119,7 +119,7 @@ class CorrelationTable:
             raise ValueError("correlation entries name unknown instances")
 
     def columns(self) -> Dict[str, np.ndarray]:
-        """Every column by name, ready for ``np.savez``."""
+        """Every column by name."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property

@@ -13,7 +13,8 @@ foreign formats flow in; one canonical artefact flows out:
 ``binary``
     Headerless packed records, 9 bytes each, little-endian: ``uint64``
     pc then one outcome byte (0 or 1).  The file size must be an exact
-    multiple of the record size.
+    multiple of the record size.  Targets are synthesised as in the
+    text format, so a pc whose ``pc + 4`` leaves uint64 is rejected.
 ``bpt1``
     The legacy whole-column ``.bpt`` layout: magic ``b"BPT1"``,
     ``uint64`` n, n ``uint64`` pcs, n ``uint64`` targets, then
@@ -69,6 +70,9 @@ BINARY_RECORD_SIZE = BINARY_RECORD.itemsize
 
 #: Synthetic taken-target stride for formats that omit targets.
 _SYNTHETIC_TARGET_STRIDE = 4
+
+#: Highest pc whose synthetic target still fits in uint64.
+_LAST_SYNTHESISABLE_PC = np.uint64(2**64 - 1 - _SYNTHETIC_TARGET_STRIDE)
 
 #: Column batch size parsers aim for (records per yielded batch); a
 #: multiple of 8, so ``bpt1`` batches start on packed-outcome bytes.
@@ -233,6 +237,14 @@ def _parse_binary(path: PathLike) -> Iterator[Batch]:
                     f"byte offset {where} (want 0 or 1)"
                 )
             pc = records["pc"].astype("<u8")
+            wraps = np.nonzero(pc > _LAST_SYNTHESISABLE_PC)[0]
+            if wraps.size:
+                index = offset // BINARY_RECORD_SIZE + int(wraps[0])
+                raise IngestError(
+                    f"{path}: record {index}: address out of uint64 range "
+                    f"(pc {int(pc[wraps[0]]):#x} + "
+                    f"{_SYNTHETIC_TARGET_STRIDE} overflows)"
+                )
             yield (
                 pc,
                 pc + np.uint64(_SYNTHETIC_TARGET_STRIDE),

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from pathlib import Path
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 import pytest
 
+from repro.analysis.cache import parse_entry, write_entry
 from repro.trace.trace import Trace, TraceBuilder
 
 
@@ -81,6 +83,19 @@ def count_disk_reads(cache, monkeypatch) -> List:
 
     monkeypatch.setattr(cache, "_load", counting_load)
     return reads
+
+
+def rewrite_cache_entry(path: Path, mutate: Callable[[dict], None]) -> None:
+    """Apply ``mutate`` to the arrays of the cache entry at ``path`` (none
+    if there is no entry yet) and write them back through the cache's own
+    encoder.  The rewritten entry's digest is valid, so only the kind's
+    decoder can reject it.
+    """
+    fields = parse_entry(path.read_bytes()) if path.exists() else {}
+    mutate(fields)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        write_entry(fh, fields)
 
 
 @pytest.fixture(scope="session")

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import repro.analysis.cache as cache_module
-from repro.analysis.cache import ResultCache, result_key
+from repro.analysis.cache import ResultCache, parse_entry, result_key
 from repro.analysis.config import LabConfig
 from repro.analysis.runner import Lab
 from repro.correlation.tagging import CorrelationTable, collect_correlation_data
 from repro.workloads.suite import load_benchmark
 
-from conftest import trace_from_string
+from conftest import rewrite_cache_entry, trace_from_string
 
 
 @pytest.fixture()
@@ -52,7 +55,7 @@ class TestBitmapCache:
         bitmap = np.ones(len(trace), dtype=bool)
         cache.store_bitmap(trace.digest(), "a", bitmap)
         path = cache._path("bitmap", cache.bitmap_key(trace.digest(), "a"))
-        path.write_bytes(b"not an npz file")
+        path.write_bytes(b"not a cache entry")
         assert cache.load_bitmap(trace.digest(), "a", len(trace)) is None
         assert cache.stats.errors == 1
         # Storing again repairs the entry.
@@ -106,16 +109,14 @@ class TestCorrelationCache:
             "corr", cache.correlation_key(trace.digest(), 8)
         )
         monkeypatch.undo()
-        old_path.parent.mkdir(parents=True)
-        np.savez_compressed(
-            old_path,
+        rewrite_cache_entry(old_path, lambda fields: fields.update(
             window=np.int64(8),
             trace_length=np.int64(len(trace)),
             pcs=np.zeros(1, dtype=np.uint64),
             branch_offsets=np.array([0, 1]),
             tag_offsets=np.array([0]),
             tag_values=np.zeros(0, dtype=np.int64),
-        )
+        ))
         assert cache.entry_path(
             "corr", cache.correlation_key(trace.digest(), 8)
         ) != old_path
@@ -134,8 +135,7 @@ class TestCorrelationCache:
             "corr", cache.correlation_key(trace.digest(), 8)
         )
         monkeypatch.undo()
-        old_path.parent.mkdir(parents=True)
-        np.savez_compressed(old_path, **data.columns())
+        rewrite_cache_entry(old_path, lambda fields: fields.update(data.columns()))
         assert cache.entry_path(
             "corr", cache.correlation_key(trace.digest(), 8)
         ) != old_path
@@ -148,10 +148,10 @@ class TestCorrelationCache:
         data = collect_correlation_data(trace, window=8)
         cache.store_correlation(trace.digest(), data)
         path = cache.entry_path("corr", cache.correlation_key(trace.digest(), 8))
-        with np.load(path) as payload:
-            stored = set(payload.files)
-            counts = payload["entry_tag_counts"]
-            packed = payload["entry_outcome_packed"]
+        payload = parse_entry(path.read_bytes())
+        stored = set(payload)
+        counts = payload["entry_tag_counts"]
+        packed = payload["entry_outcome_packed"]
         assert not stored & {"inst_branch", "tag_branch", "entry_tag", "entry_outcome"}
         assert np.array_equal(counts, np.diff(data.entry_offsets))
         assert len(packed) == (len(data.entry_instance) + 7) // 8
@@ -201,10 +201,7 @@ class TestMalformedCorrelationEntry:
         path = cache.entry_path(
             "corr", cache.correlation_key(trace.digest(), data.window)
         )
-        with np.load(path) as stored:
-            payload = {name: stored[name] for name in stored.files}
-        _tamper(payload, damage)
-        np.savez_compressed(path, **payload)
+        rewrite_cache_entry(path, lambda payload: _tamper(payload, damage))
 
         fresh = ResultCache(cache.root)
         recomputed = Lab(trace, cache=fresh).correlation_data()
@@ -239,6 +236,48 @@ class TestMaintenance:
         assert cache.total_bytes() > 0
         assert cache.clear() == 2
         assert cache.entry_count() == 0
+
+    def test_schema_3_npz_entries_miss_and_are_cleared(self, cache, trace, monkeypatch):
+        # A cache an older version filled holds .npz entries at schema-3
+        # keys: they are never read (so never quarantined), not counted
+        # as entries, and removed by clear().
+        monkeypatch.setattr(cache_module, "SCHEMA_VERSION", 3)
+        legacy = cache.entry_path(
+            "bitmap", cache.bitmap_key(trace.digest(), "a")).with_suffix(".npz")
+        monkeypatch.undo()
+        legacy.parent.mkdir(parents=True)
+        np.savez_compressed(legacy, packed=np.packbits(np.ones(len(trace), dtype=bool)),
+                            length=np.int64(len(trace)))
+        assert cache.load_bitmap(trace.digest(), "a", len(trace)) is None
+        assert cache.stats.misses == 1 and cache.stats.quarantined == 0
+        assert cache.entry_count() == 0 and cache.total_bytes() == 0
+        assert cache.clear() == 1
+        assert not legacy.exists()
+
+    def test_shard_is_made_once_and_again_if_it_vanished(self, cache, trace, monkeypatch):
+        made, inside = [], []
+        real_mkdir = Path.mkdir
+
+        def counting_mkdir(path, *args, **kwargs):
+            # Count the cache's own calls, not mkdir's recursion to parents.
+            if not inside:
+                made.append(path)
+            inside.append(path)
+            try:
+                return real_mkdir(path, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+        bitmap = np.ones(len(trace), dtype=bool)
+        cache.store_bitmap(trace.digest(), "a", bitmap)
+        cache.store_bitmap(trace.digest(), "a", bitmap)
+        assert len(made) == 1
+        shutil.rmtree(cache.root)
+        cache.store_bitmap(trace.digest(), "a", bitmap)
+        assert len(made) == 2
+        assert cache.stats.writes == 3 and cache.stats.errors == 0
+        assert np.array_equal(cache.load_bitmap(trace.digest(), "a", len(trace)), bitmap)
 
 
 class TestResultKey:

@@ -1,9 +1,9 @@
 """Bad input ends in a typed ``ReproError``, never a crash or a stray file:
 hypothesis fuzzes BPT2 headers and indexes, spec JSON, ``POST /v1/runs``
 bodies (answered 2xx, or 400/429 with ``error/v1``), raw request heads
-over a socket, journal lines, result-cache entries (loaded correctly or
-quarantined) and text and BPT1 traces through ``ingest_file``; its finds
-are pinned.
+over a socket, journal lines, result-cache entries, raw, re-encoded or
+with a flipped bit (loaded correctly or quarantined) and text, BPT1 and
+binary traces through ``ingest_file``; its finds are pinned.
 """
 
 import gc
@@ -28,7 +28,7 @@ from repro.trace.ingest import ingest_file
 from repro.trace.stream import TraceFormatError, TraceStream, write_trace
 from repro.workloads.suite import load_benchmark
 
-from conftest import trace_from_steps
+from conftest import rewrite_cache_entry, trace_from_steps
 from test_resilience_journal import UNDECODABLE, FakeResult
 
 FUZZ = settings(max_examples=100, deadline=None,
@@ -369,8 +369,20 @@ def _same_value(kind, loaded, reference) -> bool:
     return all(kind_of(a) == kind_of(b) and np.array_equal(a, b) for a, b in pairs)
 
 
+def _assert_correct_or_quarantined(root, path, kind, references) -> None:
+    """A fresh cache on ``root`` loads the entry of ``kind`` at ``path``
+    as its reference value, or misses and quarantines it."""
+    cache = ResultCache(root)
+    loaded = _cache_entry(cache, kind, references, store=False)
+    if loaded is None:
+        assert cache.stats.quarantined == 1 and not path.exists()
+    else:
+        assert cache.stats.quarantined == 0
+        assert _same_value(kind, loaded, references[kind])
+
+
 def _mutate(fields: dict, op: str, which: int, value: int) -> None:
-    """Apply one structural change to a field of an npz payload."""
+    """Apply one structural change to an array of a cache entry."""
     if op == "add" or not fields:
         fields[f"extra{which}"] = np.int64(value)
         return
@@ -398,28 +410,33 @@ MUTATIONS = st.lists(st.tuples(
 
 @FUZZ
 @given(kind=st.sampled_from(["bitmap", "corr", "trace"]),
-       raw=st.one_of(st.none(), st.binary(max_size=256)),
-       mutations=MUTATIONS, compressed=st.booleans())
+       raw=st.one_of(st.none(), st.binary(max_size=256)), mutations=MUTATIONS)
 def test_cache_entry_loads_correct_or_quarantined(
-        tmp_path_factory, cache_references, kind, raw, mutations, compressed):
+        tmp_path_factory, cache_references, kind, raw, mutations):
     root = tmp_path_factory.mktemp("cache")
     path = _cache_entry(ResultCache(root), kind, cache_references, store=True)
     if raw is not None:
         path.write_bytes(raw)
     else:
-        with np.load(path) as payload:
-            fields = {name: payload[name] for name in payload.files}
-        for mutation in mutations:
-            _mutate(fields, *mutation)
-        with open(path, "wb") as fh:
-            (np.savez_compressed if compressed else np.savez)(fh, **fields)
-    cache = ResultCache(root)
-    loaded = _cache_entry(cache, kind, cache_references, store=False)
-    if loaded is None:
-        assert cache.stats.quarantined == 1 and not path.exists()
-    else:
-        assert cache.stats.quarantined == 0
-        assert _same_value(kind, loaded, cache_references[kind]), mutations
+        def mutate(fields):
+            for mutation in mutations:
+                _mutate(fields, *mutation)
+
+        rewrite_cache_entry(path, mutate)
+    _assert_correct_or_quarantined(root, path, kind, cache_references)
+
+
+@FUZZ
+@given(kind=st.sampled_from(["bitmap", "corr", "trace"]),
+       offset=st.integers(0, 2**20), bit=st.integers(0, 7))
+def test_flipped_bit_never_loads_a_wrong_value(
+        tmp_path_factory, cache_references, kind, offset, bit):
+    root = tmp_path_factory.mktemp("cache")
+    path = _cache_entry(ResultCache(root), kind, cache_references, store=True)
+    raw = bytearray(path.read_bytes())
+    raw[offset % len(raw)] ^= 1 << bit
+    path.write_bytes(bytes(raw))
+    _assert_correct_or_quarantined(root, path, kind, cache_references)
 
 
 #: Entries that loaded as a wrong value (or, on a lab, raised a raw
@@ -438,11 +455,7 @@ FORGED_ENTRIES = {
 @pytest.mark.parametrize("kind, name, forge", FORGED_ENTRIES.values(), ids=FORGED_ENTRIES)
 def test_forged_cache_entry_is_quarantined(tmp_path, cache_references, kind, name, forge):
     path = _cache_entry(ResultCache(tmp_path), kind, cache_references, store=True)
-    with np.load(path) as payload:
-        fields = {field: payload[field] for field in payload.files}
-    fields[name] = forge(fields[name])
-    with open(path, "wb") as fh:
-        np.savez_compressed(fh, **fields)
+    rewrite_cache_entry(path, lambda fields: fields.update({name: forge(fields[name])}))
     cache = ResultCache(tmp_path)
     assert _cache_entry(cache, kind, cache_references, store=False) is None
     assert cache.stats.quarantined == 1 and not path.exists()

@@ -12,7 +12,7 @@ from repro.api import EngineSession, run_spec
 from repro.spec import EngineOptions, spec_from_kwargs
 from repro.workloads.suite import load_benchmark
 
-from conftest import count_disk_reads
+from conftest import count_disk_reads, rewrite_cache_entry
 
 SMALL = 2000
 
@@ -73,14 +73,26 @@ class TestQuarantine:
         cache = ResultCache(tmp_path)
         path = cache.entry_path("bitmap", cache.bitmap_key(
             trace.digest(), result_key("gshare", DEFAULT_CONFIG)))
-        with np.load(path) as payload:
-            fields = {name: payload[name] for name in payload.files}
-        fields["length"] = fields["length"] + 5
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **fields)
+        rewrite_cache_entry(
+            path, lambda fields: fields.update(length=fields["length"] + 5))
         assert np.array_equal(Lab(trace, cache=cache).correct("gshare"), reference)
         assert cache.stats.quarantined == 1
         assert cache.quarantine_count() == 1
+
+    def test_every_flipped_bit_is_quarantined(self, cache):
+        # The entry digest covers every byte, so no flip anywhere in the
+        # file (magic, header, arrays or the digest itself) loads.
+        _, path = store_bitmap(cache)
+        clean = path.read_bytes()
+        for offset in range(len(clean)):
+            for bit in range(8):
+                flipped = bytearray(clean)
+                flipped[offset] ^= 1 << bit
+                path.write_bytes(bytes(flipped))
+                fresh = ResultCache(cache.root)
+                assert fresh.load_bitmap("d" * 32, "loop|v1", 4) is None, (offset, bit)
+                assert fresh.stats.quarantined == 1 and not path.exists()
+        assert cache.quarantine_count() == 1  # one name, overwritten each time
 
     def test_clean_cache_reports_zero(self, cache):
         assert cache.quarantine_count() == 0

@@ -174,6 +174,31 @@ class TestRejections:
         with pytest.raises(IngestError, match="uint64"):
             ingest_file(source, tmp_path / "bad.bpt")
 
+    @pytest.mark.parametrize("pc", [2**64 - 4, 2**64 - 2, 2**64 - 1])
+    def test_pc_whose_synthetic_target_overflows(self, tmp_path, pc):
+        # The binary format wrapped pc + 4 to a small target (pc 2**64-2
+        # got target 2) where the text format rejected the line.
+        text = tmp_path / "wrap.txt"
+        text.write_text(f"0x10 T\n{pc:#x} T\n")
+        binary = tmp_path / "wrap.bin"
+        binary.write_bytes(b"".join(
+            value.to_bytes(8, "little") + b"\x01" for value in (0x10, pc)))
+        with pytest.raises(IngestError, match="out of uint64 range"):
+            ingest_file(text, tmp_path / "text.bpt")
+        with pytest.raises(IngestError, match="record 1: address out of uint64 range"):
+            ingest_file(binary, tmp_path / "binary.bpt")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["wrap.bin", "wrap.txt"]
+
+    def test_last_synthesisable_pc_is_accepted(self, tmp_path):
+        pc = 2**64 - 5
+        text = tmp_path / "edge.txt"
+        text.write_text(f"{pc:#x} T\n")
+        binary = tmp_path / "edge.bin"
+        binary.write_bytes(pc.to_bytes(8, "little") + b"\x01")
+        expected = Trace([pc], [2**64 - 1], [True]).digest()
+        assert ingest_file(text, tmp_path / "text.bpt").digest == expected
+        assert ingest_file(binary, tmp_path / "binary.bpt").digest == expected
+
     def test_bad_outcome_word(self, tmp_path):
         source = tmp_path / "bad.txt"
         source.write_text("0x10 maybe\n")
