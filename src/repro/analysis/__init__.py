@@ -24,7 +24,7 @@ from repro.analysis.accuracy import (
     dynamic_weighted_fraction,
     misprediction_reduction,
 )
-from repro.analysis.cache import CacheStats, ResultCache, result_key
+from repro.analysis.cache import ResultCache, result_key
 from repro.analysis.config import LabConfig
 from repro.analysis.cost import PipelineModel
 from repro.analysis.interference import (
@@ -43,7 +43,6 @@ from repro.analysis.warmup import WarmupCurve, warmup_curve
 
 __all__ = [
     "BranchOffender",
-    "CacheStats",
     "InterferenceReport",
     "Lab",
     "LabConfig",

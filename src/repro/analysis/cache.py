@@ -43,6 +43,11 @@ that follows overwrites a clean entry at the original path.  Quarantine
 events are counted (``cache.quarantined``) and surfaced by ``repro
 cache stats``; ``repro cache clear`` reclaims the quarantine too.
 
+Every cache event counts into the metrics registry in scope
+(:data:`~repro.obs.metrics.METRICS`), so a run's events are in its own
+counters, worker events included; :func:`cache_summary` renders them
+for the ``cache:`` progress lines.
+
 Within one :class:`ResultCache` -- which an
 :class:`~repro.api.EngineSession` owns for its whole lifetime, so the
 server's requests and a sweep's points share it -- each entry is read
@@ -78,7 +83,6 @@ import struct
 import tempfile
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Dict, Optional, Set, Tuple, Union
 
@@ -87,6 +91,9 @@ import numpy as np
 from repro.correlation.tagging import CorrelationTable
 from repro.obs.metrics import METRICS
 from repro.trace.trace import Trace
+
+#: The entry kinds; each counts ``cache.<kind>.hits|misses|writes``.
+KINDS = ("bitmap", "corr", "trace")
 
 #: Bump when the on-disk layout or any cached result's semantics change.
 SCHEMA_VERSION = 4
@@ -155,31 +162,28 @@ def default_cache_dir() -> Path:
     return Path(DEFAULT_CACHE_DIRNAME)
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss accounting for one :class:`ResultCache` instance."""
+def cache_counts(metrics: dict) -> Dict[str, int]:
+    """The cache events in a metrics snapshot, summed over entry kinds."""
+    counters = metrics.get("counters", {})
+    counts = {
+        event: sum(counters.get(f"cache.{kind}.{event}", 0) for kind in KINDS)
+        for event in ("hits", "misses", "writes")
+    }
+    counts["errors"] = counters.get("cache.errors", 0)
+    counts["quarantined"] = counters.get("cache.quarantined", 0)
+    return counts
 
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    errors: int = 0
-    quarantined: int = 0
 
-    def merge(self, other: "CacheStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-        self.writes += other.writes
-        self.errors += other.errors
-        self.quarantined += other.quarantined
-
-    def summary(self) -> str:
-        text = (
-            f"{self.hits} hits, {self.misses} misses, "
-            f"{self.writes} writes, {self.errors} errors"
-        )
-        if self.quarantined:
-            text += f", {self.quarantined} quarantined"
-        return text
+def cache_summary(metrics: dict) -> str:
+    """The ``cache:`` progress line's counts, from a metrics snapshot."""
+    counts = cache_counts(metrics)
+    text = (
+        f"{counts['hits']} hits, {counts['misses']} misses, "
+        f"{counts['writes']} writes, {counts['errors']} errors"
+    )
+    if counts["quarantined"]:
+        text += f", {counts['quarantined']} quarantined"
+    return text
 
 
 class ResultCache:
@@ -192,9 +196,8 @@ class ResultCache:
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.stats = CacheStats()
         # (kind, key) -> (decoded value, decoded bytes), oldest first.
-        # Unlocked, like the stats: a session runs one spec at a time.
+        # Unlocked: a session runs one spec at a time.
         self._memo: "OrderedDict[Tuple[str, str], tuple]" = OrderedDict()
         self._memo_bytes = 0
         # Shard directories this cache has made, so a write does not
@@ -229,14 +232,11 @@ class ResultCache:
 
     def _record_miss(self, kind: str, error: bool = False) -> None:
         """Count a miss (and optionally an error) per entry kind."""
-        self.stats.misses += 1
         METRICS.inc(f"cache.{kind}.misses")
         if error:
-            self.stats.errors += 1
             METRICS.inc("cache.errors")
 
     def _record_hit(self, kind: str) -> None:
-        self.stats.hits += 1
         METRICS.inc(f"cache.{kind}.hits")
 
     def record_memo_hit(self, kind: str) -> None:
@@ -265,7 +265,6 @@ class ResultCache:
             os.replace(path, target_dir / f"{kind}-{path.name}")
         except OSError:
             return
-        self.stats.quarantined += 1
         METRICS.inc("cache.quarantined")
 
     def _load(self, path: Path, kind: str) -> Optional[dict]:
@@ -342,12 +341,10 @@ class ResultCache:
                 except OSError:
                     pass
                 raise
-            self.stats.writes += 1
             METRICS.inc(f"cache.{kind}.writes")
             METRICS.inc("cache.bytes_written", size)
         except OSError:
             # A read-only or full disk must never fail the computation.
-            self.stats.errors += 1
             METRICS.inc("cache.errors")
 
     # -- correctness bitmaps ----------------------------------------------
@@ -515,7 +512,7 @@ class ResultCache:
                 path.unlink()
                 removed += 1
             except OSError:
-                self.stats.errors += 1
+                METRICS.inc("cache.errors")
         return removed
 
 

@@ -62,15 +62,18 @@ sequence -- and identical folded results and resilience counters -- for
 ``--jobs 1`` and ``--jobs 4``.
 
 Observability crosses the process boundary the same way the results do:
-each worker resets its per-process :data:`repro.obs.METRICS` registry
-and :data:`repro.obs.TRACER` per job, and ships the metric delta plus
-its span events back alongside the result; the parent folds both in the
-same deterministic (plan, or sorted-benchmark and task, order) sequence
-it folds bitmaps, charging each lane to the sweep point that planned it,
-so aggregated counters are independent of completion order and
-``sum(worker deltas) == single-process counters`` for every work-unit
-counter.  (A crashed attempt's delta dies with it; only successful
-attempts are folded, identically in serial and parallel runs.)
+each worker runs a job in a fresh metrics registry of its own
+(:func:`~repro.obs.metrics.metrics_scope`) and a reset
+:data:`repro.obs.TRACER`, and ships that registry's snapshot plus its
+span events back alongside the result.  Each plan point has its own
+registry, nested in the run's; the parent enters a lane's point
+registry for everything it does for that lane, and folds the worker
+snapshots into it in the same deterministic (plan order) sequence it
+folds bitmaps, so aggregated counters are independent of completion
+order and ``sum(worker snapshots) == single-process counters`` for
+every work-unit counter.  (A crashed attempt's snapshot dies with it;
+only successful attempts are folded, identically in serial and
+parallel runs.)
 
 Worker count comes from ``--jobs``, the :data:`ENV_JOBS` environment
 variable, or ``os.cpu_count()``, and sizes the session's pool;
@@ -97,7 +100,7 @@ import numpy as np
 from repro.analysis.cache import ResultCache, result_key
 from repro.analysis.config import LabConfig
 from repro.analysis.runner import CORRELATION_TASK, Lab, compute_task
-from repro.obs.metrics import METRICS, Metrics
+from repro.obs.metrics import METRICS, Metrics, current_metrics, metrics_scope
 from repro.obs.tracing import TRACER, span
 from repro.resilience.faults import (
     HANG_SECONDS,
@@ -242,16 +245,16 @@ def _run_job(job: PoolJob):
     worker's cache handle, whose memo keeps each trace after its first
     disk read, or without a cache through ``load_benchmark``'s
     per-process LRU; it writes its result through to the shared cache.
-    Returns the job's metric delta and span events alongside the result
-    so the parent can fold telemetry deterministically.
+    Returns the metrics of a registry made for the job alone, and its
+    span events, alongside the result so the parent can fold telemetry
+    deterministically.
     """
     name, task, config = job.name, job.task, job.config
     _act_out_faults(job.fault_kinds, name, task, in_process=False)
 
-    METRICS.reset()
     TRACER.reset()
     begin = time.perf_counter()
-    with span("job", benchmark=name, task=task):
+    with metrics_scope(Metrics()) as metrics, span("job", benchmark=name, task=task):
         cache = _worker_cache(job.cache_root)
         if task == TRACE_TASK:
             result = build_source_trace(name, job.source, cache, length=job.length)
@@ -263,7 +266,7 @@ def _run_job(job: PoolJob):
             Lab(trace, config, cache, name).store(task, result)
     return (
         result, digest,
-        METRICS.snapshot(), TRACER.chrome_events(),
+        metrics.snapshot(), TRACER.chrome_events(),
         time.perf_counter() - begin,
     )
 
@@ -733,47 +736,18 @@ class PrimedPlan:
         labs: Per point, benchmark name -> :class:`Lab` holding every
             result the point planned; a deduped task's result is the
             one its first planner computed, taken in memory.
-        metrics: Per point, the pass's metric delta charged to it: the
-            work of the lanes it planned first, and what it took.
+        metrics: Per point, the registry the pass charged to it: the
+            work of the lanes it planned first, and what it took.  It
+            is nested in the registry in scope when the pass began, and
+            the point's experiments count into it too.
         failures: Per point, the structured failures of its lanes.
         seconds: Wall time of the pass.
     """
 
     labs: List[Dict[str, Lab]]
-    metrics: List[dict]
+    metrics: List[Metrics]
     failures: List[List[dict]]
     seconds: float
-
-
-class _Ledger:
-    """Charges a pass's metrics to the plan points that caused them.
-
-    Each charge snapshots the registry around the work it scopes.  A
-    one-point plan needs no split, so it charges everything to its one
-    point without snapshots.
-    """
-
-    def __init__(self, points: int) -> None:
-        self._baseline = METRICS.snapshot()
-        self._points = [Metrics() for _ in range(points)] if points > 1 else None
-
-    def charge(self, point: int):
-        if self._points is None:
-            return contextlib.nullcontext()
-        return self._charging(point)
-
-    @contextlib.contextmanager
-    def _charging(self, point: int):
-        before = METRICS.snapshot()
-        try:
-            yield
-        finally:
-            self._points[point].merge(METRICS.delta_since(before))
-
-    def deltas(self) -> List[dict]:
-        if self._points is None:
-            return [METRICS.delta_since(self._baseline)]
-        return [metrics.snapshot() for metrics in self._points]
 
 
 def _planned_length(name: str, source) -> int:
@@ -829,8 +803,13 @@ def prime_plan(
             "pass --task-timeout (or REPRO_TASK_TIMEOUT)"
         )
     jobs = pool.jobs
-    ledger = _Ledger(len(plan.points))
-    METRICS.gauge("parallel.workers", jobs)
+    points = [Metrics(parent=current_metrics()) for _ in plan.points]
+    for metrics in points:
+        metrics.gauge("parallel.workers", jobs)
+
+    def charge(point: int):
+        return metrics_scope(points[point])
+
     cache_root = str(cache.root) if cache is not None else None
     rank = {task.id: index for index, task in enumerate(plan.tasks)}
     trace_key: Dict[Tuple[int, str], str] = {}
@@ -857,7 +836,7 @@ def prime_plan(
         lanes = []
         for task in waiting.pop(key, ()):
             owner = lab(task.point, task.benchmark)
-            with ledger.charge(task.point):
+            with charge(task.point):
                 if owner.fold_cached(task.task):
                     continue
             lanes.append(_Lane(
@@ -874,7 +853,7 @@ def prime_plan(
             if task.kind != "trace" or task.deduped_from is not None:
                 continue
             source = plan.points[task.point][1].workload
-            with ledger.charge(task.point):
+            with charge(task.point):
                 trace = cached_source_trace(task.benchmark, source, cache)
             if trace is not None:
                 lanes += trace_ready(task.key, trace)
@@ -889,19 +868,19 @@ def prime_plan(
             on_done=lambda lane: (
                 trace_ready(lane.key, lane.payload[0]) if lane.is_trace else ()
             ),
-            charge=ledger.charge,
+            charge=charge,
             announce=lambda: say(f"priming on {jobs} worker(s)..."),
         )
         scheduler.run()
         node.attrs["pending"] = len(scheduler.lanes)
-        _fold_lanes(scheduler.lanes, cache, ledger.charge)
+        _fold_lanes(scheduler.lanes, cache, charge)
 
     # Each point's labs, in its benchmark order; deduped tasks are taken
     # from the point that planned them first.
     labs: List[Dict[str, Lab]] = []
     for index in range(len(plan.points)):
         labs.append({})
-        with ledger.charge(index):
+        with charge(index):
             for task in plan.point_tasks(index):
                 if task.kind == "trace":
                     labs[index][task.benchmark] = lab(index, task.benchmark)
@@ -919,7 +898,7 @@ def prime_plan(
         failures[point].append(failure.to_dict())
     return PrimedPlan(
         labs=labs,
-        metrics=ledger.deltas(),
+        metrics=points,
         failures=failures,
         seconds=time.perf_counter() - begin,
     )
@@ -933,7 +912,7 @@ def _fold_lanes(
     """Fold finished lanes into their labs.
 
     Lanes fold in deterministic ``rank`` order, and so do their
-    workers' metric deltas and span events, so aggregate telemetry is
+    workers' metric snapshots and span events, so aggregate telemetry is
     independent of worker scheduling.  A trace lane's trace was used
     when it landed; only its telemetry folds here.  A sim lane whose
     worker loaded a different trace than the lab holds is discarded;

@@ -21,7 +21,8 @@ The execution core is spec-driven: a
 :class:`~repro.spec.RunSpec` describes the run, a
 :class:`~repro.plan.Plan` expands it into the task graph, and
 :func:`run_spec` executes the plan through the instrumented engine --
-it scopes the global metrics registry, traces every stage, primes
+it counts into metrics registries of its own (one per run, nested
+in it one per plan point), traces every stage, primes
 exactly the simulations the planned experiments declared, assembles
 the schema-versioned run manifest, and hosts the resilience layer
 (per-task retries, journal checkpointing, ``resume``, structured
@@ -60,7 +61,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.analysis.cache import ResultCache
+from repro.analysis.cache import ResultCache, cache_summary
 from repro.analysis.config import LabConfig
 from repro.analysis.parallel import PrimedPlan, WorkerPool, prime_plan
 from repro.analysis.runner import Lab
@@ -81,7 +82,7 @@ from repro.experiments.base import (
     run_experiment,
 )
 from repro.obs.manifest import build_manifest, write_manifest
-from repro.obs.metrics import METRICS, Metrics
+from repro.obs.metrics import METRICS, metrics_scope
 from repro.obs.tracing import TRACER
 from repro.plan import Plan, build_plan
 from repro.resilience.faults import FaultInjector
@@ -157,8 +158,8 @@ class ReportRun:
             follow-up analysis without re-simulating).
         manifest: The schema-versioned run manifest dict (already
             written to disk when ``manifest_out`` was given).
-        metrics: The run's metric delta -- counters/gauges/timers that
-            happened during this run only.
+        metrics: The run's metrics -- the counters/gauges/timers its own
+            registry counted, so this run's work only.
         spec: The executed single-point :class:`RunSpec` (None only for
             hand-built instances).
     """
@@ -236,7 +237,7 @@ class SweepRun:
         points: One :class:`PointRun` per grid point, in grid order.
         summary: The rendered summary table (also echoed).
         summary_path: Where the JSON summary was written, if anywhere.
-        metrics: The whole sweep's metric delta.
+        metrics: The whole sweep's metrics (its run registry).
     """
 
     spec: RunSpec
@@ -377,14 +378,6 @@ class EngineSession:
         self.close(kill=exc_type is not None)
 
 
-def _merge_deltas(*deltas: dict) -> dict:
-    """One metric delta from several consecutive ones."""
-    merged = Metrics()
-    for delta in deltas:
-        merged.merge(delta)
-    return merged.snapshot()
-
-
 def _prime(
     plan: Plan, engine: EngineSession, say: Callable[[str], None]
 ) -> PrimedPlan:
@@ -418,7 +411,8 @@ def _run_point(
     point computed from the same inputs (``finished``, keyed by the
     plan's experiment key), run the rest (a failing experiment becomes
     a structured failure, not a traceback), and assemble the manifest
-    from the pass's metrics charged to this point plus its own.  The
+    from the point's metrics registry, which holds the pass's work
+    charged to this point and counts the experiments too.  The
     caller owns TRACER lifetime, the SIGTERM handler, the journal's
     close, and all file outputs.
     """
@@ -432,14 +426,16 @@ def _run_point(
     # The pass is charged to the first point, which planned most of it.
     build_seconds = primed.seconds if index == 0 else 0.0
 
-    baseline = METRICS.snapshot()
     run_start = time.perf_counter()
-    with TRACER.span("point", experiments=",".join(requested)) if swept \
-            else contextlib.nullcontext():
+    point_span = (
+        TRACER.span("point", experiments=",".join(requested))
+        if swept else contextlib.nullcontext()
+    )
+    with metrics_scope(primed.metrics[index]) as point_metrics, point_span:
         total = sum(len(lab.trace) for lab in labs.values())
         say(f"  {len(labs)} benchmarks, {total} dynamic branches")
         if engine.cache is not None:
-            say(f"  cache: {engine.cache.root} ({engine.cache.stats.summary()})")
+            say(f"  cache: {engine.cache.root} ({cache_summary(point_metrics.snapshot())})")
         say(f"  jobs: {engine.jobs}\n")
 
         key = spec_run_key(point_spec.input_digest(), labs)
@@ -506,9 +502,7 @@ def _run_point(
                 else f"\n{result}\n"
             )
 
-    metrics_delta = _merge_deltas(
-        primed.metrics[index], METRICS.delta_since(baseline)
-    )
+    metrics = point_metrics.snapshot()
     manifest = build_manifest(
         command=command,
         config=point_spec.config,
@@ -520,7 +514,7 @@ def _run_point(
         labs=labs,
         results=results,
         experiment_timings=experiment_timings,
-        metrics=metrics_delta,
+        metrics=metrics,
         timings={
             "build_labs_seconds": build_seconds,
             "total_seconds": build_seconds + time.perf_counter() - run_start,
@@ -542,7 +536,7 @@ def _run_point(
         results=results,
         labs=labs,
         manifest=manifest,
-        metrics=metrics_delta,
+        metrics=metrics,
         failures=failures,
         replayed=replayed,
         spec=point_spec,
@@ -577,7 +571,7 @@ def run_spec(
         json_out: Also export the results as JSON to this path.
         manifest_out: Write the run manifest JSON to this path.
         result_out: Write the ``result/v1`` envelope JSON to this path.
-        metrics_out: Write the run's metric delta JSON to this path.
+        metrics_out: Write the run's metrics JSON to this path.
         trace_out: Write the run's Chrome-trace span JSON to this path.
         manifest_dir: Sweep runs: directory for per-point manifests.
         summary_out: Sweep runs: path for the JSON summary.
@@ -615,7 +609,6 @@ def run_spec(
         )
 
     TRACER.reset()
-    baseline = METRICS.snapshot()
     previous_sigterm = _install_sigterm_handler() if owned else None
     points: List[PointRun] = []
     try:
@@ -626,7 +619,7 @@ def run_spec(
                 dict.fromkeys(spec.experiments)
             ))
         )
-        with root:
+        with metrics_scope() as run_metrics, root:
             primed = _prime(plan, engine, say)
             finished: Dict[str, ExperimentResult] = {}
             for index, (coords, point_spec) in enumerate(plan.points):
@@ -682,7 +675,7 @@ def run_spec(
             points=points,
             summary=summary,
             summary_path=summary_path,
-            metrics=METRICS.delta_since(baseline),
+            metrics=run_metrics.snapshot(),
         )
     else:
         result = points[0].report
@@ -704,7 +697,7 @@ def run_spec(
         TRACER.write(trace_out)
         say(f"span trace written to {trace_out}")
     if engine.cache is not None:
-        say(f"cache: {engine.cache.stats.summary()}")
+        say(f"cache: {cache_summary(run_metrics.snapshot())}")
     if swept and result_out:
         write_result(result, result_out)
         say(f"result envelope written to {result_out}")
@@ -746,7 +739,7 @@ def run_sweep(
             files).
         summary_out: Override path for the JSON summary.
         result_out: Write the sweep's ``result/v1`` envelope JSON here.
-        metrics_out: Write the whole sweep's metric delta JSON here.
+        metrics_out: Write the whole sweep's metrics JSON here.
         trace_out: Write the whole sweep's Chrome-trace JSON here.
         command: The argv that launched the sweep.
         echo: Progress sink; None runs silently.

@@ -144,8 +144,9 @@ def fault_spec_from_args(args: argparse.Namespace):
 def write_observability_outputs(args: argparse.Namespace) -> None:
     """Honour ``--metrics-out`` / ``--trace-out`` after a command ran.
 
-    Writes the *process-global* metric snapshot and span buffer, which
-    for a CLI invocation is exactly the command's telemetry.
+    Writes the process registry's metric snapshot (the scope outside
+    any run) and the span buffer, which for a CLI invocation is exactly
+    the command's telemetry.
     """
     metrics_out = getattr(args, "metrics_out", None)
     if metrics_out:

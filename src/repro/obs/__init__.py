@@ -3,9 +3,10 @@
 The engine (labs, caches, the parallel scheduler, workload generation)
 is instrumented against this package:
 
-* :data:`METRICS` / :class:`Metrics` -- a dependency-free counter/
-  gauge/timer registry with thread-safe updates and deterministic
-  cross-process delta folding (``repro.obs.metrics``);
+* :data:`METRICS` / :class:`Metrics` / :func:`metrics_scope` -- a
+  dependency-free counter/gauge/timer registry with thread-safe
+  updates, nested run- and point-scoped registries, and deterministic
+  cross-process folding (``repro.obs.metrics``);
 * :func:`span` / :data:`TRACER` -- nested span tracing dumpable as
   Chrome trace format for flamegraph viewing (``repro.obs.tracing``);
 * run manifests -- schema-versioned ``run_manifest.json`` documents
@@ -28,7 +29,7 @@ from repro.obs.manifest import (
     validate_manifest,
     write_manifest,
 )
-from repro.obs.metrics import METRICS, Metrics
+from repro.obs.metrics import METRICS, Metrics, metrics_scope
 from repro.obs.tracing import TRACER, Span, Tracer, span
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "Tracer",
     "build_manifest",
     "diff_manifests",
+    "metrics_scope",
     "read_manifest",
     "span",
     "summarize_manifest",

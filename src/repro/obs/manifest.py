@@ -109,7 +109,8 @@ def build_manifest(
         labs: Benchmark name -> Lab (for trace digests and lengths).
         results: Experiment id -> ExperimentResult.
         experiment_timings: ``[{"id", "seconds"}, ...]`` in run order.
-        metrics: The run's metric delta (:meth:`Metrics.delta_since`).
+        metrics: The run's metrics (its registry's
+            :meth:`~repro.obs.metrics.Metrics.snapshot`).
         timings: Named run-level wall-clock figures (seconds).
         resilience: Extra fields for the ``resilience`` section
             (``failures``, ``resumed``, ``replayed``, ``journal``);

@@ -10,18 +10,24 @@ A :class:`Metrics` instance holds three families of instruments:
   context manager, or ``add_time`` for externally-measured durations),
   e.g. per-worker job wall-clock.
 
-Everything is guarded by one lock, so instruments can be bumped from any
-thread.  Cross-*process* aggregation works by value, not by sharing:
-worker processes reset their (per-process) global registry, do their
-work, and ship a :meth:`Metrics.snapshot` delta back to the parent,
-which folds it in with :meth:`Metrics.merge` in a deterministic order --
-mirroring how simulation results themselves are folded by
-:mod:`repro.analysis.parallel`.
+Everything is guarded by one lock per registry, so instruments can be
+bumped from any thread.
 
-The module-level :data:`METRICS` registry is what the instrumented
-engine code writes to.  Run-scoped accounting takes a snapshot before
-the run and a :meth:`Metrics.delta_since` after, so long-lived processes
-(library users, test suites) never need to reset global state.
+Registries nest: one made with a ``parent`` also counts every update
+into that parent (and so on up), so a run's registry sees its points'
+work and the process registry sees every run's.  Engine code writes to
+:data:`METRICS`, which forwards to the registry *in scope*: the one the
+innermost :func:`metrics_scope` of the current thread (a
+:class:`contextvars.ContextVar`) entered, else the process registry.
+``run_spec`` opens one scope per run and one per plan point, so two runs
+in one process -- two servers' threads, say -- never count each other's
+work, and a run's metrics are its registry's :meth:`~Metrics.snapshot`.
+
+Cross-*process* aggregation works by value, not by sharing: a worker
+runs each job in a fresh registry of its own and ships its snapshot
+back; the parent folds it in with :meth:`Metrics.merge` in a
+deterministic order -- mirroring how simulation results themselves are
+folded by :mod:`repro.analysis.parallel`.
 
 Instrument names are dotted lowercase paths (``cache.bitmap.hits``,
 ``sim.simulations``); the full catalogue lives in
@@ -33,16 +39,23 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Union
+from contextvars import ContextVar
+from typing import Dict, Iterator, Optional, Union
 
 Number = Union[int, float]
 
 
 class Metrics:
-    """A thread-safe counter/gauge/timer registry."""
+    """A thread-safe counter/gauge/timer registry.
 
-    def __init__(self) -> None:
+    Args:
+        parent: A registry that also receives every update made here
+            (None: a root registry).
+    """
+
+    def __init__(self, parent: Optional["Metrics"] = None) -> None:
         self._lock = threading.Lock()
+        self._parent = parent
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, Number] = {}
         self._timers: Dict[str, Dict[str, Number]] = {}
@@ -51,20 +64,15 @@ class Metrics:
 
     def inc(self, name: str, value: int = 1) -> None:
         """Add ``value`` (default 1) to counter ``name``."""
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + int(value)
+        self.merge({"counters": {name: value}})
 
     def gauge(self, name: str, value: Number) -> None:
         """Set gauge ``name`` to ``value`` (last write wins)."""
-        with self._lock:
-            self._gauges[name] = value
+        self.merge({"gauges": {name: value}})
 
     def add_time(self, name: str, seconds: float, count: int = 1) -> None:
         """Fold an externally-measured duration into timer ``name``."""
-        with self._lock:
-            entry = self._timers.setdefault(name, {"count": 0, "seconds": 0.0})
-            entry["count"] += count
-            entry["seconds"] += float(seconds)
+        self.merge({"timers": {name: {"count": count, "seconds": seconds}}})
 
     @contextmanager
     def timer(self, name: str) -> Iterator[None]:
@@ -97,44 +105,13 @@ class Metrics:
                 },
             }
 
-    def delta_since(self, baseline: dict) -> dict:
-        """Snapshot minus ``baseline`` (an earlier :meth:`snapshot`).
-
-        Counters and timers subtract; gauges report their current value
-        (a gauge is a level, not a flow).  Instruments absent from the
-        baseline are reported in full; zero-valued counter deltas are
-        dropped so the result describes only what happened in between.
-        """
-        current = self.snapshot()
-        base_counters = baseline.get("counters", {})
-        counters = {
-            name: value - base_counters.get(name, 0)
-            for name, value in current["counters"].items()
-            if value - base_counters.get(name, 0) != 0
-        }
-        base_timers = baseline.get("timers", {})
-        timers = {}
-        for name, entry in current["timers"].items():
-            base = base_timers.get(name, {"count": 0, "seconds": 0.0})
-            count = entry["count"] - base["count"]
-            if count > 0:
-                timers[name] = {
-                    "count": count,
-                    "seconds": entry["seconds"] - base["seconds"],
-                }
-        return {
-            "counters": counters,
-            "gauges": current["gauges"],
-            "timers": timers,
-        }
-
     # -- aggregation -------------------------------------------------------
 
     def merge(self, delta: dict) -> None:
-        """Fold a :meth:`snapshot`/:meth:`delta_since` dict into this one.
+        """Fold a :meth:`snapshot` dict into this registry and its parents.
 
         Counters and timers add; gauges take the incoming value.  Used by
-        the parent process to aggregate worker deltas; callers are
+        the parent process to aggregate worker snapshots; callers are
         responsible for folding in a deterministic order.
         """
         with self._lock:
@@ -146,31 +123,44 @@ class Metrics:
                 mine = self._timers.setdefault(name, {"count": 0, "seconds": 0.0})
                 mine["count"] += entry.get("count", 0)
                 mine["seconds"] += float(entry.get("seconds", 0.0))
-
-    def reset(self) -> None:
-        """Zero every instrument (worker processes, test isolation)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._timers.clear()
+        if self._parent is not None:
+            self._parent.merge(delta)
 
 
-def sum_counters(snapshot: dict, prefix: str) -> int:
-    """Sum every counter under a dotted prefix in a snapshot/delta dict.
+#: The process registry: the scope outside any :func:`metrics_scope`.
+_PROCESS = Metrics()
 
-    ``sum_counters(delta, "resilience.faults")`` adds up
-    ``resilience.faults.crash`` + ``resilience.faults.hang`` + ... --
-    handy for manifest sections that aggregate a counter family without
-    enumerating its members.  The bare prefix name itself also counts
-    (``prefix`` and ``prefix.*``).
+_SCOPE: ContextVar[Metrics] = ContextVar("repro_metrics_scope", default=_PROCESS)
+
+
+def current_metrics() -> Metrics:
+    """The registry in scope in this thread."""
+    return _SCOPE.get()
+
+
+@contextmanager
+def metrics_scope(registry: Optional[Metrics] = None) -> Iterator[Metrics]:
+    """Make ``registry`` the one :data:`METRICS` writes to in this block.
+
+    The default is a fresh registry nested in the one now in scope, so
+    the enclosing scopes count the block's work too.  Pass a root
+    ``Metrics()`` for a registry that counts into nothing else.
     """
-    dotted = prefix + "."
-    return sum(
-        int(value)
-        for name, value in snapshot.get("counters", {}).items()
-        if name == prefix or name.startswith(dotted)
-    )
+    if registry is None:
+        registry = Metrics(parent=current_metrics())
+    token = _SCOPE.set(registry)
+    try:
+        yield registry
+    finally:
+        _SCOPE.reset(token)
 
 
-#: The process-global registry the instrumented engine writes to.
-METRICS = Metrics()
+class _ScopedMetrics:
+    """Forwards every :class:`Metrics` call to the registry in scope."""
+
+    def __getattr__(self, name: str):
+        return getattr(_SCOPE.get(), name)
+
+
+#: What the instrumented engine writes to: the registry in scope.
+METRICS = _ScopedMetrics()

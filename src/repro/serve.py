@@ -32,9 +32,9 @@ Wire API (all under ``/v1``; see ``docs/serving.md``):
 
 Scheduling is FIFO per client with round-robin across clients, so one
 chatty client cannot starve the rest.  Specs execute one at a time on
-a dedicated executor thread (the engine's metrics/tracing registries
-are process-global); intra-run parallelism comes from the session's
-worker pool.  SIGTERM drains: admission closes, accepted runs finish,
+a dedicated executor thread (the engine's span tracer is
+process-global; metrics are scoped per run); intra-run parallelism
+comes from the session's worker pool.  SIGTERM drains: admission closes, accepted runs finish,
 the journal and pool shut down cleanly, and the process exits 0 --
 resubmitting after a restart dedupes onto the journaled results.
 """
@@ -236,8 +236,9 @@ class AnalysisServer:
         self.session = EngineSession.resolve(
             self.options, served_by=self.instance_id
         )
-        # One thread: the engine's METRICS/TRACER registries are
-        # process-global, so specs must not execute concurrently.
+        # One thread: the engine's span TRACER is process-global, so
+        # specs must not execute concurrently.  (Metrics are not: each
+        # run counts into a registry of its own.)
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve"
         )

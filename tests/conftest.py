@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 import pytest
 
-from repro.analysis.cache import parse_entry, write_entry
+from repro.analysis.cache import cache_counts, cache_summary, parse_entry, write_entry
+from repro.obs.metrics import Metrics, metrics_scope
 from repro.trace.trace import Trace, TraceBuilder
 
 
@@ -96,6 +98,39 @@ def rewrite_cache_entry(path: Path, mutate: Callable[[dict], None]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         write_entry(fh, fields)
+
+
+class CacheEvents:
+    """The cache events a metrics registry counted, summed over entry
+    kinds: ``events.hits``, ``.misses``, ``.writes``, ``.errors`` and
+    ``.quarantined`` read its counters now."""
+
+    def __init__(self, registry: Metrics) -> None:
+        self.registry = registry
+
+    def __getattr__(self, event: str) -> int:
+        counts = cache_counts(self.registry.snapshot())
+        if event not in counts:
+            raise AttributeError(event)
+        return counts[event]
+
+    def summary(self) -> str:
+        return cache_summary(self.registry.snapshot())
+
+
+@contextlib.contextmanager
+def scoped_cache_events() -> Iterator[CacheEvents]:
+    """The cache events counted inside the block (nested scopes count
+    into the enclosing ones too)."""
+    with metrics_scope() as registry:
+        yield CacheEvents(registry)
+
+
+@pytest.fixture()
+def cache_events() -> Iterator[CacheEvents]:
+    """The cache events counted during the test, in its own scope."""
+    with scoped_cache_events() as events:
+        yield events
 
 
 @pytest.fixture(scope="session")

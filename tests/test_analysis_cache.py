@@ -15,7 +15,7 @@ from repro.analysis.runner import Lab
 from repro.correlation.tagging import CorrelationTable, collect_correlation_data
 from repro.workloads.suite import load_benchmark
 
-from conftest import rewrite_cache_entry, trace_from_string
+from conftest import rewrite_cache_entry, scoped_cache_events, trace_from_string
 
 
 @pytest.fixture()
@@ -29,15 +29,15 @@ def trace():
 
 
 class TestBitmapCache:
-    def test_miss_then_hit(self, cache, trace):
+    def test_miss_then_hit(self, cache, trace, cache_events):
         bitmap = np.arange(len(trace)) % 3 == 0
         assert cache.load_bitmap(trace.digest(), "gshare|x", len(trace)) is None
-        assert cache.stats.misses == 1
+        assert cache_events.misses == 1
         cache.store_bitmap(trace.digest(), "gshare|x", bitmap)
-        assert cache.stats.writes == 1
+        assert cache_events.writes == 1
         loaded = cache.load_bitmap(trace.digest(), "gshare|x", len(trace))
         assert np.array_equal(loaded, bitmap)
-        assert cache.stats.hits == 1
+        assert cache_events.hits == 1
 
     def test_key_distinguishes_result_and_trace(self, cache, trace):
         bitmap = np.zeros(len(trace), dtype=bool)
@@ -51,24 +51,24 @@ class TestBitmapCache:
         monkeypatch.setattr(cache_module, "SCHEMA_VERSION", 9999)
         assert cache.load_bitmap(trace.digest(), "a", len(trace)) is None
 
-    def test_corrupted_file_is_a_miss(self, cache, trace):
+    def test_corrupted_file_is_a_miss(self, cache, trace, cache_events):
         bitmap = np.ones(len(trace), dtype=bool)
         cache.store_bitmap(trace.digest(), "a", bitmap)
         path = cache._path("bitmap", cache.bitmap_key(trace.digest(), "a"))
         path.write_bytes(b"not a cache entry")
         assert cache.load_bitmap(trace.digest(), "a", len(trace)) is None
-        assert cache.stats.errors == 1
+        assert cache_events.errors == 1
         # Storing again repairs the entry.
         cache.store_bitmap(trace.digest(), "a", bitmap)
         assert np.array_equal(cache.load_bitmap(trace.digest(), "a", len(trace)), bitmap)
 
-    def test_unwritable_root_never_raises(self, trace, tmp_path):
+    def test_unwritable_root_never_raises(self, trace, tmp_path, cache_events):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
         cache = ResultCache(blocker / "cache")
         cache.store_bitmap(trace.digest(), "a", np.zeros(3, dtype=bool))
-        assert cache.stats.errors == 1
-        assert cache.stats.writes == 0
+        assert cache_events.errors == 1
+        assert cache_events.writes == 0
 
 
 class TestCorrelationCache:
@@ -100,7 +100,7 @@ class TestCorrelationCache:
         cache.store_correlation(trace.digest(), data)
         assert cache.load_correlation(trace.digest(), 16, len(trace)) is None
 
-    def test_old_layout_entry_is_never_read(self, cache, trace, monkeypatch):
+    def test_old_layout_entry_is_never_read(self, cache, trace, monkeypatch, cache_events):
         # A schema-1 entry held offset-delimited packed tag buffers at the
         # schema-1 key; the schema bump must leave it unaddressed, not
         # load it and quarantine it.
@@ -121,11 +121,11 @@ class TestCorrelationCache:
             "corr", cache.correlation_key(trace.digest(), 8)
         ) != old_path
         assert cache.load_correlation(trace.digest(), 8, len(trace)) is None
-        assert cache.stats.misses == 1
-        assert cache.stats.quarantined == 0
+        assert cache_events.misses == 1
+        assert cache_events.quarantined == 0
         assert old_path.exists()
 
-    def test_layout_2_entry_is_never_read(self, cache, trace, monkeypatch):
+    def test_layout_2_entry_is_never_read(self, cache, trace, monkeypatch, cache_events):
         # A schema-2 entry held the table's own columns (owner columns and
         # unpacked entry outcomes) at the schema-2 key; the bump to the
         # compact layout must leave it unaddressed, not quarantine it.
@@ -140,8 +140,8 @@ class TestCorrelationCache:
             "corr", cache.correlation_key(trace.digest(), 8)
         ) != old_path
         assert cache.load_correlation(trace.digest(), 8, len(trace)) is None
-        assert cache.stats.misses == 1
-        assert cache.stats.quarantined == 0
+        assert cache_events.misses == 1
+        assert cache_events.quarantined == 0
         assert old_path.exists()
 
     def test_entry_stores_counts_and_packed_outcomes(self, cache, trace):
@@ -196,7 +196,7 @@ def _tamper(payload: dict, name: str) -> None:
 
 class TestMalformedCorrelationEntry:
     @pytest.mark.parametrize("damage", ["negative", "total", "owners", "outcomes"])
-    def test_is_quarantined_and_recomputed(self, cache, trace, damage):
+    def test_is_quarantined_and_recomputed(self, cache, trace, damage, cache_events):
         data = Lab(trace, cache=cache).correlation_data()
         path = cache.entry_path(
             "corr", cache.correlation_key(trace.digest(), data.window)
@@ -205,7 +205,7 @@ class TestMalformedCorrelationEntry:
 
         fresh = ResultCache(cache.root)
         recomputed = Lab(trace, cache=fresh).correlation_data()
-        assert fresh.stats.quarantined == 1
+        assert cache_events.quarantined == 1
         assert fresh.quarantine_count() == 1
         for name, column in data.columns().items():
             assert np.array_equal(column, recomputed.columns()[name]), name
@@ -237,7 +237,9 @@ class TestMaintenance:
         assert cache.clear() == 2
         assert cache.entry_count() == 0
 
-    def test_schema_3_npz_entries_miss_and_are_cleared(self, cache, trace, monkeypatch):
+    def test_schema_3_npz_entries_miss_and_are_cleared(
+        self, cache, trace, monkeypatch, cache_events
+    ):
         # A cache an older version filled holds .npz entries at schema-3
         # keys: they are never read (so never quarantined), not counted
         # as entries, and removed by clear().
@@ -249,12 +251,14 @@ class TestMaintenance:
         np.savez_compressed(legacy, packed=np.packbits(np.ones(len(trace), dtype=bool)),
                             length=np.int64(len(trace)))
         assert cache.load_bitmap(trace.digest(), "a", len(trace)) is None
-        assert cache.stats.misses == 1 and cache.stats.quarantined == 0
+        assert cache_events.misses == 1 and cache_events.quarantined == 0
         assert cache.entry_count() == 0 and cache.total_bytes() == 0
         assert cache.clear() == 1
         assert not legacy.exists()
 
-    def test_shard_is_made_once_and_again_if_it_vanished(self, cache, trace, monkeypatch):
+    def test_shard_is_made_once_and_again_if_it_vanished(
+        self, cache, trace, monkeypatch, cache_events
+    ):
         made, inside = [], []
         real_mkdir = Path.mkdir
 
@@ -276,7 +280,7 @@ class TestMaintenance:
         shutil.rmtree(cache.root)
         cache.store_bitmap(trace.digest(), "a", bitmap)
         assert len(made) == 2
-        assert cache.stats.writes == 3 and cache.stats.errors == 0
+        assert cache_events.writes == 3 and cache_events.errors == 0
         assert np.array_equal(cache.load_bitmap(trace.digest(), "a", len(trace)), bitmap)
 
 
@@ -289,24 +293,24 @@ class TestResultKey:
 
 
 class TestLabIntegration:
-    def test_lab_reads_and_writes_cache(self, cache):
+    def test_lab_reads_and_writes_cache(self, cache, cache_events):
         trace = load_benchmark("perl", length=1500)
         lab = Lab(trace, cache=cache)
         bitmap = lab.correct("loop")
-        assert cache.stats.writes >= 1
+        assert cache_events.writes >= 1
         # A fresh lab over the same trace hits the disk cache.
         lab2 = Lab(trace, cache=cache)
         assert np.array_equal(lab2.correct("loop"), bitmap)
-        assert cache.stats.hits >= 1
+        assert cache_events.hits >= 1
 
     def test_selective_bitmap_cached(self, cache):
         trace = trace_from_string("TTNT" * 40)
         lab = Lab(trace, cache=cache)
         bitmap = lab.selective_correct(1)
         lab2 = Lab(trace, cache=cache)
-        hits_before = cache.stats.hits
-        assert np.array_equal(lab2.selective_correct(1), bitmap)
-        assert cache.stats.hits > hits_before
+        with scoped_cache_events() as second:
+            assert np.array_equal(lab2.selective_correct(1), bitmap)
+        assert second.hits > 0
 
     def test_no_cache_lab_never_touches_disk(self, tmp_path):
         trace = trace_from_string("TTNT" * 10)

@@ -28,7 +28,7 @@ from repro.trace.ingest import ingest_file
 from repro.trace.stream import TraceFormatError, TraceStream, write_trace
 from repro.workloads.suite import load_benchmark
 
-from conftest import rewrite_cache_entry, trace_from_steps
+from conftest import rewrite_cache_entry, scoped_cache_events, trace_from_steps
 from test_resilience_journal import UNDECODABLE, FakeResult
 
 FUZZ = settings(max_examples=100, deadline=None,
@@ -372,12 +372,12 @@ def _same_value(kind, loaded, reference) -> bool:
 def _assert_correct_or_quarantined(root, path, kind, references) -> None:
     """A fresh cache on ``root`` loads the entry of ``kind`` at ``path``
     as its reference value, or misses and quarantines it."""
-    cache = ResultCache(root)
-    loaded = _cache_entry(cache, kind, references, store=False)
+    with scoped_cache_events() as events:
+        loaded = _cache_entry(ResultCache(root), kind, references, store=False)
     if loaded is None:
-        assert cache.stats.quarantined == 1 and not path.exists()
+        assert events.quarantined == 1 and not path.exists()
     else:
-        assert cache.stats.quarantined == 0
+        assert events.quarantined == 0
         assert _same_value(kind, loaded, references[kind])
 
 
@@ -453,12 +453,14 @@ FORGED_ENTRIES = {
 
 
 @pytest.mark.parametrize("kind, name, forge", FORGED_ENTRIES.values(), ids=FORGED_ENTRIES)
-def test_forged_cache_entry_is_quarantined(tmp_path, cache_references, kind, name, forge):
+def test_forged_cache_entry_is_quarantined(
+    tmp_path, cache_references, kind, name, forge, cache_events
+):
     path = _cache_entry(ResultCache(tmp_path), kind, cache_references, store=True)
     rewrite_cache_entry(path, lambda fields: fields.update({name: forge(fields[name])}))
     cache = ResultCache(tmp_path)
     assert _cache_entry(cache, kind, cache_references, store=False) is None
-    assert cache.stats.quarantined == 1 and not path.exists()
+    assert cache_events.quarantined == 1 and not path.exists()
 
 
 ADDRESSES = st.one_of(st.integers(0, 2**64 - 1).map(str), st.integers(0, 2**64 - 1).map(hex))

@@ -12,7 +12,7 @@ from repro.api import EngineSession, run_spec
 from repro.spec import EngineOptions, spec_from_kwargs
 from repro.workloads.suite import load_benchmark
 
-from conftest import count_disk_reads, rewrite_cache_entry
+from conftest import count_disk_reads, rewrite_cache_entry, scoped_cache_events
 
 SMALL = 2000
 
@@ -29,7 +29,7 @@ def store_bitmap(cache, digest="d" * 32, key="loop|v1"):
 
 
 class TestQuarantine:
-    def test_truncated_entry_is_quarantined_on_load(self, cache):
+    def test_truncated_entry_is_quarantined_on_load(self, cache, cache_events):
         _, path = store_bitmap(cache)
         with open(path, "r+b") as fh:
             fh.truncate(8)
@@ -40,9 +40,9 @@ class TestQuarantine:
         assert moved.parent.name == QUARANTINE_DIRNAME
         # Forensic bytes survive the move.
         assert moved.read_bytes() == moved.read_bytes()[:8]
-        assert cache.stats.quarantined == 1
-        assert cache.stats.errors == 1
-        assert "quarantined" in cache.stats.summary()
+        assert cache_events.quarantined == 1
+        assert cache_events.errors == 1
+        assert "quarantined" in cache_events.summary()
 
     def test_recompute_overwrites_cleanly(self, cache):
         bitmap, path = store_bitmap(cache)
@@ -65,7 +65,7 @@ class TestQuarantine:
         assert removed == 1
         assert cache.quarantine_count() == 0
 
-    def test_forged_length_bitmap_is_recomputed(self, tmp_path):
+    def test_forged_length_bitmap_is_recomputed(self, tmp_path, cache_events):
         # A well-formed entry claiming 5 more branches than its trace
         # raised "bitmap length 2005 != trace length 2000" from the lab.
         trace = load_benchmark("compress", length=SMALL)
@@ -76,7 +76,7 @@ class TestQuarantine:
         rewrite_cache_entry(
             path, lambda fields: fields.update(length=fields["length"] + 5))
         assert np.array_equal(Lab(trace, cache=cache).correct("gshare"), reference)
-        assert cache.stats.quarantined == 1
+        assert cache_events.quarantined == 1
         assert cache.quarantine_count() == 1
 
     def test_every_flipped_bit_is_quarantined(self, cache):
@@ -90,13 +90,14 @@ class TestQuarantine:
                 flipped[offset] ^= 1 << bit
                 path.write_bytes(bytes(flipped))
                 fresh = ResultCache(cache.root)
-                assert fresh.load_bitmap("d" * 32, "loop|v1", 4) is None, (offset, bit)
-                assert fresh.stats.quarantined == 1 and not path.exists()
+                with scoped_cache_events() as flip:
+                    assert fresh.load_bitmap("d" * 32, "loop|v1", 4) is None, (offset, bit)
+                assert flip.quarantined == 1 and not path.exists()
         assert cache.quarantine_count() == 1  # one name, overwritten each time
 
-    def test_clean_cache_reports_zero(self, cache):
+    def test_clean_cache_reports_zero(self, cache, cache_events):
         assert cache.quarantine_count() == 0
-        assert "quarantined" not in cache.stats.summary()
+        assert "quarantined" not in cache_events.summary()
 
 
 class TestQuarantineInLongLivedSession:
@@ -121,7 +122,7 @@ class TestQuarantineInLongLivedSession:
         )
         return cache.entry_path("bitmap", key)
 
-    def test_poisoned_before_first_read(self, tmp_path, monkeypatch):
+    def test_poisoned_before_first_read(self, tmp_path, monkeypatch, cache_events):
         options = EngineOptions(jobs=1, cache_dir=str(tmp_path / "c"))
         with EngineSession.resolve(options) as session:
             cache = session.cache
@@ -132,7 +133,7 @@ class TestQuarantineInLongLivedSession:
 
             reads = count_disk_reads(cache, monkeypatch)
             _, digests = self.run(session)
-            assert cache.stats.quarantined == 1
+            assert cache_events.quarantined == 1
             assert digests == reference
             assert ("bitmap", path.stem) not in cache._memo
 
@@ -141,14 +142,14 @@ class TestQuarantineInLongLivedSession:
             del reads[:]
             _, digests = self.run(session)
             assert path in reads
-            assert cache.stats.quarantined == 1
+            assert cache_events.quarantined == 1
             assert digests == reference
             del reads[:]
             self.run(session)
             assert path not in reads
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_corrupt_fault_on_shared_session(self, tmp_path, jobs):
+    def test_corrupt_fault_on_shared_session(self, tmp_path, jobs, cache_events):
         options = EngineOptions(
             jobs=jobs,
             cache_dir=str(tmp_path / "c"),
@@ -157,9 +158,9 @@ class TestQuarantineInLongLivedSession:
         )
         with EngineSession.resolve(options) as session:
             _, reference = self.run(session)
-            assert session.cache.stats.quarantined == 0
+            assert cache_events.quarantined == 0
             # The fault tore the entry its run wrote; the session's next
             # run must still find that on disk, not in memory.
             _, digests = self.run(session)
-            assert session.cache.stats.quarantined == 1
+            assert cache_events.quarantined == 1
             assert digests == reference

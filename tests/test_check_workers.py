@@ -28,7 +28,6 @@ from repro.analysis.config import DEFAULT_CONFIG
 from repro.analysis.parallel import PoolJob, WorkerPool, prime_plan
 from repro.check.lint import lint_source
 from repro.experiments.base import experiment_requires
-from repro.obs.metrics import METRICS
 from repro.plan import build_plan
 from repro.resilience.retry import RetryPolicy
 from repro.spec import RunSpec, SyntheticSource
@@ -50,15 +49,6 @@ def make_job(**fields):
 
 #: A benchmark, another, then the first again, in one process.
 SEQUENCE = [make_job(), make_job(name="gcc"), make_job()]
-
-
-@pytest.fixture()
-def keep_metrics():
-    """``_run_job`` resets the process's telemetry; put it back after."""
-    saved = METRICS.snapshot()
-    yield
-    METRICS.reset()
-    METRICS.merge(saved)
 
 
 def mismatches(jobs):
@@ -127,7 +117,7 @@ class TestRealTreeIsClean:
             primed = prime_plan(build_plan(spec), pool=pool, policy=RetryPolicy())
         labs = primed.labs[0]
         sims = [job for job in submitted if job.task != parallel.TRACE_TASK]
-        assert primed.metrics[0]["counters"]["parallel.jobs_executed"] == len(sims)
+        assert primed.metrics[0].counter("parallel.jobs_executed") == len(sims)
         assert sorted((job.name, job.task) for job in sims) == sorted(
             (name, task)
             for name in ("compress", "gcc")
@@ -163,14 +153,15 @@ class TestRealTreeIsClean:
         pool.submit(job)
         assert calls == [(parallel._run_job, (job,))]
 
-    def test_task_table_compute_is_an_entry(self, keep_metrics):
+    def test_task_table_compute_is_an_entry(self):
         # WS001: a worker runs job after job; none may see another's
         # state.  Each result equals a fresh compute_task on its trace.
         assert mismatches(SEQUENCE) == []
 
-    def test_telemetry_singletons_are_allowlisted(self, keep_metrics):
-        # METRICS and TRACER are the globals a worker writes: _run_job
-        # resets both per job, so each job ships only its own work.
+    def test_telemetry_singletons_are_allowlisted(self):
+        # Telemetry is the one state a worker writes: _run_job counts
+        # each job in a fresh metrics registry and resets TRACER, so
+        # each job ships only its own work.
         payloads = [parallel._run_job(job) for job in SEQUENCE]
         first, _, last = [payload[2]["counters"] for payload in payloads]
         assert first == last
@@ -192,7 +183,7 @@ class TestSeededWorkerDefects:
             with pytest.raises(TypeError, match=f"PoolJob.{field} is a"):
                 make_job(**{field: value})
 
-    def test_ws001_sees_through_reachable_helpers(self, monkeypatch, keep_metrics):
+    def test_ws001_sees_through_reachable_helpers(self, monkeypatch):
         # A helper _run_job calls memoises by task alone: the second
         # benchmark gets the first one's bitmap, and the run fails.
         memo = {}

@@ -453,6 +453,35 @@ def test_two_servers_share_one_cold_cache(tmp_path, references):
     assert diff_manifests(reference, warm) == []
 
 
+def test_two_servers_count_only_their_own_run(tmp_path, references):
+    """Two servers in one process, on separate cache directories, run the
+    same cold spec at once; each run's ``metrics`` event counts that run
+    alone, as a lone run's manifest does."""
+    spec, reference = references.specs["synthetic"], references.get("synthetic").manifest
+    threads = [ServerThread(AnalysisServer(
+        EngineOptions(jobs=1, cache_dir=str(tmp_path / f"cache-{index}")), drain_grace=0.0))
+        for index in range(2)]
+    clients = [ServeClient(thread.start(), client_id="counter") for thread in threads]
+    try:
+        run_ids = [client.submit(spec)[0] for client in clients]
+        with ThreadPoolExecutor(2) as pool:
+            docs = list(pool.map(lambda client, run_id: client.wait(run_id, timeout=TIMEOUT),
+                                 clients, run_ids))
+        counted = [next(event["metrics"] for event in client.events(run_id)
+                        if event["type"] == "metrics")
+                   for client, run_id in zip(clients, run_ids)]
+    finally:
+        for thread in threads:
+            thread.stop()
+    lone = reference["metrics"]["counters"]
+    assert lone["sim.simulations"] == 136 and reference["cache"]["result_misses"] == 144
+    for doc, counters in zip(docs, counted):
+        assert doc["status"] == "done", doc.get("error")
+        assert _digests(doc["result"]["manifest"]) == _digests(reference)
+        assert counters["sim.simulations"] == 136
+        assert counters["cache.bitmap.misses"] + counters["cache.corr.misses"] == 144
+
+
 #: A 2x2 grid over the two history lengths the paper's figs 7 and 9 and
 #: table 3 compare, run with 1 and 2 workers and without a cache.
 SWEEP_AXES = (("gshare_history_bits", (8, 12)), ("pas_history_bits", (6, 10)))

@@ -2,7 +2,12 @@
 
 import threading
 
-from repro.obs.metrics import METRICS, Metrics
+import pytest
+
+from repro.analysis.config import DEFAULT_CONFIG
+from repro.analysis.parallel import PoolJob, _run_job
+from repro.obs.metrics import METRICS, Metrics, current_metrics, metrics_scope
+from repro.spec import SyntheticSource
 
 
 class TestInstruments:
@@ -54,34 +59,6 @@ class TestSnapshotDelta:
         snap["counters"]["a"] = 999
         assert m.counter("a") == 1
 
-    def test_delta_since_subtracts_counters_and_timers(self):
-        m = Metrics()
-        m.inc("a", 3)
-        m.add_time("t", 1.0)
-        base = m.snapshot()
-        m.inc("a", 2)
-        m.inc("b")
-        m.add_time("t", 0.25)
-        delta = m.delta_since(base)
-        assert delta["counters"] == {"a": 2, "b": 1}
-        assert delta["timers"]["t"]["count"] == 1
-        assert abs(delta["timers"]["t"]["seconds"] - 0.25) < 1e-9
-
-    def test_delta_drops_zero_counters(self):
-        m = Metrics()
-        m.inc("quiet", 7)
-        base = m.snapshot()
-        delta = m.delta_since(base)
-        assert delta["counters"] == {}
-        assert delta["timers"] == {}
-
-    def test_delta_reports_current_gauges(self):
-        m = Metrics()
-        m.gauge("level", 1)
-        base = m.snapshot()
-        m.gauge("level", 5)
-        assert m.delta_since(base)["gauges"] == {"level": 5}
-
 
 class TestMergeReset:
     def test_merge_adds_counters_and_timers(self):
@@ -109,14 +86,6 @@ class TestMergeReset:
             backward.merge(d)
         assert forward.snapshot()["counters"] == backward.snapshot()["counters"]
 
-    def test_reset_zeroes_everything(self):
-        m = Metrics()
-        m.inc("a")
-        m.gauge("g", 1)
-        m.add_time("t", 1.0)
-        m.reset()
-        assert m.snapshot() == {"counters": {}, "gauges": {}, "timers": {}}
-
     def test_thread_safety_of_inc(self):
         m = Metrics()
 
@@ -134,7 +103,72 @@ class TestMergeReset:
 
 class TestGlobalRegistry:
     def test_global_registry_exists_and_counts(self):
-        base = METRICS.snapshot()
-        METRICS.inc("test.obs_metrics.probe")
-        delta = METRICS.delta_since(base)
-        assert delta["counters"]["test.obs_metrics.probe"] == 1
+        with metrics_scope() as scope:
+            METRICS.inc("test.obs_metrics.probe")
+        assert scope.counter("test.obs_metrics.probe") == 1
+        assert current_metrics() is not scope
+
+
+class TestScopes:
+    def test_nested_registry_counts_into_its_parent(self):
+        with metrics_scope() as outer:
+            METRICS.inc("a")
+            with metrics_scope() as inner:
+                METRICS.inc("a", 2)
+                METRICS.gauge("level", 3)
+                METRICS.add_time("t", 0.5)
+                METRICS.merge({"counters": {"b": 4}})
+            METRICS.inc("c")
+        assert inner.snapshot() == {
+            "counters": {"a": 2, "b": 4},
+            "gauges": {"level": 3},
+            "timers": {"t": {"count": 1, "seconds": 0.5}},
+        }
+        assert outer.snapshot() == {
+            "counters": {"a": 3, "b": 4, "c": 1},
+            "gauges": {"level": 3},
+            "timers": {"t": {"count": 1, "seconds": 0.5}},
+        }
+
+    def test_thread_scopes_do_not_see_each_other(self):
+        both_inside = threading.Barrier(2)
+        seen = {}
+
+        def count(name):
+            with metrics_scope() as scope:
+                both_inside.wait()
+                for _ in range(500):
+                    METRICS.inc("n")
+                both_inside.wait()
+            seen[name] = scope.snapshot()["counters"]
+
+        with metrics_scope() as mine:
+            threads = [threading.Thread(target=count, args=(name,)) for name in "ab"]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert seen == {"a": {"n": 500}, "b": {"n": 500}}
+        assert mine.counter("n") == 0
+
+    def test_scope_is_restored_on_exit(self):
+        with metrics_scope() as outer:
+            with pytest.raises(RuntimeError):
+                with metrics_scope():
+                    raise RuntimeError("leave the scope")
+            assert current_metrics() is outer
+            METRICS.inc("after")
+        assert outer.counter("after") == 1
+
+    def test_job_registry_starts_empty(self):
+        job = PoolJob(
+            "compress", "gshare", DEFAULT_CONFIG, SyntheticSource(max_length=2000),
+            None, None, (),
+        )
+        with metrics_scope() as outer:
+            METRICS.inc("sim.simulations", 5)
+            shipped = _run_job(job)[2]["counters"]
+        assert shipped["sim.simulations"] == 1
+        # The job's registry counts into nothing here: the parent folds
+        # its snapshot in, once.
+        assert outer.counter("sim.simulations") == 5

@@ -13,9 +13,13 @@ That manifests validate and diff clean across worker counts, cache
 states and launch paths is the job of tests/test_equivalence.py.
 """
 
+import json
+import re
+
 import pytest
 
 from repro.api import run_spec, spec_from_kwargs
+from repro.cli import main as repro_main
 from repro.obs.manifest import diff_manifests
 
 
@@ -89,6 +93,25 @@ class TestCrossProcessConsistency:
                 serial_run.results[experiment_id].to_json()
                 == parallel_run.results[experiment_id].to_json()
             )
+
+
+class TestCacheLine:
+    def test_final_cache_line_counts_the_workers_too(self, tmp_path, capsys):
+        # A cold jobs-2 report: workers write most entries, and the
+        # printed line must count them as the manifest does.
+        manifest_path = tmp_path / "manifest.json"
+        assert repro_main([
+            "report", "--max-length", "3000", "--jobs", "2", "--journal", "",
+            "--cache-dir", str(tmp_path / "cache"), "--manifest-out", str(manifest_path),
+        ]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("cache: ")]
+        hits, misses, writes = map(int, re.match(
+            r"cache: (\d+) hits, (\d+) misses, (\d+) writes", lines[-1]).groups())
+        cache = json.loads(manifest_path.read_text())["cache"]
+        assert hits == cache["result_hits"] + cache["trace_hits"]
+        assert misses == cache["result_misses"] + cache["trace_misses"]
+        assert writes == cache["result_writes"] + cache["trace_writes"] > 0
 
 
 class TestPoolWorkerSources:

@@ -28,6 +28,8 @@ from repro.resilience.retry import RetryPolicy
 from repro.spec import RunSpec, SyntheticSource
 from repro.workloads.suite import load_benchmark
 
+from conftest import scoped_cache_events
+
 SMALL = 2000
 
 #: The paper's experiments on the 2,000-branch suite: every default task.
@@ -46,7 +48,7 @@ def prime(spec, jobs, cache=None):
 
 def executed(primed):
     """How many sim lanes the pass ran and folded."""
-    return primed.metrics[0]["counters"].get("parallel.jobs_executed", 0)
+    return primed.metrics[0].counter("parallel.jobs_executed")
 
 
 @pytest.fixture(scope="module")
@@ -225,10 +227,10 @@ class TestPrimeLabs:
         cache = ResultCache(tmp_path / "c")
         assert_labs_match(prime(SUITE, jobs=2, cache=cache).labs[0], serial_labs)
         # A fresh process (fresh labs, fresh cache handle) folds from disk.
-        cache2 = ResultCache(tmp_path / "c")
-        labs2 = prime(SUITE, jobs=2, cache=cache2).labs[0]
-        assert cache2.stats.misses == 0
-        assert cache2.stats.hits >= len(labs2) * len(DEFAULT_TASKS)
+        with scoped_cache_events() as second:
+            labs2 = prime(SUITE, jobs=2, cache=ResultCache(tmp_path / "c")).labs[0]
+        assert second.misses == 0
+        assert second.hits >= len(labs2) * len(DEFAULT_TASKS)
         assert_labs_match(labs2, serial_labs)
 
     def test_adhoc_lab_digest_mismatch_is_discarded(self):
@@ -265,12 +267,11 @@ class TestBuildLabsWiring:
             for task in DEFAULT_TASKS:
                 assert not lab.is_primed(task)
 
-    def test_build_with_cache_stores_traces(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        labs = build_labs(SMALL, cache=cache)
-        assert cache.stats.writes == len(labs)
-        cache2 = ResultCache(tmp_path / "c")
-        labs2 = build_labs(SMALL, cache=cache2)
-        assert cache2.stats.hits == len(labs2)
+    def test_build_with_cache_stores_traces(self, tmp_path, cache_events):
+        labs = build_labs(SMALL, cache=ResultCache(tmp_path / "c"))
+        assert cache_events.writes == len(labs)
+        with scoped_cache_events() as second:
+            labs2 = build_labs(SMALL, cache=ResultCache(tmp_path / "c"))
+        assert second.hits == len(labs2)
         for name in labs:
             assert labs[name].trace == labs2[name].trace

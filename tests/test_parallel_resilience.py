@@ -38,7 +38,7 @@ def prime(jobs, policy, spec=None):
             build_plan(FIG6), pool=pool, policy=policy,
             injector=FaultInjector.from_spec(spec) if spec else None,
         )
-    return primed.labs[0], primed.failures[0], primed.metrics[0]
+    return primed.labs[0], primed.failures[0], primed.metrics[0].snapshot()
 
 
 def resilience_counters(delta: dict) -> dict:
